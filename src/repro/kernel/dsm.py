@@ -16,13 +16,27 @@ Page-granularity MSI-style coherence across kernels:
 Bulk first-touch after a migration is served by :meth:`ensure_range`
 with pipelined bandwidth-limited timing — the multithreaded page-pull
 burst visible in Figure 11.
+
+The protocol and its accounting are per page; the directory is not.
+It is an :class:`ExtentMap` of maximal page runs sharing one coherence
+state, so a bulk pull or first touch costs O(extents touched), not
+O(pages), and the counters are computed arithmetically per run.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.linker.layout import PAGE_SIZE, page_of
 from repro.runtime.address_space import AddressSpace
+
+# One extent's coherence state: (owner, sharers, dirtied, backup
+# holder).  Sharers always include the owner; ``dirtied`` records a
+# write through a coherence event (a clean sole copy of a dead kernel is
+# refetchable from the binary image, a dirty one is lost); the backup
+# holder keeps an out-of-band replica (backup mode only, else None).
+State = Tuple[str, FrozenSet[str], bool, Optional[str]]
+Run = Tuple[int, int, State]
 
 
 class LostPageError(RuntimeError):
@@ -78,6 +92,101 @@ class ScrubReport:
     lost: int = 0  # dirty sole copies: marked lost, accesses fail loudly
 
 
+class ExtentMap:
+    """Run-length page directory.
+
+    Parallel lists ``lo``/``hi``/``state`` hold half-open page ranges
+    ``[lo, hi)``, sorted, disjoint, non-empty and maximally coalesced (no
+    two touching extents share a state).  Pages outside every extent are
+    untracked.  Every mutation goes through :meth:`splice`, which keeps
+    those invariants.
+    """
+
+    __slots__ = ("lo", "hi", "state")
+
+    def __init__(self) -> None:
+        self.lo: List[int] = []
+        self.hi: List[int] = []
+        self.state: List[State] = []
+
+    def get(self, page: int) -> Optional[State]:
+        """State of ``page``, or None when it is untracked."""
+        i = bisect_right(self.lo, page) - 1
+        if i >= 0 and page < self.hi[i]:
+            return self.state[i]
+        return None
+
+    def overlapping(self, lo: int, hi: int) -> Tuple[int, int]:
+        """Index range ``[i, j)`` of the extents that intersect [lo, hi)."""
+        i = bisect_right(self.lo, lo)
+        if i and self.hi[i - 1] > lo:
+            i -= 1
+        return i, bisect_left(self.lo, hi, i)
+
+    def runs(self) -> Iterator[Run]:
+        return zip(self.lo, self.hi, self.state)
+
+    def splice(self, lo: int, hi: int, runs: List[Run]) -> None:
+        """Make ``runs`` (sorted, inside [lo, hi)) the whole of [lo, hi).
+
+        Pages of [lo, hi) no run covers become untracked.  Extents cut by
+        the boundaries keep their outside parts, and the result is
+        re-coalesced with its neighbours.
+        """
+        los, his, states = self.lo, self.hi, self.state
+        i, j = self.overlapping(lo, hi)
+        new: List[Run] = []
+        # The untouched neighbours join in so the edges re-coalesce.
+        if i:
+            new.append((los[i - 1], his[i - 1], states[i - 1]))
+        if i < j and los[i] < lo:
+            new.append((los[i], lo, states[i]))
+        new.extend(runs)
+        if i < j and his[j - 1] > hi:
+            new.append((hi, his[j - 1], states[j - 1]))
+        if j < len(los):
+            new.append((los[j], his[j], states[j]))
+            j += 1
+        if i:
+            i -= 1
+        out_lo: List[int] = []
+        out_hi: List[int] = []
+        out_state: List[State] = []
+        for a, b, s in new:
+            if out_hi and out_hi[-1] == a and out_state[-1] == s:
+                out_hi[-1] = b
+            else:
+                out_lo.append(a)
+                out_hi.append(b)
+                out_state.append(s)
+        los[i:j] = out_lo
+        his[i:j] = out_hi
+        states[i:j] = out_state
+
+    def rebuild(self, runs: List[Run]) -> None:
+        """Replace the whole map with ``runs`` (sorted, disjoint)."""
+        self.lo, self.hi, self.state = [], [], []
+        if runs:
+            self.splice(runs[0][0], runs[-1][1], runs)
+
+
+def _aliased_ranges(space: AddressSpace) -> Tuple[List[int], List[int]]:
+    """Merged, sorted page ranges of the space's aliased VMAs."""
+    ranges = sorted(
+        (vma.pages.start, vma.pages.stop)
+        for vma in space.vmas() if vma.aliased
+    )
+    los: List[int] = []
+    his: List[int] = []
+    for lo, hi in ranges:
+        if his and lo <= his[-1]:
+            his[-1] = max(his[-1], hi)
+        else:
+            los.append(lo)
+            his.append(hi)
+    return los, his
+
+
 class DsmService:
     """Per-process page coherence across the replicated kernels."""
 
@@ -92,12 +201,11 @@ class DsmService:
         self.space = space
         self.messaging = messaging
         self.home = home_kernel
-        self._aliased = space.aliased_pages()
-        # page -> owner kernel; absent means untouched (zero page),
-        # owned by whoever touches it first.
-        self._owner: Dict[int, str] = {}
-        # page -> kernels with a valid (read) copy, owner included.
-        self._valid: Dict[int, Set[str]] = {}
+        # Aliased page ranges, never tracked: local everywhere.
+        self._alias_lo, self._alias_hi = _aliased_ranges(space)
+        # The coherence directory.  An untracked page is untouched (zero
+        # page), owned by whoever touches it first.
+        self._dir = ExtentMap()
         self.stats = DsmStats()
         # Monotonic epoch: bumped on every residency change; lets the
         # engine cache "this whole range is local" checks.
@@ -113,73 +221,100 @@ class DsmService:
         # Opt-in dirty-page backup-home replication (ablation): every
         # dirtying coherence event pushes the page to the owner's ring
         # successor, trading steady-state wire bandwidth for lost work.
+        # Backup copies are *not* coherence sharers: they never serve
+        # faults, so MSI behaviour is unchanged.
         self.backup = bool(backup) and len(self.machines) > 1
-        # page -> kernel holding an out-of-band backup copy.  Backup
-        # copies are *not* coherence sharers: they never serve faults
-        # and never appear in _valid, so MSI behaviour is unchanged.
-        self._backup_of: Dict[int, str] = {}
-        # Pages ever dirtied through a coherence event (write fault,
-        # write first-touch, or bulk write pull).  Clean sole copies of
-        # a dead kernel are refetchable from the binary image; dirty
-        # ones are genuinely lost.
-        self._dirtied: Set[int] = set()
-        # page -> dead kernel whose crash lost the page.
-        self.lost_pages: Dict[int, str] = {}
+        # Lost page runs (lo, hi, dead kernel whose crash lost them), in
+        # the order the scrubs found them.
+        self._lost: List[Tuple[int, int, str]] = []
         self._dead: Set[str] = set()
         self.scrubs: List[ScrubReport] = []
 
-    # ----------------------------------------------------------- faults
+    # ------------------------------------------------------- directory
 
-    def is_local(self, kernel: str, page: int, write: bool) -> bool:
-        if page in self._aliased:
-            return True
-        owner = self._owner.get(page)
-        if owner is None:
-            return True  # first touch anywhere is local (zero page)
-        if write:
-            return owner == kernel and self._valid.get(page) == {kernel}
-        return kernel in self._valid.get(page, set())
+    def _is_aliased(self, page: int) -> bool:
+        i = bisect_right(self._alias_lo, page) - 1
+        return i >= 0 and page < self._alias_hi[i]
+
+    def _unaliased(self, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """The sub-ranges of [lo, hi) outside every aliased range."""
+        alias_lo, alias_hi = self._alias_lo, self._alias_hi
+        i = bisect_right(alias_hi, lo)
+        out = []
+        pos = lo
+        while pos < hi and i < len(alias_lo) and alias_lo[i] < hi:
+            if alias_lo[i] > pos:
+                out.append((pos, alias_lo[i]))
+            pos = max(pos, alias_hi[i])
+            i += 1
+        if pos < hi:
+            out.append((pos, hi))
+        return out
+
+    def _set_page(self, page: int, state: State) -> None:
+        self._dir.splice(page, page + 1, [(page, page + 1, state)])
+
+    def _lost_at(self, first: int, end: int) -> Optional[Tuple[int, str]]:
+        """First lost page of [first, end) in scrub order, with its killer."""
+        for lo, hi, dead in self._lost:
+            if lo < end and first < hi:
+                return max(lo, first), dead
+        return None
+
+    @property
+    def lost_pages(self) -> Dict[int, str]:
+        """page -> dead kernel whose crash lost it (materialised)."""
+        lost: Dict[int, str] = {}
+        for lo, hi, dead in self._lost:
+            lost.update(dict.fromkeys(range(lo, hi), dead))
+        return lost
+
+    # ----------------------------------------------------------- faults
 
     def access(self, kernel: str, addr: int, write: bool) -> float:
         """Account one access; returns fault service time in seconds."""
         page = page_of(addr)
-        if self.lost_pages and page in self.lost_pages:
-            raise LostPageError(page, kernel, self.lost_pages[page])
+        if self._lost:
+            lost = self._lost_at(page, page + 1)
+            if lost is not None:
+                raise LostPageError(page, kernel, lost[1])
         self.last_parties = (kernel,)
-        if self.is_local(kernel, page, write):
-            return self._note_first_touch(kernel, page, write)
-        return self._fault(kernel, page, write)
-
-    def _note_first_touch(self, kernel: str, page: int, write: bool = False) -> float:
-        if page not in self._owner and page not in self._aliased:
-            self._owner[page] = kernel
-            self._valid[page] = {kernel}
-            if write:
-                self._dirtied.add(page)
-                if self.backup:
-                    return self._push_backup(kernel, page)
-        elif write and page not in self._aliased:
+        if self._is_aliased(page):
+            return 0.0
+        state = self._dir.get(page)
+        solo = frozenset((kernel,))
+        if state is None:
+            # First touch: the toucher owns the page.
+            target = self._backup_target(kernel) if write else None
+            self._set_page(page, (kernel, solo, write, target))
+            return self._push_backup(kernel, target)
+        if write:
+            if state[0] != kernel or state[1] != solo:
+                return self._fault(kernel, page, write)
             # First *write* to a page the kernel already owns from a
             # read first-touch: the engine's residency cache guarantees
             # the first write of a page reaches access(), so dirtiness
             # tracking at coherence granularity is complete.
-            self._dirtied.add(page)
-            if self.backup and page not in self._backup_of:
-                return self._push_backup(kernel, page)
+            target = self._backup_target(kernel) if state[3] is None else None
+            if not state[2] or target is not None:
+                self._set_page(page, (kernel, solo, True, target or state[3]))
+            return self._push_backup(kernel, target)
+        if kernel not in state[1]:
+            return self._fault(kernel, page, write)
         return 0.0
 
     def _backup_target(self, owner: str) -> Optional[str]:
+        """Live ring successor that takes ``owner``'s backup pushes."""
         machines = self.machines
-        if len(machines) < 2 or owner not in machines:
+        if not self.backup or owner not in machines:
             return None
-        return machines[(machines.index(owner) + 1) % len(machines)]
+        target = machines[(machines.index(owner) + 1) % len(machines)]
+        return None if target in self._dead else target
 
-    def _push_backup(self, owner: str, page: int) -> float:
-        """Replicate a dirty page to the owner's ring successor."""
-        target = self._backup_target(owner)
-        if target is None or target in self._dead:
+    def _push_backup(self, owner: str, target: Optional[str]) -> float:
+        """Replicate one dirty page to ``target`` (no-op when None)."""
+        if target is None:
             return 0.0
-        self._backup_of[page] = target
         self.stats.backup_pushes += 1
         self.stats.backup_bytes += PAGE_SIZE
         self.last_parties = tuple(
@@ -188,9 +323,10 @@ class DsmService:
         return self.messaging.send("dsm.backup", owner, target, PAGE_SIZE)
 
     def _fault(self, kernel: str, page: int, write: bool) -> float:
+        owner, sharers, dirtied, backup = self._dir.get(page)
         if self.messaging.chaos is not None:
             if self.messaging.chaos_step(
-                "dsm.page", faulter=kernel, owner=self._owner[page]
+                "dsm.page", faulter=kernel, owner=owner
             ):
                 # The step crashed a kernel; the directory has been
                 # scrubbed under our feet.  Re-dispatch from scratch.
@@ -200,10 +336,6 @@ class DsmService:
                     raise KernelCrashed(kernel)
                 return self.access(kernel, page * PAGE_SIZE, write)
         self.stats.faults += 1
-        if write:
-            self._dirtied.add(page)
-        owner = self._owner[page]
-        sharers = self._valid.setdefault(page, {owner})
         cost = 0.0
         invalidated = 0
         # The page payload crosses the wire only when the faulting
@@ -233,12 +365,15 @@ class DsmService:
                 )
                 self.stats.invalidations += len(others)
                 invalidated = len(others)
-            self._valid[page] = {kernel}
-            self._owner[page] = kernel
-            if self.backup:
-                cost += self._push_backup(kernel, page)
+            target = self._backup_target(kernel)
+            self._set_page(
+                page, (kernel, frozenset((kernel,)), True, target or backup)
+            )
+            cost += self._push_backup(kernel, target)
         else:
-            sharers.add(kernel)
+            self._set_page(
+                page, (owner, sharers | frozenset((kernel,)), dirtied, backup)
+            )
         self.epoch += 1
         tracer = getattr(self.messaging, "tracer", None)
         if tracer is not None:
@@ -265,54 +400,94 @@ class DsmService:
         Returns (seconds, pages_transferred).  Transfers are pipelined:
         one round-trip of latency plus bandwidth-limited payload time,
         modelling the multithreaded hDSM pulling pages in bulk.
+        Accounting is exactly that of the same pages faulted one by one;
+        only the time is amortised.
         """
         if span <= 0:
             return (0.0, 0)
         first = page_of(base)
-        last = page_of(base + span - 1)
-        if self.lost_pages:
-            for lost_page, dead in self.lost_pages.items():
-                if first <= lost_page <= last:
-                    raise LostPageError(lost_page, kernel, dead)
-        # Classify every page in one scan instead of calling
-        # ``is_local``/``_note_first_touch`` per page — bulk pulls span
-        # hundreds of thousands of pages and the two calls per page are
-        # the hottest loop in the whole simulator.  The classification
-        # reads exactly what ``is_local`` reads, so ``missing`` is the
-        # same list the per-page path would produce.
-        aliased = self._aliased
-        valid = self._valid
-        owner_get = self._owner.get
-        missing = []
-        fresh = []
-        dirtied_local = []
-        if write:
-            own_copy = {kernel}
-            for p in range(first, last + 1):
-                if p in aliased:
-                    continue
-                o = owner_get(p)
-                if o is None:
-                    fresh.append(p)
-                elif o == kernel and valid.get(p) == own_copy:
-                    dirtied_local.append(p)
+        end = page_of(base + span - 1) + 1
+        if self._lost:
+            lost = self._lost_at(first, end)
+            if lost is not None:
+                raise LostPageError(lost[0], kernel, lost[1])
+        # One walk over the extents and gaps of the range computes every
+        # page's new state run by run, plus the per-page accounting as
+        # arithmetic over run lengths.  Nothing is mutated before the
+        # chaos step below.
+        directory = self._dir
+        los, his, states = directory.lo, directory.hi, directory.state
+        i, j = directory.overlapping(first, end)
+        solo = frozenset((kernel,))
+        # Dirtying events push one backup each to the puller's successor.
+        target = self._backup_target(kernel) if write else None
+        fresh = (kernel, solo, write, target)
+        runs: List[Run] = []
+        changed = False
+        missing = transfers = invalidations = backups = 0
+        owners = set()
+        inval_groups = set()
+        pos = first
+        for k in range(i, j):
+            lo = los[k]
+            if lo > pos:
+                for a, b in self._unaliased(pos, lo):
+                    runs.append((a, b, fresh))
+                    if target is not None:
+                        backups += b - a
+                    changed = True
+                pos = lo
+            hi = his[k] if his[k] < end else end
+            n = hi - pos
+            state = states[k]
+            owner, sharers, dirtied, backup = state
+            if write:
+                if owner == kernel and sharers == solo:
+                    # Exclusively owned already: only dirtiness (and a
+                    # first backup push) can change.
+                    if backup is None and target is not None:
+                        backups += n
+                        state = (kernel, solo, True, target)
+                        changed = True
+                    elif not dirtied:
+                        state = (kernel, solo, True, backup)
+                        changed = True
                 else:
-                    missing.append(p)
-        else:
-            dirtied_local = ()
-            for p in range(first, last + 1):
-                if p in aliased:
-                    continue
-                o = owner_get(p)
-                if o is None:
-                    fresh.append(p)
-                elif kernel not in valid.get(p, ()):
-                    missing.append(p)
+                    missing += n
+                    owners.add(owner)
+                    if kernel not in sharers:
+                        transfers += n
+                    others = sharers - solo
+                    if others:
+                        # Invalidation *counts* match the single-fault
+                        # path (one per stale copy), but the messages
+                        # are batched: one range-invalidate broadcast
+                        # per distinct sharer group, not one per page.
+                        inval_groups.add(others)
+                        invalidations += n * len(others)
+                    if target is not None:
+                        backups += n
+                        backup = target
+                    state = (kernel, solo, True, backup)
+                    changed = True
+            elif kernel not in sharers:
+                missing += n
+                owners.add(owner)
+                transfers += n
+                state = (owner, sharers | solo, dirtied, backup)
+                changed = True
+            runs.append((pos, hi, state))
+            pos = hi
+        if pos < end:
+            for a, b in self._unaliased(pos, end):
+                runs.append((a, b, fresh))
+                if target is not None:
+                    backups += b - a
+                changed = True
         if self.messaging.chaos is not None:
-            owners = sorted({self._owner[p] for p in missing})
             if self.messaging.chaos_step(
-                "dsm.bulk", puller=kernel, *(), **{
-                    f"owner{i}": o for i, o in enumerate(owners)
+                "dsm.bulk", puller=kernel, **{
+                    f"owner{i}": o for i, o in enumerate(sorted(owners))
                 }
             ):
                 from repro.kernel.kernel import KernelCrashed
@@ -320,65 +495,19 @@ class DsmService:
                 if kernel in self.messaging.fenced:
                     raise KernelCrashed(kernel)
                 return self.ensure_range(kernel, base, span, write)
-        cost = 0.0
+        if changed:
+            directory.splice(first, end, runs)
         self.last_parties = (kernel,)
-        if self.backup:
-            # Backup replication charges per-page costs; keep the
-            # exact per-page path for this opt-in ablation mode.
-            for p in range(first, last + 1):
-                cost += self._note_first_touch(kernel, p, write)
-        else:
-            # Inlined ``_note_first_touch`` over the classified pages:
-            # the same ownership/validity/dirtiness writes, batched.
-            # Every skipped call returned exactly 0.0, so ``cost`` is
-            # bit-identical.
-            owner = self._owner
-            for p in fresh:
-                owner[p] = kernel
-                valid[p] = {kernel}
-            if write:
-                dirtied = self._dirtied
-                dirtied.update(fresh)
-                dirtied.update(dirtied_local)
-                dirtied.update(missing)
-        if not missing:
-            return (cost, 0)
-        parties = set(self.last_parties)
-        transfers = 0
-        backups = 0
-        inval_groups = set()
-        backup_target = self._backup_target(kernel) if self.backup else None
-        if backup_target in self._dead:
-            backup_target = None
-        inval_before = self.stats.invalidations
-        for page in missing:
-            owner = self._owner[page]
-            parties.add(owner)
-            sharers = self._valid.setdefault(page, {owner})
-            # Same accounting as a sequence of single faults: a page the
-            # kernel already shares (write upgrade) moves no payload.
-            if kernel not in sharers:
-                transfers += 1
-            if write:
-                others = [k for k in sharers if k != kernel]
-                if others:
-                    # Invalidation *counts* match the single-fault path
-                    # (one per stale copy), but the messages are batched:
-                    # a bulk pull invalidates a contiguous range with one
-                    # range-invalidate broadcast per distinct sharer
-                    # group, not one message per page.
-                    inval_groups.add(frozenset(others))
-                    parties.update(others)
-                    self.stats.invalidations += len(others)
-                self._valid[page] = {kernel}
-                self._owner[page] = kernel
-                self._dirtied.add(page)
-                if backup_target is not None:
-                    self._backup_of[page] = backup_target
-                    parties.add(backup_target)
-                    backups += 1
-            else:
-                sharers.add(kernel)
+        if not missing and not backups:
+            return (0.0, 0)
+        cost = 0.0
+        parties = {kernel} | owners
+        for group in inval_groups:
+            parties.update(group)
+        if backups:
+            parties.add(target)
+        stats = self.stats
+        stats.invalidations += invalidations
         for group in sorted(inval_groups, key=sorted):
             cost += self.messaging.broadcast(
                 "dsm.inval", kernel, sorted(group), payload_bytes=32
@@ -387,11 +516,11 @@ class DsmService:
         # One logical fault per missing page — the bulk path is cheaper
         # than N single faults only in *time* (one round trip of latency
         # amortised over a pipelined burst), never in *accounting*.
-        self.stats.faults += len(missing)
-        self.stats.page_transfers += transfers
-        self.stats.bytes_transferred += transfers * PAGE_SIZE
+        stats.faults += missing
+        stats.page_transfers += transfers
+        stats.bytes_transferred += transfers * PAGE_SIZE
+        interconnect = self.messaging.interconnect
         if transfers:
-            interconnect = self.messaging.interconnect
             cost += (
                 interconnect.latency_s * 2
                 + (transfers * (PAGE_SIZE + 64)) / interconnect.bandwidth_bytes_per_s
@@ -401,40 +530,69 @@ class DsmService:
         if backups:
             # Backup pushes ride the same pipelined burst: one extra
             # page payload per dirtied page to the ring successor.
-            interconnect = self.messaging.interconnect
             cost += (
                 (backups * (PAGE_SIZE + 64)) / interconnect.bandwidth_bytes_per_s
                 + interconnect.per_message_cpu_s
             )
             self.messaging.record_bulk("dsm.backup", backups, PAGE_SIZE + 64)
-            self.stats.backup_pushes += backups
-            self.stats.backup_bytes += backups * PAGE_SIZE
-        self.epoch += 1
+            stats.backup_pushes += backups
+            stats.backup_bytes += backups * PAGE_SIZE
+        if missing:
+            self.epoch += 1
         tracer = getattr(self.messaging, "tracer", None)
         if tracer is not None:
-            invalidated = self.stats.invalidations - inval_before
             tracer.complete(
                 "dsm.bulk", "dsm", tracer.now(), cost, track=kernel,
-                pages=len(missing), transfers=transfers,
+                pages=missing, transfers=transfers,
                 bytes=transfers * PAGE_SIZE, write=write,
-                invalidations=invalidated,
+                invalidations=invalidations,
             )
             metrics = tracer.metrics
             metrics.counter("dsm.bulk_pulls").inc()
-            metrics.counter("dsm.page_faults").inc(len(missing))
+            metrics.counter("dsm.page_faults").inc(missing)
             metrics.counter("dsm.bytes").inc(transfers * PAGE_SIZE)
-            if invalidated:
-                metrics.counter("dsm.invalidations").inc(invalidated)
+            if invalidations:
+                metrics.counter("dsm.invalidations").inc(invalidations)
             metrics.histogram("dsm.bulk_s").observe(cost)
         return (cost, transfers)
 
     # ------------------------------------------------------- inspection
 
     def resident_pages(self, kernel: str) -> int:
-        return sum(1 for sharers in self._valid.values() if kernel in sharers)
+        return sum(hi - lo for lo, hi, state in self._dir.runs()
+                   if kernel in state[1])
 
     def owner_of(self, addr: int) -> Optional[str]:
-        return self._owner.get(page_of(addr))
+        state = self._dir.get(page_of(addr))
+        return None if state is None else state[0]
+
+    def sharers_of(self, page: int) -> FrozenSet[str]:
+        """Kernels holding a valid copy of ``page`` (empty: untracked)."""
+        state = self._dir.get(page)
+        return frozenset() if state is None else state[1]
+
+    def extents(self) -> List[Run]:
+        """The directory's extents ``(lo, hi, state)``, in page order."""
+        return list(self._dir.runs())
+
+    def owner_map(self) -> Dict[int, str]:
+        """page -> owner for every tracked page (for checkers only)."""
+        return self._per_page(0)
+
+    def valid_map(self) -> Dict[int, FrozenSet[str]]:
+        """page -> sharers for every tracked page (for checkers only)."""
+        return self._per_page(1)
+
+    def backup_map(self) -> Dict[int, str]:
+        """page -> backup holder for every replicated page (checkers)."""
+        return {page: holder for page, holder in self._per_page(3).items()
+                if holder is not None}
+
+    def _per_page(self, field: int) -> dict:
+        out: dict = {}
+        for lo, hi, state in self._dir.runs():
+            out.update(dict.fromkeys(range(lo, hi), state[field]))
+        return out
 
     def all_threads_migrated_cleanup(self, kernel: str) -> int:
         """Drop residual copies once no thread runs on ``kernel``.
@@ -444,11 +602,16 @@ class DsmService:
         number of copies dropped.
         """
         dropped = 0
-        for page, sharers in list(self._valid.items()):
-            if kernel in sharers and self._owner.get(page) != kernel:
-                sharers.discard(kernel)
-                dropped += 1
+        solo = frozenset((kernel,))
+        runs: List[Run] = []
+        for lo, hi, state in self._dir.runs():
+            owner, sharers, dirtied, backup = state
+            if kernel in sharers and owner != kernel:
+                state = (owner, sharers - solo, dirtied, backup)
+                dropped += hi - lo
+            runs.append((lo, hi, state))
         if dropped:
+            self._dir.rebuild(runs)
             self.epoch += 1
         return dropped
 
@@ -463,42 +626,41 @@ class DsmService:
         pages revert to untouched (their content is refetchable from
         the binary image) and dirty pages are marked *lost* — any later
         access raises :class:`LostPageError` instead of reading zeros.
+        The scrub works per extent; the report counts pages.
         """
         report = ScrubReport(dead)
         self._dead.add(dead)
-        for page in sorted(self._valid):
-            sharers = self._valid[page]
-            owner = self._owner.get(page)
+        gone = frozenset((dead,))
+        runs: List[Run] = []
+        for lo, hi, (owner, sharers, dirtied, backup) in self._dir.runs():
+            n = hi - lo
             if dead in sharers:
-                sharers.discard(dead)
+                sharers = sharers - gone
                 if owner != dead:
-                    report.dropped_copies += 1
+                    report.dropped_copies += n
+            # Backup copies stored *on* the dead kernel died with it.
+            if backup == dead:
+                backup = None
             if owner != dead:
-                continue
-            if sharers:
-                self._owner[page] = min(sharers)
-                report.reowned += 1
-                continue
-            backup = self._backup_of.get(page)
-            del self._owner[page]
-            del self._valid[page]
-            if backup is not None and backup not in self._dead:
+                runs.append((lo, hi, (owner, sharers, dirtied, backup)))
+            elif sharers:
+                runs.append((lo, hi, (min(sharers), sharers, dirtied, backup)))
+                report.reowned += n
+            elif backup is not None:
                 # The backup holder becomes the new owner; the copy it
                 # holds is the page as of its last replication.
-                self._owner[page] = backup
-                self._valid[page] = {backup}
-                report.reowned_from_backup += 1
-            elif page in self._dirtied:
-                self.lost_pages[page] = dead
-                report.lost += 1
+                runs.append(
+                    (lo, hi, (backup, frozenset((backup,)), dirtied, backup))
+                )
+                report.reowned_from_backup += n
+            elif dirtied:
+                self._lost.append((lo, hi, dead))
+                report.lost += n
             else:
                 # Never dirtied: content is still the loaded image, so
                 # the next toucher re-materialises it like a first touch.
-                report.refetchable += 1
-        # Backup copies stored *on* the dead kernel died with it.
-        for page, holder in list(self._backup_of.items()):
-            if holder == dead:
-                del self._backup_of[page]
+                report.refetchable += n
+        self._dir.rebuild(runs)
         self.scrubs.append(report)
         # Residency caches across the system are stale now.
         self.epoch += 1
@@ -517,6 +679,7 @@ class DsmService:
 
     def references_kernel(self, kernel: str) -> bool:
         """Does any directory entry still route at ``kernel``?"""
-        if any(owner == kernel for owner in self._owner.values()):
-            return True
-        return any(kernel in sharers for sharers in self._valid.values())
+        return any(
+            state[0] == kernel or kernel in state[1]
+            for state in self._dir.state
+        )

@@ -2,19 +2,19 @@
 
 :class:`ValidatedDsmService` is a drop-in :class:`DsmService` that
 re-executes every residency-changing operation against an independent
-reference implementation of the intended MSI protocol and compares the
-full coherence state (owner map, sharer sets, traffic counters) after
-every ``access``/``ensure_range``/cleanup.  On top of the lock-step
-comparison it asserts the structural MSI invariants directly:
+per-page reference implementation of the intended MSI protocol and
+compares the full coherence state (owner map, sharer sets, traffic
+counters) after every ``access``/``ensure_range``/cleanup.  On top of
+the lock-step comparison it asserts the structural invariants directly:
 
+* the directory's extents are non-empty, sorted and disjoint, and
+  maximally coalesced (no two touching extents share a state);
 * every tracked page has exactly one owner, and the owner holds a
-  valid copy (owner ∈ sharer set);
-* sharer sets are never empty for tracked pages, and the owner/valid
-  maps track exactly the same pages;
+  valid copy (owner ∈ sharer set); sharer sets are never empty;
 * after a write the writer is the only holder (writer exclusivity) —
   enforced through the shadow model, which knows the access history;
-* aliased pages (per-ISA ``.text``, vDSO) never enter the owner or
-  valid maps — they are local everywhere by construction;
+* aliased pages (per-ISA ``.text``, vDSO) never lie inside a tracked
+  extent — they are local everywhere by construction;
 * every byte recorded on the interconnect is attributable to a
   messaging-layer kind (page payloads, invalidations, bulk pulls), so
   DSM traffic can never be double-charged or silently dropped.
@@ -119,8 +119,12 @@ class ShadowDsm:
             return
         pages = range(page_of(base), page_of(base + span - 1) + 1)
         missing = [p for p in pages if not self._is_local(kernel, p, write)]
+        # Local pages take the first-touch path, missing ones the fault
+        # path: one backup push per dirtying event, never both.
+        skip = set(missing)
         for p in pages:
-            self._first_touch(kernel, p, write)
+            if p not in skip:
+                self._first_touch(kernel, p, write)
         for p in missing:
             self._serve_fault(kernel, p, write)
 
@@ -171,8 +175,10 @@ class ValidatedDsmService(DsmService):
             space, messaging, home_kernel, machines=machines, backup=backup
         )
         self.shadow = ShadowDsm(
-            self._aliased, machines=machines, backup=backup
+            space.aliased_pages(), machines=machines, backup=backup
         )
+        self._aliased_ranges = [vma.pages for vma in space.vmas()
+                                if vma.aliased]
         self.log = log if log is not None else default_log()
 
     # ------------------------------------------------------ operations
@@ -212,8 +218,10 @@ class ValidatedDsmService(DsmService):
 
     def _fail(self, invariant: str, detail: str, extra=None) -> None:
         state = {
-            "owner": dict(sorted(self._owner.items())),
-            "valid": {p: sorted(s) for p, s in sorted(self._valid.items())},
+            "owner": dict(sorted(self.owner_map().items())),
+            "valid": {p: sorted(s) for p, s in sorted(self.valid_map().items())},
+            "extents": [(lo, hi, st[0], sorted(st[1]), st[2], st[3])
+                        for lo, hi, st in self.extents()],
             "stats": vars(self.stats.snapshot()),
             "shadow_owner": dict(sorted(self.shadow.owner.items())),
             "shadow_valid": {
@@ -234,73 +242,93 @@ class ValidatedDsmService(DsmService):
         self._check_byte_conservation(op)
 
     def _check_structure(self, op: str) -> None:
-        if self._owner.keys() != self._valid.keys():
-            self._fail(
-                "owner-valid-same-pages",
-                f"after {op}: owner map and valid map track different pages",
-                {"op": op},
-            )
-        for page, sharers in self._valid.items():
+        prev = None
+        for lo, hi, state in self.extents():
+            owner, sharers = state[0], state[1]
+            where = {"op": op, "extent": (lo, hi)}
+            if lo >= hi:
+                self._fail(
+                    "extents-nonempty",
+                    f"after {op}: extent [{lo:#x}, {hi:#x}) is empty",
+                    where,
+                )
+            if prev is not None and lo < prev[1]:
+                self._fail(
+                    "extents-sorted-disjoint",
+                    f"after {op}: extent [{lo:#x}, {hi:#x}) starts before "
+                    f"the previous one ends at {prev[1]:#x}",
+                    where,
+                )
+            if prev is not None and lo == prev[1] and state == prev[2]:
+                self._fail(
+                    "extents-coalesced",
+                    f"after {op}: extents meeting at page {lo:#x} share one "
+                    "state (the directory is not maximally coalesced)",
+                    where,
+                )
+            prev = (lo, hi, state)
             if not sharers:
                 self._fail(
                     "sharers-nonempty",
-                    f"after {op}: page {page:#x} has an empty sharer set",
-                    {"op": op, "page": page},
+                    f"after {op}: pages [{lo:#x}, {hi:#x}) have an empty "
+                    "sharer set",
+                    where,
                 )
-            if self._owner[page] not in sharers:
+            if owner not in sharers:
                 self._fail(
                     "owner-holds-copy",
-                    f"after {op}: owner {self._owner[page]!r} of page "
-                    f"{page:#x} holds no valid copy",
-                    {"op": op, "page": page},
+                    f"after {op}: owner {owner!r} of pages [{lo:#x}, "
+                    f"{hi:#x}) holds no valid copy",
+                    where,
                 )
-            if page in self._aliased:
-                self._fail(
-                    "aliased-never-tracked",
-                    f"after {op}: aliased page {page:#x} entered the "
-                    "owner/valid maps",
-                    {"op": op, "page": page},
-                )
-            if self._dead and (self._owner[page] in self._dead
-                               or sharers & self._dead):
+            for pages in self._aliased_ranges:
+                if pages.start < hi and lo < pages.stop:
+                    self._fail(
+                        "aliased-never-tracked",
+                        f"after {op}: aliased pages [{pages.start:#x}, "
+                        f"{pages.stop:#x}) overlap tracked extent "
+                        f"[{lo:#x}, {hi:#x})",
+                        where,
+                    )
+            if self._dead and (owner in self._dead or sharers & self._dead):
                 self._fail(
                     "no-dead-routes",
-                    f"after {op}: page {page:#x} still routes at a dead "
-                    "kernel (directory scrub incomplete)",
-                    {"op": op, "page": page, "dead": sorted(self._dead)},
+                    f"after {op}: pages [{lo:#x}, {hi:#x}) still route at a "
+                    "dead kernel (directory scrub incomplete)",
+                    dict(where, dead=sorted(self._dead)),
                 )
         for page in self.lost_pages:
-            if page in self._owner or page in self._valid:
+            if self.owner_of(page * PAGE_SIZE) is not None:
                 self._fail(
                     "lost-pages-untracked",
-                    f"after {op}: lost page {page:#x} still tracked in the "
-                    "owner/valid maps",
+                    f"after {op}: lost page {page:#x} is still tracked in "
+                    "the directory",
                     {"op": op, "page": page},
                 )
 
     def _check_shadow(self, op: str) -> None:
-        if self._owner != self.shadow.owner:
+        if self.owner_map() != self.shadow.owner:
             self._fail(
                 "shadow-owner-lockstep",
                 f"after {op}: owner map diverged from the reference model",
                 {"op": op},
             )
-        if self._valid != self.shadow.valid:
+        if self.valid_map() != self.shadow.valid:
             self._fail(
                 "shadow-valid-lockstep",
                 f"after {op}: sharer sets diverged from the reference "
                 "model (writer exclusivity or sharer tracking broken)",
                 {"op": op},
             )
-        if self.lost_pages != self.shadow.lost:
+        lost = self.lost_pages
+        if lost != self.shadow.lost:
             self._fail(
                 "shadow-lost-lockstep",
                 f"after {op}: lost-page map diverged from the reference "
                 "model",
-                {"op": op, "lost": dict(self.lost_pages),
-                 "shadow_lost": dict(self.shadow.lost)},
+                {"op": op, "lost": lost, "shadow_lost": dict(self.shadow.lost)},
             )
-        if self._backup_of != self.shadow.backup_of:
+        if self.backup_map() != self.shadow.backup_of:
             self._fail(
                 "shadow-backup-lockstep",
                 f"after {op}: backup-copy map diverged from the reference "

@@ -86,11 +86,11 @@ def check_directory_scrubbed(system, processes: Iterable) -> None:
                         f"pid {process.pid}: hDSM directory still routes at "
                         f"dead kernel {kernel}",
                         {"pid": process.pid, "kernel": kernel,
-                         "owner": dict(dsm._owner)},
+                         "owner": dsm.owner_map()},
                     )
             stale_backups = {
                 page: holder
-                for page, holder in dsm._backup_of.items()
+                for page, holder in dsm.backup_map().items()
                 if holder in dead
             }
             if stale_backups:

@@ -230,6 +230,25 @@ class TestDirectoryScrub:
         report = dsm.scrub_dead_kernel(A)
         assert report.lost == 1
 
+    def test_bulk_write_pull_pushes_one_backup_per_page(self):
+        # A clean first touch on A, then a bulk write pull by B: each
+        # page is dirtied by one coherence event, so one push each —
+        # exactly what the same pages faulted singly are charged.
+        bulk = _dsm(backup=True)
+        bulk.ensure_range(A, 0, 4 * PAGE_SIZE, write=False)
+        bulk.ensure_range(B, 0, 4 * PAGE_SIZE, write=True)
+        single = _dsm(backup=True)
+        for page in range(4):
+            single.access(A, page * PAGE_SIZE, write=False)
+        for page in range(4):
+            single.access(B, page * PAGE_SIZE, write=True)
+        assert single.stats.backup_pushes == 4
+        assert bulk.stats.backup_pushes == single.stats.backup_pushes
+        assert bulk.stats.backup_bytes == single.stats.backup_bytes
+        # A later bulk write to the pages B now owns pushes nothing more.
+        bulk.ensure_range(B, 0, 4 * PAGE_SIZE, write=True)
+        assert bulk.stats.backup_pushes == 4
+
 
 # ------------------------------------------------- crash_kernel fencing
 

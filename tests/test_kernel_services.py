@@ -174,6 +174,25 @@ class TestDsm:
         dsm.access(A, PAGE_SIZE, write=True)
         assert dsm.resident_pages(A) == 2
 
+    def test_ping_pong_at_scale_stays_a_few_extents(self):
+        # The directory stores runs, not pages: a 1M-page first touch
+        # and ten whole-range ownership ping-pongs stay a handful of
+        # extents while every page is still accounted for.
+        dsm = self._dsm()
+        n = 1_000_000
+        base = 64 * PAGE_SIZE  # clear of the aliased text pages
+        assert dsm.ensure_range(A, base, n * PAGE_SIZE, write=True) == (0.0, 0)
+        moved = 0
+        for i in range(10):
+            _, pages = dsm.ensure_range(
+                (B, A)[i % 2], base, n * PAGE_SIZE, write=True
+            )
+            moved += pages
+        assert len(dsm.extents()) <= 3
+        assert moved == 10 * n
+        assert dsm.stats.page_transfers == 10 * n
+        assert dsm.resident_pages(A) == n
+
 
 class TestNamespaces:
     def test_container_spans(self):

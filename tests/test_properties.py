@@ -8,7 +8,7 @@ from repro.compiler.frame import build_frame_layout
 from repro.ir import FunctionBuilder, Module
 from repro.isa import ARM64, X86_64
 from repro.isa.types import ValueType as VT
-from repro.kernel.dsm import DsmService
+from repro.kernel.dsm import LostPageError
 from repro.kernel.messages import MessagingLayer
 from repro.linker import IsaObject, Symbol, align_symbols
 from repro.linker.layout import DEFAULT_VM_MAP, PAGE_SIZE, align_up
@@ -16,6 +16,7 @@ from repro.machine.interconnect import make_dolphin_pxh810
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.heap import HeapAllocator
 from repro.sim.trace import TimeSeries
+from repro.validate.dsm_checker import ValidatedDsmService
 
 from tests.helpers import X86, run_to_completion
 
@@ -128,33 +129,84 @@ def test_migration_never_changes_result(program, migrate_at):
 
 # ------------------------------------------------------------------- dsm
 
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["a", "b"]),  # kernel
-            st.integers(min_value=0, max_value=7),  # page
-            st.booleans(),  # write?
-        ),
-        min_size=1,
-        max_size=40,
-    )
+KERNELS = ["a", "b", "c"]
+DSM_PAGES = 16
+ALIASED = range(6, 8)  # a per-ISA .text hole inside the data pages
+
+dsm_ops = st.one_of(
+    st.tuples(
+        st.just("access"), st.sampled_from(KERNELS),
+        st.integers(min_value=0, max_value=DSM_PAGES - 1), st.booleans(),
+    ),
+    st.tuples(
+        st.just("range"), st.sampled_from(KERNELS),
+        st.integers(min_value=0, max_value=DSM_PAGES * PAGE_SIZE - 1),
+        st.integers(min_value=1, max_value=6 * PAGE_SIZE), st.booleans(),
+    ),
+    st.tuples(st.just("cleanup"), st.sampled_from(KERNELS)),
+    st.tuples(st.just("scrub"), st.sampled_from(KERNELS)),
 )
-@SLOW
-def test_dsm_single_writer_invariant(accesses):
+
+
+@given(st.booleans(), st.lists(dsm_ops, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_dsm_single_writer_invariant(backup, ops):
+    """Random accesses, bulk pulls across extent and aliased boundaries,
+    cleanups and scrubs: the extent directory stays in lock-step with
+    the per-page shadow model after every step (ValidatedDsmService
+    raises on the first divergence), and single-writer holds."""
     space = AddressSpace()
-    space.map_region(0, PAGE_SIZE * 8, "data")
-    dsm = DsmService(space, MessagingLayer(make_dolphin_pxh810()), "a")
-    for kernel, page, write in accesses:
-        cost = dsm.access(kernel, page * PAGE_SIZE, write)
-        assert cost >= 0.0
-        if write:
-            # Single-writer: after a write the writer is the only holder.
-            assert dsm._valid[page] == {kernel}
-            assert dsm._owner[page] == kernel
-        else:
-            assert kernel in dsm._valid[page]
-        # The owner always holds a valid copy.
-        assert dsm._owner[page] in dsm._valid[page]
+    space.map_region(0, PAGE_SIZE * ALIASED.start, "data")
+    space.map_region(
+        PAGE_SIZE * ALIASED.start, PAGE_SIZE * len(ALIASED), "text",
+        aliased=True,
+    )
+    space.map_region(
+        PAGE_SIZE * ALIASED.stop, PAGE_SIZE * (DSM_PAGES - ALIASED.stop),
+        "heap",
+    )
+    dsm = ValidatedDsmService(
+        space, MessagingLayer(make_dolphin_pxh810()), "a",
+        machines=KERNELS, backup=backup,
+    )
+    dead = set()
+    for op in ops:
+        kind, kernel = op[0], op[1]
+        if kernel in dead:
+            continue
+        try:
+            if kind == "access":
+                pages = [op[2]]
+                assert dsm.access(kernel, op[2] * PAGE_SIZE, op[3]) >= 0.0
+            elif kind == "range":
+                base, span, write = op[2], op[3], op[4]
+                pages = range(base // PAGE_SIZE,
+                              (base + span - 1) // PAGE_SIZE + 1)
+                cost, moved = dsm.ensure_range(kernel, base, span, write)
+                assert cost >= 0.0 and 0 <= moved <= len(pages)
+            elif kind == "cleanup":
+                dsm.all_threads_migrated_cleanup(kernel)
+                continue
+            else:
+                if len(dead) < len(KERNELS) - 1:
+                    dsm.scrub_dead_kernel(kernel)
+                    dead.add(kernel)
+                continue
+        except LostPageError:
+            continue
+        write = op[-1]
+        for page in pages:
+            sharers = dsm.sharers_of(page)
+            if page in ALIASED:
+                assert not sharers  # local everywhere, never tracked
+            elif write:
+                # Single-writer: after a write the writer is the only holder.
+                assert sharers == {kernel}
+                assert dsm.owner_of(page * PAGE_SIZE) == kernel
+            else:
+                assert kernel in sharers
+                # The owner always holds a valid copy.
+                assert dsm.owner_of(page * PAGE_SIZE) in sharers
 
 
 # ------------------------------------------------------------------ heap

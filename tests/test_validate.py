@@ -358,8 +358,7 @@ def _buggy_fault(self, kernel, page, write):
     """The pre-fix _fault: charges a full-page RPC on every fault —
     including S->M upgrades and owner self-RPCs."""
     self.stats.faults += 1
-    owner = self._owner[page]
-    sharers = self._valid.setdefault(page, {owner})
+    owner, sharers, dirtied, backup = self._dir.get(page)
     cost = self.messaging.rpc(
         "dsm.page", kernel, owner, request_bytes=32, reply_bytes=PAGE_SIZE
     )
@@ -372,10 +371,9 @@ def _buggy_fault(self, kernel, page, write):
                 "dsm.inval", kernel, others, payload_bytes=32
             )
             self.stats.invalidations += len(others)
-        self._valid[page] = {kernel}
-        self._owner[page] = kernel
+        self._set_page(page, (kernel, frozenset({kernel}), True, backup))
     else:
-        sharers.add(kernel)
+        self._set_page(page, (owner, sharers | {kernel}, dirtied, backup))
     self.epoch += 1
     return cost
 
@@ -404,7 +402,7 @@ class TestDsmCheckerFires:
     def test_empty_sharer_set(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         dsm.access(A, 0x10, write=True)
-        dsm._valid[0].clear()
+        dsm._dir.state[0] = (A, frozenset(), True, None)
         with pytest.raises(InvariantViolation) as exc:
             dsm.access(A, PAGE_SIZE, write=False)
         assert exc.value.invariant == "sharers-nonempty"
@@ -412,8 +410,10 @@ class TestDsmCheckerFires:
     def test_aliased_page_tracked(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         aliased = PAGE_SIZE * 32 // PAGE_SIZE
-        dsm._owner[aliased] = A
-        dsm._valid[aliased] = {A}
+        dsm._dir.splice(
+            aliased, aliased + 1,
+            [(aliased, aliased + 1, (A, frozenset({A}), False, None))],
+        )
         dsm.shadow.owner[aliased] = A
         dsm.shadow.valid[aliased] = {A}
         with pytest.raises(InvariantViolation) as exc:
@@ -423,7 +423,7 @@ class TestDsmCheckerFires:
     def test_violation_carries_state_dump(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         dsm.access(A, 0x10, write=True)
-        dsm._valid[0].clear()
+        dsm._dir.state[0] = (A, frozenset(), True, None)
         with pytest.raises(InvariantViolation) as exc:
             dsm.access(B, 0x10, write=False)
         # B's fault re-adds itself to the emptied set, so the breakage
@@ -432,6 +432,34 @@ class TestDsmCheckerFires:
         message = str(exc.value)
         assert "owner-holds-copy" in message and "'valid'" in message
         assert exc.value.state["stats"]["faults"] >= 1
+
+    def test_empty_extent(self, validation_on):
+        dsm = _dsm(ValidatedDsmService)
+        dsm.access(A, 0x10, write=True)
+        dsm._dir.hi[0] = dsm._dir.lo[0]
+        with pytest.raises(InvariantViolation) as exc:
+            dsm.access(A, 5 * PAGE_SIZE, write=False)
+        assert exc.value.invariant == "extents-nonempty"
+
+    def test_overlapping_extents(self, validation_on):
+        dsm = _dsm(ValidatedDsmService)
+        dsm.access(A, 0, write=True)
+        dsm.access(A, 2 * PAGE_SIZE, write=True)
+        dsm._dir.hi[0] = 3  # [0, 3) now overlaps [2, 3)
+        with pytest.raises(InvariantViolation) as exc:
+            dsm.access(A, 8 * PAGE_SIZE, write=False)
+        assert exc.value.invariant == "extents-sorted-disjoint"
+
+    def test_uncoalesced_extents(self, validation_on):
+        dsm = _dsm(ValidatedDsmService)
+        dsm.ensure_range(A, 0, 4 * PAGE_SIZE, write=True)
+        (lo, hi, state), = dsm.extents()
+        dsm._dir.lo[:] = [lo, lo + 2]
+        dsm._dir.hi[:] = [lo + 2, hi]
+        dsm._dir.state[:] = [state, state]
+        with pytest.raises(InvariantViolation) as exc:
+            dsm.access(A, 8 * PAGE_SIZE, write=False)
+        assert exc.value.invariant == "extents-coalesced"
 
 
 class TestStackCheckerFires:
