@@ -3,7 +3,7 @@ rendering used by the benchmark harness (one module per paper table or
 figure lives under ``benchmarks/``)."""
 
 from repro.analysis.stats import FiveNumber, five_number_summary, geomean
-from repro.analysis.report import Table, bar, format_series
+from repro.render import Table, bar, format_series
 from repro.analysis.export import (
     runs_to_csv,
     runs_to_json,

@@ -11,7 +11,7 @@ methodology; ``repro trace --critical-path`` prints the table.
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.analysis.report import Table
+from repro.render import Table
 
 #: Phase-child names that count as kernel hand-off time.
 _HANDOFF_CHILDREN = (

@@ -35,6 +35,8 @@ from repro import validate
 from repro.datacenter.energy import RunResult
 from repro.datacenter.job import Job, JobSpec, JobState, job_duration, migration_penalty
 from repro.datacenter.policies import SchedulingPolicy
+from repro.faults.detector import SUSPECT, UNSUSPECT
+from repro.faults.membership import DEAD, REJOIN, Membership
 from repro.linker.layout import PAGE_SIZE
 from repro.machine.machine import Machine
 from repro.machine.mcpat import project_finfet
@@ -76,7 +78,6 @@ class MachineNode:
         self.power = power
         self.jobs: List[Job] = []
         self.energy_joules = 0.0
-        self.up = True  # flipped by NodeCrash/repair events
 
     @property
     def name(self) -> str:
@@ -182,10 +183,6 @@ class ClusterSimulator:
             for event in faults:
                 self._push_event(event.time, event.kind, event)
         self.parked: List[Tuple[Job, Optional[str]]] = []
-        self._crash_since: Dict[str, float] = {}
-        self._mttr_samples: List[float] = []
-        self._degradations: List[object] = []
-        self._partitions: List[Tuple[str, ...]] = []
         self.fault_events = 0
         self.jobs_evacuated = 0
         self.jobs_restarted = 0
@@ -197,22 +194,22 @@ class ClusterSimulator:
         # ---- failure detection & two-phase hand-off (inert when off) ----
         # With a detector, crashes are *detected* (heartbeats + lease)
         # instead of known omnisciently: a crashed node's jobs sit in
-        # _undetected until the detector confirms the death.
+        # _undetected until the detector confirms the death.  Liveness,
+        # fences and reachability live in the shared membership view.
         self.detector = detector
+        self.membership = Membership([n.name for n in self.nodes], detector)
+        #: node name -> up (alive and unfenced): the membership's map.
+        self._up = self.membership.up
         self.two_phase = (
             bool(two_phase) if two_phase is not None else detector is not None
         )
         self._undetected: Dict[str, List[Job]] = {}
-        self._fenced_alive: set = set()  # live nodes ostracised by a
-        # false confirm; they rejoin when heard again
         self._in_flight: List[Handoff] = []
-        self._mttd_samples: List[float] = []
         self.handoffs = 0
         self.handoffs_aborted = 0
         self.handoff_seconds = 0.0
         self.lost_page_count = 0
         if self.detector is not None:
-            self.detector.reset([n.name for n in self.nodes], now=0.0)
             self._push_event(self.detector.period, "hb", None)
             if tracer is not None:
                 self.detector.tracer = tracer
@@ -256,7 +253,7 @@ class ClusterSimulator:
         """The up nodes, in declaration order (cached between
         up/down transitions; callers must not mutate the list)."""
         if self._live_cache is None:
-            self._live_cache = [n for n in self.nodes if n.up]
+            self._live_cache = [n for n in self.nodes if self._up[n.name]]
         return self._live_cache
 
     def _node_up_changed(self) -> None:
@@ -265,16 +262,10 @@ class ClusterSimulator:
 
     def reachable(self, a: str, b: str) -> bool:
         """Can kernels on ``a`` and ``b`` exchange messages right now?"""
-        for island in self._partitions:
-            if (a in island) != (b in island):
-                return False
-        return True
+        return self.membership.reachable(a, b)
 
     def effective_bandwidth(self) -> float:
-        bw = self.interconnect_bw
-        for degradation in self._degradations:
-            bw *= degradation.bandwidth_factor
-        return bw
+        return self.membership.bandwidth(self.interconnect_bw)
 
     def _start(self, job: Job, node: MachineNode) -> None:
         job.state = JobState.RUNNING
@@ -308,7 +299,7 @@ class ClusterSimulator:
         if dt <= 0:
             return
         for node in self.nodes:
-            if not node.up:
+            if not self._up[node.name]:
                 continue  # powered off: no energy, no progress
             node.accrue_energy(dt)
             denom_base = node.contention
@@ -341,7 +332,7 @@ class ClusterSimulator:
             src = self._node_of(job)
             if src is dst:
                 continue
-            if self._partitions and not self.reachable(src.name, dst.name):
+            if not self.reachable(src.name, dst.name):
                 self.fault_log.record(
                     self.now, "blocked", node=dst.name,
                     detail=f"partition blocks {job.spec} "
@@ -407,9 +398,7 @@ class ClusterSimulator:
             return max(head.time - self.now, 0.0)
 
     def _heartbeats_matter(self) -> bool:
-        if self._undetected or self._in_flight or self._fenced_alive:
-            return True
-        if self.detector is not None and self.detector.pending():
+        if self._undetected or self._in_flight or self.membership.settling():
             return True
         # Any scheduled non-heartbeat event can still create suspicions.
         return any(e.name != "hb" for e in self._sim.queue.live())
@@ -455,7 +444,7 @@ class ClusterSimulator:
             name = event if isinstance(event, str) else event.node
             self._apply_repair(name)
         elif kind == "degrade":
-            self._degradations.append(event)
+            self.membership.degradations.append(event)
             self._push_event(self.now + event.duration, "degrade-end", event)
             self.fault_log.record(
                 self.now, "degrade",
@@ -463,18 +452,18 @@ class ClusterSimulator:
                 f"lat x{event.latency_factor:g} for {event.duration:g}s",
             )
         elif kind == "degrade-end":
-            self._degradations.remove(event)
+            self.membership.degradations.remove(event)
             self.fault_log.record(self.now, "degrade-end")
             self._attempt_rejoins()
         elif kind == "partition":
             island = tuple(event.island)
-            self._partitions.append(island)
+            self.membership.islands.append(island)
             self._push_event(self.now + event.duration, "heal", island)
             self.fault_log.record(
                 self.now, "partition", detail=f"island {island}"
             )
         elif kind == "heal":
-            self._partitions.remove(event)
+            self.membership.islands.remove(event)
             self.fault_log.record(self.now, "heal", detail=f"island {event}")
             self._attempt_rejoins()
         else:
@@ -484,41 +473,31 @@ class ClusterSimulator:
         node = self._node_index.get(event.node)
         if node is None:
             raise KeyError(f"fault schedule names unknown node {event.node!r}")
-        if not node.up:
-            if node.name in self._fenced_alive:
-                # An ostracised-but-live node really died.  Its jobs
-                # were already reclaimed at fencing time; record the
-                # death so it can never rejoin from the fence.
-                self._fenced_alive.discard(node.name)
-                self._crash_since[node.name] = self.now
-                self.fault_log.record(
-                    self.now, "crash", node=node.name,
-                    detail="crashed while fenced",
-                )
-                if not event.permanent:
-                    self._push_event(
-                        self.now + event.repair_seconds, "repair", node.name
-                    )
-                return
+        fenced = not self._up[node.name]
+        if not self.membership.crash(node.name, self.now):
             self.fault_log.record(
                 self.now, "crash", node=node.name, detail="already down"
             )
             return
-        node.up = False
-        self._node_up_changed()
-        self._crash_since[node.name] = self.now
-        detail = (
-            "permanent"
-            if event.permanent
-            else f"repair in {event.repair_seconds:g}s"
-        )
+        if fenced:
+            # An ostracised-but-live node really died.  Its jobs were
+            # already reclaimed at fencing time; the death keeps it
+            # from rejoining out of the fence.
+            detail = "crashed while fenced"
+        elif event.permanent:
+            detail = "permanent"
+        else:
+            detail = f"repair in {event.repair_seconds:g}s"
         self.fault_log.record(self.now, "crash", node=node.name, detail=detail)
-        victims = node.jobs
-        node.jobs = []
         if not event.permanent:
             self._push_event(
                 self.now + event.repair_seconds, "repair", node.name
             )
+        if fenced:
+            return
+        self._node_up_changed()
+        victims = node.jobs
+        node.jobs = []
         if victims:
             if self.detector is not None:
                 # Nobody knows yet: the jobs are in limbo until the
@@ -532,15 +511,9 @@ class ClusterSimulator:
 
     def _apply_repair(self, name: str) -> None:
         node = self._node_index[name]
-        if node.up:
+        if not self.membership.repair(name, self.now):
             return
-        node.up = True
         self._node_up_changed()
-        crashed_at = self._crash_since.pop(name, None)
-        if crashed_at is not None:
-            self._mttr_samples.append(self.now - crashed_at)
-        if self.detector is not None:
-            self.detector.clear(name, self.now)
         self.fault_log.record(self.now, "repair", node=name)
         victims = self._undetected.pop(name, None)
         if victims:
@@ -555,79 +528,39 @@ class ClusterSimulator:
 
     # --------------------------------------- failure detection rounds
 
-    def _latency_stretch(self) -> float:
-        stretch = 1.0
-        for degradation in self._degradations:
-            stretch *= getattr(degradation, "latency_factor", 1.0)
-        return stretch
-
-    def _majority_cell(self) -> frozenset:
-        """The partition cell whose verdicts count (largest; ties break
-        toward the cell holding the smallest node name)."""
-        names = [n.name for n in self.nodes]
-        cells = {
-            frozenset(m for m in names if self.reachable(name, m))
-            for name in names
-        }
-        return sorted(cells, key=lambda c: (-len(c), min(c)))[0]
-
-    def _heartbeat_heard(self, name: str) -> bool:
-        """Did the observer majority hear ``name`` this round?"""
-        if (
-            self.detector is not None
-            and self._latency_stretch()
-            >= self.detector.config.degradation_miss_factor
-        ):
-            return False  # heartbeats arrive after their timeout
-        if self._partitions and name not in self._majority_cell():
-            return False  # cut off from the majority: unheard, not dead
-        return True
-
     def _run_detector(self) -> None:
-        detector = self.detector
-        heard: Dict[str, bool] = {}
-        alive: Dict[str, bool] = {}
-        for node in self.nodes:
-            name = node.name
-            truly_alive = name not in self._crash_since
-            alive[name] = truly_alive
-            heard[name] = truly_alive and self._heartbeat_heard(name)
-        for name in sorted(self._fenced_alive):
-            if heard.get(name):
+        for event, name in self.membership.heartbeat(self.now):
+            if event == REJOIN:
                 self._rejoin(name)
-        for event, name in detector.observe(self.now, heard, alive):
-            if event == "suspect":
+            elif event == SUSPECT:
                 detail = "unheard"
-                if alive[name]:
+                if self.membership.alive(name):
                     detail = "false suspicion (node is alive)"
                 self.fault_log.record(
                     self.now, "suspect", node=name, detail=detail
                 )
-            elif event == "unsuspect":
+            elif event == UNSUSPECT:
                 self.fault_log.record(self.now, "unsuspect", node=name)
-            elif event == "confirm":
-                self._confirm_dead(name)
+            else:
+                self._confirm_dead(name, event)
 
-    def _confirm_dead(self, name: str) -> None:
-        """The lease expired: the cluster now acts on the death verdict."""
+    def _confirm_dead(self, name: str, verdict: str) -> None:
+        """The lease expired: the cluster now acts on the death verdict
+        the membership view already recorded (DEAD or FENCE)."""
         node = self._node_index[name]
-        crashed_at = self._crash_since.get(name)
-        if crashed_at is not None:
+        if verdict == DEAD:
             # A real crash, finally detected.
-            mttd = self.now - crashed_at
-            self._mttd_samples.append(mttd)
+            mttd = self.now - self.membership.crashed_at(name)
             self.fault_log.record(
                 self.now, "confirm", node=name,
                 detail=f"dead, detected after {mttd:.2f}s",
             )
             victims = self._undetected.pop(name, [])
-        elif node.up:
+        else:
             # False confirm: a live node's lease expired.  Fencing makes
             # the verdict safe — the node stops acting until it rejoins —
             # at the price of treating its jobs as crashed.
-            node.up = False
             self._node_up_changed()
-            self._fenced_alive.add(name)
             victims = node.jobs
             node.jobs = []
             if self.tracer is not None:
@@ -639,8 +572,6 @@ class ClusterSimulator:
                 self.now, "fence", node=name,
                 detail="lease expired on a live node (false confirm)",
             )
-        else:
-            return
         if victims:
             if self.recovery is not None:
                 self.recovery.on_crash(self, node, victims)
@@ -651,17 +582,12 @@ class ClusterSimulator:
             self._pump_handoffs()
 
     def _attempt_rejoins(self) -> None:
-        for name in sorted(self._fenced_alive):
-            if name not in self._crash_since and self._heartbeat_heard(name):
-                self._rejoin(name)
+        for name in self.membership.rejoins(self.now):
+            self._rejoin(name)
 
     def _rejoin(self, name: str) -> None:
-        node = self._node_index[name]
-        node.up = True
+        """A falsely fenced node was heard again and is unfenced."""
         self._node_up_changed()
-        self._fenced_alive.discard(name)
-        if self.detector is not None:
-            self.detector.clear(name, self.now)
         if self.tracer is not None:
             self.tracer.instant(
                 "fault.rejoin", "fault", ts=self.now, track=name
@@ -678,15 +604,15 @@ class ClusterSimulator:
     def placement_nodes(self) -> List[MachineNode]:
         """Nodes jobs may be placed on: live, and (with a detector) not
         currently suspected — placing work on a node the detector is
-        about to fence would hand it straight to the next confirm."""
-        if self.detector is None:
+        about to fence would hand it straight to the next confirm — nor
+        confirmed in a round whose verdicts are still being handled."""
+        detector = self.detector
+        if detector is None:
             return self.live_nodes()
         return [
-            n
-            for n in self.nodes
-            if n.up
-            and not self.detector.is_suspected(n.name)
-            and not self.detector.is_fenced(n.name)
+            n for n in self.live_nodes()
+            if not detector.is_suspected(n.name)
+            and not detector.is_fenced(n.name)
         ]
 
     def begin_handoff(
@@ -720,7 +646,7 @@ class ClusterSimulator:
         remaining: List[Handoff] = []
         for handoff in self._in_flight:
             dst_node = self._node_index[handoff.dst]
-            if not dst_node.up:
+            if not self._up[handoff.dst]:
                 self._abort_handoff(handoff)
             elif self.now + 1e-9 >= handoff.due_at:
                 if self.reachable(handoff.src, handoff.dst):
@@ -960,18 +886,10 @@ class ClusterSimulator:
             lost_work_seconds=self.lost_work_seconds,
             overhead_seconds=self.overhead_seconds,
             busy_seconds=self.busy_seconds,
-            mttr=(
-                sum(self._mttr_samples) / len(self._mttr_samples)
-                if self._mttr_samples
-                else 0.0
-            ),
+            mttr=self.membership.mttr,
             goodput=useful / self.now if self.now > 0 else 0.0,
             fault_trace=list(self.fault_log.entries),
-            mttd=(
-                sum(self._mttd_samples) / len(self._mttd_samples)
-                if self._mttd_samples
-                else 0.0
-            ),
+            mttd=self.membership.mttd,
             false_suspicions=(
                 self.detector.stats.false_suspicions
                 if self.detector is not None

@@ -38,6 +38,7 @@ from repro.faults.inject import (
     FaultyMessagingLayer,
     RetryPolicy,
 )
+from repro.faults.membership import Membership
 from repro.faults.models import (
     LinkDegradation,
     MessageFaultModel,
@@ -87,6 +88,7 @@ __all__ = [
     "DetectorConfig",
     "DetectorStats",
     "FailureDetector",
+    "Membership",
     "ChaosCase",
     "ChaosHarness",
     "ChaosReport",

@@ -161,7 +161,7 @@ class CheckpointRestart(RecoveryPolicy):
 
     def note_progress(self, sim) -> None:
         for node in sim.nodes:
-            if not node.up:
+            if not sim.membership.up[node.name]:
                 continue
             for job in node.jobs:
                 due = self._next_due.get(job.job_id)

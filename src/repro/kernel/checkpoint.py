@@ -231,8 +231,6 @@ def restore_process(system, binary, ckpt: Checkpoint, machine_name: str) -> Proc
     process.output = list(ckpt.output)
 
     system.processes[ckpt.pid] = process
-    system._next_tid = max(
-        [system._next_tid] + [t.tid + 1 for t in process.threads.values()]
-    )
-    system._next_pid = max(system._next_pid, ckpt.pid + 1)
+    tids = [t.tid for t in process.threads.values()]
+    system.lifecycle.reserve_ids(ckpt.pid + 1, max(tids, default=0) + 1)
     return process

@@ -13,8 +13,8 @@ when fleet simulations instantiate systems by the thousand:
   allocation, exec, thread spawn, migration requests, reaping;
 * :class:`repro.kernel.recovery.CrashRecovery` — kernel crashes,
   thread failure, migration-service resume tokens;
-* :mod:`repro.kernel.testbed` — boot helpers (:func:`boot_testbed`,
-  re-exported here for compatibility, and ``boot_single``).
+* :mod:`repro.kernel.testbed` — boot helpers (:func:`boot_testbed`
+  and ``boot_single``).
 
 Every pre-split method and attribute (``exec_process``, ``processes``,
 ``crash_kernel``, …) keeps working through delegation.
@@ -30,7 +30,6 @@ from repro.kernel.namespaces import HeterogeneousContainer
 from repro.kernel.process import Process, Thread, ThreadState
 from repro.kernel.recovery import CrashRecovery
 from repro.kernel.services import ServiceRegistry
-from repro.kernel.testbed import boot_testbed  # noqa: F401  (compat re-export)
 from repro.machine.interconnect import Interconnect, make_dolphin_pxh810
 from repro.machine.machine import Machine
 from repro.sim.clock import Clock
@@ -124,26 +123,6 @@ class PopcornSystem:
     def processes(self) -> Dict[int, Process]:
         """The live process table (owned by the lifecycle component)."""
         return self.lifecycle.processes
-
-    @property
-    def _next_pid(self) -> int:
-        return self.lifecycle._next_pid
-
-    @_next_pid.setter
-    def _next_pid(self, value: int) -> None:
-        self.lifecycle._next_pid = value
-
-    @property
-    def _next_tid(self) -> int:
-        return self.lifecycle._next_tid
-
-    @_next_tid.setter
-    def _next_tid(self, value: int) -> None:
-        self.lifecycle._next_tid = value
-
-    @property
-    def _migration_services(self) -> List:
-        return self.recovery.migration_services
 
     def register_migration_service(self, service) -> None:
         self.recovery.register_migration_service(service)

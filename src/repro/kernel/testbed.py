@@ -13,6 +13,7 @@ durations without paying for a full testbed per fleet node.
 
 from typing import Optional
 
+from repro.kernel.kernel import PopcornSystem
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
 from repro.sim.clock import Clock
@@ -25,8 +26,6 @@ def boot_testbed(clock: Optional[Clock] = None, tracer=None):
     in the environment attaches a fresh tracer (else tracing is off and
     the run is bit-identical to an untraced one).
     """
-    from repro.kernel.kernel import PopcornSystem
-
     if tracer is None:
         from repro.telemetry.spans import maybe_tracer
 
@@ -58,8 +57,6 @@ def boot_single(isa: str, clock: Optional[Clock] = None, tracer=None):
     callers boot these by the dozen for duration sampling, and tracing
     every one would change neither results nor determinism, only cost.
     """
-    from repro.kernel.kernel import PopcornSystem
-
     clock = clock if clock is not None else Clock()
     machine = machine_for_isa(isa, f"{isa}-node", clock)
     return PopcornSystem([machine], make_dolphin_pxh810(), clock, tracer=tracer)

@@ -1,10 +1,10 @@
 """One shared plain-text rendering module for every report surface.
 
 Tables, ASCII bar series, counter digests and timeline lines used to
-be re-implemented ad hoc in ``analysis.report`` and each ``telemetry``
+be re-implemented ad hoc in the analysis package and each ``telemetry``
 log; they live here now so every benchmark table, lint summary,
 validation digest and fault timeline prints through one consistent,
-diffable formatter.  ``repro.analysis.report`` re-exports the table and
+diffable formatter.  ``repro.analysis`` re-exports the table and
 series helpers for existing callers.
 """
 

@@ -32,7 +32,10 @@ the McPAT FinFET projection, as in the cluster simulator).
 **Failures.**  The engine optionally consumes a
 :class:`~repro.faults.inject.FaultSchedule` (node crashes/repairs,
 link degradation, partitions) and the PR-4 heartbeat/lease
-:class:`~repro.faults.detector.FailureDetector`.  A crash kills the
+:class:`~repro.faults.detector.FailureDetector`; who is up, fenced and
+heard lives in the :class:`~repro.faults.membership.Membership` view
+the cluster simulator shares, observed from the front end (outside
+every partition island).  A crash kills the
 node's in-flight work at the crash instant (ground truth); *recovery*
 waits for the detector's CONFIRM verdict (or happens immediately when
 no detector is attached — the omniscient baseline, MTTD 0).  A
@@ -51,6 +54,7 @@ audited for request conservation: *offered == completed + shed +
 failed-loudly*, each request in exactly one bucket.
 """
 
+import bisect
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -59,8 +63,9 @@ from repro import validate
 from repro.datacenter.cluster import DEFAULT_INTERCONNECT_BW
 from repro.datacenter.energy import RunResult
 from repro.datacenter.job import JobSpec, job_duration
-from repro.faults.detector import CONFIRM, FailureDetector
+from repro.faults.detector import FailureDetector
 from repro.faults.inject import FaultSchedule
+from repro.faults.membership import DEAD, FENCE, REJOIN, Membership
 from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
 from repro.machine.mcpat import project_finfet
 from repro.serving.policies import ServingPolicy
@@ -75,6 +80,13 @@ from repro.serving.slo import DEFAULT_SLO_S, slo_report
 from repro.serving.traffic import ArrivalTrace
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
+
+
+def _fault_order(entry) -> Tuple[float, int, str]:
+    """Fault-list order: time, action rank, then the machine (a crash
+    entry carries its NodeCrash) or the window's description."""
+    time, rank, _, payload = entry
+    return time, rank, str(getattr(payload, "node", payload))
 
 
 @dataclass
@@ -318,10 +330,13 @@ class ServingEngine:
         self.rng = rng if rng is not None else DeterministicRng(0)
         #: Chaos hook (``at_step(step, roles)``); settable post-ctor.
         self.chaos = None
-        self._up = {name: True for name in self.machines}
-        self._fenced = set()
-        self._crashed_at: Dict[str, float] = {}
-        self._mttd_samples: List[float] = []
+        # The detector runs in the front end, outside the machine pair:
+        # a machine inside any partition island goes unheard.
+        self.membership = Membership(
+            sorted(self.machines), detector, observer="front-end"
+        )
+        #: machine -> up (alive and unfenced): the membership's map.
+        self._up = self.membership.up
         breaker_kw = {}
         if resilience is not None:
             breaker_kw = dict(
@@ -347,11 +362,7 @@ class ServingEngine:
         self._retries: List[Tuple[float, Request]] = []
         self._fault_events = self._expand_faults(faults)
         self._fault_idx = 0
-        self._degradations: List = []  # active LinkDegradation events
-        self._partitions: List = []  # active NetworkPartition events
         self._next_hb = detector.period if detector is not None else 0.0
-        if detector is not None:
-            detector.reset(sorted(self.machines), 0.0)
         self._failover_warm = False
         self._outage_since: Optional[float] = None
         self._dead_end = False
@@ -390,7 +401,11 @@ class ServingEngine:
     # ------------------------------------------------------------ helpers
 
     def _expand_faults(self, faults) -> List[Tuple[float, int, str, object]]:
-        """Flatten a FaultSchedule into sorted (time, rank, action, payload)."""
+        """Flatten a FaultSchedule into sorted (time, rank, action, payload).
+
+        A crash's repair is not listed here: it is scheduled when the
+        crash takes effect (a crash of a dead machine brings none).
+        """
         if faults is None:
             return []
         events: List[Tuple[float, int, str, object]] = []
@@ -401,11 +416,7 @@ class ServingEngine:
                     raise ValueError(
                         f"fault schedule crashes unknown machine {ev.node!r}"
                     )
-                events.append((ev.time, 0, "crash", ev.node))
-                if not ev.permanent:
-                    events.append(
-                        (ev.time + ev.repair_seconds, 1, "repair", ev.node)
-                    )
+                events.append((ev.time, 0, "crash", ev))
             elif kind == "repair":
                 if ev.node not in self.machines:
                     raise ValueError(
@@ -420,29 +431,14 @@ class ServingEngine:
                 events.append((ev.time + ev.duration, 3, "part-off", ev))
             else:
                 raise ValueError(f"serving cannot apply fault event {ev!r}")
-        return sorted(events, key=lambda e: (e[0], e[1], str(e[3])))
-
-    def _avail(self, name: str) -> bool:
-        """Is the node up and unfenced (usable for serving)?"""
-        return self._up[name] and name not in self._fenced
+        return sorted(events, key=_fault_order)
 
     def _other_machine(self) -> Optional[str]:
         """The best available machine that is not the current home."""
-        pool = [
-            m for m in self.machines if m != self.location and self._avail(m)
-        ]
+        pool = [m for m in self.machines if m != self.location and self._up[m]]
         if not pool:
             return None
         return min(pool, key=lambda m: (self.service_s[m], m))
-
-    def _current_bw(self) -> float:
-        """Interconnect bandwidth under active degradation windows."""
-        if not self._degradations:
-            return self.interconnect_bw
-        bw = self.interconnect_bw
-        for ev in self._degradations:
-            bw *= ev.bandwidth_factor
-        return bw
 
     def _site(self, step: str, roles: Optional[Dict[str, str]] = None) -> None:
         """Announce a crashable serving protocol step to the chaos hook."""
@@ -490,7 +486,7 @@ class ServingEngine:
         if dt <= 0:
             return
         for name, power in self._powers.items():
-            if not self._up[name] or name in self._fenced:
+            if not self._up[name]:
                 watts = 0.0  # dead, or ostracised: the fleet powered it off
             elif name == self.location:
                 busy = (
@@ -519,13 +515,13 @@ class ServingEngine:
             return
         if self._queue_depth() == 0:
             return
-        if not self._up[self.location] or self.location in self._fenced:
+        if not self._up[self.location]:
             return  # home is down; failover/repair will resume service
         if self._hedge is not None and self._hedge_machine == self.location:
             return  # the hedge occupies this box; wait for it to finish
         if self.chaos is not None:
             self._site("serve.serve")
-            if not self._avail(self.location):
+            if not self._up[self.location]:
                 return  # the chaos crash fired at the serve site
         request = self._pop_queue()
         request.start_s = self.now
@@ -552,7 +548,7 @@ class ServingEngine:
     def _on_departure(self) -> None:
         if self.chaos is not None:
             self._site("serve.complete")
-            if self.current is None or not self._avail(self.location):
+            if self.current is None or not self._up[self.location]:
                 return  # the crash beat the completion: replay, not done
         request = self.current
         request.finish_s = self.now
@@ -750,17 +746,40 @@ class ServingEngine:
 
     # ------------------------------------------------- faults & failover
 
-    def _on_node_crash(self, node: str) -> None:
-        """Ground truth: ``node`` dies *now*.  In-flight work is killed
-        immediately; recovery waits for the detector's CONFIRM verdict
-        (instantaneous when no detector is attached)."""
-        if not self._up[node]:
+    def _on_node_crash(
+        self, node: str, repair_at: Optional[float] = None
+    ) -> None:
+        """Ground truth: ``node`` dies *now* (and comes back at
+        ``repair_at``, if given).  In-flight work is killed immediately;
+        recovery waits for the detector's CONFIRM verdict (instantaneous
+        when no detector is attached).  A dead node's crash is a no-op,
+        repair included."""
+        if not self.membership.crash(node, self.now):
             return
-        self._up[node] = False
-        self._crashed_at[node] = self.now
+        if repair_at is not None:
+            repair = (repair_at, 1, "repair", node)
+            idx = self._fault_idx
+            pending = [_fault_order(e) for e in self._fault_events[idx:]]
+            idx += bisect.bisect_right(pending, _fault_order(repair))
+            self._fault_events.insert(idx, repair)
         if self.tracer is not None:
             self.tracer.instant("serve.node.crash", "serve", track=node)
             self.tracer.metrics.counter("serve.node_crashes").inc()
+        self._kill_work_on(node)
+        handoff = self._handoff
+        if handoff is not None and node in (handoff.src, handoff.dst):
+            # The protocol stalls until the detector renders a verdict.
+            handoff.frozen_by = node
+            handoff.next_at = None
+        if self.detector is None:
+            # Omniscient baseline: crash known the instant it happens.
+            self._on_node_confirmed_dead(
+                node, self.membership.confirm(node, self.now)
+            )
+
+    def _kill_work_on(self, node: str) -> None:
+        """Orphan the request (and hedge) running on ``node``; they wait
+        for the verdict on ``node`` before replaying."""
         if self.current is not None and self.location == node:
             request = self.current
             self.current = None
@@ -776,27 +795,11 @@ class ServingEngine:
             request.start_s = None
             request.machine = None
             self._orphans.setdefault(node, []).append(request)
-        handoff = self._handoff
-        if handoff is not None and node in (handoff.src, handoff.dst):
-            # The protocol stalls until the detector renders a verdict.
-            handoff.frozen_by = node
-            handoff.next_at = None
-        if self.detector is None:
-            # Omniscient baseline: crash known the instant it happens.
-            self._fenced.add(node)
-            self._on_node_confirmed_dead(node)
 
     def _on_node_repair(self, node: str) -> None:
-        if self._up[node]:
+        if not self.membership.repair(node, self.now):
             return
-        self._up[node] = True
-        self._crashed_at.pop(node, None)
-        self._fenced.discard(node)
-        if self.detector is not None:
-            self.detector.clear(node, self.now)
-        breaker = self._breakers[node]
-        if breaker.state != "closed":
-            breaker.touch(self.now)
+        self._breakers[node].touch(self.now)
         if self.tracer is not None:
             self.tracer.instant("serve.node.repair", "serve", track=node)
             self.tracer.metrics.counter("serve.node_repairs").inc()
@@ -813,52 +816,40 @@ class ServingEngine:
                     self._begin_blackout(handoff)
             else:
                 self._begin_blackout(handoff)  # the transfer restarts
+        self._resume_service("repair-failover")
+
+    def _resume_service(self, reason: str) -> None:
+        """A machine came back: if the service's home is still down,
+        fail over to the best machine that is up, then serve."""
         if (
-            not self._avail(self.location)
+            not self._up[self.location]
             and self._handoff is None
             and not self._dead_end
         ):
             self._begin_failover(
-                "repair-failover", warm=False,
-                blackout_start=self._outage_since,
+                reason, warm=False, blackout_start=self._outage_since
             )
             self._outage_since = None
         self._start_next()
 
-    def _on_node_confirmed_dead(self, node: str) -> None:
-        """The detector confirmed ``node`` dead (possibly falsely): fence
-        it, trip its breaker, resolve its orphans, and fail over if it
-        was hosting the service or party to a hand-off."""
+    def _on_node_confirmed_dead(self, node: str, verdict: str) -> None:
+        """The membership view fenced ``node`` on a DEAD or (false
+        confirm) FENCE verdict: trip its breaker, resolve its orphans,
+        and fail over if it was hosting the service or party to a
+        hand-off."""
         now = self.now
-        crash_t = self._crashed_at.pop(node, None)
-        if crash_t is not None:
-            self._mttd_samples.append(now - crash_t)
-        self._fenced.add(node)
+        crash_t = self.membership.crashed_at(node)
         self._breakers[node].trip(now)
         if self.tracer is not None:
             self.tracer.instant(
                 "serve.node.dead", "serve", track=node,
-                false=self._up[node],
+                false=verdict == FENCE,
             )
             self.tracer.metrics.counter("serve.node_deaths").inc()
-        if self._up[node]:
+        if verdict == FENCE:
             # False confirm: the live node is ostracised — it must stop
             # serving, so its in-flight work is killed like a crash's.
-            if self.current is not None and self.location == node:
-                request = self.current
-                self.current = None
-                self.busy_seconds += now - request.start_s
-                request.start_s = None
-                request.machine = None
-                self._orphans.setdefault(node, []).append(request)
-            if self._hedge is not None and self._hedge_machine == node:
-                request = self._hedge
-                self._hedge = None
-                self._hedge_machine = None
-                self.busy_seconds += now - request.start_s
-                request.start_s = None
-                request.machine = None
-                self._orphans.setdefault(node, []).append(request)
+            self._kill_work_on(node)
         self._resolve_orphans(node)
         handoff = self._handoff
         if handoff is not None:
@@ -907,7 +898,7 @@ class ServingEngine:
     ) -> None:
         """Restore the service on a surviving node (or record an outage)."""
         now = self.now
-        survivors = [m for m in sorted(self.machines) if self._avail(m)]
+        survivors = [m for m in sorted(self.machines) if self._up[m]]
         if not survivors:
             # Total outage: wait for a repair; if none can ever come,
             # every waiting request fails loudly (the dead end).
@@ -961,9 +952,7 @@ class ServingEngine:
         for _, _, action, _ in self._fault_events[self._fault_idx:]:
             if action == "repair":
                 return True
-        return any(
-            self._up[m] and m in self._fenced for m in self.machines
-        )
+        return bool(self.membership.ostracised())
 
     def _fail_everything(self) -> None:
         """Dead end — no machine can ever serve again.  Every waiting
@@ -980,41 +969,15 @@ class ServingEngine:
 
     # -------------------------------------------------------- detection
 
-    def _islanded(self, node: str) -> bool:
-        return any(node in ev.island for ev in self._partitions)
-
     def _heartbeat_round(self) -> None:
-        detector = self.detector
-        stretch = 1.0
-        for ev in self._degradations:
-            stretch *= ev.latency_factor
-        late = stretch >= detector.config.degradation_miss_factor
-        heard = {
-            node: self._up[node] and not self._islanded(node) and not late
-            for node in self.machines
-        }
-        # A falsely fenced node heard again rejoins (PR-4 semantics).
-        for node in sorted(self._fenced):
-            if self._up[node] and heard[node]:
-                detector.clear(node, self.now)
-                self._fenced.discard(node)
+        for event, node in self.membership.heartbeat(self.now):
+            if event == REJOIN:
+                # A falsely fenced node was heard again.
                 self._breakers[node].touch(self.now)
-                if (
-                    not self._avail(self.location)
-                    and self._handoff is None
-                    and not self._dead_end
-                ):
-                    self._begin_failover(
-                        "rejoin-failover", warm=False,
-                        blackout_start=self._outage_since,
-                    )
-                    self._outage_since = None
-                self._start_next()
-        events = detector.observe(self.now, heard, dict(self._up))
-        for event, node in events:
-            if event == CONFIRM:
-                self._on_node_confirmed_dead(node)
-        self._next_hb += detector.period
+                self._resume_service("rejoin-failover")
+            elif event in (DEAD, FENCE):
+                self._on_node_confirmed_dead(node, event)
+        self._next_hb += self.detector.period
 
     # ---------------------------------------------------------- hand-off
 
@@ -1036,7 +999,9 @@ class ServingEngine:
         handoff.phase_ends = []
         t = self.now + self.costs.transform_s
         handoff.phase_ends.append(("transform", t))
-        transfer = self.costs.transfer_s(self._footprint, self._current_bw())
+        transfer = self.costs.transfer_s(
+            self._footprint, self.membership.bandwidth(self.interconnect_bw)
+        )
         t += transfer
         handoff.phase_ends.append(("transfer", t))
         t += self.costs.publish_s
@@ -1085,7 +1050,7 @@ class ServingEngine:
                 dst=handoff.dst, reason=reason,
             )
             self.tracer.metrics.counter("serve.handoffs_aborted").inc()
-        if self._avail(self.location):
+        if self._up[self.location]:
             self._start_next()
 
     def _commit_handoff(self) -> None:
@@ -1170,7 +1135,7 @@ class ServingEngine:
             blackout_s=self.blackout_estimate_s,
             since_commit_s=self.now - self._last_commit,
             nodes_up=(
-                {m: self._avail(m) for m in self.machines}
+                {m: self._up[m] for m in self.machines}
                 if fault_aware
                 else None
             ),
@@ -1200,8 +1165,8 @@ class ServingEngine:
         if decision.target not in self.machines:
             raise KeyError(f"policy chose unknown machine {decision.target!r}")
         if (
-            not self._avail(decision.target)
-            or not self._avail(self.location)
+            not self._up[decision.target]
+            or not self._up[self.location]
             or not self._breakers[decision.target].allow(self.now)
             or self._hedge is not None
         ):
@@ -1354,17 +1319,21 @@ class ServingEngine:
 
     def _apply_fault(self, action: str, payload) -> None:
         if action == "crash":
-            self._on_node_crash(payload)
+            self._on_node_crash(
+                payload.node,
+                None if payload.permanent
+                else payload.time + payload.repair_seconds,
+            )
         elif action == "repair":
             self._on_node_repair(payload)
         elif action == "degrade-on":
-            self._degradations.append(payload)
+            self.membership.degradations.append(payload)
         elif action == "degrade-off":
-            self._degradations.remove(payload)
+            self.membership.degradations.remove(payload)
         elif action == "part-on":
-            self._partitions.append(payload)
+            self.membership.islands.append(tuple(payload.island))
         elif action == "part-off":
-            self._partitions.remove(payload)
+            self.membership.islands.remove(tuple(payload.island))
 
     def _admit(self, request: Request) -> None:
         """Admission control at the door: classify, gate, enqueue/shed."""
@@ -1463,11 +1432,6 @@ class ServingEngine:
         report = slo_report(latencies, self.slo_s, admitted)
         in_slo = report.completed - report.violations
         detector = self.detector
-        mttd = (
-            sum(self._mttd_samples) / len(self._mttd_samples)
-            if self._mttd_samples
-            else 0.0
-        )
         return RunResult(
             policy=self.policy.name,
             makespan=self.now,
@@ -1480,7 +1444,7 @@ class ServingEngine:
             handoffs=self.migrations,
             handoffs_aborted=self.handoffs_aborted,
             handoff_seconds=self.handoff_seconds,
-            mttd=mttd,
+            mttd=self.membership.mttd,
             false_suspicions=(
                 detector.stats.false_suspicions if detector is not None else 0
             ),

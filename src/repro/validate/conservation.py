@@ -96,7 +96,7 @@ class ClusterConservationChecker:
                 },
             )
         for node in sim.nodes:
-            if node.jobs and not node.up:
+            if node.jobs and not sim.membership.up[node.name]:
                 self._fail(
                     sim, "no-jobs-on-down-nodes",
                     f"crashed node {node.name} still holds "

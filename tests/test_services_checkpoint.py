@@ -131,6 +131,16 @@ class TestCheckpointRestore:
         for thread in restored.alive_threads:
             assert thread.machine_name == "x86-b"
 
+    def test_restore_reserves_ids_in_a_fresh_system(self):
+        source = self._two_xeon_system()
+        binary, process, _ = self._paused_process(source)
+        ckpt = checkpoint_process(process, source)
+        target = self._two_xeon_system()
+        restored = restore_process(target, binary, ckpt, "x86-b")
+        fresh = target.exec_process(binary, "x86-a")
+        assert fresh.pid > restored.pid
+        assert min(fresh.threads) > max(restored.threads)
+
     def test_cross_isa_restore_rejected(self):
         """The limitation that motivates the whole paper."""
         system = boot_testbed()
