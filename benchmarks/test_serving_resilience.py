@@ -22,7 +22,8 @@ Claims checked:
 * The fault-free path is untouched: with no ``FaultSchedule`` and no
   ``ResilienceConfig``, the engine's results are bit-identical to the
   pre-resilience engine (enforced separately by
-  ``tools/bench_serving.py --check`` against ``BENCH_serving.json``).
+  ``python3 bench/run.py --workload serving-sweep`` against
+  ``BENCH_serving.json``).
 """
 
 from conftest import run_once

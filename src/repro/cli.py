@@ -837,34 +837,22 @@ def cmd_serve(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults import registry_scenario, run_chaos_suite
+    from repro.faults import registry_scenario, run_chaos_suite, serving_scenarios
 
     if args.serving:
-        from repro.faults import run_serving_chaos_suite, serving_scenarios
-
-        reports = run_serving_chaos_suite(
-            serving_scenarios(), soak_iterations=args.soak, seed=args.seed
-        )
-        violations = 0
-        for report in reports:
-            print(report.render(verbose=args.verbose))
-            violations += len(report.violations)
-        total = sum(len(r.cases) for r in reports)
-        print(f"serving chaos total: {total} armed runs, "
-              f"{violations} violations")
-        return 1 if violations else 0
-
-    names = [n.strip() for n in args.workloads.split(",") if n.strip()]
-    if not names:
-        print("error: --workloads named no workloads", file=sys.stderr)
-        return 2
-    scenarios = [
-        registry_scenario(
-            name, cls=args.cls, threads=args.threads, scale=args.scale,
-            migrate_at=args.migrate_at, dsm_backup=args.dsm_backup,
-        )
-        for name in names
-    ]
+        scenarios = serving_scenarios()
+    else:
+        names = [n.strip() for n in args.workloads.split(",") if n.strip()]
+        if not names:
+            print("error: --workloads named no workloads", file=sys.stderr)
+            return 2
+        scenarios = [
+            registry_scenario(
+                name, cls=args.cls, threads=args.threads, scale=args.scale,
+                migrate_at=args.migrate_at, dsm_backup=args.dsm_backup,
+            )
+            for name in names
+        ]
     reports = run_chaos_suite(
         scenarios, soak_iterations=args.soak, seed=args.seed
     )
@@ -873,7 +861,8 @@ def cmd_chaos(args) -> int:
         print(report.render(verbose=args.verbose))
         violations += len(report.violations)
     total = sum(len(r.cases) for r in reports)
-    print(f"chaos total: {total} armed runs, {violations} violations")
+    plane = "serving chaos" if args.serving else "chaos"
+    print(f"{plane} total: {total} armed runs, {violations} violations")
     return 1 if violations else 0
 
 

@@ -39,7 +39,7 @@ from repro.faults.detector import SUSPECT, UNSUSPECT
 from repro.faults.membership import DEAD, REJOIN, Membership
 from repro.linker.layout import PAGE_SIZE
 from repro.machine.machine import Machine
-from repro.machine.mcpat import project_finfet
+from repro.machine.mcpat import arm_finfet_power
 from repro.sim.clock import Clock
 from repro.sim.events import Simulator
 from repro.telemetry.faultlog import FaultLog
@@ -72,10 +72,7 @@ class MachineNode:
 
     def __init__(self, machine: Machine, project_arm_finfet: bool = True):
         self.machine = machine
-        power = machine.power
-        if project_arm_finfet and machine.isa.name == "arm64":
-            power = project_finfet(power)
-        self.power = power
+        self.power = arm_finfet_power(machine) if project_arm_finfet else machine.power
         self.jobs: List[Job] = []
         self.energy_joules = 0.0
 
@@ -229,7 +226,8 @@ class ClusterSimulator:
         nested kernel testbeds and fleet-level simulators)."""
         return self._sim.clock
 
-    def _duration(self, spec: JobSpec, node: MachineNode) -> float:
+    def duration_on(self, spec: JobSpec, node: MachineNode) -> float:
+        """Seconds ``spec`` runs alone on ``node`` (memoized)."""
         key = (spec, node.name)
         if key not in self._durations:
             if node.name in self._nested_nodes:
@@ -239,9 +237,6 @@ class ClusterSimulator:
             else:
                 self._durations[key] = job_duration(spec, node.machine)
         return self._durations[key]
-
-    # Public alias for the recovery policies.
-    duration_on = _duration
 
     def _node_of(self, job: Job) -> MachineNode:
         node = self._node_index.get(job.machine)
@@ -267,7 +262,8 @@ class ClusterSimulator:
     def effective_bandwidth(self) -> float:
         return self.membership.bandwidth(self.interconnect_bw)
 
-    def _start(self, job: Job, node: MachineNode) -> None:
+    def start_job(self, job: Job, node: MachineNode) -> None:
+        """Run ``job`` on ``node`` from now."""
         job.state = JobState.RUNNING
         job.machine = node.name
         job.started_at = self.now
@@ -279,19 +275,16 @@ class ClusterSimulator:
             )
             self.tracer.metrics.counter("sched.placements").inc()
 
-    # Public alias for the recovery policies.
-    start_job = _start
-
     def _admit(self, job: Job) -> None:
         """Place an arriving job, parking it if no node is up."""
         live = self.live_nodes()
         if not live:
             self.park(job, None, reason="no node up at arrival")
             return
-        self._start(job, self.policy.place(job, live))
+        self.start_job(job, self.policy.place(job, live))
 
     def _finish_time_of(self, job: Job, node: MachineNode) -> float:
-        rate_seconds = self._duration(job.spec, node) * node.contention
+        rate_seconds = self.duration_on(job.spec, node) * node.contention
         return job.remaining_fraction * rate_seconds
 
     def _advance(self, dt: float) -> None:
@@ -304,7 +297,7 @@ class ClusterSimulator:
             node.accrue_energy(dt)
             denom_base = node.contention
             for job in node.jobs:
-                demand = self._duration(job.spec, node) * denom_base
+                demand = self.duration_on(job.spec, node) * denom_base
                 job.remaining_fraction -= dt / demand
             self.busy_seconds += dt * len(node.jobs)
         self._sim.clock.advance_by(dt)
@@ -341,7 +334,7 @@ class ClusterSimulator:
                 continue
             src.jobs.remove(job)
             penalty = migration_penalty(job.spec, self.effective_bandwidth())
-            extra = penalty / self._duration(job.spec, dst)
+            extra = penalty / self.duration_on(job.spec, dst)
             job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
             job.machine = dst.name
             job.migrations += 1
@@ -659,7 +652,7 @@ class ClusterSimulator:
 
     def _commit_handoff(self, handoff: Handoff, dst_node: MachineNode) -> None:
         job = handoff.job
-        self._start(job, dst_node)
+        self.start_job(job, dst_node)
         job.migrations += 1
         self.migrations += 1
         self.handoff_seconds += self.now - handoff.prepared_at

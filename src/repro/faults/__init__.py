@@ -20,11 +20,9 @@ from repro.faults.chaos import (
     ChaosScenario,
     CrashInjector,
     ProtocolSite,
-    ServingChaosHarness,
     ServingChaosScenario,
     registry_scenario,
     run_chaos_suite,
-    run_serving_chaos_suite,
     serving_scenarios,
 )
 from repro.faults.detector import (
@@ -95,10 +93,8 @@ __all__ = [
     "ChaosScenario",
     "CrashInjector",
     "ProtocolSite",
-    "ServingChaosHarness",
     "ServingChaosScenario",
     "registry_scenario",
     "run_chaos_suite",
-    "run_serving_chaos_suite",
     "serving_scenarios",
 ]

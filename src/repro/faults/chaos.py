@@ -1,35 +1,49 @@
-"""Deterministic chaos harness for the kernel-level crash protocols.
+"""Deterministic chaos harness for the kernel and serving crash protocols.
 
-The two-phase migration hand-off (:mod:`repro.kernel.migration`) and the
-hDSM fault paths (:mod:`repro.kernel.dsm`) announce every crashable
-protocol step through :meth:`~repro.kernel.messages.MessagingLayer.chaos_step`.
-This harness turns those announcements into a systematic experiment:
+Two planes announce every crashable protocol step through an
+``at_step(step, roles)`` hook: the kernel's two-phase migration
+hand-off (:mod:`repro.kernel.migration`) and hDSM fault paths
+(:mod:`repro.kernel.dsm`) through
+:meth:`~repro.kernel.messages.MessagingLayer.chaos_step`, and the
+serving engine's request lifecycle and hand-off phases
+(:mod:`repro.serving.engine`).  One harness turns those announcements
+into a systematic experiment over either plane:
 
 1. **Reference run** — the scenario executes with no chaos hook at all
-   (the exact seed code path); its output and exit code are the oracle.
+   (the exact seed code path); its outcome is the oracle.
 2. **Recording run** — a :class:`CrashInjector` listens to the
    announcement stream and records every :class:`ProtocolSite` (step
-   name + participating kernels), without crashing anything.  The run
-   must reproduce the reference output, or the harness itself is broken.
-3. **Armed runs** — one fresh run per (site, victim kernel): the
-   injector crashes the victim via ``PopcornSystem.crash_kernel`` the
-   moment that step announces itself, then the run is classified:
+   name + participants), without crashing anything.  The run must
+   reproduce the reference, or the harness itself is broken.
+3. **Armed runs** — one fresh run per (site, victim): the injector
+   crashes the victim the moment that step announces itself, with
+   invariant checking force-enabled, then the run is classified:
 
-   * ``completed`` — the process survived the crash and produced the
-     reference output (the protocol recovered: aborted hand-off, resume
-     token promotion, directory scrub + refetch);
-   * ``failed-loud`` — the process failed *visibly*
-     (``process.failure`` records why: thread died with its kernel,
-     sole-copy dirty page lost, ...) — acceptable: crashes may lose
-     work, never silently corrupt it;
-   * ``violation`` — anything else: silently wrong output, an
-     :class:`~repro.validate.errors.InvariantViolation`, a stale route
-     to a fenced kernel, or unaccounted interconnect bytes.
+   * ``completed`` — the run survived the crash and matches the
+     reference (the protocol recovered);
+   * ``failed-loud`` — work was lost *visibly* and accounted for —
+     acceptable: crashes may lose work, never silently corrupt it;
+   * ``violation`` — anything else: silently wrong output, a silently
+     dropped request, an
+     :class:`~repro.validate.errors.InvariantViolation`, or an armed
+     crash point that never fired.
 
-Every armed run executes with invariant checking force-enabled and ends
-with :func:`repro.validate.check_crash_consistency` (exactly-one-copy
-thread conservation + no-dead-routes) and a byte-conservation audit
-(every interconnect byte attributable to a message kind).
+A scenario supplies only what differs per plane: how to run one case
+with an injector attached (``run``) and how to classify the result
+(``classify``).
+
+* **Kernel plane** (:class:`ChaosScenario`) — crashes a kernel via
+  ``PopcornSystem.crash_kernel``.  The oracle is the process's output
+  and exit code; every armed run ends with
+  :func:`repro.validate.check_crash_consistency` (exactly-one-copy
+  thread conservation + no-dead-routes) and a byte-conservation audit
+  (every interconnect byte attributable to a message kind).
+* **Serving plane** (:class:`ServingChaosScenario`) — crashes a machine
+  via ``ServingEngine.inject_crash``.  The oracle is the set of request
+  ids that complete: an armed run completes if the same ids complete
+  with nothing shed or failed, and fails loud if every loss is
+  accounted (the engine's request-conservation audit runs
+  force-enabled, so admitted == completed + shed + failed-loudly).
 
 A seeded **soak mode** layers randomized (site, victim) picks on top of
 the exhaustive enumeration, for longer runs in CI.
@@ -54,13 +68,13 @@ class ProtocolSite:
     """One announced crashable protocol step in a recorded trace."""
 
     seq: int  # position in the announcement stream (deterministic)
-    step: str  # e.g. "migrate.transfer", "dsm.page"
-    roles: Tuple[Tuple[str, str], ...]  # (role, kernel), sorted by role
+    step: str  # e.g. "migrate.transfer", "dsm.page", "serve.admit"
+    roles: Tuple[Tuple[str, str], ...]  # (role, participant), sorted by role
 
     @property
     def victims(self) -> List[str]:
-        """Kernels participating in the step (crash candidates)."""
-        return sorted({kernel for _, kernel in self.roles})
+        """Participants in the step (crash candidates)."""
+        return sorted({name for _, name in self.roles})
 
     @property
     def key(self) -> Tuple:
@@ -68,51 +82,38 @@ class ProtocolSite:
         return (self.step, self.roles)
 
     def describe(self) -> str:
-        parts = ", ".join(f"{role}={kernel}" for role, kernel in self.roles)
+        parts = ", ".join(f"{role}={name}" for role, name in self.roles)
         return f"#{self.seq} {self.step}({parts})"
 
 
 class CrashInjector:
-    """The ``messaging.chaos`` hook: records sites; crashes when armed."""
+    """The ``at_step`` chaos hook: records sites; crashes when armed.
 
-    def __init__(self, system):
-        self.system = system
+    ``crash`` kills a participant by name (``PopcornSystem.crash_kernel``
+    or ``ServingEngine.inject_crash``).  ``armed`` is ``(seq, victim)``:
+    crash ``victim`` when announcement number ``seq`` arrives, once.
+    """
+
+    def __init__(
+        self,
+        crash: Callable[[str], None],
+        armed: Optional[Tuple[int, str]] = None,
+    ):
+        self.crash = crash
         self.sites: List[ProtocolSite] = []
         self.fired: Optional[ProtocolSite] = None
-        self._seq = 0
-        self._armed_seq: Optional[int] = None
-        self._victim: Optional[str] = None
-
-    def arm(self, seq: int, victim: str) -> None:
-        """Crash ``victim`` when announcement number ``seq`` arrives."""
-        self._armed_seq = seq
-        self._victim = victim
+        self._armed = armed
 
     def at_step(self, step: str, roles: Dict[str, str]) -> bool:
-        seq = self._seq
-        self._seq += 1
-        site = ProtocolSite(
-            seq, step, tuple(sorted(roles.items()))
-        )
+        site = ProtocolSite(len(self.sites), step, tuple(sorted(roles.items())))
         self.sites.append(site)
-        if self._armed_seq == seq:
-            self._armed_seq = None  # one shot: the token applies once
+        if self._armed is not None and self._armed[0] == site.seq:
+            victim = self._armed[1]
+            self._armed = None  # one shot: the token applies once
             self.fired = site
-            self.system.crash_kernel(self._victim)
+            self.crash(victim)
             return True
         return False
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One workload + migration schedule to enumerate crashes over."""
-
-    name: str
-    binary_factory: Callable  # () -> MultiIsaBinary
-    start: str = "x86-server"
-    migrate_at: Optional[int] = 2  # migrate at the Nth migration point
-    argv: Tuple[float, ...] = ()
-    dsm_backup: bool = False  # backup-home dirty-page replication ablation
 
 
 @dataclass
@@ -170,136 +171,62 @@ class ChaosReport:
 class ChaosHarness:
     """Enumerates crash points for one scenario and classifies each."""
 
-    def __init__(self, scenario: ChaosScenario):
+    def __init__(self, scenario):
         self.scenario = scenario
-        # One build serves every run: the loader gives each process a
-        # fresh address space, so the binary itself is immutable.
-        self.binary = scenario.binary_factory()
-        self._reference: Optional[Tuple[List[float], Optional[int]]] = None
+        # Built once, shared by every run of this harness.
+        self._prepared = scenario.prepare()
+        self._reference = None
 
-    # ------------------------------------------------------------- runs
+    def _run(self, chaos: bool = True, armed: Optional[Tuple[int, str]] = None):
+        """One full run; returns (result, injector or None)."""
+        return self.scenario.run(self._prepared, chaos, armed)
 
-    def _run_once(
-        self, armed: Optional[Tuple[int, str]] = None, chaos: bool = True
-    ):
-        """One full engine run; returns (system, process, injector)."""
-        scenario = self.scenario
-        system = boot_testbed()
-        system.dsm_backup = scenario.dsm_backup
-        injector = None
-        if chaos:
-            injector = CrashInjector(system)
-            system.messaging.chaos = injector
-            if armed is not None:
-                injector.arm(*armed)
-        process = system.exec_process(
-            self.binary, scenario.start, argv=list(scenario.argv)
-        )
-        hooks = EngineHooks()
-        hits = [0]
-
-        def on_point(thread, fn, point_id, instrs):
-            hits[0] += 1
-            if scenario.migrate_at is not None and hits[0] == scenario.migrate_at:
-                others = [
-                    m
-                    for m in system.machine_order
-                    if m != thread.machine_name
-                ]
-                system.request_migration(process, others[0])
-
-        hooks.on_migration_point = on_point
-        ExecutionEngine(system, process, hooks).run()
-        return system, process, injector
-
-    def reference(self) -> Tuple[List[float], Optional[int]]:
+    def reference(self):
         """Fault-free oracle (no chaos hook attached at all)."""
         if self._reference is None:
-            _, process, _ = self._run_once(chaos=False)
-            self._reference = (list(process.output), process.exit_code)
+            result, _ = self._run(chaos=False)
+            self._reference = self.scenario.signature(result)
         return self._reference
 
     def record_sites(self) -> List[ProtocolSite]:
         """Unarmed recording run; asserts it matches the reference."""
-        ref_out, ref_code = self.reference()
-        _, process, injector = self._run_once()
-        if list(process.output) != ref_out or process.exit_code != ref_code:
+        reference = self.reference()
+        result, injector = self._run()
+        recorded = self.scenario.signature(result)
+        if recorded != reference:
             raise InvariantViolation(
                 "chaos", "recording-run-deterministic",
                 f"unarmed chaos run of {self.scenario.name} diverged from "
                 f"the reference (the announcement hook must be inert)",
-                {
-                    "reference": (ref_out, ref_code),
-                    "recorded": (list(process.output), process.exit_code),
-                },
+                {"reference": reference, "recorded": recorded},
             )
         return injector.sites
 
-    # -------------------------------------------------- classification
-
     def run_case(self, site: ProtocolSite, victim: str) -> ChaosCase:
         """One armed run: crash ``victim`` at ``site``, classify."""
-        ref_out, ref_code = self.reference()
+        reference = self.reference()
+
+        def case(outcome: str, detail: str = "") -> ChaosCase:
+            return ChaosCase(self.scenario.name, site, victim, outcome, detail)
+
         forced_before = validate._forced
         validate.set_enabled(True)
         try:
-            system, process, injector = self._run_once(
-                armed=(site.seq, victim)
-            )
+            result, injector = self._run(armed=(site.seq, victim))
         except InvariantViolation as exc:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"{exc.invariant}: {exc}",
-            )
+            return case(VIOLATION, f"{exc.invariant}: {exc}")
         except Exception as exc:  # noqa: BLE001 — anything loose is a bug
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"unexpected {type(exc).__name__}: {exc}",
-            )
+            return case(VIOLATION, f"unexpected {type(exc).__name__}: {exc}")
         finally:
             validate.set_enabled(forced_before)
 
         if injector.fired is None:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
+            return case(
+                VIOLATION,
                 "armed crash point was never reached (protocol trace "
                 "is not deterministic)",
             )
-        detail = self._audit(system, process)
-        if detail is not None:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION, detail
-            )
-        if process.failure is not None:
-            return ChaosCase(
-                self.scenario.name, site, victim, FAILED_LOUD,
-                process.failure,
-            )
-        if list(process.output) != ref_out or process.exit_code != ref_code:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"silent divergence: output {list(process.output)!r} "
-                f"exit {process.exit_code!r} vs reference {ref_out!r} "
-                f"exit {ref_code!r}",
-            )
-        return ChaosCase(self.scenario.name, site, victim, COMPLETED)
-
-    def _audit(self, system, process) -> Optional[str]:
-        """Post-run crash-consistency + byte-conservation invariants."""
-        try:
-            validate.check_crash_consistency(system, [process])
-        except InvariantViolation as exc:
-            return f"{exc.invariant}: {exc}"
-        wire = sum(system.messaging.bytes_by_kind.values())
-        recorded = system.interconnect.bytes_sent
-        if wire != recorded:
-            return (
-                f"byte conservation: interconnect recorded {recorded} B "
-                f"but message kinds account for {wire} B"
-            )
-        return None
-
-    # ------------------------------------------------------ experiments
+        return case(*self.scenario.classify(result, reference))
 
     def enumerate(self) -> ChaosReport:
         """Exhaustive: one armed run per distinct (crash point, victim)."""
@@ -322,15 +249,117 @@ class ChaosHarness:
         report.sites_enumerated = len({s.key for s in sites})
         if not sites:
             return report
-        stream = DeterministicRng(seed).stream(
-            f"chaos.soak.{self.scenario.name}"
-        )
+        stream = DeterministicRng(seed).stream(self.scenario.soak_stream)
         for _ in range(iterations):
             site = sites[stream.randrange(len(sites))]
             victims = site.victims
             victim = victims[stream.randrange(len(victims))]
             report.cases.append(self.run_case(site, victim))
         return report
+
+
+def run_chaos_suite(
+    scenarios: List,
+    soak_iterations: int = 0,
+    seed: int = 1234,
+) -> List[ChaosReport]:
+    """Enumerate (and optionally soak) every scenario, of either plane."""
+    reports = []
+    for scenario in scenarios:
+        harness = ChaosHarness(scenario)
+        report = harness.enumerate()
+        if soak_iterations > 0:
+            soaked = harness.soak(soak_iterations, seed=seed)
+            report.cases.extend(soaked.cases)
+        reports.append(report)
+    return reports
+
+
+# ------------------------------------------------------------ kernel plane
+
+
+@dataclass(frozen=True)
+class ChaosScenario:
+    """One workload + migration schedule to enumerate kernel crashes over."""
+
+    name: str
+    binary_factory: Callable  # () -> MultiIsaBinary
+    start: str = "x86-server"
+    migrate_at: Optional[int] = 2  # migrate at the Nth migration point
+    argv: Tuple[float, ...] = ()
+    dsm_backup: bool = False  # backup-home dirty-page replication ablation
+
+    @property
+    def soak_stream(self) -> str:
+        return f"chaos.soak.{self.name}"
+
+    def prepare(self):
+        """One build serves every run: the loader gives each process a
+        fresh address space, so the binary itself is immutable."""
+        return self.binary_factory()
+
+    def run(self, binary, chaos: bool, armed: Optional[Tuple[int, str]]):
+        """One engine run; returns ((system, process), injector)."""
+        system = boot_testbed()
+        system.dsm_backup = self.dsm_backup
+        injector = None
+        if chaos:
+            injector = CrashInjector(system.crash_kernel, armed)
+            system.messaging.chaos = injector
+        process = system.exec_process(binary, self.start, argv=list(self.argv))
+        hooks = EngineHooks()
+        hits = [0]
+
+        def on_point(thread, fn, point_id, instrs):
+            hits[0] += 1
+            if self.migrate_at is not None and hits[0] == self.migrate_at:
+                others = [
+                    m for m in system.machine_order if m != thread.machine_name
+                ]
+                system.request_migration(process, others[0])
+
+        hooks.on_migration_point = on_point
+        ExecutionEngine(system, process, hooks).run()
+        return (system, process), injector
+
+    @staticmethod
+    def signature(result) -> Tuple:
+        """The oracle: the process's output and exit code."""
+        _, process = result
+        return (list(process.output), process.exit_code)
+
+    def classify(self, result, reference) -> Tuple[str, str]:
+        """Audit one armed run, then compare it with the oracle."""
+        system, process = result
+        detail = _audit(system, process)
+        if detail is not None:
+            return VIOLATION, detail
+        if process.failure is not None:
+            return FAILED_LOUD, process.failure
+        if self.signature(result) != reference:
+            ref_out, ref_code = reference
+            return VIOLATION, (
+                f"silent divergence: output {list(process.output)!r} "
+                f"exit {process.exit_code!r} vs reference {ref_out!r} "
+                f"exit {ref_code!r}"
+            )
+        return COMPLETED, ""
+
+
+def _audit(system, process) -> Optional[str]:
+    """Post-run crash-consistency + byte-conservation invariants."""
+    try:
+        validate.check_crash_consistency(system, [process])
+    except InvariantViolation as exc:
+        return f"{exc.invariant}: {exc}"
+    wire = sum(system.messaging.bytes_by_kind.values())
+    recorded = system.interconnect.bytes_sent
+    if wire != recorded:
+        return (
+            f"byte conservation: interconnect recorded {recorded} B "
+            f"but message kinds account for {wire} B"
+        )
+    return None
 
 
 def registry_scenario(
@@ -360,43 +389,11 @@ def registry_scenario(
     )
 
 
-def run_chaos_suite(
-    scenarios: List[ChaosScenario],
-    soak_iterations: int = 0,
-    seed: int = 1234,
-) -> List[ChaosReport]:
-    """Enumerate (and optionally soak) every scenario."""
-    reports = []
-    for scenario in scenarios:
-        harness = ChaosHarness(scenario)
-        report = harness.enumerate()
-        if soak_iterations > 0:
-            soaked = harness.soak(soak_iterations, seed=seed)
-            report.cases.extend(soaked.cases)
-        reports.append(report)
-    return reports
-
-
-# --------------------------------------------------------------------------
-# Serving-plane chaos: the same experiment over the open-loop engine.
+# ----------------------------------------------------------- serving plane
 #
-# The serving engine announces its crashable protocol steps
-# (serve.admit / serve.enqueue / serve.serve / serve.complete, and the
-# hand-off phases serve.handoff.prepare/transfer/publish/commit) through
-# the same ``at_step`` hook, and exposes ``inject_crash`` so an armed
-# injector can kill either machine the instant a step announces itself.
-# The oracle "output" of a serving run is the set of request ids that
-# completed: an armed run COMPLETES if the same ids complete with
-# nothing shed or failed, FAILS LOUD if the losses are accounted (the
-# engine's request-conservation audit runs force-enabled, so admitted ==
-# completed + shed + failed-loudly or the run is a VIOLATION), and
-# anything else — a silently missing id, a conservation breach, a crash
-# point that never fired — is a VIOLATION.
-#
-# Serving imports stay inside the functions: ``repro.serving`` imports
-# this package for the retry machinery, so importing it at module top
-# would be a cycle.
-# --------------------------------------------------------------------------
+# Serving imports stay inside the methods: ``repro.serving`` imports this
+# package for the retry machinery, so importing it at module top would be
+# a cycle.
 
 
 @dataclass(frozen=True)
@@ -412,62 +409,42 @@ class ServingChaosScenario:
     #: Attach the resilience layer (retries/shedding) to armed runs.
     resilient: bool = False
 
+    @property
+    def soak_stream(self) -> str:
+        return f"chaos.serving.{self.name}"
 
-class _EngineCrashTarget:
-    """Adapts a ServingEngine to the CrashInjector's ``crash_kernel``."""
+    def prepare(self):
+        """Nothing is shared: every run builds its own trace and engine."""
+        return None
 
-    def __init__(self):
-        self.engine = None
-
-    def crash_kernel(self, victim: str) -> None:
-        self.engine.inject_crash(victim)
-
-
-class ServingChaosHarness:
-    """Enumerates serving crash points for one scenario, classifies each."""
-
-    def __init__(self, scenario: ServingChaosScenario):
-        self.scenario = scenario
-        self._reference = None
-
-    def _build_engine(self):
+    def run(self, _, chaos: bool, armed: Optional[Tuple[int, str]]):
+        """One engine run; returns (engine, injector)."""
         from repro.serving.engine import ServingEngine
         from repro.serving.policies import make_serving_policy
         from repro.serving.resilience import default_resilience
         from repro.serving.traffic import make_trace
 
-        scenario = self.scenario
         trace = make_trace(
-            scenario.shape,
-            DeterministicRng(scenario.seed),
-            requests=scenario.requests,
-            horizon_s=scenario.horizon_s,
+            self.shape,
+            DeterministicRng(self.seed),
+            requests=self.requests,
+            horizon_s=self.horizon_s,
         )
-        return ServingEngine(
-            make_serving_policy(scenario.policy),
+        engine = ServingEngine(
+            make_serving_policy(self.policy),
             trace,
-            resilience=(
-                default_resilience() if scenario.resilient else None
-            ),
-            rng=DeterministicRng(scenario.seed),
+            resilience=default_resilience() if self.resilient else None,
+            rng=DeterministicRng(self.seed),
         )
-
-    def _run_once(self, armed: Optional[Tuple[int, str]] = None, chaos=True):
-        """One engine run; returns (engine, injector)."""
-        engine = self._build_engine()
         injector = None
         if chaos:
-            target = _EngineCrashTarget()
-            target.engine = engine
-            injector = CrashInjector(target)
+            injector = CrashInjector(engine.inject_crash, armed)
             engine.chaos = injector
-            if armed is not None:
-                injector.arm(*armed)
         engine.run()
         return engine, injector
 
     @staticmethod
-    def _signature(engine) -> Tuple:
+    def signature(engine) -> Tuple:
         """The deterministic fingerprint a recording run must reproduce."""
         return (
             tuple((r.index, r.finish_s) for r in engine.completed),
@@ -475,53 +452,9 @@ class ServingChaosHarness:
             tuple((r.index, r.failed_reason) for r in engine.failed),
         )
 
-    def reference(self) -> Tuple:
-        """Fault-free oracle (no chaos hook attached at all)."""
-        if self._reference is None:
-            engine, _ = self._run_once(chaos=False)
-            self._reference = self._signature(engine)
-        return self._reference
-
-    def record_sites(self) -> List[ProtocolSite]:
-        """Unarmed recording run; asserts it matches the reference."""
-        ref = self.reference()
-        engine, injector = self._run_once()
-        if self._signature(engine) != ref:
-            raise InvariantViolation(
-                "chaos", "recording-run-deterministic",
-                f"unarmed serving chaos run of {self.scenario.name} "
-                f"diverged from the reference (the announcement hook "
-                f"must be inert)",
-                {"reference": ref[1:], "recorded": self._signature(engine)[1:]},
-            )
-        return injector.sites
-
-    def run_case(self, site: ProtocolSite, victim: str) -> ChaosCase:
-        """One armed run: crash ``victim`` at ``site``, classify."""
-        ref_completed_ids = {index for index, _ in self.reference()[0]}
-        forced_before = validate._forced
-        validate.set_enabled(True)
-        try:
-            engine, injector = self._run_once(armed=(site.seq, victim))
-        except InvariantViolation as exc:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"{exc.invariant}: {exc}",
-            )
-        except Exception as exc:  # noqa: BLE001 — anything loose is a bug
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"unexpected {type(exc).__name__}: {exc}",
-            )
-        finally:
-            validate.set_enabled(forced_before)
-
-        if injector.fired is None:
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                "armed crash point was never reached (protocol trace "
-                "is not deterministic)",
-            )
+    def classify(self, engine, reference) -> Tuple[str, str]:
+        """Compare the completed-request set with the oracle's."""
+        ref_completed_ids = {index for index, _ in reference[0]}
         completed_ids = {r.index for r in engine.completed}
         lost = sorted(
             ref_completed_ids
@@ -531,48 +464,13 @@ class ServingChaosHarness:
         )
         if lost:
             # The engine's own audit should have raised; belt and braces.
-            return ChaosCase(
-                self.scenario.name, site, victim, VIOLATION,
-                f"requests silently dropped: {lost[:8]}",
-            )
+            return VIOLATION, f"requests silently dropped: {lost[:8]}"
         if completed_ids == ref_completed_ids and not engine.shed and not engine.failed:
-            return ChaosCase(self.scenario.name, site, victim, COMPLETED)
-        return ChaosCase(
-            self.scenario.name, site, victim, FAILED_LOUD,
+            return COMPLETED, ""
+        return FAILED_LOUD, (
             f"{len(engine.failed)} failed loudly, {len(engine.shed)} shed "
-            f"(all accounted; {len(completed_ids)} completed)",
+            f"(all accounted; {len(completed_ids)} completed)"
         )
-
-    def enumerate(self) -> ChaosReport:
-        """Exhaustive: one armed run per distinct (crash point, victim)."""
-        sites = self.record_sites()
-        report = ChaosReport(self.scenario.name, sites_announced=len(sites))
-        seen = set()
-        for site in sites:
-            if site.key in seen:
-                continue
-            seen.add(site.key)
-            report.sites_enumerated += 1
-            for victim in site.victims:
-                report.cases.append(self.run_case(site, victim))
-        return report
-
-    def soak(self, iterations: int, seed: int = 1234) -> ChaosReport:
-        """Seeded random (site, victim) picks over the recorded trace."""
-        sites = self.record_sites()
-        report = ChaosReport(self.scenario.name, sites_announced=len(sites))
-        report.sites_enumerated = len({s.key for s in sites})
-        if not sites:
-            return report
-        stream = DeterministicRng(seed).stream(
-            f"chaos.serving.{self.scenario.name}"
-        )
-        for _ in range(iterations):
-            site = sites[stream.randrange(len(sites))]
-            victims = site.victims
-            victim = victims[stream.randrange(len(victims))]
-            report.cases.append(self.run_case(site, victim))
-        return report
 
 
 def serving_scenarios() -> List[ServingChaosScenario]:
@@ -584,20 +482,3 @@ def serving_scenarios() -> List[ServingChaosScenario]:
             name="serve.steady.la", shape="steady", policy="latency-aware"
         ),
     ]
-
-
-def run_serving_chaos_suite(
-    scenarios: List[ServingChaosScenario],
-    soak_iterations: int = 0,
-    seed: int = 1234,
-) -> List[ChaosReport]:
-    """Enumerate (and optionally soak) every serving scenario."""
-    reports = []
-    for scenario in scenarios:
-        harness = ServingChaosHarness(scenario)
-        report = harness.enumerate()
-        if soak_iterations > 0:
-            soaked = harness.soak(soak_iterations, seed=seed)
-            report.cases.extend(soaked.cases)
-        reports.append(report)
-    return reports

@@ -14,30 +14,27 @@ instantiate by the thousand.
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.datacenter.job import JobSpec, job_duration, migration_penalty
+from repro.datacenter.job import JobSpec, job_duration
 from repro.kernel.testbed import machine_for_isa
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine
-from repro.machine.mcpat import project_finfet
+from repro.machine.mcpat import arm_finfet_power
 
 
 class NodeTemplate:
     """Everything shared by every fleet node of one ISA.
 
     Holds the reference :class:`~repro.machine.machine.Machine` (for
-    analytic durations), the — optionally FinFET-projected — power
-    parameters, and a memoized duration table keyed by job spec.  The
-    per-node structs keep only a template index, so a 10k-node fleet
-    carries exactly one machine model per ISA.
+    analytic durations), the power parameters (ARM FinFET-projected),
+    and a memoized duration table keyed by job spec.  The per-node
+    structs keep only a template index, so a 10k-node fleet carries
+    exactly one machine model per ISA.
     """
 
-    def __init__(self, isa: str, project_arm_finfet: bool = True):
+    def __init__(self, isa: str):
         self.isa = isa
         self.machine: Machine = machine_for_isa(isa, f"{isa}-template")
-        power = self.machine.power
-        if project_arm_finfet and self.machine.isa.name == "arm64":
-            power = project_finfet(power)
-        self.power = power
+        self.power = arm_finfet_power(self.machine)
         self.cores = self.machine.cpu.cores
         self._durations: Dict[JobSpec, float] = {}
 
@@ -161,7 +158,6 @@ class FleetConfig:
     target_isa: str = "arm64"
     slo_factor: float = 8.0
     interconnect_bw: float = make_dolphin_pxh810().bandwidth_bytes_per_s
-    project_arm_finfet: bool = True
 
     def validate(self) -> None:
         """Reject configurations that cannot place their services."""
@@ -180,17 +176,6 @@ class FleetConfig:
                 f"{self.services} services exceed target capacity "
                 f"{target_slots} ({self.target_isa})"
             )
-
-
-def service_migration_cost(spec: JobSpec, bandwidth: float) -> float:
-    """Seconds one service instance stalls while migrating ISAs.
-
-    Reuses the cluster layer's :func:`migration_penalty` — migration
-    response, stack transformation, kernel hand-off, DSM working-set
-    pull — so fleet-level wave costs and node-level job costs come from
-    the same model.
-    """
-    return migration_penalty(spec, bandwidth)
 
 
 def node_name(idx: int) -> str:

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datacenter.job import JobSpec
+from repro.datacenter.job import JobSpec, migration_penalty
 from repro.faults.inject import FaultSchedule
 from repro.fleet.model import (
     FleetConfig,
@@ -38,7 +38,6 @@ from repro.fleet.model import (
     NodeTemplate,
     ServiceInstance,
     parse_node_name,
-    service_migration_cost,
 )
 from repro.fleet.waves import WavePolicy, WaveReport, plan_counts
 from repro.serving.traffic import ArrivalTrace
@@ -149,8 +148,7 @@ class FleetSimulator:
         self.faults = faults if faults is not None else FaultSchedule()
 
         self.templates: Dict[str, NodeTemplate] = {
-            isa: NodeTemplate(isa, config.project_arm_finfet)
-            for isa in config.nodes
+            isa: NodeTemplate(isa) for isa in config.nodes
         }
         if nested is not None:
             # Replace analytic durations with nested-PopcornSystem
@@ -316,7 +314,7 @@ class FleetSimulator:
         old.instances.remove(sid)
         if old.alive:
             self._free_slots[old.isa].append(inst.node_idx)
-        cost = service_migration_cost(
+        cost = migration_penalty(
             inst.spec, self.config.interconnect_bw * self._bw_factor
         )
         base = inst.free_at if inst.free_at > t else t

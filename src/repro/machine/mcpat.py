@@ -24,3 +24,11 @@ def project_finfet(model: PowerModel, factor: float = FINFET_FACTOR) -> PowerMod
     if not 0 < factor <= 1:
         raise ValueError(f"implausible projection factor {factor}")
     return model.scaled(factor, name_suffix=" (FinFET projection)")
+
+
+def arm_finfet_power(machine) -> PowerModel:
+    """The power model the scheduling studies charge ``machine``: an
+    ARM board through the FinFET projection, any other as measured."""
+    if machine.isa.name == "arm64":
+        return project_finfet(machine.power)
+    return machine.power

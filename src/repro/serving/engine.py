@@ -19,15 +19,15 @@ a migration point, then PREPARE (stack transform) → TRANSFER (context
 request whose wait overlaps that window has the overlap attributed to
 migration in its latency breakdown (and, when tracing is on, as a
 ``serve.stall.migration`` child span on its critical path).  After
-COMMIT the next ``warmup_requests`` requests pay the residual
-on-demand DSM pull, spread evenly.
+COMMIT the next ``EngineConfig.dsm_warmup_requests`` requests pay the
+residual on-demand DSM pull, spread evenly.
 
 Energy follows the consolidation story of the paper's unbalanced
 policies: the machine *not* hosting the service is parked (draws no
 power — the fleet reclaims or sleeps it), both machines are awake for
 the duration of a hand-off, and the hosting machine draws idle or
-one-core-busy power from its measured model (ARM optionally through
-the McPAT FinFET projection, as in the cluster simulator).
+one-core-busy power from its measured model (ARM through the McPAT
+FinFET projection, as in the cluster simulator).
 
 **Failures.**  The engine optionally consumes a
 :class:`~repro.faults.inject.FaultSchedule` (node crashes/repairs,
@@ -55,7 +55,6 @@ failed-loudly*, each request in exactly one bucket.
 """
 
 import bisect
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -67,7 +66,7 @@ from repro.faults.detector import FailureDetector
 from repro.faults.inject import FaultSchedule
 from repro.faults.membership import DEAD, FENCE, REJOIN, Membership
 from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
-from repro.machine.mcpat import project_finfet
+from repro.machine.mcpat import arm_finfet_power
 from repro.serving.policies import ServingPolicy
 from repro.serving.resilience import (
     AdmissionController,
@@ -138,7 +137,6 @@ class HandoffCosts:
     publish_s: float = 0.0002  # replicated proc-table write
     commit_s: float = 0.0001  # destination rebind
     hot_fraction: float = 0.1  # working set pushed eagerly in TRANSFER
-    warmup_requests: int = 64  # requests sharing the residual DSM pull
 
     def transfer_s(self, footprint_bytes: int, bandwidth: float) -> float:
         """TRANSFER duration: token plus the eager hot-set push."""
@@ -153,19 +151,20 @@ class HandoffCosts:
             + self.commit_s
         )
 
-    def warmup_extra_s(self, footprint_bytes: int, bandwidth: float) -> float:
-        """Per-request surcharge amortising the residual on-demand pull."""
+    def warmup_extra_s(
+        self, footprint_bytes: int, bandwidth: float, requests: int
+    ) -> float:
+        """Per-request surcharge amortising the residual on-demand pull
+        over ``requests`` requests."""
         cold = (1.0 - self.hot_fraction) * footprint_bytes / bandwidth
-        return cold / self.warmup_requests
+        return cold / requests
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-level tuning knobs (separate from the hand-off cost model).
 
-    Pass one to :class:`ServingEngine` to override the legacy keyword
-    arguments; when omitted, the engine builds an equivalent config
-    from them, so existing callers see no change.
+    Pass one to :class:`ServingEngine`; omitted, the defaults apply.
     """
 
     #: How many post-COMMIT requests share the residual DSM warm-up
@@ -177,8 +176,7 @@ class EngineConfig:
     #: dsm_warmup_requests`` extra service time.  After a crash
     #: *failover* (no TRANSFER happened — the source died with the hot
     #: set) the same count of requests amortises the **full** footprint
-    #: instead.  Historically hard-coded to 64 in
-    #: :class:`HandoffCosts`; see ``docs/serving.md``.
+    #: instead.  See ``docs/serving.md``.
     dsm_warmup_requests: int = 64
     #: Seconds between policy decision epochs.
     decision_period_s: float = 0.05
@@ -249,11 +247,6 @@ class ServingEngine:
         cls: str = "A",
         machines: Optional[List[Machine]] = None,
         slo_s: float = DEFAULT_SLO_S,
-        decision_period_s: float = 0.05,
-        rate_window_s: float = 0.5,
-        interconnect_bw: float = DEFAULT_INTERCONNECT_BW,
-        project_arm_finfet: bool = True,
-        costs: Optional[HandoffCosts] = None,
         tracer=None,
         start_machine: Optional[str] = None,
         config: Optional[EngineConfig] = None,
@@ -273,33 +266,15 @@ class ServingEngine:
         self.trace = trace
         self.spec = JobSpec(workload, cls, 1)
         self.slo_s = slo_s
-        self.costs = costs if costs is not None else HandoffCosts()
-        if config is None:
-            config = EngineConfig(
-                dsm_warmup_requests=self.costs.warmup_requests,
-                decision_period_s=decision_period_s,
-                rate_window_s=rate_window_s,
-            )
-        else:
-            self.costs = dataclasses.replace(
-                self.costs, warmup_requests=config.dsm_warmup_requests
-            )
-        self.config = config
-        self.decision_period_s = config.decision_period_s
-        self.rate_window_s = config.rate_window_s
-        self.interconnect_bw = interconnect_bw
+        self.costs = HandoffCosts()
+        self.config = config if config is not None else EngineConfig()
         if machines is None:
             machines = [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server")]
         if len(machines) < 2:
             raise ValueError("serving needs the heterogeneous machine pair")
         self.machines: Dict[str, Machine] = {m.name: m for m in machines}
         self._isa_by_machine = {m.name: m.isa.name for m in machines}
-        self._powers = {}
-        for machine in machines:
-            power = machine.power
-            if project_arm_finfet and machine.isa.name == "arm64":
-                power = project_finfet(power)
-            self._powers[machine.name] = power
+        self._powers = {m.name: arm_finfet_power(m) for m in machines}
         self.service_s = {
             m.name: job_duration(self.spec, m)
             / self.spec.profile().params(cls).elements
@@ -307,12 +282,14 @@ class ServingEngine:
         }
         footprint = self.spec.profile().params(cls).footprint_bytes
         self._footprint = footprint
-        self.blackout_estimate_s = self.costs.blackout_s(footprint, interconnect_bw)
+        bandwidth = DEFAULT_INTERCONNECT_BW
+        warmup = self.config.dsm_warmup_requests
+        self.blackout_estimate_s = self.costs.blackout_s(footprint, bandwidth)
         #: Per-request warm-up after a normal hand-off (cold fraction).
-        self._warmup_normal = self.costs.warmup_extra_s(footprint, interconnect_bw)
+        self._warmup_normal = self.costs.warmup_extra_s(footprint, bandwidth, warmup)
         #: Per-request warm-up after a cold failover (full footprint —
         #: the source died before TRANSFER could push the hot set).
-        self._warmup_cold = footprint / interconnect_bw / self.costs.warmup_requests
+        self._warmup_cold = footprint / bandwidth / warmup
         self._warmup_extra = self._warmup_normal
 
         self.location = (
@@ -928,7 +905,7 @@ class ServingEngine:
         self._handoff = None
         self.location = handoff.dst
         self._last_commit = self.now
-        self._warmup_left = self.costs.warmup_requests
+        self._warmup_left = self.config.dsm_warmup_requests
         self._warmup_extra = (
             self._warmup_normal if self._failover_warm else self._warmup_cold
         )
@@ -1000,7 +977,7 @@ class ServingEngine:
         t = self.now + self.costs.transform_s
         handoff.phase_ends.append(("transform", t))
         transfer = self.costs.transfer_s(
-            self._footprint, self.membership.bandwidth(self.interconnect_bw)
+            self._footprint, self.membership.bandwidth(DEFAULT_INTERCONNECT_BW)
         )
         t += transfer
         handoff.phase_ends.append(("transfer", t))
@@ -1058,7 +1035,7 @@ class ServingEngine:
         self._handoff = None
         self.location = handoff.dst
         self.migrations += 1
-        self._warmup_left = self.costs.warmup_requests
+        self._warmup_left = self.config.dsm_warmup_requests
         self._warmup_extra = self._warmup_normal
         self._last_commit = self.now
         blackout = self.now - handoff.blackout_start
@@ -1104,7 +1081,7 @@ class ServingEngine:
     def _end_warmup(self) -> None:
         if self.tracer is not None and self._blackouts:
             b0, b1, cause = self._blackouts[-1]
-            attrs = {"requests": self.costs.warmup_requests}
+            attrs = {"requests": self.config.dsm_warmup_requests}
             if cause is not None:
                 attrs["flow"] = cause
             self.tracer.complete(
@@ -1115,7 +1092,7 @@ class ServingEngine:
     # ----------------------------------------------------------- policy
 
     def _run_epoch(self) -> None:
-        w = self.rate_window_s
+        w = self.config.rate_window_s
         fault_aware = (
             self.faults is not None
             or self.detector is not None
@@ -1193,7 +1170,7 @@ class ServingEngine:
         times = self.trace.times
         n = len(times)
         idx = 0
-        next_epoch = self.decision_period_s
+        next_epoch = self.config.decision_period_s
         res = self.resilience
         faults_on = bool(self._fault_events)
         hedge_on = res is not None and res.hedge_delay_s is not None
@@ -1311,7 +1288,7 @@ class ServingEngine:
                 self._heartbeat_round()
             else:
                 self._run_epoch()
-                next_epoch = self.now + self.decision_period_s
+                next_epoch = self.now + self.config.decision_period_s
 
         if validate.enabled():
             self._check_conservation(n)

@@ -7,9 +7,25 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+FLAG = re.compile(r"(--[a-z][\w-]+)")
+#: A script invocation: the path, then the rest of the line up to a
+#: closing backtick.  Flags in the rest belong to the script.
+SCRIPT_CALL = re.compile(r"((?:tools|bench)/\w+\.py)([^`\n]*)")
+
 
 def _read(name: str) -> str:
     return (ROOT / name).read_text()
+
+
+def _cli_flags(text: str) -> set:
+    """Flags quoted outside script invocations (``python -m repro``)."""
+    return set(FLAG.findall(SCRIPT_CALL.sub("", text)))
+
+
+def _script_flags(text: str) -> set:
+    """(script, flag) for every flag quoted after a script path."""
+    return {(script, flag) for script, rest in SCRIPT_CALL.findall(text)
+            for flag in FLAG.findall(rest)}
 
 
 class TestReferencedFilesExist:
@@ -101,7 +117,7 @@ class TestObservabilityDocs:
                                      "docs/serving.md"])
     def test_documented_cli_flags_exist(self, doc):
         cli_source = (ROOT / "src" / "repro" / "cli.py").read_text()
-        for flag in sorted(set(re.findall(r"(--[a-z][\w-]+)", _read(doc)))):
+        for flag in sorted(_cli_flags(_read(doc))):
             assert f'"{flag}"' in cli_source, (
                 f"{doc} documents unknown CLI flag {flag}"
             )
@@ -180,15 +196,9 @@ class TestFleetDocs:
                 "does not resolve"
 
     def test_documented_flags_exist(self):
-        # Fleet flags live in cli.py; the bench's --check lives in
-        # tools/bench_fleet.py.
-        sources = (
-            (ROOT / "src" / "repro" / "cli.py").read_text()
-            + (ROOT / "tools" / "bench_fleet.py").read_text()
-        )
-        for flag in sorted(set(re.findall(r"(--[a-z][\w-]+)",
-                                          _read("docs/fleet.md")))):
-            assert f'"{flag}"' in sources, (
+        cli_source = (ROOT / "src" / "repro" / "cli.py").read_text()
+        for flag in sorted(_cli_flags(_read("docs/fleet.md"))):
+            assert f'"{flag}"' in cli_source, (
                 f"docs/fleet.md documents unknown flag {flag}"
             )
 
@@ -229,6 +239,26 @@ class TestFleetDocs:
             stem = field.name.split("_")[0]
             assert stem in text, (
                 f"docs/fleet.md does not document WavePolicy.{field.name}"
+            )
+
+
+TOOL_FLAG_SOURCES = ["README.md", "DESIGN.md"] + sorted(
+    str(path.relative_to(ROOT))
+    for pattern in ("docs/*.md", "benchmarks/*.py")
+    for path in ROOT.glob(pattern)
+)
+
+
+class TestToolFlags:
+    """Every ``tools/<x>.py --flag`` (or ``bench/<x>.py --flag``) the
+    docs quote names a flag that script defines."""
+
+    @pytest.mark.parametrize("doc", TOOL_FLAG_SOURCES)
+    def test_documented_tool_flags_exist(self, doc):
+        for script, flag in sorted(_script_flags(_read(doc))):
+            source = (ROOT / script).read_text()
+            assert f'"{flag}"' in source, (
+                f"{doc} quotes {script} {flag}, which {script} does not define"
             )
 
 

@@ -194,7 +194,7 @@ class TestNodeIndex:
         sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
         assert sim._node_index["x86"] is sim.nodes[1]
         job = Job(JobSpec("is", "A", 2), 0.0)
-        sim._start(job, sim.nodes[0])
+        sim.start_job(job, sim.nodes[0])
         assert sim._node_of(job) is sim.nodes[0]
 
     def test_unknown_machine_raises(self):

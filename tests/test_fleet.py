@@ -3,7 +3,7 @@
 import pytest
 
 from repro import validate
-from repro.datacenter.job import JobSpec
+from repro.datacenter.job import JobSpec, migration_penalty
 from repro.faults import (
     FaultSchedule,
     LinkDegradation,
@@ -18,7 +18,7 @@ from repro.fleet import (
     node_name,
     render_result,
 )
-from repro.fleet.model import parse_node_name, service_migration_cost
+from repro.fleet.model import parse_node_name
 from repro.fleet.waves import plan_counts
 from repro.serving import make_trace
 from repro.sim.rng import DeterministicRng
@@ -115,8 +115,8 @@ class TestFleetConfig:
 
     def test_migration_cost_positive_and_bw_sensitive(self):
         spec = JobSpec("is", "A", 2)
-        fast = service_migration_cost(spec, 8e9)
-        slow = service_migration_cost(spec, 2e9)
+        fast = migration_penalty(spec, 8e9)
+        slow = migration_penalty(spec, 2e9)
         assert 0 < fast < slow
 
     def test_node_names_roundtrip(self):

@@ -324,7 +324,7 @@ class TestServingEngine:
     def test_warmup_surcharge_after_commit(self):
         engine, result = _run(requests=8000)
         warmed = [r for r in engine.completed if r.warmup_extra_s > 0]
-        assert len(warmed) == engine.costs.warmup_requests * result.migrations
+        assert len(warmed) == engine.config.dsm_warmup_requests * result.migrations
 
     def test_unknown_start_machine_rejected(self):
         trace = make_trace("steady", DeterministicRng(1), requests=10)

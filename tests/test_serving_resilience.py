@@ -15,12 +15,12 @@ import pytest
 
 from repro import validate
 from repro.faults import (
+    ChaosHarness,
     DetectorConfig,
     FailureDetector,
     FaultSchedule,
     NodeCrash,
     NodeRepair,
-    ServingChaosHarness,
     ServingChaosScenario,
 )
 from repro.faults.chaos import COMPLETED, FAILED_LOUD
@@ -180,14 +180,7 @@ class TestEngineConfig:
     def test_warmup_requests_is_configurable(self):
         config = EngineConfig(dsm_warmup_requests=8)
         engine = _engine(config=config)
-        assert engine.costs.warmup_requests == 8
         assert engine.config.dsm_warmup_requests == 8
-
-    def test_defaults_mirror_legacy_kwargs(self):
-        engine = _engine(decision_period_s=0.1, rate_window_s=0.25)
-        assert engine.config.dsm_warmup_requests == 64
-        assert engine.config.decision_period_s == 0.1
-        assert engine.config.rate_window_s == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -588,7 +581,7 @@ class TestServingChaos:
         scenario = ServingChaosScenario(
             name="test.flash.qr", requests=1200, horizon_s=3.0
         )
-        return ServingChaosHarness(scenario).enumerate()
+        return ChaosHarness(scenario).enumerate()
 
     def test_no_violations(self, report):
         assert report.violations == []
@@ -615,19 +608,26 @@ class TestServingChaos:
         )
 
         def run():
-            rep = ServingChaosHarness(scenario).soak(6, seed=77)
+            rep = ChaosHarness(scenario).soak(6, seed=77)
             return [
                 (c.site.seq, c.victim, c.outcome) for c in rep.cases
             ]
 
-        assert run() == run()
-        assert len(run()) == 6
+        picks = run()
+        assert picks == run()
+        # Pinned: the soak stream name and the pick order are part of
+        # the harness contract (CI soak lines must not move silently).
+        assert picks == [
+            (905, X86, COMPLETED), (972, X86, COMPLETED),
+            (1876, X86, COMPLETED), (2081, ARM, COMPLETED),
+            (920, X86, COMPLETED), (2150, X86, COMPLETED),
+        ]
 
     def test_resilient_scenario_has_no_violations(self):
         scenario = ServingChaosScenario(
             name="test.res", requests=800, horizon_s=2.5, resilient=True
         )
-        report = ServingChaosHarness(scenario).enumerate()
+        report = ChaosHarness(scenario).enumerate()
         assert report.violations == []
 
 

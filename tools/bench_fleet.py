@@ -4,10 +4,9 @@ write ``BENCH_fleet.json``.
 
 Two cells:
 
-* ``wave/1k-nodes`` — the headline scale target from ROADMAP item 1: a
-  1024-node mixed-ISA fleet (512 x86-64 + 512 arm64), 1500 services,
-  one million jobs over a simulated day, migrated x86→ARM under the
-  canary/ramp wave policy.
+* ``wave/1k-nodes`` — the headline scale cell: a 1024-node mixed-ISA
+  fleet (512 x86-64 + 512 arm64), 1500 services, one million jobs over
+  a simulated day, migrated x86→ARM under the canary/ramp wave policy.
 * ``wave/faulted`` — a smaller fleet with node crashes and a link
   degradation mid-ramp, covering the evacuate-live and
   bandwidth-scaling paths.
@@ -16,18 +15,18 @@ The baseline has two kinds of fields:
 
 * **deterministic run facts** — trace checksum, result checksum, job /
   migration / SLO counters, energy totals.  These must be bit-identical
-  on every machine; ``--check`` diffs them against the committed
-  baseline and exits non-zero on drift (a silent behaviour change in
-  the fleet simulator, the wave policy, the traffic sampler, or the
-  cost models).
-* **throughput** — wall-clock seconds and simulated jobs per wall
-  second.  Informational: they vary with hardware and are never
-  compared.
+  on every machine; ``python3 bench/run.py --workload fleet-wave``
+  checks them on every pass (a silent behaviour change in the fleet
+  simulator, the wave policy, the traffic sampler, or the cost models
+  fails it).
+* **throughput** — wall-clock seconds of ``FleetSimulator.run`` (trace
+  generation excluded) and simulated jobs per wall second.
+  Informational: they vary with hardware and are never compared.
 
-Usage::
+This script only writes; it takes no arguments.  Rerun it after an
+intentional model change::
 
-    PYTHONPATH=src python tools/bench_fleet.py            # rewrite baseline
-    PYTHONPATH=src python tools/bench_fleet.py --check    # CI: diff facts
+    PYTHONPATH=src python tools/bench_fleet.py
 """
 
 import argparse
@@ -166,13 +165,8 @@ def run_sweep():
 
 
 def main(argv=None) -> int:
-    """Rewrite the baseline, or with ``--check`` diff and exit non-zero."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare deterministic facts against the "
-                        "committed baseline instead of rewriting it")
-    args = parser.parse_args(argv)
-
+    """Rewrite the baseline (any argument is an error: nothing to check)."""
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     facts, throughput = run_sweep()
     document = {
         "benchmark": "fleet migration wave",
@@ -196,27 +190,6 @@ def main(argv=None) -> int:
         "facts": facts,
         "throughput": throughput,
     }
-
-    if args.check:
-        if not BASELINE.exists():
-            print(f"error: {BASELINE.name} missing; run without --check",
-                  file=sys.stderr)
-            return 2
-        committed = json.loads(BASELINE.read_text())
-        drift = []
-        for cell, values in facts.items():
-            old = committed.get("facts", {}).get(cell)
-            if old != values:
-                drift.append(f"{cell}: {old} -> {values}")
-        if drift:
-            print("fleet baseline drift:")
-            for line in drift:
-                print(f"  {line}")
-            return 1
-        print(f"{BASELINE.name}: {len(facts)} cells match "
-              f"({throughput['jobs_per_wall_second']} jobs/s wall)")
-        return 0
-
     BASELINE.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {BASELINE.name}: {len(facts)} cells, "
           f"{throughput['jobs_per_wall_second']} jobs/s wall")

@@ -7,24 +7,26 @@ The baseline has two kinds of fields:
 * **deterministic run facts** — per-workload output checksums, exit
   codes, slice counts, simulated clocks and DSM transfer counts, all
   produced twice (exact interpreter and fast-forward engine) and
-  required to be identical before anything is written.  ``--check``
-  diffs them against the committed baseline and exits non-zero on
-  drift (a silent behaviour change in the IR, the compiler, either
-  engine, or a workload).
+  required to be identical before anything is written.
+  ``python3 bench/run.py --workload registry`` (and ``--workload
+  dispatch`` for the stress kernel) checks them on every pass.
 * **wall-clock timings** — exact vs fast wall seconds on the registry
   suite and on the dispatch-bound stress kernel
-  (:mod:`repro.workloads.interp_stress`), median of three.  The
-  registry suite is DSM-bound at golden scale, so its ratio mostly
-  reflects shared memory-system cost; the stress kernel isolates
-  per-instruction dispatch, which is the cost the fast engine removes,
-  and its speedup is the headline number.  ``--check`` enforces
-  ``SPEEDUP_FLOOR`` on the stress-kernel ratio — generous against CI
-  noise; the committed baseline records the measured value.
+  (:mod:`repro.workloads.interp_stress`), median of three.  A registry
+  run mixes dispatch with compile, boot and kernel work, so its ratio
+  understates the engine; the stress kernel isolates per-instruction
+  dispatch, which is the cost the fast engine removes, and its speedup
+  is the headline number.
+
+``--check`` runs only what the bench cannot: the stress kernel under
+both engines, requiring identical facts and a speedup of at least
+``SPEEDUP_FLOOR`` — generous against CI noise; the committed baseline
+records the measured value.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_interp.py            # rewrite baseline
-    PYTHONPATH=src python tools/bench_interp.py --check    # CI: diff facts
+    PYTHONPATH=src python tools/bench_interp.py --check    # CI: speedup floor
 """
 
 import argparse
@@ -128,10 +130,20 @@ def run_stress():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare deterministic facts against the "
-                        "committed baseline instead of rewriting it, and "
-                        "enforce the stress-kernel speedup floor")
+                        help="run only the stress kernel under both engines "
+                        "and enforce the speedup floor; writes nothing")
     args = parser.parse_args(argv)
+
+    if args.check:
+        _, stress_timing = run_stress()
+        speedup = stress_timing["speedup"]
+        if speedup < SPEEDUP_FLOOR:
+            print(f"error: fast-forward speedup {speedup}x below the "
+                  f"{SPEEDUP_FLOOR}x floor", file=sys.stderr)
+            return 1
+        print(f"stress kernel: engines agree, {speedup}x dispatch speedup "
+              f"(floor {SPEEDUP_FLOOR}x)")
+        return 0
 
     registry_facts, registry_wall = run_registry()
     stress_facts, stress_timing = run_stress()
@@ -152,42 +164,9 @@ def main(argv=None) -> int:
             "stress": stress_timing,
         },
     }
-
-    speedup = stress_timing["speedup"]
-    if args.check:
-        if not BASELINE.exists():
-            print(f"error: {BASELINE.name} missing; run without --check",
-                  file=sys.stderr)
-            return 2
-        committed = json.loads(BASELINE.read_text())
-        drift = []
-        committed_registry = committed.get("facts", {}).get("registry", {})
-        for cell, values in registry_facts.items():
-            if committed_registry.get(cell) != values:
-                drift.append(
-                    f"{cell}: {committed_registry.get(cell)} -> {values}"
-                )
-        if committed.get("facts", {}).get("stress") != stress_facts:
-            drift.append(
-                f"stress: {committed.get('facts', {}).get('stress')} "
-                f"-> {stress_facts}"
-            )
-        if drift:
-            print("interpreter baseline drift:")
-            for line in drift:
-                print(f"  {line}")
-            return 1
-        if speedup < SPEEDUP_FLOOR:
-            print(f"error: fast-forward speedup {speedup}x below the "
-                  f"{SPEEDUP_FLOOR}x floor", file=sys.stderr)
-            return 1
-        print(f"{BASELINE.name}: {len(registry_facts)} registry cells + "
-              f"stress kernel match ({speedup}x dispatch speedup)")
-        return 0
-
     BASELINE.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {BASELINE.name}: {len(registry_facts)} registry cells, "
-          f"stress speedup {speedup}x")
+          f"stress speedup {stress_timing['speedup']}x")
     return 0
 
 

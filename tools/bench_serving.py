@@ -6,17 +6,17 @@ The baseline has two kinds of fields:
 
 * **deterministic run facts** — trace checksums, p99 latencies, SLO
   violations, hand-off counts.  These must be bit-identical on every
-  machine; ``--check`` diffs them against the committed baseline and
-  exits non-zero on drift (a silent behaviour change in the engine,
-  the traffic sampler, or the cost model).
+  machine; ``python3 bench/run.py --workload serving-sweep`` checks
+  them on every pass (a silent behaviour change in the engine, the
+  traffic sampler, or the cost model fails it).
 * **throughput** — wall-clock seconds and simulated requests processed
   per wall second.  Informational: they vary with hardware and are
   never compared.
 
-Usage::
+This script only writes; it takes no arguments.  Rerun it after an
+intentional model change::
 
-    PYTHONPATH=src python tools/bench_serving.py            # rewrite baseline
-    PYTHONPATH=src python tools/bench_serving.py --check    # CI: diff facts
+    PYTHONPATH=src python tools/bench_serving.py
 """
 
 import argparse
@@ -144,12 +144,8 @@ def run_sweep():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare deterministic facts against the "
-                        "committed baseline instead of rewriting it")
-    args = parser.parse_args(argv)
-
+    """Rewrite the baseline (any argument is an error: nothing to check)."""
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     facts, throughput = run_sweep()
     document = {
         "benchmark": "serving policy sweep",
@@ -163,27 +159,6 @@ def main(argv=None) -> int:
         "facts": facts,
         "throughput": throughput,
     }
-
-    if args.check:
-        if not BASELINE.exists():
-            print(f"error: {BASELINE.name} missing; run without --check",
-                  file=sys.stderr)
-            return 2
-        committed = json.loads(BASELINE.read_text())
-        drift = []
-        for cell, values in facts.items():
-            old = committed.get("facts", {}).get(cell)
-            if old != values:
-                drift.append(f"{cell}: {old} -> {values}")
-        if drift:
-            print("serving baseline drift:")
-            for line in drift:
-                print(f"  {line}")
-            return 1
-        print(f"{BASELINE.name}: {len(facts)} cells match "
-              f"({throughput['requests_per_wall_second']} req/s wall)")
-        return 0
-
     BASELINE.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {BASELINE.name}: {len(facts)} cells, "
           f"{throughput['requests_per_wall_second']} req/s wall")
