@@ -14,7 +14,7 @@ Usage (also available as ``python -m repro``)::
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import Table, format_series
 from repro.compiler import Toolchain
@@ -29,6 +29,70 @@ def _add_workload_args(parser, with_threads=True):
         parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--scale", type=float, default=0.01,
                         help="instruction-budget scale (1.0 = full size)")
+
+
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _add_fault_args(parser, span: str, detector: bool = True) -> None:
+    """The crash flags ``faults``, ``serve`` and ``fleet`` share:
+    ``--crash-at`` / ``--repair-after`` (defaults: 40% / 30% of
+    ``span``) and, with ``detector``, ``--permanent`` plus the
+    heartbeat/lease failure detector's flags.  Bad values exit 2."""
+    parser.add_argument("--crash-at", type=_non_negative, default=None,
+                        metavar="T", help="crash time in seconds "
+                        f"(default: 40%% of {span})")
+    parser.add_argument("--repair-after", type=_positive, default=None,
+                        metavar="T", help="repair delay in seconds "
+                        f"(default: 30%% of {span})")
+    if not detector:
+        return
+    parser.add_argument("--permanent", action="store_true",
+                        help="the crashed node never comes back")
+    parser.add_argument("--detector", action="store_true",
+                        help="detect crashes with a heartbeat/lease "
+                        "failure detector (measured MTTD, false "
+                        "suspicions and confirms, fencing) instead of "
+                        "omniscient instant recovery")
+    parser.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
+                        help="detector heartbeat period in seconds")
+    parser.add_argument("--lease", type=float, default=1.5, metavar="S",
+                        help="suspicion-to-confirm lease in seconds")
+
+
+def _make_detector(args):
+    """The failure detector ``--detector`` asks for, else None."""
+    if not args.detector:
+        return None
+    from repro.faults import DetectorConfig, FailureDetector
+
+    return FailureDetector(DetectorConfig(
+        heartbeat_period_s=args.heartbeat, lease_s=args.lease,
+    ))
+
+
+def _crash_times(
+    args, span: float, crash_at: Optional[float] = None
+) -> Tuple[float, float]:
+    """(crash time, repair delay): the flags' values, else ``crash_at``
+    (or 40% of ``span``) and 30% of ``span``."""
+    if args.crash_at is not None:
+        crash_at = args.crash_at
+    elif crash_at is None:
+        crash_at = 0.4 * span
+    repair = args.repair_after if args.repair_after is not None else 0.3 * span
+    return crash_at, repair
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,27 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=1200)
     faults.add_argument("--crash", default="x86", choices=("x86", "arm"),
                         help="which node dies")
-    faults.add_argument("--crash-at", type=float, default=None, metavar="T",
-                        help="crash time in seconds (default: 40%% of the "
-                        "fault-free makespan)")
-    faults.add_argument("--repair-after", type=float, default=None,
-                        metavar="T", help="repair delay in seconds "
-                        "(default: 30%% of the fault-free makespan)")
-    faults.add_argument("--permanent", action="store_true",
-                        help="the node never comes back")
-    faults.add_argument("--checkpoint-interval", type=float, default=60.0)
+    _add_fault_args(faults, "the fault-free makespan")
+    faults.add_argument("--checkpoint-interval", type=_positive, default=60.0)
     faults.add_argument("--trace", action="store_true",
                         help="print the fault timelines")
-    faults.add_argument("--detector", action="store_true",
-                        help="detect crashes with a heartbeat/lease "
-                        "failure detector (measured MTTD, false "
-                        "suspicions, fencing) and run evacuations as "
-                        "two-phase hand-offs instead of omniscient "
-                        "instant recovery")
-    faults.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
-                        help="detector heartbeat period in seconds")
-    faults.add_argument("--lease", type=float, default=1.5, metavar="S",
-                        help="suspicion-to-confirm lease in seconds")
 
     serve = sub.add_parser(
         "serve", help="open-loop serving: run a KV workload under a "
@@ -195,23 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--crash", default="arm", choices=("x86", "arm"),
                        help="which node dies (default: arm — the "
                        "latency-aware policy's home)")
-    serve.add_argument("--crash-at", type=float, default=None, metavar="T",
-                       help="crash time in seconds (default: 40%% of the "
-                       "trace horizon)")
-    serve.add_argument("--repair-after", type=float, default=None,
-                       metavar="T", help="repair delay in seconds "
-                       "(default: 30%% of the trace horizon)")
-    serve.add_argument("--permanent", action="store_true",
-                       help="the crashed node never comes back")
-    serve.add_argument("--detector", action="store_true",
-                       help="detect the crash with the heartbeat/lease "
-                       "failure detector (measured MTTD, false "
-                       "suspicions/confirms in the report) instead of "
-                       "omniscient instant failover")
-    serve.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
-                       help="detector heartbeat period in seconds")
-    serve.add_argument("--lease", type=float, default=1.5, metavar="S",
-                       help="suspicion-to-confirm lease in seconds")
+    _add_fault_args(serve, "the trace horizon")
     serve.add_argument("--resilient", action="store_true",
                        help="attach the resilience layer: request "
                        "deadlines, crash replays under a retry budget, "
@@ -260,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--crash", type=int, default=None, metavar="IDX",
                        help="crash fleet node IDX mid-run (evacuate-live "
                        "failover; repairs after --repair-after)")
-    fleet.add_argument("--crash-at", type=float, default=None, metavar="T",
-                       help="crash time (default: 40%% of the horizon)")
-    fleet.add_argument("--repair-after", type=float, default=None,
-                       metavar="T", help="repair delay (default: 30%% of "
-                       "the horizon)")
+    _add_fault_args(fleet, "the horizon", detector=False)
     fleet.add_argument("--nested", action="store_true",
                        help="price service durations by running each "
                        "(workload, ISA) pair on a real nested "
@@ -652,30 +679,14 @@ def cmd_faults(args) -> int:
     from repro.machine import make_xeon_e5_1650v2, make_xgene1
     from repro.sim.rng import DeterministicRng
 
-    if args.checkpoint_interval <= 0:
-        print("error: --checkpoint-interval must be positive")
-        return 2
-    if args.crash_at is not None and args.crash_at < 0:
-        print("error: --crash-at must be non-negative")
-        return 2
-    if args.repair_after is not None and args.repair_after <= 0:
-        print("error: --repair-after must be positive")
-        return 2
-
     def machines():
         return [make_xgene1("arm"), make_xeon_e5_1650v2("x86")]
 
     def run(faults=None, recovery=None):
-        detector = None
-        if args.detector and faults is not None:
-            from repro.faults import DetectorConfig, FailureDetector
-
-            detector = FailureDetector(DetectorConfig(
-                heartbeat_period_s=args.heartbeat, lease_s=args.lease,
-            ))
         sim = ClusterSimulator(
             machines(), make_policy("dynamic-balanced"),
-            faults=faults, recovery=recovery, detector=detector,
+            faults=faults, recovery=recovery,
+            detector=_make_detector(args) if faults is not None else None,
         )
         if args.pattern == "sustained":
             specs, conc = sustained_backfill(
@@ -685,19 +696,13 @@ def cmd_faults(args) -> int:
         return sim.run_periodic(periodic_waves(DeterministicRng(args.seed)))
 
     fault_free = run()
-    if args.crash_at is not None:
-        crash_at = args.crash_at
-    elif args.pattern == "periodic":
+    mid_wave = None
+    if args.pattern == "periodic":
         # A fraction of the makespan often falls into an idle gap
         # between waves; crash while the cluster is provably busy.
         waves = sorted({t for t, _ in periodic_waves(DeterministicRng(args.seed))})
-        crash_at = waves[len(waves) // 2] + 5.0
-    else:
-        crash_at = fault_free.makespan * 0.4
-    repair_after = (
-        args.repair_after if args.repair_after is not None
-        else fault_free.makespan * 0.3
-    )
+        mid_wave = waves[len(waves) // 2] + 5.0
+    crash_at, repair_after = _crash_times(args, fault_free.makespan, mid_wave)
     schedule = single_crash(
         crash_at, args.crash,
         repair_seconds=repair_after, permanent=args.permanent,
@@ -755,34 +760,20 @@ def cmd_serve(args) -> int:
     slo_s = DEFAULT_SLO_S if args.slo_ms is None else args.slo_ms / 1e3
     tracer = Tracer()
     faults = None
-    detector = None
     if args.faults:
         from repro.faults import FaultSchedule, NodeCrash
 
-        crash_at = (
-            args.crash_at if args.crash_at is not None else 0.4 * args.horizon
-        )
-        repair = (
-            args.repair_after
-            if args.repair_after is not None
-            else 0.3 * args.horizon
-        )
+        crash_at, repair = _crash_times(args, args.horizon)
         faults = FaultSchedule([
             NodeCrash(
                 time=crash_at, node=_machine_name(args.crash),
                 permanent=args.permanent, repair_seconds=repair,
             )
         ])
-    if args.detector:
-        from repro.faults import DetectorConfig, FailureDetector
-
-        detector = FailureDetector(DetectorConfig(
-            heartbeat_period_s=args.heartbeat, lease_s=args.lease,
-        ))
     engine = ServingEngine(
         make_serving_policy(args.policy), trace,
         workload=args.workload, cls=args.cls, slo_s=slo_s, tracer=tracer,
-        faults=faults, detector=detector,
+        faults=faults, detector=_make_detector(args),
         resilience=default_resilience(slo_s) if args.resilient else None,
         rng=DeterministicRng(args.seed),
     )
@@ -906,14 +897,7 @@ def cmd_fleet(args) -> int:
     if args.crash is not None:
         from repro.faults import FaultSchedule, NodeCrash
 
-        crash_at = (
-            args.crash_at if args.crash_at is not None
-            else 0.4 * args.horizon
-        )
-        repair = (
-            args.repair_after if args.repair_after is not None
-            else 0.3 * args.horizon
-        )
+        crash_at, repair = _crash_times(args, args.horizon)
         faults = FaultSchedule([
             NodeCrash(
                 time=crash_at, node=node_name(args.crash),

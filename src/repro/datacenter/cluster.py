@@ -33,7 +33,10 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import validate
 from repro.datacenter.energy import RunResult
-from repro.datacenter.job import Job, JobSpec, JobState, job_duration, migration_penalty
+from repro.datacenter.job import (
+    DEFAULT_INTERCONNECT_BW, Job, JobSpec, JobState, job_duration,
+    migration_penalty,
+)
 from repro.datacenter.policies import SchedulingPolicy
 from repro.faults.detector import SUSPECT, UNSUSPECT
 from repro.faults.membership import DEAD, REJOIN, Membership
@@ -49,8 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.detector import FailureDetector
     from repro.faults.inject import FaultSchedule
     from repro.faults.recovery import RecoveryPolicy
-
-DEFAULT_INTERCONNECT_BW = 64e9 / 8  # Dolphin PXH810
 
 
 @dataclass
@@ -116,7 +117,6 @@ class ClusterSimulator:
         faults: Optional["FaultSchedule"] = None,
         recovery: Optional["RecoveryPolicy"] = None,
         detector: Optional["FailureDetector"] = None,
-        two_phase: Optional[bool] = None,
         tracer=None,
         clock: Optional[Clock] = None,
         nested: Optional["NestedNodeSampler"] = None,
@@ -168,13 +168,12 @@ class ClusterSimulator:
             raise ValueError(f"nested_nodes name unknown nodes {sorted(unknown)}")
 
         # ---- fault machinery (inert when no schedule is attached) ----
-        self.recovery = recovery
-        if self.recovery is None and faults is not None:
-            from repro.faults.recovery import EvacuateLive
+        if recovery is None:
+            from repro.faults.recovery import EvacuateLive, FailStop
 
-            self.recovery = EvacuateLive()
-        if self.recovery is not None:
-            self.recovery.reset()
+            recovery = EvacuateLive() if faults is not None else FailStop()
+        self.recovery = recovery
+        self.recovery.reset()
         self.fault_log = FaultLog()
         if faults is not None:
             for event in faults:
@@ -191,15 +190,13 @@ class ClusterSimulator:
         # ---- failure detection & two-phase hand-off (inert when off) ----
         # With a detector, crashes are *detected* (heartbeats + lease)
         # instead of known omnisciently: a crashed node's jobs sit in
-        # _undetected until the detector confirms the death.  Liveness,
-        # fences and reachability live in the shared membership view.
+        # _undetected until the detector confirms the death, and
+        # evacuations run as two-phase hand-offs.  Liveness, fences and
+        # reachability live in the shared membership view.
         self.detector = detector
         self.membership = Membership([n.name for n in self.nodes], detector)
         #: node name -> up (alive and unfenced): the membership's map.
         self._up = self.membership.up
-        self.two_phase = (
-            bool(two_phase) if two_phase is not None else detector is not None
-        )
         self._undetected: Dict[str, List[Job]] = {}
         self._in_flight: List[Handoff] = []
         self.handoffs = 0
@@ -333,14 +330,7 @@ class ClusterSimulator:
                 )
                 continue
             src.jobs.remove(job)
-            penalty = migration_penalty(job.spec, self.effective_bandwidth())
-            extra = penalty / self.duration_on(job.spec, dst)
-            job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
-            job.machine = dst.name
-            job.migrations += 1
-            dst.jobs.append(job)
-            self.migrations += 1
-            self.overhead_seconds += penalty
+            penalty = self.migrate(job, dst)
             if self.tracer is not None:
                 self.tracer.complete(
                     "sched.rebalance", "sched", self.now, penalty,
@@ -351,6 +341,25 @@ class ClusterSimulator:
                 self.tracer.metrics.histogram(
                     "sched.rebalance_s"
                 ).observe(penalty)
+
+    def migrate(self, job: Job, dst: MachineNode) -> float:
+        """Move ``job`` onto ``dst`` in one step (no hand-off): price
+        the move at the effective bandwidth, charge the penalty as extra
+        work, rebind the job and count it.  Returns the penalty."""
+        penalty = migration_penalty(job.spec, self.effective_bandwidth())
+        self.charge(job, dst, penalty)
+        job.machine = dst.name
+        dst.jobs.append(job)
+        job.migrations += 1
+        self.migrations += 1
+        return penalty
+
+    def charge(self, job: Job, node: MachineNode, seconds: float) -> None:
+        """Owe ``seconds`` of overhead as extra work for ``job`` on
+        ``node`` (capped at a full rerun)."""
+        extra = seconds / self.duration_on(job.spec, node)
+        job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
+        self.overhead_seconds += seconds
 
     def _next_completion_dt(self) -> Optional[float]:
         best: Optional[float] = None
@@ -407,7 +416,7 @@ class ClusterSimulator:
             applied = True
         if applied and self._in_flight:
             self._pump_handoffs()
-        if applied and self.parked and self.recovery is not None:
+        if applied and self.parked:
             self.recovery.try_unpark(self)
         return applied
 
@@ -496,11 +505,8 @@ class ClusterSimulator:
                 # Nobody knows yet: the jobs are in limbo until the
                 # detector confirms the death (that latency is the MTTD).
                 self._undetected[node.name] = victims
-            elif self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
             else:
-                for job in victims:
-                    self.lose_job(job)
+                self.recovery.on_crash(self, node, victims)
 
     def _apply_repair(self, name: str) -> None:
         node = self._node_index[name]
@@ -513,11 +519,7 @@ class ClusterSimulator:
             # Repaired before the detector ever confirmed the crash —
             # the node is back but its memory is gone, so the victims
             # enter recovery only now.
-            if self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
-            else:
-                for job in victims:
-                    self.lose_job(job)
+            self.recovery.on_crash(self, node, victims)
 
     # --------------------------------------- failure detection rounds
 
@@ -566,11 +568,7 @@ class ClusterSimulator:
                 detail="lease expired on a live node (false confirm)",
             )
         if victims:
-            if self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
-            else:
-                for job in victims:
-                    self.lose_job(job)
+            self.recovery.on_crash(self, node, victims)
         if self._in_flight:
             self._pump_handoffs()
 
@@ -589,7 +587,7 @@ class ClusterSimulator:
         self.fault_log.record(
             self.now, "rejoin", node=name, detail="fenced node heard again"
         )
-        if self.parked and self.recovery is not None:
+        if self.parked:
             self.recovery.try_unpark(self)
 
     # ------------------------------------------- two-phase job hand-off
@@ -754,10 +752,6 @@ class ClusterSimulator:
         self.parked = []
         return lost
 
-    def _post_advance(self) -> None:
-        if self.recovery is not None:
-            self.recovery.note_progress(self)
-
     # ------------------------------------------------------ experiment
 
     def run_sustained(self, specs: List[JobSpec], concurrency: int) -> RunResult:
@@ -788,7 +782,7 @@ class ClusterSimulator:
                 break
             dt = min(candidates)
             self._advance(dt)
-            self._post_advance()
+            self.recovery.note_progress(self)
             done = self._collect_finished()
             in_flight -= len(done)
             lost_before = self.jobs_lost
@@ -839,7 +833,7 @@ class ClusterSimulator:
                 break
             dt = max(min(candidates), 0.0)
             self._advance(dt)
-            self._post_advance()
+            self.recovery.note_progress(self)
             changed = bool(self._collect_finished())
             if self._apply_due_faults():
                 changed = True

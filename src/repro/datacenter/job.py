@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine
 from repro.workloads import profile_for
 from repro.workloads.base import BenchProfile
@@ -68,8 +69,6 @@ class Job:
         self.machine: Optional[str] = None
         # Fraction of total demand still to execute (1 -> 0).
         self.remaining_fraction = 1.0
-        # Extra seconds owed (migration penalties), machine-agnostic.
-        self.penalty_seconds = 0.0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.migrations = 0
@@ -91,6 +90,29 @@ class Job:
         return f"Job#{self.job_id}({self.spec}, {self.state.value})"
 
 
+#: Interconnect bandwidth every simulator prices migrations at when
+#: no fault degrades it: the Dolphin PXH810 link.
+DEFAULT_INTERCONNECT_BW = make_dolphin_pxh810().bandwidth_bytes_per_s
+
+# The one migration price table.  ``migration_penalty`` (cluster and
+# fleet jobs) and the serving hand-off's blackout phases and warm-up
+# surcharges read these components, so all three simulators price a
+# move from the same numbers.
+#: Reaching the next migration point: half a 50M-instruction quantum.
+RESPONSE_S = 0.010
+#: Stack transformation, per thread.
+TRANSFORM_S = 0.0006
+#: The resume-token hand-off message, per thread.
+HANDOFF_S = 0.0002
+#: Replicated proc-table write (serving PUBLISH).
+PUBLISH_S = 0.0002
+#: Destination rebind (serving COMMIT).
+COMMIT_S = 0.0001
+#: Share of the working set a serving TRANSFER pushes eagerly; the
+#: rest is pulled on demand after COMMIT.
+HOT_FRACTION = 0.1
+
+
 def migration_penalty(spec: JobSpec, interconnect_bw: float) -> float:
     """Seconds a migration costs a job.
 
@@ -99,9 +121,9 @@ def migration_penalty(spec: JobSpec, interconnect_bw: float) -> float:
     every thread, the kernel hand-off, and the post-migration DSM
     working-set pull at interconnect bandwidth.
     """
-    response = 0.010  # ~half a 50M-instruction quantum
-    transform = 0.0006 * spec.threads
-    handoff = 0.0002 * spec.threads
+    response = RESPONSE_S
+    transform = TRANSFORM_S * spec.threads
+    handoff = HANDOFF_S * spec.threads
     footprint = spec.profile().params(spec.cls).footprint_bytes
     dsm_pull = footprint / interconnect_bw
     return response + transform + handoff + dsm_pull

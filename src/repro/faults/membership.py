@@ -1,8 +1,8 @@
 """One membership view: who is up, who is fenced, who is heard.
 
 Every simulator that injects faults needs the same three layers of
-liveness, and the cluster and serving simulators used to keep each of
-them by hand:
+liveness, and the cluster, serving and fleet simulators used to keep
+each of them by hand:
 
 * **ground truth** — a node is *alive* until a crash takes it and
   again once a repair brings it back (:meth:`Membership.crash`,
@@ -22,6 +22,13 @@ alive and unfenced.  Simulators keep their own reactions to each
 transition (re-placing jobs, failing a service over, logging, tracing)
 and ask the view for the state.
 
+Node ids are any hashable value (mutually comparable, where verdicts
+and partition cells sort them): the cluster and serving simulators
+name machines (``"x86"``), the fleet keys its thousands of nodes by
+index.  The fleet uses ground truth and degradation windows
+only — no detector (a crash is known the instant it happens) and no
+partitions.
+
 The *observer* is whoever renders verdicts.  By default the nodes
 observe each other and the majority's view counts: the largest
 partition cell (ties break toward the cell holding the smallest node
@@ -31,7 +38,8 @@ island, so a node inside any island goes unheard.
 """
 
 from typing import (
-    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.faults.detector import CONFIRM, FailureDetector
@@ -43,6 +51,10 @@ FENCE = "fence"
 REJOIN = "rejoin"
 
 
+#: A node id: any hashable value (a machine name, a fleet index).
+Node = Hashable
+
+
 def _mean(samples: List[float]) -> float:
     return sum(samples) / len(samples) if samples else 0.0
 
@@ -52,38 +64,38 @@ class Membership:
 
     def __init__(
         self,
-        nodes: Sequence[str],
+        nodes: Sequence[Node],
         detector: Optional[FailureDetector] = None,
-        observer: Optional[str] = None,
+        observer: Optional[Node] = None,
     ):
-        self.nodes: Tuple[str, ...] = tuple(nodes)
+        self.nodes: Tuple[Node, ...] = tuple(nodes)
         self.detector = detector
         self.observer = observer
         #: node -> alive and unfenced.  Read-only for callers; hot
         #: loops may keep a reference to the dict.
-        self.up: Dict[str, bool] = dict.fromkeys(self.nodes, True)
+        self.up: Dict[Node, bool] = dict.fromkeys(self.nodes, True)
         #: Nodes confirmed dead (rightly or not), until repair/rejoin.
-        self.fenced: Set[str] = set()
+        self.fenced: Set[Node] = set()
         #: Active partition islands and degradation windows.
-        self.islands: List[Tuple[str, ...]] = []
+        self.islands: List[Tuple[Node, ...]] = []
         self.degradations: List = []
         self.mttd_samples: List[float] = []
         self.mttr_samples: List[float] = []
-        self._crashed_at: Dict[str, float] = {}
+        self._crashed_at: Dict[Node, float] = {}
         if detector is not None:
             detector.reset(list(self.nodes), now=0.0)
 
     # -------------------------------------------------------- queries
 
-    def alive(self, node: str) -> bool:
+    def alive(self, node: Node) -> bool:
         """Ground truth; the protocol itself never reads it."""
         return node not in self._crashed_at
 
-    def crashed_at(self, node: str) -> Optional[float]:
+    def crashed_at(self, node: Node) -> Optional[float]:
         """When the dead ``node`` crashed (``None`` while alive)."""
         return self._crashed_at.get(node)
 
-    def ostracised(self) -> List[str]:
+    def ostracised(self) -> List[Node]:
         """Fenced nodes that are still alive, sorted: they rejoin once
         the observer hears them again."""
         return [n for n in sorted(self.fenced) if n not in self._crashed_at]
@@ -95,7 +107,7 @@ class Membership:
             detector is not None and detector.pending()
         )
 
-    def reachable(self, a: str, b: str) -> bool:
+    def reachable(self, a: Node, b: Node) -> bool:
         """Can ``a`` and ``b`` exchange messages right now?"""
         for island in self.islands:
             if (a in island) != (b in island):
@@ -103,7 +115,8 @@ class Membership:
         return True
 
     def bandwidth(self, base: float) -> float:
-        """``base`` interconnect bandwidth under the active windows."""
+        """``base`` interconnect bandwidth under the active windows:
+        overlapping windows compound as a product."""
         for degradation in self.degradations:
             base *= degradation.bandwidth_factor
         return base
@@ -118,7 +131,7 @@ class Membership:
         """Mean crash-to-repair time (0.0 before any repair)."""
         return _mean(self.mttr_samples)
 
-    def _observer_cell(self) -> Optional[FrozenSet[str]]:
+    def _observer_cell(self) -> Optional[FrozenSet[Node]]:
         """The nodes the observer can reach (``None``: everyone)."""
         if not self.islands:
             return None
@@ -132,7 +145,7 @@ class Membership:
         }
         return min(cells, key=lambda c: (-len(c), min(c)))
 
-    def _heard(self) -> Dict[str, bool]:
+    def _heard(self) -> Dict[Node, bool]:
         """Whose heartbeat reaches the observer in time this instant."""
         if self.detector is not None:
             stretch = 1.0
@@ -149,7 +162,7 @@ class Membership:
 
     # -------------------------------------------------- ground truth
 
-    def crash(self, node: str, now: float) -> bool:
+    def crash(self, node: Node, now: float) -> bool:
         """``node`` dies at ``now``; False if it was already dead."""
         if node in self._crashed_at:
             return False
@@ -157,7 +170,7 @@ class Membership:
         self.up[node] = False
         return True
 
-    def repair(self, node: str, now: float) -> bool:
+    def repair(self, node: Node, now: float) -> bool:
         """``node`` comes back clean (a dead node restarts, a fenced
         one is rebooted out of its fence); False if it was up."""
         if self.up[node]:
@@ -170,7 +183,7 @@ class Membership:
 
     # ------------------------------------------------------ verdicts
 
-    def confirm(self, node: str, now: float) -> str:
+    def confirm(self, node: Node, now: float) -> str:
         """Act on a death verdict: fence ``node``.  Returns DEAD for a
         real crash (sampling its MTTD) and FENCE for a live node."""
         self.fenced.add(node)
@@ -181,7 +194,7 @@ class Membership:
         self.mttd_samples.append(now - crashed_at)
         return DEAD
 
-    def heartbeat(self, now: float) -> Iterator[Tuple[str, str]]:
+    def heartbeat(self, now: float) -> Iterator[Tuple[str, Node]]:
         """One detector round as ``(event, node)`` pairs, in order.
 
         Every fenced live node the observer hears again rejoins first
@@ -200,18 +213,18 @@ class Membership:
                 event = self.confirm(node, now)
             yield event, node
 
-    def rejoins(self, now: float) -> Iterator[str]:
+    def rejoins(self, now: float) -> Iterator[Node]:
         """Rejoin every fenced live node heard right now (after a
         partition heals or a degradation window ends)."""
         return self._rejoin(now, self._heard())
 
-    def _rejoin(self, now: float, heard: Dict[str, bool]) -> Iterator[str]:
+    def _rejoin(self, now: float, heard: Dict[Node, bool]) -> Iterator[Node]:
         for node in sorted(self.fenced):
             if node not in self._crashed_at and heard[node]:
                 self._unfence(node, now)
                 yield node
 
-    def _unfence(self, node: str, now: float) -> None:
+    def _unfence(self, node: Node, now: float) -> None:
         self.fenced.discard(node)
         self.up[node] = node not in self._crashed_at
         if self.detector is not None:

@@ -23,7 +23,7 @@ Two strategies reproduce the paper's head-to-head framing:
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.datacenter.job import Job, JobState, migration_penalty
+from repro.datacenter.job import Job, JobState
 from repro.kernel.checkpoint import CrossIsaRestoreError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +60,7 @@ class RecoveryPolicy:
         for job, required_isa in sim.parked:
             targets = [
                 n
-                for n in _placement_nodes(sim)
+                for n in sim.placement_nodes()
                 if required_isa is None or n.isa_name == required_isa
             ]
             if not targets:
@@ -75,15 +75,6 @@ class RecoveryPolicy:
         sim.start_job(job, sim.policy.place(job, targets))
 
 
-def _placement_nodes(sim) -> List["MachineNode"]:
-    """Nodes safe to place on: with a failure detector attached the
-    simulator excludes suspected/fenced nodes; otherwise all live ones."""
-    nodes = getattr(sim, "placement_nodes", None)
-    if nodes is not None:
-        return nodes()
-    return sim.live_nodes()
-
-
 class FailStop(RecoveryPolicy):
     """Explicit alias of the base behaviour, for comparisons."""
 
@@ -96,34 +87,26 @@ class EvacuateLive(RecoveryPolicy):
     name = "evacuate-live"
 
     def on_crash(self, sim, node, jobs):
-        two_phase = getattr(sim, "two_phase", False)
         for job in jobs:
             live = [
                 n
-                for n in _placement_nodes(sim)
+                for n in sim.placement_nodes()
                 if sim.reachable(node.name, n.name)
             ]
             if not live:
                 sim.park(job, None, reason="no reachable node to evacuate to")
                 continue
             dst = sim.policy.place(job, live)
-            if two_phase:
+            if sim.detector is not None:
                 # Crash-consistent hand-off: PREPARE now, COMMIT only
                 # once the transfer lands on a still-alive destination
                 # (the simulator aborts and re-places on a mid-flight
                 # destination death).
                 sim.begin_handoff(job, node.name, dst, "evacuate")
                 continue
-            penalty = migration_penalty(job.spec, sim.effective_bandwidth())
-            extra = penalty / sim.duration_on(job.spec, dst)
-            job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
-            job.machine = dst.name
-            dst.jobs.append(job)
-            job.migrations += 1
+            penalty = sim.migrate(job, dst)
             job.evacuations += 1
-            sim.migrations += 1
             sim.jobs_evacuated += 1
-            sim.overhead_seconds += penalty
             sim.fault_log.record(
                 sim.now,
                 "evacuate",
@@ -201,7 +184,7 @@ class CheckpointRestart(RecoveryPolicy):
             self._restore(sim, job, image_isa)
 
     def _restore(self, sim, job: Job, image_isa: str) -> None:
-        live = _placement_nodes(sim)
+        live = sim.placement_nodes()
         same_isa = [n for n in live if n.isa_name == image_isa]
         if same_isa:
             self.place_recovered(sim, job, same_isa)
@@ -233,11 +216,9 @@ class CheckpointRestart(RecoveryPolicy):
         dst = sim.policy.place(job, targets)
         downtime = self._restore_downtime(sim, job)
         sim.start_job(job, dst)
-        extra = downtime / sim.duration_on(job.spec, dst)
-        job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
+        sim.charge(job, dst, downtime)
         job.restarts += 1
         sim.jobs_restarted += 1
-        sim.overhead_seconds += downtime
         self._next_due[job.job_id] = sim.now + self.interval_s
         sim.fault_log.record(
             sim.now,

@@ -16,7 +16,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.datacenter.job import JobSpec, job_duration
 from repro.kernel.testbed import machine_for_isa
-from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine
 from repro.machine.mcpat import arm_finfet_power
 
@@ -70,26 +69,26 @@ class NodeTemplate:
 
 
 class FleetNode:
-    """One machine of the fleet: a flat struct, no behaviour."""
+    """One machine of the fleet: a flat struct, no behaviour.
+
+    Whether the node is alive lives in the simulator's membership view;
+    ``downtime_s`` sums its completed outages (for energy).
+    """
 
     __slots__ = (
         "idx",
         "isa",
-        "alive",
         "instances",
         "busy_core_seconds",
-        "down_since",
         "downtime_s",
     )
 
     def __init__(self, idx: int, isa: str):
         self.idx = idx
         self.isa = isa
-        self.alive = True
         # Service ids currently homed here (small: slots per node).
         self.instances: list = []
         self.busy_core_seconds = 0.0
-        self.down_since = -1.0  # -1 = up
         self.downtime_s = 0.0
 
 
@@ -157,7 +156,6 @@ class FleetConfig:
     source_isa: str = "x86-64"
     target_isa: str = "arm64"
     slo_factor: float = 8.0
-    interconnect_bw: float = make_dolphin_pxh810().bandwidth_bytes_per_s
 
     def validate(self) -> None:
         """Reject configurations that cannot place their services."""

@@ -20,18 +20,23 @@ Fault semantics are *evacuate-live*, matching the paper's value
 proposition: a crash never discards completed work; the crashed node's
 services fail over to free slots (same ISA first, then cross-ISA — the
 heterogeneous-ISA failover the paper enables) and pay the migration
-cost.  ``LinkDegradation`` scales the migration bandwidth while its
-window is open; ``NetworkPartition`` is rejected — the analytic queue
-model cannot represent a service reachable from only part of the
-fleet.
+cost.  Crash/repair ground truth and the open ``LinkDegradation``
+windows live in a :class:`~repro.faults.membership.Membership` view
+keyed by node index (no detector: a crash is known at once); the
+migration bandwidth is the product of the open windows' factors.
+``NetworkPartition`` is rejected — the analytic queue model cannot
+represent a service reachable from only part of the fleet.
 """
 
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datacenter.job import JobSpec, migration_penalty
+from repro.datacenter.job import (
+    DEFAULT_INTERCONNECT_BW, JobSpec, migration_penalty,
+)
 from repro.faults.inject import FaultSchedule
+from repro.faults.membership import Membership
 from repro.fleet.model import (
     FleetConfig,
     FleetNode,
@@ -172,6 +177,10 @@ class FleetSimulator:
             self._free_slots[node.isa].extend([node.idx] * config.slots_per_node)
 
         self._check_fault_names()
+        self.membership = Membership(range(len(self.nodes)))
+        #: node index -> alive: the membership's map, bound once for
+        #: the per-job path.
+        self._up = self.membership.up
 
         self.services: List[ServiceInstance] = []
         for sid in range(config.services):
@@ -197,7 +206,6 @@ class FleetSimulator:
 
         # ---- run state ----
         self._sim = Simulator()
-        self._bw_factor = 1.0
         self._migrate_cursor = 0  # next sid to migrate (sid order)
         self._migrated_count = 0
         self._ramp_step = 0
@@ -258,7 +266,7 @@ class FleetSimulator:
         pool = self._free_slots[isa]
         while pool:
             idx = pool.pop()
-            if self.nodes[idx].alive:
+            if self._up[idx]:
                 return idx
         return None
 
@@ -266,12 +274,13 @@ class FleetSimulator:
 
     def _handle_job(self, t: float, sid: int) -> None:
         inst = self.services[sid]
-        node = self.nodes[inst.node_idx]
-        if not node.alive:
+        idx = inst.node_idx
+        if not self._up[idx]:
             # Stranded service (its node died with the fleet full).
             self._counters["shed"] += 1
             self._window_offered += 1
             return
+        node = self.nodes[idx]
         duration = self._durations_by_sid[inst.isa][sid]
         start = inst.free_at if inst.free_at > t else t
         done = start + duration
@@ -312,10 +321,10 @@ class FleetSimulator:
             return False
         old = self.nodes[inst.node_idx]
         old.instances.remove(sid)
-        if old.alive:
-            self._free_slots[old.isa].append(inst.node_idx)
+        if self._up[old.idx]:
+            self._free_slots[old.isa].append(old.idx)
         cost = migration_penalty(
-            inst.spec, self.config.interconnect_bw * self._bw_factor
+            inst.spec, self.membership.bandwidth(DEFAULT_INTERCONNECT_BW)
         )
         base = inst.free_at if inst.free_at > t else t
         inst.free_at = base + cost
@@ -398,11 +407,9 @@ class FleetSimulator:
 
     def _handle_crash(self, t: float, event) -> None:
         idx = parse_node_name(event.node)
+        if not self.membership.crash(idx, t):
+            return  # already dead: no-op, and no repair
         node = self.nodes[idx]
-        if not node.alive:
-            return
-        node.alive = False
-        node.down_since = t
         self._counters["crashes"] += 1
         # Purge the dead node's free-slot entries now: the repair
         # handler re-derives the node's free count from its instance
@@ -442,13 +449,12 @@ class FleetSimulator:
             self._checker.check(self, f"crash@{t:.0f}")
 
     def _handle_repair(self, idx: int) -> None:
-        node = self.nodes[idx]
-        if node.alive:
-            return
         t = self._sim.now
-        node.alive = True
-        node.downtime_s += t - node.down_since
-        node.down_since = -1.0
+        crashed_at = self.membership.crashed_at(idx)
+        if not self.membership.repair(idx, t):
+            return
+        node = self.nodes[idx]
+        node.downtime_s += t - crashed_at
         self._counters["repairs"] += 1
         free = self.config.slots_per_node - len(node.instances)
         self._free_slots[node.isa].extend([idx] * free)
@@ -459,7 +465,7 @@ class FleetSimulator:
         still: List[int] = []
         for sid in self._stranded:
             inst = self.services[sid]
-            if self.nodes[inst.node_idx].alive:
+            if self._up[inst.node_idx]:
                 continue
             if self._move_service(sid, t, inst.isa):
                 self._counters["evacuations"] += 1
@@ -470,15 +476,12 @@ class FleetSimulator:
             self._checker.check(self, f"repair@{t:.0f}")
 
     def _handle_degrade_start(self, event) -> None:
-        self._bw_factor *= event.bandwidth_factor
+        self.membership.degradations.append(event)
         self._sim.queue.push(
             self._sim.now + event.duration,
-            lambda e=event: self._handle_degrade_end(e),
+            lambda e=event: self.membership.degradations.remove(e),
             name="degrade-end",
         )
-
-    def _handle_degrade_end(self, event) -> None:
-        self._bw_factor /= event.bandwidth_factor
 
     # -------------------------------------------------------------- run
 
@@ -556,8 +559,9 @@ class FleetSimulator:
         busy_by_isa = {isa: 0.0 for isa in self.config.nodes}
         for node in self.nodes:
             downtime = node.downtime_s
-            if node.down_since >= 0.0:
-                downtime += end - node.down_since
+            crashed_at = self.membership.crashed_at(node.idx)
+            if crashed_at is not None:
+                downtime += end - crashed_at
             uptime = end - downtime
             template = self.templates[node.isa]
             energy_by_isa[node.isa] += template.energy_joules(

@@ -124,9 +124,6 @@ class PopcornSystem:
         """The live process table (owned by the lifecycle component)."""
         return self.lifecycle.processes
 
-    def register_migration_service(self, service) -> None:
-        self.recovery.register_migration_service(service)
-
     # ----------------------------------------------------------- lookup
 
     def kernel_of(self, thread: Thread) -> Kernel:

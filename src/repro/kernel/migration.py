@@ -155,9 +155,7 @@ class MigrationService:
         self.resumed_migrations = 0
         self._active: Dict[str, MigrationTxn] = {}
         self._next_token = 1
-        register = getattr(system, "register_migration_service", None)
-        if register is not None:
-            register(self)
+        system.recovery.register_migration_service(self)
 
     # ------------------------------------------------- crash-recovery API
 

@@ -15,7 +15,6 @@ p50/p99/p999 and violation numbers.  See ``docs/serving.md``.
 
 from repro.serving.engine import (
     EngineConfig,
-    HandoffCosts,
     Request,
     ServingEngine,
     ServingView,
@@ -66,7 +65,6 @@ __all__ = [
     "DEFAULT_SLO_S",
     "Decision",
     "EngineConfig",
-    "HandoffCosts",
     "PriorityClass",
     "ResilienceConfig",
     "RetryBudget",

@@ -59,9 +59,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import validate
-from repro.datacenter.cluster import DEFAULT_INTERCONNECT_BW
 from repro.datacenter.energy import RunResult
-from repro.datacenter.job import JobSpec, job_duration
+from repro.datacenter.job import (
+    COMMIT_S, DEFAULT_INTERCONNECT_BW, HANDOFF_S, HOT_FRACTION, PUBLISH_S,
+    TRANSFORM_S, JobSpec, job_duration,
+)
 from repro.faults.detector import FailureDetector
 from repro.faults.inject import FaultSchedule
 from repro.faults.membership import DEAD, FENCE, REJOIN, Membership
@@ -128,51 +130,19 @@ class Request:
 
 
 @dataclass(frozen=True)
-class HandoffCosts:
-    """Cost model of one live service hand-off (mirrors the kernel's
-    two-phase protocol constants in ``datacenter.job.migration_penalty``)."""
-
-    transform_s: float = 0.0006  # single-threaded stack transform
-    transfer_base_s: float = 0.0002  # the resume-token message
-    publish_s: float = 0.0002  # replicated proc-table write
-    commit_s: float = 0.0001  # destination rebind
-    hot_fraction: float = 0.1  # working set pushed eagerly in TRANSFER
-
-    def transfer_s(self, footprint_bytes: int, bandwidth: float) -> float:
-        """TRANSFER duration: token plus the eager hot-set push."""
-        return self.transfer_base_s + self.hot_fraction * footprint_bytes / bandwidth
-
-    def blackout_s(self, footprint_bytes: int, bandwidth: float) -> float:
-        """Drain-to-commit service outage (excluding the drain itself)."""
-        return (
-            self.transform_s
-            + self.transfer_s(footprint_bytes, bandwidth)
-            + self.publish_s
-            + self.commit_s
-        )
-
-    def warmup_extra_s(
-        self, footprint_bytes: int, bandwidth: float, requests: int
-    ) -> float:
-        """Per-request surcharge amortising the residual on-demand pull
-        over ``requests`` requests."""
-        cold = (1.0 - self.hot_fraction) * footprint_bytes / bandwidth
-        return cold / requests
-
-
-@dataclass(frozen=True)
 class EngineConfig:
-    """Engine-level tuning knobs (separate from the hand-off cost model).
+    """Engine-level tuning knobs (the hand-off itself is priced by the
+    migration price table in :mod:`repro.datacenter.job`).
 
     Pass one to :class:`ServingEngine`; omitted, the defaults apply.
     """
 
     #: How many post-COMMIT requests share the residual DSM warm-up
     #: surcharge after a hand-off.  The destination receives only the
-    #: ``hot_fraction`` of the working set eagerly during TRANSFER; the
+    #: ``HOT_FRACTION`` of the working set eagerly during TRANSFER; the
     #: remaining cold pages are pulled on demand by the first requests
     #: served there, so each of the next ``dsm_warmup_requests``
-    #: requests pays ``(1 - hot_fraction) * footprint / bandwidth /
+    #: requests pays ``(1 - HOT_FRACTION) * footprint / bandwidth /
     #: dsm_warmup_requests`` extra service time.  After a crash
     #: *failover* (no TRANSFER happened — the source died with the hot
     #: set) the same count of requests amortises the **full** footprint
@@ -208,11 +178,10 @@ class ServingView:
     slo_s: float
     blackout_s: float  # engine's hand-off outage estimate
     since_commit_s: float  # seconds since the last hand-off committed
-    # ---- resilience-aware placement (defaults keep old views valid) ----
-    #: machine -> is it up and unfenced?  ``None`` = no fault wiring.
-    nodes_up: Optional[Dict[str, bool]] = None
-    #: machine -> is its circuit breaker open?  ``None`` = no breakers.
-    breaker_open: Optional[Dict[str, bool]] = None
+    #: machine -> is it up (alive and unfenced)?
+    nodes_up: Dict[str, bool]
+    #: machine -> is its circuit breaker open?
+    breaker_open: Dict[str, bool]
     #: Requests shed by admission control since the previous epoch.
     shed_recent: int = 0
 
@@ -234,6 +203,9 @@ class _Handoff:
     pending: List[Tuple[str, float]] = field(default_factory=list)
     #: Node whose ground-truth crash froze this hand-off (verdict due).
     frozen_by: Optional[str] = None
+    #: Does ``dst`` hold the hot set (TRANSFER landed)?  False only for
+    #: a cold failover, whose warm-up pulls the full footprint.
+    warm: bool = True
 
 
 class ServingEngine:
@@ -266,7 +238,6 @@ class ServingEngine:
         self.trace = trace
         self.spec = JobSpec(workload, cls, 1)
         self.slo_s = slo_s
-        self.costs = HandoffCosts()
         self.config = config if config is not None else EngineConfig()
         if machines is None:
             machines = [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server")]
@@ -284,9 +255,14 @@ class ServingEngine:
         self._footprint = footprint
         bandwidth = DEFAULT_INTERCONNECT_BW
         warmup = self.config.dsm_warmup_requests
-        self.blackout_estimate_s = self.costs.blackout_s(footprint, bandwidth)
+        #: Drain-to-commit outage of an undegraded hand-off.
+        self.blackout_estimate_s = (
+            TRANSFORM_S + self._transfer_s(bandwidth) + PUBLISH_S + COMMIT_S
+        )
         #: Per-request warm-up after a normal hand-off (cold fraction).
-        self._warmup_normal = self.costs.warmup_extra_s(footprint, bandwidth, warmup)
+        self._warmup_normal = (
+            (1.0 - HOT_FRACTION) * footprint / bandwidth / warmup
+        )
         #: Per-request warm-up after a cold failover (full footprint —
         #: the source died before TRANSFER could push the hot set).
         self._warmup_cold = footprint / bandwidth / warmup
@@ -301,7 +277,6 @@ class ServingEngine:
             raise KeyError(f"unknown start machine {self.location!r}")
 
         # ---- faults / detection / resilience ----
-        self.faults = faults
         self.detector = detector
         self.resilience = resilience
         self.rng = rng if rng is not None else DeterministicRng(0)
@@ -340,7 +315,6 @@ class ServingEngine:
         self._fault_events = self._expand_faults(faults)
         self._fault_idx = 0
         self._next_hb = detector.period if detector is not None else 0.0
-        self._failover_warm = False
         self._outage_since: Optional[float] = None
         self._dead_end = False
         self._shed_recent = 0
@@ -409,6 +383,11 @@ class ServingEngine:
             else:
                 raise ValueError(f"serving cannot apply fault event {ev!r}")
         return sorted(events, key=_fault_order)
+
+    def _transfer_s(self, bandwidth: float) -> float:
+        """TRANSFER duration: the resume-token message plus the eager
+        hot-set push."""
+        return HANDOFF_S + HOT_FRACTION * self._footprint / bandwidth
 
     def _other_machine(self) -> Optional[str]:
         """The best available machine that is not the current home."""
@@ -785,9 +764,7 @@ class ServingEngine:
         if handoff is not None and handoff.frozen_by == node:
             handoff.frozen_by = None
             if handoff.phase == "failover":
-                handoff.next_at = (
-                    self.now + self.costs.publish_s + self.costs.commit_s
-                )
+                handoff.next_at = self.now + PUBLISH_S + COMMIT_S
             elif handoff.phase == "drain":
                 if self.current is None:
                     self._begin_blackout(handoff)
@@ -838,7 +815,7 @@ class ServingEngine:
                         blackout_start=handoff.blackout_start,
                     )
             elif node == handoff.dst:
-                self._abort_handoff("dst-dead")
+                self._close_handoff(abort="dst-dead")
             elif node == handoff.src:
                 transfer_end = dict(handoff.phase_ends).get("transfer")
                 death_t = crash_t if crash_t is not None else now
@@ -888,40 +865,16 @@ class ServingEngine:
         allowed = [m for m in survivors if self._breakers[m].allow(now)]
         pool = allowed if allowed else survivors
         target = min(pool, key=lambda m: (self.service_s[m], m))
-        restore = self.costs.publish_s + self.costs.commit_s
+        restore = PUBLISH_S + COMMIT_S
         self._handoff = _Handoff(
             src=self.location, dst=target, decided_at=now, reason=reason,
             phase="failover",
             blackout_start=blackout_start if blackout_start is not None else now,
-            next_at=now + restore, commit_at=now + restore,
+            next_at=now + restore, commit_at=now + restore, warm=warm,
         )
-        self._failover_warm = warm
         self.failovers += 1
         if self.tracer is not None:
             self.tracer.metrics.counter("serve.failovers").inc()
-
-    def _complete_failover(self) -> None:
-        handoff = self._handoff
-        self._handoff = None
-        self.location = handoff.dst
-        self._last_commit = self.now
-        self._warmup_left = self.config.dsm_warmup_requests
-        self._warmup_extra = (
-            self._warmup_normal if self._failover_warm else self._warmup_cold
-        )
-        self.blackout_seconds += self.now - handoff.blackout_start
-        self.handoff_seconds += self.now - handoff.decided_at
-        span_id = None
-        if self.tracer is not None:
-            span = self.tracer.complete(
-                "serve.failover", "serve", handoff.blackout_start,
-                self.now - handoff.blackout_start, track=handoff.dst,
-                src=handoff.src, dst=handoff.dst, reason=handoff.reason,
-                warm=self._failover_warm,
-            )
-            span_id = span.span_id
-        self._blackouts.append((handoff.blackout_start, self.now, span_id))
-        self._start_next()
 
     def _revive_possible(self) -> bool:
         """Can any machine ever serve again (repair pending, or a live
@@ -974,16 +927,13 @@ class ServingEngine:
         if handoff.blackout_start is None:
             handoff.blackout_start = self.now
         handoff.phase_ends = []
-        t = self.now + self.costs.transform_s
+        t = self.now + TRANSFORM_S
         handoff.phase_ends.append(("transform", t))
-        transfer = self.costs.transfer_s(
-            self._footprint, self.membership.bandwidth(DEFAULT_INTERCONNECT_BW)
-        )
-        t += transfer
+        t += self._transfer_s(self.membership.bandwidth(DEFAULT_INTERCONNECT_BW))
         handoff.phase_ends.append(("transfer", t))
-        t += self.costs.publish_s
+        t += PUBLISH_S
         handoff.phase_ends.append(("publish", t))
-        t += self.costs.commit_s
+        t += COMMIT_S
         handoff.phase_ends.append(("commit", t))
         handoff.commit_at = t
         if self.chaos is not None:
@@ -1013,42 +963,55 @@ class ServingEngine:
         )
         self._site(step, {"src": handoff.src, "dst": handoff.dst})
 
-    def _abort_handoff(self, reason: str) -> None:
+    def _close_handoff(self, abort: Optional[str] = None) -> None:
+        """End the hand-off now.  It commits — a migration, or a
+        failover's restore — and the service relocates to ``dst``; or,
+        given an ``abort`` reason, it rolls back and the service stays.
+        Settles the hand-off and blackout time either way."""
         handoff = self._handoff
         self._handoff = None
-        self.handoffs_aborted += 1
-        self.handoff_seconds += self.now - handoff.decided_at
-        if handoff.blackout_start is not None:
-            self.blackout_seconds += self.now - handoff.blackout_start
-            self._blackouts.append((handoff.blackout_start, self.now, None))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "serve.handoff.abort", "serve", track=handoff.src,
-                dst=handoff.dst, reason=reason,
+        now = self.now
+        self.handoff_seconds += now - handoff.decided_at
+        if abort is not None:
+            self.handoffs_aborted += 1
+        else:
+            self.location = handoff.dst
+            self._last_commit = now
+            self._warmup_left = self.config.dsm_warmup_requests
+            self._warmup_extra = (
+                self._warmup_normal if handoff.warm else self._warmup_cold
             )
-            self.tracer.metrics.counter("serve.handoffs_aborted").inc()
-        if self._up[self.location]:
-            self._start_next()
-
-    def _commit_handoff(self) -> None:
-        handoff = self._handoff
-        self._handoff = None
-        self.location = handoff.dst
-        self.migrations += 1
-        self._warmup_left = self.config.dsm_warmup_requests
-        self._warmup_extra = self._warmup_normal
-        self._last_commit = self.now
-        blackout = self.now - handoff.blackout_start
-        self.blackout_seconds += blackout
-        self.handoff_seconds += self.now - handoff.decided_at
+            if handoff.phase != "failover":
+                self.migrations += 1
         span_id = None
         if self.tracer is not None:
-            span_id = self._emit_handoff_spans(handoff)
-        self._blackouts.append((handoff.blackout_start, self.now, span_id))
+            span_id = self._emit_handoff_spans(handoff, abort)
+        if handoff.blackout_start is not None:
+            self.blackout_seconds += now - handoff.blackout_start
+            self._blackouts.append((handoff.blackout_start, now, span_id))
         self._start_next()
 
-    def _emit_handoff_spans(self, handoff: _Handoff) -> int:
+    def _emit_handoff_spans(
+        self, handoff: _Handoff, abort: Optional[str]
+    ) -> Optional[int]:
+        """Trace a closed hand-off: the ``serve.handoff`` tree of a
+        commit, a failover's ``serve.failover``, or an abort instant.
+        Returns the span its blackout's stalls flow-link to."""
         tracer = self.tracer
+        if abort is not None:
+            tracer.instant(
+                "serve.handoff.abort", "serve", track=handoff.src,
+                dst=handoff.dst, reason=abort,
+            )
+            tracer.metrics.counter("serve.handoffs_aborted").inc()
+            return None
+        if handoff.phase == "failover":
+            return tracer.complete(
+                "serve.failover", "serve", handoff.blackout_start,
+                self.now - handoff.blackout_start, track=handoff.dst,
+                src=handoff.src, dst=handoff.dst, reason=handoff.reason,
+                warm=handoff.warm,
+            ).span_id
         parent = tracer.complete(
             "serve.handoff", "serve", handoff.decided_at,
             self.now - handoff.decided_at, track=handoff.dst,
@@ -1063,7 +1026,7 @@ class ServingEngine:
             prepare_end - handoff.decided_at, track=handoff.src,
             parent=parent,
             drain_s=round(handoff.blackout_start - handoff.decided_at, 9),
-            transform_s=self.costs.transform_s,
+            transform_s=TRANSFORM_S,
         )
         cursor = prepare_end
         for name, end in handoff.phase_ends[1:]:
@@ -1093,11 +1056,6 @@ class ServingEngine:
 
     def _run_epoch(self) -> None:
         w = self.config.rate_window_s
-        fault_aware = (
-            self.faults is not None
-            or self.detector is not None
-            or self.resilience is not None
-        )
         view = ServingView(
             now=self.now,
             machine=self.location,
@@ -1111,16 +1069,8 @@ class ServingEngine:
             slo_s=self.slo_s,
             blackout_s=self.blackout_estimate_s,
             since_commit_s=self.now - self._last_commit,
-            nodes_up=(
-                {m: self._up[m] for m in self.machines}
-                if fault_aware
-                else None
-            ),
-            breaker_open=(
-                {m: self._breakers[m].is_open for m in self.machines}
-                if fault_aware
-                else None
-            ),
+            nodes_up={m: self._up[m] for m in self.machines},
+            breaker_open={m: self._breakers[m].is_open for m in self.machines},
             shed_recent=self._shed_recent,
         )
         self._shed_recent = 0
@@ -1250,13 +1200,10 @@ class ServingEngine:
             self._accrue(t - self.now)
             self.now = t
             if kind == 0:
-                handoff = self._handoff
-                if handoff.phase == "failover":
-                    self._complete_failover()
-                elif handoff.pending:
+                if self._handoff.pending:
                     self._advance_handoff()
                 else:
-                    self._commit_handoff()
+                    self._close_handoff()
             elif kind == 1:
                 self._on_departure()
             elif kind == 2:

@@ -1,12 +1,11 @@
 """Serving policies: where the KV service lives, and when it moves.
 
-Extends the batch-scheduling policy hierarchy
-(:class:`~repro.datacenter.policies.SchedulingPolicy`) with a serving
-decision method: at every decision epoch the engine hands the policy a
+At every decision epoch the engine hands the policy a
 :class:`~repro.serving.engine.ServingView` (queue depth, arrival-rate
 estimates, per-machine service times, SLO target, hand-off blackout
-estimate) and the policy answers with a :class:`Decision` — migrate
-the service, explicitly defer, or do nothing.
+estimate, which machines are up and which breakers are open) and the
+policy answers with a :class:`Decision` — migrate the service,
+explicitly defer, or do nothing.
 
 The catalog:
 
@@ -25,8 +24,6 @@ The catalog:
 
 from dataclasses import dataclass
 from typing import Dict, Optional, TYPE_CHECKING
-
-from repro.datacenter.policies import SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.engine import ServingView
@@ -47,21 +44,10 @@ class Decision:
 
 
 def node_available(view: "ServingView", machine: str) -> bool:
-    """Is ``machine`` a sane migration target right now?
-
-    A node is unavailable when the fault layer reports it down/fenced
-    (``view.nodes_up``) or its circuit breaker is open
-    (``view.breaker_open``).  Fault-free views carry ``None`` for both,
-    so every machine is available and pre-resilience decisions are
-    unchanged.
-    """
-    if view.nodes_up is not None and not view.nodes_up.get(machine, True):
-        return False
-    if view.breaker_open is not None and view.breaker_open.get(
-        machine, False
-    ):
-        return False
-    return True
+    """Is ``machine`` a sane migration target right now: up (alive and
+    unfenced) with its circuit breaker closed?  On a fault-free run
+    every machine is."""
+    return view.nodes_up[machine] and not view.breaker_open[machine]
 
 
 def predicted_tail_s(view: "ServingView", machine: str) -> float:
@@ -82,11 +68,10 @@ def predicted_tail_s(view: "ServingView", machine: str) -> float:
     return backlog + service_s + 3.0 * mean_wait
 
 
-class ServingPolicy(SchedulingPolicy):
+class ServingPolicy:
     """Base serving policy: place once on the preferred machine, never move."""
 
     name = "serving-base"
-    dynamic = False
     #: ISA the service boots on (engine resolves it to a machine name).
     preferred_isa = "x86_64"
 
@@ -120,7 +105,6 @@ class QueueReactiveServing(ServingPolicy):
     """Naive dynamic baseline: hysteresis on instantaneous queue depth."""
 
     name = "queue-reactive"
-    dynamic = True
     preferred_isa = "arm64"
     surge_queue = 12  # burst to the fast machine past this depth
     calm_queue = 0  # snap back the moment the queue fully drains
@@ -149,7 +133,6 @@ class LatencyAwareServing(ServingPolicy):
     """Tail-predictive policy: every move gated on predicted p-tail impact."""
 
     name = "latency-aware"
-    dynamic = True
     preferred_isa = "arm64"
     #: Predicted tail must clear the SLO by this margin before a drain.
     drain_headroom = 0.5

@@ -217,14 +217,13 @@ class FleetConservationChecker:
 
     def _check_slots(self, sim, where: str) -> None:
         spn = sim.config.slots_per_node
+        up = sim.membership.up
         for isa in sim.config.nodes:
-            live_free = sum(
-                1 for idx in sim._free_slots[isa] if sim.nodes[idx].alive
-            )
+            live_free = sum(1 for idx in sim._free_slots[isa] if up[idx])
             occupied = 0
             capacity = 0
             for node in sim.nodes:
-                if node.isa != isa or not node.alive:
+                if node.isa != isa or not up[node.idx]:
                     continue
                 occupied += len(node.instances)
                 capacity += spn
@@ -237,6 +236,7 @@ class FleetConservationChecker:
 
     def _check_placement(self, sim, where: str) -> None:
         stranded = set(sim._stranded)
+        up = sim.membership.up
         for inst in sim.services:
             node = sim.nodes[inst.node_idx]
             if inst.sid not in node.instances:
@@ -251,7 +251,7 @@ class FleetConservationChecker:
                     f"[{where}] service {inst.sid} records ISA {inst.isa} "
                     f"but sits on a {node.isa} node",
                 )
-            if not node.alive and inst.sid not in stranded:
+            if not up[inst.node_idx] and inst.sid not in stranded:
                 self._fail(
                     sim, "placement-consistency",
                     f"[{where}] service {inst.sid} on dead node "

@@ -77,6 +77,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fail-stop" in out
 
+    @pytest.mark.parametrize("command", [
+        ["faults"],
+        ["serve", "redis", "--faults"],
+        ["fleet", "--crash", "1"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--crash-at", "-1"],
+        ["--repair-after", "0"],
+        ["--repair-after", "-5"],
+    ])
+    def test_invalid_crash_times_exit_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestLint:
     def test_lint_single_workload(self, capsys):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import validate
-from repro.datacenter.job import JobSpec, migration_penalty
+from repro.datacenter.job import (
+    DEFAULT_INTERCONNECT_BW, JobSpec, migration_penalty,
+)
 from repro.faults import (
     FaultSchedule,
     LinkDegradation,
@@ -248,6 +250,29 @@ class TestFaults:
         assert (
             degraded.migration_stall_seconds > base.migration_stall_seconds
         )
+
+    def test_overlapping_degradations_end_undegraded(self):
+        # Two overlapping windows compound while open; once both have
+        # closed, an evacuation pays the undegraded price exactly.
+        faults = FaultSchedule([
+            LinkDegradation(time=10.0, duration=50.0, bandwidth_factor=0.6),
+            LinkDegradation(time=20.0, duration=50.0, bandwidth_factor=0.9),
+            NodeCrash(time=100.0, node=node_name(0), repair_seconds=100.0),
+        ])
+        sim = FleetSimulator(
+            small_config(), quick_policy(bake_s=1000.0), DeterministicRng(42),
+            faults=faults, service_mix=DEFAULT_SERVICE_MIX,
+        )
+        sim.run(make_trace("steady", DeterministicRng(42), requests=600,
+                           horizon_s=600.0))
+        assert sim.membership.degradations == []
+        evacuated = [inst for inst in sim.services if inst.migrations]
+        assert {str(inst.spec) for inst in evacuated} >= {"ep.Ax2", "redis.Ax2"}
+        for inst in evacuated:
+            assert inst.migrations == 1
+            assert inst.stall_seconds == migration_penalty(
+                inst.spec, DEFAULT_INTERCONNECT_BW
+            )
 
     def test_partition_rejected(self):
         with pytest.raises(ValueError, match="NetworkPartition"):

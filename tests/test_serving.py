@@ -6,6 +6,10 @@ import pytest
 
 from repro import validate
 from repro.datacenter.energy import RunResult
+from repro.datacenter.job import (
+    DEFAULT_INTERCONNECT_BW, HANDOFF_S, RESPONSE_S, TRANSFORM_S,
+    migration_penalty,
+)
 from repro.serving import (
     DEFAULT_SLO_S,
     Decision,
@@ -51,6 +55,8 @@ def _view(**overrides):
         slo_s=0.010,
         blackout_s=0.0023,
         since_commit_s=5.0,
+        nodes_up={ARM: True, X86: True},
+        breaker_open={ARM: False, X86: False},
     )
     base.update(overrides)
     return ServingView(**base)
@@ -388,3 +394,37 @@ class TestServingSpans:
         assert result.metrics["serve.requests"] == 2000
         assert result.metrics["serve.completed"] == 2000
         assert result.metrics["serve.latency_s"]["count"] == 2000
+
+
+class TestOnePriceTable:
+    """The serving hand-off and ``migration_penalty`` (cluster and
+    fleet) price a move from the same table."""
+
+    def test_handoff_pays_the_migration_penalty_terms(self):
+        tracer = Tracer()
+        engine, result = _run(requests=8000, tracer=tracer)
+        assert result.migrations >= 1
+        spec = engine.spec
+        assert spec.threads == 1
+        bw = DEFAULT_INTERCONNECT_BW
+        footprint = spec.profile().params(spec.cls).footprint_bytes
+        handoff = next(s for s in tracer.spans if s.name == "serve.handoff")
+        phases = {
+            s.name: s for s in tracer.spans if s.parent_id == handoff.span_id
+        }
+        # The same transform and hand-off-message terms.
+        transform = phases["serve.prepare"].attrs["transform_s"]
+        assert transform == TRANSFORM_S * spec.threads
+        hot_push = phases["serve.transfer"].duration_s - HANDOFF_S * spec.threads
+        assert hot_push > 0
+        # The same bytes: the hot set in the blackout, plus the warm-up
+        # surcharge times the requests that pay it, is the footprint
+        # migration_penalty pulls.
+        warm = [r.warmup_extra_s for r in engine.completed if r.warmup_extra_s]
+        assert len(warm) >= engine.config.dsm_warmup_requests
+        moved = (hot_push + warm[0] * engine.config.dsm_warmup_requests) * bw
+        assert moved == pytest.approx(footprint, rel=1e-9)
+        assert migration_penalty(spec, bw) == pytest.approx(
+            RESPONSE_S + transform + HANDOFF_S * spec.threads + moved / bw,
+            rel=1e-12,
+        )

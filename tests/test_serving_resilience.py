@@ -431,11 +431,14 @@ class TestFaultAwarePolicies:
             slo_s=0.010,
             blackout_s=0.0023,
             since_commit_s=10.0,
+            nodes_up={ARM: True, X86: True},
+            breaker_open={ARM: False, X86: False},
         )
         base.update(overrides)
         return ServingView(**base)
 
     def test_node_available_defaults_true(self):
+        # The fault-free view: every node up, every breaker closed.
         view = self._view()
         assert node_available(view, ARM)
         assert node_available(view, X86)
