@@ -872,6 +872,23 @@ def cmd_fleet(args) -> int:
         source, target = "x86-64", "arm64"
     else:
         source, target = "arm64", "x86-64"
+    faults = None
+    if args.crash is not None:
+        from repro.faults import FaultSchedule, NodeCrash
+
+        crash_at, repair = _crash_times(args, args.horizon)
+        faults = FaultSchedule([
+            NodeCrash(
+                time=crash_at, node=node_name(args.crash),
+                repair_seconds=repair,
+            )
+        ])
+    nested = None
+    if args.nested:
+        from repro.datacenter.nested import NestedNodeSampler
+
+        nested = NestedNodeSampler()
+    rng = DeterministicRng(args.seed)
     try:
         config = FleetConfig(
             nodes={"x86-64": args.x86_nodes, "arm64": args.arm_nodes},
@@ -890,27 +907,11 @@ def cmd_fleet(args) -> int:
             bake_s=args.bake,
             regression_threshold=args.regression_threshold,
         )
+        # Inside the try: it rejects fault schedules naming unknown nodes.
+        sim = FleetSimulator(config, policy, rng, faults=faults, nested=nested)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    faults = None
-    if args.crash is not None:
-        from repro.faults import FaultSchedule, NodeCrash
-
-        crash_at, repair = _crash_times(args, args.horizon)
-        faults = FaultSchedule([
-            NodeCrash(
-                time=crash_at, node=node_name(args.crash),
-                repair_seconds=repair,
-            )
-        ])
-    nested = None
-    if args.nested:
-        from repro.datacenter.nested import NestedNodeSampler
-
-        nested = NestedNodeSampler()
-    rng = DeterministicRng(args.seed)
-    sim = FleetSimulator(config, policy, rng, faults=faults, nested=nested)
     trace = make_trace(
         args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
     )

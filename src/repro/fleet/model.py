@@ -5,8 +5,11 @@ jobs, so per-node and per-service state must stay small and flat.  The
 heavyweight machinery — machine models, power models, duration tables —
 lives in one :class:`NodeTemplate` *per ISA*, shared by every node of
 that ISA; each :class:`FleetNode` and :class:`ServiceInstance` is a
-``__slots__`` struct holding only counters and indices.  This mirrors
-the :class:`~repro.kernel.kernel.PopcornSystem` split: the facade's
+``__slots__`` struct holding only what sparse events (waves, crashes,
+repairs) change.  What every job changes — backlogs, job counts, busy
+core-seconds — and the routing tables jobs read live in the simulator's
+flat per-service and per-node lists.  This mirrors the
+:class:`~repro.kernel.kernel.PopcornSystem` split: the facade's
 components carry the shared machinery so per-node state is cheap to
 instantiate by the thousand.
 """
@@ -72,61 +75,38 @@ class FleetNode:
     """One machine of the fleet: a flat struct, no behaviour.
 
     Whether the node is alive lives in the simulator's membership view;
-    ``downtime_s`` sums its completed outages (for energy).
+    ``downtime_s`` sums its completed outages (for energy).  Its busy
+    core-seconds grow with every job, so they live in the simulator's
+    per-node list.
     """
 
-    __slots__ = (
-        "idx",
-        "isa",
-        "instances",
-        "busy_core_seconds",
-        "downtime_s",
-    )
+    __slots__ = ("idx", "isa", "instances", "downtime_s")
 
     def __init__(self, idx: int, isa: str):
         self.idx = idx
         self.isa = isa
         # Service ids currently homed here (small: slots per node).
         self.instances: list = []
-        self.busy_core_seconds = 0.0
         self.downtime_s = 0.0
 
 
 class ServiceInstance:
     """One service of the migrating population: a flat struct.
 
-    The service runs as a single-server FIFO queue: ``free_at`` is the
-    time its current backlog drains, and a job arriving at ``t`` starts
-    at ``max(t, free_at)``.  Completion times are computed analytically
-    at arrival, so a service instance needs no event-queue presence.
+    The service runs as a single-server FIFO queue: a job arriving at
+    ``t`` starts once the backlog drains (``max(t, free_at)``), and its
+    completion time is computed analytically at arrival, so a service
+    instance needs no event-queue presence.  The struct keeps only what
+    moves change; where the service runs and its per-job state
+    (``free_at``, job and SLO counts, busy core-seconds) live in the
+    simulator's flat lists, indexed by ``sid``.
     """
 
-    __slots__ = (
-        "sid",
-        "spec",
-        "node_idx",
-        "isa",
-        "free_at",
-        "migrated",
-        "jobs_done",
-        "jobs_in_slo",
-        "busy_seconds",
-        "busy_core_seconds",
-        "migrations",
-        "stall_seconds",
-    )
+    __slots__ = ("sid", "spec", "migrations", "stall_seconds")
 
-    def __init__(self, sid: int, spec: JobSpec, node_idx: int, isa: str):
+    def __init__(self, sid: int, spec: JobSpec):
         self.sid = sid
         self.spec = spec
-        self.node_idx = node_idx
-        self.isa = isa
-        self.free_at = 0.0
-        self.migrated = False  # reached the wave's target ISA
-        self.jobs_done = 0
-        self.jobs_in_slo = 0
-        self.busy_seconds = 0.0
-        self.busy_core_seconds = 0.0
         self.migrations = 0
         self.stall_seconds = 0.0
 
@@ -159,6 +139,15 @@ class FleetConfig:
 
     def validate(self) -> None:
         """Reject configurations that cannot place their services."""
+        if self.services < 1:
+            raise ValueError(f"a fleet needs at least 1 service, got {self.services}")
+        if self.slots_per_node < 1:
+            raise ValueError(
+                f"slots per node must be at least 1, got {self.slots_per_node}"
+            )
+        for isa, count in self.nodes.items():
+            if count < 0:
+                raise ValueError(f"negative node count {count} for ISA {isa!r}")
         for isa in (self.source_isa, self.target_isa):
             if isa not in self.nodes:
                 raise ValueError(f"no nodes declared for ISA {isa!r}")

@@ -9,7 +9,10 @@ other.  The simulator composes three existing layers:
 * job completions are *analytic*: each service is a single-server FIFO
   whose completion time is computed at arrival
   (``start = max(arrival, free_at)``), so a million jobs cost a million
-  flat-struct updates instead of a million heap events;
+  flat-list updates instead of a million heap events.  Everything a job
+  reads changes only at a sparse event, so the arrivals between two
+  events are drained in one loop over per-service routing tables that
+  only a move rewrites;
 * costs come from the node layer's models — durations from
   :func:`repro.datacenter.job.job_duration` (or nested PopcornSystem
   measurements via :class:`repro.datacenter.nested.NestedNodeSampler`),
@@ -29,7 +32,9 @@ represent a service reachable from only part of the fleet.
 """
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datacenter.job import (
@@ -182,19 +187,12 @@ class FleetSimulator:
         #: the per-job path.
         self._up = self.membership.up
 
-        self.services: List[ServiceInstance] = []
-        for sid in range(config.services):
-            spec = service_mix[sid % len(service_mix)]
-            idx = self._take_slot(config.source_isa)
-            if idx is None:  # config.validate() makes this unreachable
-                raise RuntimeError("source ISA out of slots during placement")
-            inst = ServiceInstance(sid, spec, idx, config.source_isa)
-            self.nodes[idx].instances.append(sid)
-            self.services.append(inst)
-
+        self.services: List[ServiceInstance] = [
+            ServiceInstance(sid, service_mix[sid % len(service_mix)])
+            for sid in range(config.services)
+        ]
         # Per-service SLO target (slo_factor x source-ISA duration) and
-        # per-ISA duration tables, both indexed by sid so the hot
-        # arrival path is two list lookups.
+        # per-ISA duration tables, indexed by sid.
         src = self.templates[config.source_isa]
         self._slo_by_sid = [
             config.slo_factor * src.duration(inst.spec) for inst in self.services
@@ -203,6 +201,31 @@ class FleetSimulator:
             isa: [t.duration(inst.spec) for inst in self.services]
             for isa, t in self.templates.items()
         }
+
+        # Routing tables, indexed by sid: where each service runs and
+        # what one of its jobs costs there.  Only _route writes them,
+        # at placement and at every move.
+        self.isas: Tuple[str, ...] = tuple(self.templates)
+        count = config.services
+        self._node_of = [0] * count
+        self._isa_of = [0] * count  # index into self.isas
+        self._duration = [0.0] * count  # seconds per job on that ISA
+        self._busy_per_job = [0.0] * count  # duration x granted cores
+        for sid in range(count):
+            idx = self._take_slot(config.source_isa)
+            if idx is None:  # config.validate() makes this unreachable
+                raise RuntimeError("source ISA out of slots during placement")
+            self.nodes[idx].instances.append(sid)
+            self._route(sid, idx, config.source_isa)
+
+        # Per-job state, indexed by sid (per node for busy time): every
+        # arrival updates these, so they are flat lists, not struct
+        # fields.  The conservation checker reads them at each event.
+        self._free_at = [0.0] * count  # when the service's backlog drains
+        self._jobs_done = [0] * count
+        self._jobs_in_slo = [0] * count
+        self._service_busy = [0.0] * count  # busy core-seconds
+        self._node_busy = [0.0] * len(self.nodes)
 
         # ---- run state ----
         self._sim = Simulator()
@@ -228,7 +251,7 @@ class FleetSimulator:
             "failovers": 0,
             "deferred": 0,
         }
-        self._jobs_by_isa = {isa: 0 for isa in config.nodes}
+        self._jobs_by_isa = [0] * len(self.isas)
         self._stall_seconds = 0.0
         self.waves: List[WaveReport] = []
         from repro import validate
@@ -270,41 +293,87 @@ class FleetSimulator:
                 return idx
         return None
 
+    def _route(self, sid: int, idx: int, isa: str) -> None:
+        """Point service ``sid``'s routing-table entries at node ``idx``."""
+        duration = self._durations_by_sid[isa][sid]
+        cores = min(self.services[sid].spec.threads, self.templates[isa].cores)
+        self._node_of[sid] = idx
+        self._isa_of[sid] = self.isas.index(isa)
+        self._duration[sid] = duration
+        self._busy_per_job[sid] = duration * cores
+
+    def _isa(self, sid: int) -> str:
+        """The ISA service ``sid`` runs on."""
+        return self.isas[self._isa_of[sid]]
+
     # ------------------------------------------------------------- jobs
 
-    def _handle_job(self, t: float, sid: int) -> None:
-        inst = self.services[sid]
-        idx = inst.node_idx
-        if not self._up[idx]:
-            # Stranded service (its node died with the fleet full).
-            self._counters["shed"] += 1
-            self._window_offered += 1
-            return
-        node = self.nodes[idx]
-        duration = self._durations_by_sid[inst.isa][sid]
-        start = inst.free_at if inst.free_at > t else t
-        done = start + duration
-        inst.free_at = done
-        inst.jobs_done += 1
-        inst.busy_seconds += duration
-        cores = min(inst.spec.threads, self.templates[inst.isa].cores)
-        busy = duration * cores
-        inst.busy_core_seconds += busy
-        node.busy_core_seconds += busy
-        self._jobs_by_isa[inst.isa] += 1
-        latency = done - t
-        self._latencies.append(latency)
-        in_slo = latency <= self._slo_by_sid[sid]
-        if in_slo:
-            inst.jobs_in_slo += 1
-            self._counters["in_slo"] += 1
-        else:
-            self._counters["violations"] += 1
-        self._counters["completed"] += 1
-        self._window_offered += 1
+    def _drain(self, arrivals, count: int) -> None:
+        """Price the next ``count`` arrivals, then flush the totals.
+
+        Each arrival goes to the service id that the ``fleet.assign``
+        stream's ``randrange(services)`` would return, drawn inline the
+        way it draws (k random bits, redrawn until below ``services``).
+        A job reads only the routing tables and liveness, which change
+        only at sparse events, so the counters live in locals and are
+        folded into the simulator's fields once, before the next event
+        fires: the wave gate and the conservation checker read them
+        only there.  Every float sum accumulates in arrival order, so
+        results stay bit-identical to pricing one job at a time.
+        """
+        draw = self.rng.stream("fleet.assign").getrandbits
+        services = self.config.services
+        bits = services.bit_length()
+        up = self._up
+        node_of = self._node_of
+        isa_of = self._isa_of
+        duration = self._duration
+        busy_per_job = self._busy_per_job
+        slo = self._slo_by_sid
+        free_at = self._free_at
+        jobs_done = self._jobs_done
+        jobs_in_slo = self._jobs_in_slo
+        service_busy = self._service_busy
+        node_busy = self._node_busy
+        jobs_by_isa = self._jobs_by_isa
+        record = self._latencies.append
+        makespan = self._makespan
+        shed = in_slo = violations = 0
+        for t in islice(arrivals, count):
+            sid = draw(bits)
+            while sid >= services:
+                sid = draw(bits)
+            idx = node_of[sid]
+            if not up[idx]:
+                # Stranded service (its node died with the fleet full).
+                shed += 1
+                continue
+            start = free_at[sid]
+            done = (start if start > t else t) + duration[sid]
+            free_at[sid] = done
+            jobs_done[sid] += 1
+            busy = busy_per_job[sid]
+            service_busy[sid] += busy
+            node_busy[idx] += busy
+            jobs_by_isa[isa_of[sid]] += 1
+            latency = done - t
+            record(latency)
+            if latency <= slo[sid]:
+                jobs_in_slo[sid] += 1
+                in_slo += 1
+            else:
+                violations += 1
+            if done > makespan:
+                makespan = done
+        c = self._counters
+        c["offered"] += count
+        c["completed"] += count - shed
+        c["shed"] += shed
+        c["in_slo"] += in_slo
+        c["violations"] += violations
+        self._window_offered += count
         self._window_in_slo += in_slo
-        if done > self._makespan:
-            self._makespan = done
+        self._makespan = makespan
 
     # ------------------------------------------------------------ waves
 
@@ -312,27 +381,27 @@ class FleetSimulator:
         """Move one service to a free slot on ``target_isa``.
 
         Pays the migration stall, returns the old slot to its pool
-        (unless the old node is dead), and keeps node membership lists
-        consistent.  False when the target ISA has no free slot.
+        (unless the old node is dead), keeps node membership lists
+        consistent and re-routes the service's jobs.  False when the
+        target ISA has no free slot.
         """
         inst = self.services[sid]
         idx = self._take_slot(target_isa)
         if idx is None:
             return False
-        old = self.nodes[inst.node_idx]
+        old = self.nodes[self._node_of[sid]]
         old.instances.remove(sid)
         if self._up[old.idx]:
             self._free_slots[old.isa].append(old.idx)
         cost = migration_penalty(
             inst.spec, self.membership.bandwidth(DEFAULT_INTERCONNECT_BW)
         )
-        base = inst.free_at if inst.free_at > t else t
-        inst.free_at = base + cost
+        free_at = self._free_at[sid]
+        self._free_at[sid] = (free_at if free_at > t else t) + cost
         inst.stall_seconds += cost
         inst.migrations += 1
-        inst.node_idx = idx
-        inst.isa = target_isa
         self.nodes[idx].instances.append(sid)
+        self._route(sid, idx, target_isa)
         self._stall_seconds += cost
         self._counters["migrations"] += 1
         return True
@@ -362,15 +431,12 @@ class FleetSimulator:
                 if self._migrate_cursor >= len(self.services):
                     break
                 sid = self._migrate_cursor
-                inst = self.services[sid]
-                if inst.isa == self.config.target_isa:
+                if self._isa(sid) == self.config.target_isa:
                     # Already there (cross-ISA failover beat the wave).
-                    inst.migrated = True
                     self._migrate_cursor += 1
                     self._migrated_count += 1
                     continue
                 if self._move_service(sid, t, self.config.target_isa):
-                    inst.migrated = True
                     self._migrate_cursor += 1
                     self._migrated_count += 1
                     moved += 1
@@ -424,13 +490,13 @@ class FleetSimulator:
         # migration cost.  With the fleet full it is stranded until a
         # repair frees capacity.
         for sid in list(node.instances):
-            inst = self.services[sid]
-            if self._move_service(sid, t, inst.isa):
+            home = self._isa(sid)
+            if self._move_service(sid, t, home):
                 self._counters["evacuations"] += 1
                 continue
             moved = False
-            for isa in self.templates:
-                if isa == inst.isa:
+            for isa in self.isas:
+                if isa == home:
                     continue
                 if self._move_service(sid, t, isa):
                     self._counters["evacuations"] += 1
@@ -464,10 +530,9 @@ class FleetSimulator:
         # resumes in place; otherwise it needs a free slot somewhere.
         still: List[int] = []
         for sid in self._stranded:
-            inst = self.services[sid]
-            if self._up[inst.node_idx]:
+            if self._up[self._node_of[sid]]:
                 continue
-            if self._move_service(sid, t, inst.isa):
+            if self._move_service(sid, t, self._isa(sid)):
                 self._counters["evacuations"] += 1
             else:
                 still.append(sid)
@@ -516,36 +581,30 @@ class FleetSimulator:
         """Drive the trace's arrivals through waves and faults.
 
         Arrivals are drained from a cursor between sparse events: every
-        arrival with ``time <= next event`` is priced analytically,
-        then the event fires.  Same seed, same config ⇒ bit-identical
-        result (the checksum test relies on this).
+        arrival with ``time <= next event`` is priced analytically in
+        one pass (:meth:`_drain`), then the event fires.  Same seed,
+        same config ⇒ bit-identical result (the checksum test relies on
+        this).
         """
         self._schedule(trace.horizon_s)
-        assign = self.rng.stream("fleet.assign")
-        services = self.config.services
-        times = trace.times
-        n = len(times)
+        times = trace.times  # sorted
+        arrivals = iter(times)
         cursor = 0
         queue = self._sim.queue
         clock = self._sim.clock
         while True:
             head = queue.peek()
-            bound = head.time if head is not None else float("inf")
-            while cursor < n and times[cursor] <= bound:
-                t = times[cursor]
-                self._handle_job(t, assign.randrange(services))
-                cursor += 1
+            stop = (
+                len(times) if head is None
+                else bisect_right(times, head.time, cursor)
+            )
+            self._drain(arrivals, stop - cursor)
+            cursor = stop
             if head is None:
                 break
             event = queue.pop()
             clock.advance_to(event.time)
             event.action()
-        if cursor < n:  # events ended before the trace did
-            while cursor < n:
-                t = times[cursor]
-                self._handle_job(t, assign.randrange(services))
-                cursor += 1
-        self._counters["offered"] = n
         end = max(trace.horizon_s, self._makespan)
         if end > clock.now:
             clock.advance_to(end)
@@ -563,11 +622,10 @@ class FleetSimulator:
             if crashed_at is not None:
                 downtime += end - crashed_at
             uptime = end - downtime
+            busy = self._node_busy[node.idx]
             template = self.templates[node.isa]
-            energy_by_isa[node.isa] += template.energy_joules(
-                uptime, node.busy_core_seconds
-            )
-            busy_by_isa[node.isa] += node.busy_core_seconds
+            energy_by_isa[node.isa] += template.energy_joules(uptime, busy)
+            busy_by_isa[node.isa] += busy
         p50, p99, p999 = percentiles(self._latencies)
         offered = c["offered"]
         return FleetRunResult(
@@ -590,7 +648,7 @@ class FleetSimulator:
             migration_stall_seconds=self._stall_seconds,
             paused_waves=sum(1 for w in self.waves if w.paused),
             deferred_migrations=c["deferred"],
-            jobs_by_isa=dict(self._jobs_by_isa),
+            jobs_by_isa=dict(zip(self.isas, self._jobs_by_isa)),
             busy_core_seconds_by_isa=busy_by_isa,
             energy_by_isa=energy_by_isa,
             capacity_slots_by_isa={

@@ -14,7 +14,7 @@ loses work or energy out of thin air:
   seconds they are carved out of (once any work has accrued).
 """
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.telemetry.validation import ValidationLog, default_log
 from repro.validate.errors import InvariantViolation
@@ -173,14 +173,20 @@ class FleetConservationChecker:
     """Bookkeeping audit of one FleetSimulator run.
 
     Invoked at every sparse event (wave slot, crash, repair) and once
-    at result time, re-deriving what must hold over the flat per-node
-    and per-service structs:
+    at result time.  Per-job state lives in the simulator's flat lists,
+    indexed by service id (per node for busy time): the routing tables
+    ``_node_of``/``_isa_of``/``_duration``/``_busy_per_job`` and
+    ``_free_at``, ``_jobs_done``, ``_jobs_in_slo``, ``_service_busy``
+    and ``_node_busy``.  The simulator folds its per-job counters into
+    ``_counters`` before each event fires, so every check sees a
+    consistent cut.  It re-derives what must hold:
 
     * slot conservation — per ISA, live free-pool entries plus occupied
       slots on live nodes equal the live nodes' total capacity;
     * placement consistency — every service sits in the instance list
-      of the node it names, on a node of its recorded ISA, and services
-      on dead nodes are exactly the stranded set;
+      of the node it is routed to, on a node of its recorded ISA, its
+      jobs are priced at that ISA's duration and core grant, and
+      services on dead nodes are exactly the stranded set;
     * counter conservation — completed/in-SLO/stall totals equal the
       sums over services, and per-node busy core-seconds equal the
       per-service busy seconds weighted by granted cores;
@@ -192,7 +198,7 @@ class FleetConservationChecker:
 
     def __init__(self, log: Optional[ValidationLog] = None):
         self.log = log if log is not None else default_log()
-        self._last_free_at: Dict[int, float] = {}
+        self._last_free_at: List[float] = []
         self._last_completed = 0
 
     def _fail(self, sim, invariant: str, detail: str) -> None:
@@ -238,36 +244,50 @@ class FleetConservationChecker:
         stranded = set(sim._stranded)
         up = sim.membership.up
         for inst in sim.services:
-            node = sim.nodes[inst.node_idx]
-            if inst.sid not in node.instances:
+            sid = inst.sid
+            idx = sim._node_of[sid]
+            node = sim.nodes[idx]
+            isa = sim.isas[sim._isa_of[sid]]
+            if sid not in node.instances:
                 self._fail(
                     sim, "placement-consistency",
-                    f"[{where}] service {inst.sid} not in node "
-                    f"{inst.node_idx}'s instance list",
+                    f"[{where}] service {sid} not in node {idx}'s "
+                    f"instance list",
                 )
-            if node.isa != inst.isa:
+            if node.isa != isa:
                 self._fail(
                     sim, "placement-consistency",
-                    f"[{where}] service {inst.sid} records ISA {inst.isa} "
+                    f"[{where}] service {sid} records ISA {isa} "
                     f"but sits on a {node.isa} node",
                 )
-            if not up[inst.node_idx] and inst.sid not in stranded:
+            duration = sim.templates[isa].duration(inst.spec)
+            cores = min(inst.spec.threads, sim.templates[isa].cores)
+            if (sim._duration[sid], sim._busy_per_job[sid]) != (
+                duration, duration * cores
+            ):
                 self._fail(
                     sim, "placement-consistency",
-                    f"[{where}] service {inst.sid} on dead node "
-                    f"{inst.node_idx} but not marked stranded",
+                    f"[{where}] service {sid} prices jobs at "
+                    f"{sim._duration[sid]} s x {sim._busy_per_job[sid]} "
+                    f"core-s, not {isa}'s {duration} s x {cores} cores",
+                )
+            if not up[idx] and sid not in stranded:
+                self._fail(
+                    sim, "placement-consistency",
+                    f"[{where}] service {sid} on dead node "
+                    f"{idx} but not marked stranded",
                 )
 
     def _check_counters(self, sim, where: str) -> None:
         c = sim._counters
-        done = sum(inst.jobs_done for inst in sim.services)
+        done = sum(sim._jobs_done)
         if done != c["completed"]:
             self._fail(
                 sim, "counter-conservation",
                 f"[{where}] sum(jobs_done) {done} != completed "
                 f"{c['completed']}",
             )
-        in_slo = sum(inst.jobs_in_slo for inst in sim.services)
+        in_slo = sum(sim._jobs_in_slo)
         if in_slo != c["in_slo"]:
             self._fail(
                 sim, "counter-conservation",
@@ -287,8 +307,8 @@ class FleetConservationChecker:
                 f"[{where}] sum(stall) {stall} != recorded "
                 f"{sim._stall_seconds}",
             )
-        by_service = sum(inst.busy_core_seconds for inst in sim.services)
-        by_node = sum(node.busy_core_seconds for node in sim.nodes)
+        by_service = sum(sim._service_busy)
+        by_node = sum(sim._node_busy)
         if abs(by_service - by_node) > _EPS * max(1.0, by_node):
             self._fail(
                 sim, "busy-conservation",
@@ -304,12 +324,13 @@ class FleetConservationChecker:
                 f"{sim._counters['completed']} < {self._last_completed}",
             )
         self._last_completed = sim._counters["completed"]
-        for inst in sim.services:
-            last = self._last_free_at.get(inst.sid)
-            if last is not None and inst.free_at < last - _EPS:
+        for sid, (last, free_at) in enumerate(
+            zip(self._last_free_at, sim._free_at)
+        ):
+            if free_at < last - _EPS:
                 self._fail(
                     sim, "monotonicity",
-                    f"[{where}] service {inst.sid} free_at went backwards: "
-                    f"{inst.free_at} < {last}",
+                    f"[{where}] service {sid} free_at went backwards: "
+                    f"{free_at} < {last}",
                 )
-            self._last_free_at[inst.sid] = inst.free_at
+        self._last_free_at = list(sim._free_at)

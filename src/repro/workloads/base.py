@@ -74,7 +74,12 @@ def check_class(profile: BenchProfile, cls: str) -> ClassParams:
 
 
 def mix_normalised(mix: Dict[InstrClass, float]) -> Dict[InstrClass, float]:
-    total = sum(mix.values())
+    # Added left to right, not with sum(): CPython 3.12 made sum() of
+    # floats compensated, which moved these fractions, and every
+    # duration derived from them, by an ulp between interpreters.
+    total = 0.0
+    for share in mix.values():
+        total += share
     return {k: v / total for k, v in mix.items()}
 
 

@@ -1,5 +1,8 @@
 """Fleet simulator tests: wave policies, determinism, faults, scale."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro import validate
@@ -67,6 +70,54 @@ def run_fleet(config=None, policy=None, seed=42, jobs=600, horizon=600.0,
     return sim.run(trace)
 
 
+def regression_run():
+    """slo_factor below the ARM/x86 duration ratio (~6.8 for is.A):
+    every migrated service violates its SLO even unloaded, so the
+    canary tanks attainment and the gate must hold the ramp."""
+    return run_fleet(
+        config=small_config(slo_factor=2.0), jobs=2000, horizon=600.0
+    )
+
+
+def crash_and_degrade_run():
+    """One crash inside a link-degradation window, mid-ramp."""
+    return run_fleet(faults=FaultSchedule([
+        NodeCrash(time=100.0, node=node_name(1), repair_seconds=50.0),
+        LinkDegradation(time=80.0, duration=120.0, bandwidth_factor=0.5),
+    ]))
+
+
+def stranded_run():
+    """One-node ISAs, both full after the target node dies: services
+    on a crashed source node have nowhere to go and shed their
+    arrivals until the repair re-places them."""
+    config = FleetConfig(
+        nodes={"x86-64": 1, "arm64": 1}, slots_per_node=2, services=2,
+        slo_factor=24.0,
+    )
+    policy = quick_policy(bake_s=500.0, wave_interval_s=500.0)
+    faults = FaultSchedule([
+        NodeCrash(time=10.0, node=node_name(1), permanent=True),
+        NodeCrash(time=20.0, node=node_name(0), repair_seconds=100.0),
+    ])
+    return run_fleet(
+        config=config, policy=policy, faults=faults, jobs=200, horizon=400.0,
+    )
+
+
+def failover_run():
+    """Source ISA completely full: a crash there cannot evacuate
+    same-ISA and must fail over to the other ISA."""
+    config = small_config(
+        nodes={"x86-64": 2, "arm64": 4}, slots_per_node=2, services=4
+    )
+    policy = quick_policy(bake_s=500.0, wave_interval_s=500.0)
+    faults = FaultSchedule([
+        NodeCrash(time=50.0, node=node_name(0), repair_seconds=100.0),
+    ])
+    return run_fleet(config=config, policy=policy, faults=faults)
+
+
 class TestWavePolicy:
     def test_canary_out_of_range(self):
         with pytest.raises(ValueError):
@@ -121,6 +172,16 @@ class TestFleetConfig:
         slow = migration_penalty(spec, 2e9)
         assert 0 < fast < slow
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(services=0), "at least 1 service"),
+        (dict(slots_per_node=0), "slots per node"),
+        (dict(nodes={"x86-64": 4, "arm64": 4, "riscv64": -1}),
+         "negative node count"),
+    ])
+    def test_empty_fleet_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            FleetConfig(**overrides).validate()
+
     def test_node_names_roundtrip(self):
         assert parse_node_name(node_name(17)) == 17
         assert parse_node_name("x86-server") is None
@@ -129,12 +190,8 @@ class TestFleetConfig:
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        faults = FaultSchedule([
-            NodeCrash(time=100.0, node=node_name(1), repair_seconds=50.0),
-            LinkDegradation(time=80.0, duration=120.0, bandwidth_factor=0.5),
-        ])
-        a = run_fleet(faults=faults)
-        b = run_fleet(faults=faults)
+        a = crash_and_degrade_run()
+        b = crash_and_degrade_run()
         assert a.checksum() == b.checksum()
         assert a.makespan == b.makespan
         assert a.p999_latency_s == b.p999_latency_s
@@ -147,6 +204,55 @@ class TestDeterminism:
         a = run_fleet(seed=42)
         b = run_fleet(seed=43)
         assert a.checksum() != b.checksum()
+
+    # Fixed values, so a change to the per-job path that moves any
+    # result fails here, not only in the bench's fact gate.  Together
+    # the runs take every per-job branch: shed, out of SLO (only the
+    # regression run has violations), and jobs priced after a wave, a
+    # same-ISA evacuation, a degraded one and a cross-ISA failover.
+    @pytest.mark.parametrize("scenario, checksum, shed", [
+        (crash_and_degrade_run, "868aba06ddc15cba", 0),
+        (stranded_run, "4af792a9e0ab94ed", 47),
+        (failover_run, "4dea699c6b82ff71", 0),
+        (regression_run, "78a9ca201bcb9a01", 0),
+    ], ids=["crash-and-degrade", "stranded", "failover", "regression"])
+    def test_golden_results(self, scenario, checksum, shed):
+        result = scenario()
+        assert (result.checksum(), result.jobs_shed) == (checksum, shed)
+
+
+class TestInlineDraw:
+    """The per-job loop draws each service id inline, the way
+    ``Random.randrange(n)`` does: ``n.bit_length()`` random bits,
+    redrawn until the value is below ``n``.  That mirrors a CPython
+    implementation detail, so pin it on the running interpreter."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 192, 1500, 2**20, 2**20 + 1])
+    def test_inline_draw_matches_randrange(self, n):
+        reference = random.Random(1234)
+        inline = random.Random(1234)
+        bits = n.bit_length()
+        for _ in range(500):
+            value = inline.getrandbits(bits)
+            while value >= n:
+                value = inline.getrandbits(bits)
+            assert value == reference.randrange(n)
+
+    def test_simulator_assigns_like_randrange(self):
+        # Three services: two bits per draw, and every draw of 3 is
+        # redrawn.  No crash, so every job completes on its service.
+        config = small_config(
+            nodes={"x86-64": 2, "arm64": 2}, slots_per_node=2, services=3
+        )
+        sim = FleetSimulator(
+            config, quick_policy(), DeterministicRng(5), service_mix=FAST_MIX
+        )
+        sim.run(make_trace(
+            "steady", DeterministicRng(5), requests=900, horizon_s=600.0
+        ))
+        assign = DeterministicRng(5).stream("fleet.assign")
+        expected = Counter(assign.randrange(3) for _ in range(900))
+        assert sim._jobs_done == [expected[sid] for sid in range(3)]
 
 
 class TestMigrationWaves:
@@ -173,13 +279,9 @@ class TestMigrationWaves:
         )
 
     def test_pause_on_regression(self):
-        # slo_factor below the ARM/x86 duration ratio (~6.8 for is.A):
-        # every migrated service violates its SLO even unloaded, so the
-        # canary tanks attainment and the gate must hold the ramp.
-        config = small_config(slo_factor=2.0)
-        result = run_fleet(config=config, jobs=2000, horizon=600.0)
+        result = regression_run()
         assert result.paused_waves > 0
-        assert result.services_migrated < config.services
+        assert result.services_migrated < result.services
 
     def test_deferred_when_target_full(self):
         # Target ISA has exactly as many slots as services, but one
@@ -208,36 +310,12 @@ class TestFaults:
         assert result.jobs_completed == result.jobs_offered
 
     def test_cross_isa_failover(self):
-        # Source ISA completely full: a crash there cannot evacuate
-        # same-ISA and must fail over to the other ISA.
-        config = small_config(
-            nodes={"x86-64": 2, "arm64": 4}, slots_per_node=2, services=4
-        )
-        policy = quick_policy(bake_s=500.0, wave_interval_s=500.0)
-        faults = FaultSchedule([
-            NodeCrash(time=50.0, node=node_name(0), repair_seconds=100.0),
-        ])
-        result = run_fleet(config=config, policy=policy, faults=faults)
+        result = failover_run()
         assert result.failovers > 0
         assert result.jobs_shed == 0
 
     def test_stranded_service_sheds_until_repair(self):
-        # One-node ISAs, both full after the target node dies: services
-        # on a crashed source node have nowhere to go and shed their
-        # arrivals until the repair re-places them.
-        config = FleetConfig(
-            nodes={"x86-64": 1, "arm64": 1}, slots_per_node=2, services=2,
-            slo_factor=24.0,
-        )
-        policy = quick_policy(bake_s=500.0, wave_interval_s=500.0)
-        faults = FaultSchedule([
-            NodeCrash(time=10.0, node=node_name(1), permanent=True),
-            NodeCrash(time=20.0, node=node_name(0), repair_seconds=100.0),
-        ])
-        result = run_fleet(
-            config=config, policy=policy, faults=faults, jobs=200,
-            horizon=400.0,
-        )
+        result = stranded_run()
         assert result.jobs_shed > 0
         assert result.jobs_completed + result.jobs_shed == result.jobs_offered
         assert result.stranded_services == 0  # repair re-placed them
@@ -404,3 +482,21 @@ class TestFleetCli:
             "--slots", "1", "--services", "99",
         ])
         assert rc == 2
+
+    def test_fleet_empty_fleet_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["fleet", "--services", "0"]) == 2
+        assert "at least 1 service" in capsys.readouterr().err
+
+    def test_fleet_crash_outside_fleet_exits_2(self, capsys):
+        from repro.cli import main
+
+        rc = main([
+            "fleet", "--x86-nodes", "4", "--arm-nodes", "4",
+            "--services", "8", "--crash", "8",
+        ])
+        assert rc == 2
+        assert "fault names unknown fleet node 'node-8'" in (
+            capsys.readouterr().err
+        )
