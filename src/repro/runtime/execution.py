@@ -282,8 +282,8 @@ class ExecutionEngine:
 
         ``cycles``/``instret``/``extra`` seed the slice accumulators so
         the fast engine can hand over a partially executed slice (its
-        trampoline stops at the first region it cannot run in closed
-        form and this loop finishes the slice exactly).
+        trampoline stops at a syscall and this loop executes it and
+        finishes the slice exactly).
         """
         system = self.system
         process = self.process

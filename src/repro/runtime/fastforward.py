@@ -1,23 +1,24 @@
 """Analytical fast-forward execution engine.
 
-Between migration points, blocking syscalls, and hDSM faults there is
-nothing for the engine shell to do: a straight-line run of lowered
-instructions charges a precomputable cycle cost and transforms thread
-state in a way that is fully determined by the block's IR.  The exact
-interpreter (:class:`repro.runtime.execution.ExecutionEngine`) still
-pays per-instruction dispatch for every one of them; at warehouse
-scale that dispatch *is* the wall (ROADMAP item 2).
+Between migration points, syscalls and calls there is nothing for the
+engine shell to do: a straight-line run of lowered instructions charges
+a precomputable cycle cost and transforms thread state in a way that is
+fully determined by the block's IR.  The exact interpreter
+(:class:`repro.runtime.execution.ExecutionEngine`) still pays
+per-instruction dispatch for every one of them; at warehouse scale that
+dispatch *is* the wall.
 
-:class:`FastExecutionEngine` removes it.  For every machine function a
-thread executes it compiles — once per CPU model, from the
-:mod:`repro.ir.summary` block summaries — a *region*: all the
-function's basic blocks rendered as one Python function with an
-internal dispatch loop, entered at any block label.  Loops therefore
-iterate inside compiled code, one function call per scheduler slice
-instead of one dispatch per instruction; mid-block resume positions
-(after a call or a migration) get tiny single-chunk stub regions that
-hand over to the whole-function region at the next branch.  The
-compiled region:
+:class:`FastExecutionEngine` removes it.  Code is generated per
+*chunk*: the instructions from a block start, or from a return site
+(the instruction after a ``Call`` or a ``Syscall``), up to the chunk's
+exit — its branch, call or return, or the syscall it stops before.
+For every machine function a thread executes the engine compiles —
+once per CPU model, from the :mod:`repro.ir.summary` block summaries —
+a *region*: all the function's chunks in closed form, rendered as one
+Python function with an internal dispatch loop and an entry label at
+every chunk start.  Loops therefore iterate inside compiled code, one
+function call per scheduler slice instead of one dispatch per
+instruction.  The region:
 
 * folds every static cycle cost into left-to-right constant chains
   (``cycles = cycles + c3 + c4``) that perform the **same float
@@ -30,26 +31,35 @@ compiled region:
   order is preserved;
 * inlines operand access (registers, frame slots), DSM residency
   pre-checks, and operator semantics from the shared
-  :mod:`repro.ir.semantics` tables;
-* checks the remaining slice budget before every block and hands
+  :mod:`repro.ir.semantics` tables, with literal operands folded in;
+* checks the remaining slice budget before every chunk and hands
   control back to the engine shell at calls, returns, migrations,
-  syscalls, and slice exhaustion.
+  syscalls, and when the budget cannot cover the next chunk.
+
+Two cases run a chunk's *stepping variant* instead: the same
+instructions one at a time, with the budget checked before each, and
+entered at any instruction index.  One is a chunk the remaining slice
+budget cannot cover; the other is a slice that resumes inside a chunk,
+after a slice boundary or a migration.  A stepping variant is compiled
+the first time a slice boundary lands in its chunk, so a machine
+function never has more compiled objects per CPU model than its region
+plus one per chunk, however many resume positions a run visits.
 
 The scheduler, commit points, slice structure (256-instruction
 budget), syscall layer, migration path, and DSM are all inherited
 unchanged, which is why every ``RunResult`` fact and golden checksum
-is reproduced bit for bit.  When the remaining budget cannot cover the
-next block the engine falls back to the inherited ``_interp_slice``
-for the rest of the slice, preserving the exact interleaving.
+is reproduced bit for bit.  A syscall hands the rest of its slice to
+the inherited ``_interp_slice``.
 
-Cross-validation (``REPRO_VALIDATE=1``): regions shrink to single
-blocks and, after each one runs, the engine replays its instruction
-range against the *exact* interpreter's independently derived cycle
-tables, raising :class:`FastForwardDivergence` on the first
-cycles/instret mismatch — this is what catches a stale or corrupted
-block summary.
+Cross-validation (``REPRO_VALIDATE=1``): the region returns to the
+engine after every chunk, and after each closed-form chunk or stepping
+segment the engine replays its instruction range against the *exact*
+interpreter's independently derived cycle tables, raising
+:class:`FastForwardDivergence` on the first cycles/instret mismatch —
+this is what catches a stale or corrupted block summary.
 """
 
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 from repro.ir.instructions import (
@@ -69,7 +79,6 @@ from repro.ir.instructions import (
     UnOp,
     Work,
 )
-from repro.ir.semantics import truncdiv
 from repro.ir.summary import block_summaries
 from repro.isa.isa import InstrClass
 from repro.runtime.execution import ExecutionEngine, ExecutionError
@@ -100,36 +109,34 @@ def _f2i(a):
 
 
 # Region exit kinds (first element of the return tuple).
-_DONE = 0  # slice budget exhausted in a partial chunk; pc already set
+_DONE = 0  # slice budget exhausted while stepping; pc already set
 _SHELL = 1  # pc parked at a syscall; finish the slice exactly
 _MIGRATE = 2  # a = target machine, b = site_id
 _CALL = 3  # a = Call instr, b = evaluated args
 _RET = 4  # a = return value
 _RESUME = 5  # a, b = next (block, index); continue fast-forwarding
-_TAIL = 6  # a, b = next (block, index); budget too small, finish exactly
+_STEP = 6  # a, b = chunk start the budget cannot cover; step it
 
 # Operator expression templates, mirroring repro.ir.semantics exactly.
-# div/mod expand C-style truncation inline (same quotients/remainders
-# and the same ZeroDivisionError as ``semantics.truncdiv``, without a
-# Python call per operation).
+# ``{ai}``/``{bi}`` are the operands' ``int()`` and ``{same}`` tests
+# that their signs agree; all three are folded when an operand is a
+# literal (see ``_int_fields``).  div/mod expand C-style truncation
+# inline (same quotients/remainders and the same ZeroDivisionError as
+# ``semantics.truncdiv``, without a Python call per operation).
 _INT_EXPR = {
     "add": "({a} + {b})",
     "sub": "({a} - {b})",
     "mul": "({a} * {b})",
-    "div": (
-        "((int({a}) // int({b})) if (int({a}) < 0) == (int({b}) < 0)"
-        " else -(-int({a}) // int({b})))"
-    ),
+    "div": "(({ai} // {bi}) if {same} else -(-{ai} // {bi}))",
     "mod": (
-        "((int({a}) % int({b})) if (int({a}) % int({b})) == 0"
-        " or (int({a}) >= 0) == (int({b}) >= 0)"
-        " else (int({a}) % int({b})) - int({b}))"
+        "(({ai} % {bi}) if ({ai} % {bi}) == 0 or {same}"
+        " else ({ai} % {bi}) - {bi})"
     ),
-    "and": "(int({a}) & int({b}))",
-    "or": "(int({a}) | int({b}))",
-    "xor": "(int({a}) ^ int({b}))",
-    "shl": "((int({a}) << int({b})) & 0xFFFFFFFFFFFFFFFF)",
-    "shr": "(int({a}) >> int({b}))",
+    "and": "({ai} & {bi})",
+    "or": "({ai} | {bi})",
+    "xor": "({ai} ^ {bi})",
+    "shl": "(({ai} << {bi}) & 0xFFFFFFFFFFFFFFFF)",
+    "shr": "({ai} >> {bi})",
     "eq": "(1 if {a} == {b} else 0)",
     "ne": "(1 if {a} != {b} else 0)",
     "lt": "(1 if {a} < {b} else 0)",
@@ -149,7 +156,7 @@ _FLOAT_EXPR.update(
 _UNOP_EXPR = {
     "mov": "{a}",
     "neg": "(-{a})",
-    "not": "(~int({a}))",
+    "not": "(~{ai})",
     "i2f": "float({a})",
     "f2i": "_f2i({a})",
     "sqrt": "(abs({a}) ** 0.5)",
@@ -157,76 +164,160 @@ _UNOP_EXPR = {
 }
 
 
+def _as_int(op, text: str) -> str:
+    """``int(op)`` as an expression, folded when ``op`` is an int literal."""
+    if not isinstance(op, int):
+        return f"int({text})"
+    return repr(int(op)) if op >= 0 else f"({int(op)!r})"
+
+
+def _int_fields(a, b, ta: str, tb: str) -> Dict[str, str]:
+    """Template fields for operands ``a``/``b`` rendered as ``ta``/``tb``.
+
+    ``same`` is ``(int(a) < 0) == (int(b) < 0)``; against an int
+    literal it reduces to one sign test of the other operand, or to a
+    constant.
+    """
+    ai, bi = _as_int(a, ta), _as_int(b, tb)
+    lit_a, lit_b = isinstance(a, int), isinstance(b, int)
+    if lit_a and lit_b:
+        same = repr((int(a) < 0) == (int(b) < 0))
+    elif lit_a or lit_b:
+        var, negative = (bi, int(a) < 0) if lit_a else (ai, int(b) < 0)
+        same = f"({var} < 0)" if negative else f"({var} >= 0)"
+    else:
+        same = f"(({ai} < 0) == ({bi} < 0))"
+    return {"a": ta, "b": tb, "ai": ai, "bi": bi, "same": same}
+
+
+# Chunk exits: a chunk runs up to its first branch, call or return,
+# or stops before its first syscall.
+_EXITS = (Br, CBr, Call, Ret, Syscall)
+
+
+def _chunk_end(instrs, start: int) -> int:
+    """Index of the instruction the chunk starting at ``start`` exits at."""
+    k = start
+    while instrs[k].__class__ not in _EXITS:
+        k += 1
+    return k
+
+
+def _chunk_starts(mf) -> Dict[str, List[int]]:
+    """Chunk start indices per block: 0 and every return site."""
+    starts = {}
+    for label, block in mf.fn.blocks.items():
+        instrs = block.instrs
+        starts[label] = [0] + [
+            k + 1
+            for k, instr in enumerate(instrs[:-1])
+            if instr.__class__ is Call or instr.__class__ is Syscall
+        ]
+    return starts
+
+
+# Region-local aliases, bound in a prologue only when the body mentions
+# them (a name inside a quoted block or function name only costs an
+# unused binding).
+_PROLOGUE = (
+    ("cfa", "frame.cfa"),
+    ("_dc", "self._dsm_charge"),
+    ("_mg", "mem.get"),
+    ("_rt", "self.process.vdso.read_target"),
+    ("_hk", "self.hooks.on_migration_point"),
+    ("_tid", "thread.tid"),
+    ("_mn", "thread.machine_name"),
+    ("_c1", "cache[1]"),
+    ("_c2", "cache[2]"),
+)
+
 # source text -> compiled code object, shared process-wide.
 _CODE_CACHE: Dict[str, object] = {}
 
 
-class _Region:
-    """A compiled dispatch function plus the entry label to start at."""
+class _FunctionCode:
+    """Compiled code of one machine function on one CPU model.
 
-    __slots__ = ("fn", "source", "entry")
-
-    def __init__(self, fn, source: str, entry: int):
-        self.fn = fn
-        self.source = source
-        self.entry = entry
-
-    def at_entry(self, entry: int) -> "_Region":
-        return _Region(self.fn, self.source, entry)
-
-
-class _RegionBuilder:
-    """Generates the Python source for one region of a machine function.
-
-    ``single=True`` builds a one-chunk region whose branch exits always
-    return to the trampoline: used for mid-block resume stubs (cheap to
-    compile, executed once per resume) and for all validating builds
-    (the lock-step replay needs one linear instruction range).
-    ``single=False`` builds the whole function — every block — as one
-    dispatch loop entered via a label parameter, so loops iterate
-    entirely inside compiled code and each machine function compiles
-    exactly once per CPU model.
+    ``region`` runs chunks in closed form and is entered at
+    ``labels[(block, start)]`` for every chunk start.  ``steps`` maps a
+    chunk start to the chunk's stepping variant, compiled the first
+    time a slice boundary lands in the chunk.
     """
 
-    def __init__(self, engine, mf, cpu, validating: bool, single: bool):
-        self.engine = engine
+    __slots__ = ("mf", "cpu", "validating", "starts", "labels", "region", "steps")
+
+    def __init__(self, engine, mf, cpu, validating: bool):
         self.mf = mf
         self.cpu = cpu
         self.validating = validating
-        self.single = single or validating
+        self.starts = _chunk_starts(mf)
+        self.labels: Dict[Tuple[str, int], int] = {}
+        for block, starts in self.starts.items():
+            for start in starts:
+                self.labels[(block, start)] = len(self.labels)
+        builder = _RegionBuilder(engine, mf, cpu, validating)
+        self.region = builder.region(self.labels)
+        self.steps: Dict[Tuple[str, int], object] = {}
+
+    def stepper(self, engine, block: str, idx: int):
+        """Stepping variant of the chunk holding ``(block, idx)``."""
+        starts = self.starts[block]
+        key = (block, starts[bisect_right(starts, idx) - 1])
+        fn = self.steps.get(key)
+        if fn is None:
+            builder = _RegionBuilder(engine, self.mf, self.cpu, self.validating)
+            fn = self.steps[key] = builder.stepping(*key)
+        return fn
+
+
+class _RegionBuilder:
+    """Generates the Python source of one compiled object of a machine
+    function: its closed-form region or one chunk's stepping variant.
+
+    The region renders every chunk as one dispatch loop entered via a
+    label parameter; branches continue in the loop, so loops iterate
+    entirely inside compiled code.  Validating builds return to the
+    trampoline at every branch instead: the lock-step replay needs each
+    call to describe one linear instruction range, which an in-region
+    loop (even a self-loop) would break.  A stepping variant renders
+    one chunk instruction by instruction and returns at its exit.
+    """
+
+    def __init__(self, engine, mf, cpu, validating: bool):
+        self.mf = mf
+        self.cpu = cpu
+        self.validating = validating
         self.loc = engine._locations(mf)
         self.summaries = block_summaries(mf)
         # Physical register -> region-local variable.  Register traffic
         # is the hottest state access; inside a region registers live
-        # in Python locals and are written back to ``thread.regs`` once
-        # at region exit (the engine shell and ``_push_frame`` /
+        # in Python locals, loaded at entry if the code can read their
+        # entry value and written back to ``thread.regs`` at exit if
+        # it writes them (the engine shell and ``_push_frame`` /
         # ``_pop_frame`` read the dict between regions).  Keyed by
         # *physical* register so IR variables sharing one register
         # share one local, exactly like the dict they replace.
         self.regmap: Dict[str, str] = {}
-        for var in mf.fn.var_types:
-            where = self.loc[var]
-            if where[0] == "r" and where[1] not in self.regmap:
-                self.regmap[where[1]] = f"_g{len(self.regmap)}"
-        self.ns: Dict[str, object] = {
-            "_truncdiv": truncdiv,
-            "_f2i": _f2i,
-            "_mf": mf,
-        }
+        self.loads = set()
+        self.writes = set()
+        # Registers the current closed-form chunk has written: a chunk
+        # is entered only at its start, so its later reads of them
+        # never see the entry value.  A stepping variant is entered at
+        # any index, so there every read loads.
+        self.defined = set()
+        self.ns: Dict[str, object] = {"_f2i": _f2i, "_mf": mf}
+        self.labels: Dict[Tuple[str, int], int] = {}
+        self.stepping_mode = False
         self.lines: List[str] = []
+        self.depth = 0  # indentation of emitted statements
         self.pend_c: List[str] = []  # pending cycle-constant chain terms
         self.pend_i: List[str] = []  # pending instret-constant chain terms
         self._tmp = 0
-        # (block, start index, partial?) -> dispatch label.  Partial
-        # chunks step instructions one at a time with budget checks —
-        # the compiled equivalent of the interpreter finishing a slice.
-        self.labels: Dict[Tuple[str, int, bool], int] = {}
-        self.worklist: List[Tuple[str, int, bool]] = []
 
     # --------------------------------------------------- emit helpers
 
     def emit(self, line: str, depth: int = 0) -> None:
-        self.lines.append("    " * depth + line)
+        self.lines.append("    " * (self.depth + depth) + line)
 
     def fresh(self) -> str:
         self._tmp += 1
@@ -238,119 +329,124 @@ class _RegionBuilder:
         self.ns[name] = obj
         return name
 
-    def flush(self, depth: int = 0) -> None:
+    def flush(self) -> None:
         # One chained statement == the same sequence of left-to-right
         # binary additions the interpreter performs; folding the
         # constants into one sum would reassociate and break
         # bit-identity.
         if self.pend_c:
-            self.emit("cycles = cycles + " + " + ".join(self.pend_c), depth)
+            self.emit("cycles = cycles + " + " + ".join(self.pend_c))
             del self.pend_c[:]
         if self.pend_i:
-            self.emit("instret = instret + " + " + ".join(self.pend_i), depth)
+            self.emit("instret = instret + " + " + ".join(self.pend_i))
             del self.pend_i[:]
 
-    def read(self, op, depth: int = 0) -> str:
+    def local(self, reg: str) -> str:
+        name = self.regmap.get(reg)
+        if name is None:
+            name = self.regmap[reg] = f"_g{len(self.regmap)}"
+        return name
+
+    def read(self, op) -> str:
         if not isinstance(op, str):
             return repr(op)
         where = self.loc[op]
         if where[0] == "r":
-            return self.regmap[where[1]]
+            if where[1] not in self.defined:
+                self.loads.add(where[1])
+            return self.local(where[1])
         t = self.fresh()
-        self.emit(f"{t}a = cfa - {where[1]}", depth)
-        self.emit(f"if ({t}a >> 12) not in _c1:", depth)
-        self.emit(f"    extra = extra + _dc(thread, {t}a, False)", depth)
-        self.emit(f"{t} = _mg({t}a, 0)", depth)
+        self.emit(f"{t}a = cfa - {where[1]}")
+        self.emit(f"if ({t}a >> 12) not in _c1:")
+        self.emit(f"    extra = extra + _dc(thread, {t}a, False)")
+        self.emit(f"{t} = _mg({t}a, 0)")
         return t
 
-    def write(self, name: str, expr: str, depth: int = 0) -> None:
+    def write(self, name: str, expr: str) -> None:
         where = self.loc[name]
         if where[0] == "r":
-            self.emit(f"{self.regmap[where[1]]} = {expr}", depth)
+            self.writes.add(where[1])
+            if not self.stepping_mode:
+                self.defined.add(where[1])
+            self.emit(f"{self.local(where[1])} = {expr}")
             return
         t = self.fresh()
-        self.emit(f"{t} = {expr}", depth)
-        self.emit(f"{t}a = cfa - {where[1]}", depth)
-        self.emit(f"if ({t}a >> 12) not in _c2:", depth)
-        self.emit(f"    extra = extra + _dc(thread, {t}a, True)", depth)
-        self.emit(f"mem[{t}a] = {t}", depth)
-
-    # ------------------------------------------------- region growing
-
-    def label_for(self, block: str, start: int, partial: bool = False) -> int:
-        """Dispatch label of a chunk, queueing it for generation."""
-        key = (block, start, partial)
-        label = self.labels.get(key)
-        if label is None:
-            label = len(self.labels)
-            self.labels[key] = label
-            self.worklist.append(key)
-        return label
+        self.emit(f"{t} = {expr}")
+        self.emit(f"{t}a = cfa - {where[1]}")
+        self.emit(f"if ({t}a >> 12) not in _c2:")
+        self.emit(f"    extra = extra + _dc(thread, {t}a, True)")
+        self.emit(f"mem[{t}a] = {t}")
 
     def jump(self, block: str, depth: int) -> None:
-        """Transfer to ``(block, 0)``.
-
-        Whole-function builds dispatch in-region (every block has a
-        label), so loops never leave compiled code.  Single-chunk
-        builds always return to the trampoline: resume stubs hand over
-        to the whole-function region after one chunk, and validating
-        builds need ``(entry, consumed)`` to describe one linear
-        range, which an in-region loop (even a self-loop) would break.
-        """
-        if self.single:
+        """Transfer to ``(block, 0)``: in the region's loop, or back to
+        the trampoline from a stepping variant or a validating build."""
+        if self.stepping_mode or self.validating:
             self.emit(
                 f"_rv = (5, {block!r}, 0, budget, cycles, instret, extra)",
                 depth,
             )
             self.emit("break", depth)
             return
-        label = self.label_for(block, 0)
-        self.emit(f"_L = {label}", depth)
+        self.emit(f"_L = {self.labels[(block, 0)]}", depth)
         self.emit("continue", depth)
 
     # ------------------------------------------------ chunk generation
 
-    def gen_chunk(self, block: str, start: int) -> None:
+    def gen(self, block: str, start: int) -> None:
         """Generate one chunk: instructions from ``start`` to the
-        chunk's exit (branch, call, return, syscall, or block end).
+        chunk's exit (branch, call, return, or before a syscall).
 
-        The generated statements perform the same state updates and
-        the same per-accumulator float additions, in the same order,
-        as ``_interp_slice`` stepping the same instructions.
+        The closed form charges the chunk's static costs in chains
+        between state updates.  The stepping variant checks the budget
+        and charges each instruction in its own statements, exactly
+        like ``_interp_slice``, and guards each instruction but the
+        exit with the entry index ``_at``, so one compiled chunk serves
+        every resume position.  Either way the generated statements
+        perform the same state updates and the same per-accumulator
+        float additions, in the same order, as the interpreter stepping
+        the same instructions.
         """
         mf = self.mf
         cpu = self.cpu
+        stepping = self.stepping_mode
         cyc = self.summaries[block].cycles_per_instr(cpu)
         instrs = mf.fn.blocks[block].instrs
+        end = _chunk_end(instrs, start)
         emit, read, write = self.emit, self.read, self.write
         pend_c, pend_i = self.pend_c, self.pend_i
+        self.defined.clear()
 
-        # Budget gate: the whole chunk runs in closed form or not at
-        # all — a partial chunk is the exact interpreter's job, which
-        # preserves the 256-instruction slice structure bit for bit.
-        consume = self._chunk_consume(instrs, start)
-        if consume:
-            if self.single:
+        if not stepping:
+            # Budget gate: the whole chunk runs in closed form or its
+            # stepping variant runs it, which preserves the
+            # 256-instruction slice structure bit for bit.
+            consume = end - start + (instrs[end].__class__ is not Syscall)
+            if consume:
                 emit(f"if budget < {consume}:")
                 emit(
                     f"    _rv = (6, {block!r}, {start}, budget, "
                     "cycles, instret, extra)"
                 )
                 emit("    break")
-            else:
-                # Not enough slice left for the closed form: switch to
-                # the per-instruction variant of this same chunk, which
-                # finishes the slice in compiled code.
-                pl = self.label_for(block, start, partial=True)
-                emit(f"if budget < {consume}:")
-                emit(f"    _L = {pl}")
-                emit("    continue")
 
-        k = start
-        while True:
+        for k in range(start, end + 1):
             instr = instrs[k]
             cls = instr.__class__
-            n = k - start + 1  # budget consumed through this instruction
+            # Budget the chunk has consumed, and the budget left, if it
+            # exits at this instruction (a syscall is not consumed).
+            n = k - start + (cls is not Syscall)
+            left = "budget" if stepping else f"budget - {n}"
+            if stepping:
+                self.depth = 0
+                if k < end:
+                    emit(f"if _at <= {k}:")
+                    self.depth = 1
+                if cls is not Syscall:
+                    emit("if budget == 0:")
+                    emit(f"    thread.pc = ({block!r}, {k})")
+                    emit("    _rv = (0, 0, 0, 0, cycles, instret, extra)")
+                    emit("    break")
+                    emit("budget = budget - 1")
 
             if cls is Syscall:
                 # Stop *before* the syscall: the exact interpreter
@@ -358,50 +454,46 @@ class _RegionBuilder:
                 # charges its budget/cycles itself.
                 self.flush()
                 emit(f"thread.pc = ({block!r}, {k})")
-                emit(
-                    f"_rv = (1, 0, 0, budget - {k - start}, "
-                    "cycles, instret, extra)"
-                )
+                emit(f"_rv = (1, 0, 0, {left}, cycles, instret, extra)")
                 emit("break")
-                return
+                break
 
             pend_c.append(repr(cyc[k]))
 
             if cls is BinOp:
-                a = read(instr.a)
-                b = read(instr.b)
                 table = _FLOAT_EXPR if instr.vt.is_float else _INT_EXPR
-                write(instr.dst, table[instr.op].format(a=a, b=b))
+                fields = _int_fields(
+                    instr.a, instr.b, read(instr.a), read(instr.b)
+                )
+                write(instr.dst, table[instr.op].format(**fields))
                 pend_i.append("1")
-                k += 1
             elif cls is Load:
-                a = read(instr.addr)
+                a = _as_int(instr.addr, read(instr.addr))
                 t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
+                emit(f"{t} = {a} + {instr.offset}")
                 emit(f"if ({t} >> 12) not in _c1:")
                 emit(f"    extra = extra + _dc(thread, {t}, False)")
                 write(instr.dst, f"_mg({t}, 0)")
                 pend_i.append("1")
-                k += 1
             elif cls is Store:
-                a = read(instr.addr)
+                a = _as_int(instr.addr, read(instr.addr))
                 t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
+                emit(f"{t} = {a} + {instr.offset}")
                 emit(f"if ({t} >> 12) not in _c2:")
                 emit(f"    extra = extra + _dc(thread, {t}, True)")
                 s = read(instr.src)
                 emit(f"mem[{t}] = {s}")
                 pend_i.append("1")
-                k += 1
             elif cls is Const:
                 write(instr.dst, repr(instr.value))
                 pend_i.append("1")
-                k += 1
             elif cls is UnOp:
                 a = read(instr.a)
-                write(instr.dst, _UNOP_EXPR[instr.op].format(a=a))
+                write(
+                    instr.dst,
+                    _UNOP_EXPR[instr.op].format(a=a, ai=_as_int(instr.a, a)),
+                )
                 pend_i.append("1")
-                k += 1
             elif cls is Work:
                 am = read(instr.amount)
                 wcls = InstrClass(instr.kind)
@@ -416,28 +508,27 @@ class _RegionBuilder:
                 if self.validating:
                     emit(f"dyn.append({am})")
                 if instr.pages is not None:
-                    p = read(instr.pages)
+                    p = _as_int(instr.pages, read(instr.pages))
                     iname = self.intern(instr)
                     emit(
                         f"extra = extra + self._touch_range"
-                        f"(thread, {iname}, int({p}))"
+                        f"(thread, {iname}, {p})"
                     )
-                k += 1
             elif cls is CBr:
                 c = read(instr.cond)
                 pend_i.append("2")
                 self.flush()
-                emit(f"budget = budget - {n}")
+                if not stepping:
+                    emit(f"budget = budget - {n}")
                 emit(f"if {c}:")
                 self.jump(instr.if_true, 1)
                 self.jump(instr.if_false, 0)
-                return
             elif cls is Br:
                 pend_i.append("1")
                 self.flush()
-                emit(f"budget = budget - {n}")
+                if not stepping:
+                    emit(f"budget = budget - {n}")
                 self.jump(instr.target, 0)
-                return
             elif cls is MigPoint:
                 pend_i.append("5")
                 self.flush()
@@ -451,11 +542,10 @@ class _RegionBuilder:
                 emit(f"if {t} is not None and {t} != _mn:")
                 emit(f"    thread.pc = ({block!r}, {k + 1})")
                 emit(
-                    f"    _rv = (2, {t}, {instr.site_id}, budget - {n}, "
+                    f"    _rv = (2, {t}, {instr.site_id}, {left}, "
                     "cycles, instret, extra)"
                 )
                 emit("    break")
-                k += 1
             elif cls is Call:
                 self.flush()
                 args = [read(a) for a in instr.args]
@@ -465,10 +555,9 @@ class _RegionBuilder:
                 iname = self.intern(instr)
                 emit(
                     f"_rv = (3, {iname}, [{', '.join(args)}], "
-                    f"budget - {n}, cycles, instret, extra)"
+                    f"{left}, cycles, instret, extra)"
                 )
                 emit("break")
-                return
             elif cls is Ret:
                 v = read(instr.value) if instr.value is not None else "0"
                 epilogue = len(mf.frame.saved_reg_depths) + 2
@@ -477,12 +566,8 @@ class _RegionBuilder:
                 )
                 pend_i.append(str(3 + epilogue))
                 self.flush()
-                emit(
-                    f"_rv = (4, {v}, 0, budget - {n}, "
-                    "cycles, instret, extra)"
-                )
+                emit(f"_rv = (4, {v}, 0, {left}, cycles, instret, extra)")
                 emit("break")
-                return
             elif cls is AddrOf:
                 t = self.fresh()
                 emit(
@@ -491,258 +576,76 @@ class _RegionBuilder:
                 )
                 write(instr.dst, t)
                 pend_i.append("1")
-                k += 1
             elif cls is StackAlloc:
                 depth = mf.frame.buffer_depths[instr.name][0]
                 write(instr.dst, f"cfa - {depth}")
                 pend_i.append("1")
-                k += 1
             elif cls is InlineAsm:
                 pend_i.append(str(instr.instr_estimate))
-                k += 1
             else:  # pragma: no cover
                 raise ExecutionError(
                     f"fast-forward: unknown instruction {cls.__name__}"
                 )
-
-    @staticmethod
-    def _chunk_consume(instrs, start: int) -> int:
-        """Slice budget the chunk consumes when it completes."""
-        k = start
-        while True:
-            cls = instrs[k].__class__
-            if cls is Syscall:
-                return k - start
-            if cls in (Br, CBr, Call, Ret):
-                return k - start + 1
-            k += 1
-
-    def gen_partial(self, block: str, start: int) -> None:
-        """Per-instruction variant of a chunk, entered when the
-        remaining budget cannot cover the closed form.
-
-        Steps exactly like ``_interp_slice``: budget checked before
-        every instruction, its static cycle cost added in its own
-        statement (the same addition sequence as the interpreter's
-        ``cycles += tab[idx]``), state updated per instruction.  This
-        is how a slice ends inside compiled code instead of falling
-        back to the interpreter for its tail.  Exit kind 0 means "slice
-        exhausted, pc already stored"; branch exits transfer to the
-        target's *full* chunk, whose budget gate re-dispatches.
-        """
-        mf = self.mf
-        cpu = self.cpu
-        cyc = self.summaries[block].cycles_per_instr(cpu)
-        instrs = mf.fn.blocks[block].instrs
-        emit, read, write = self.emit, self.read, self.write
-
-        k = start
-        while True:
-            instr = instrs[k]
-            cls = instr.__class__
-
-            if cls is Syscall:
-                emit(f"thread.pc = ({block!r}, {k})")
-                emit("_rv = (1, 0, 0, budget, cycles, instret, extra)")
-                emit("break")
-                return
-
-            emit("if budget == 0:")
-            emit(f"    thread.pc = ({block!r}, {k})")
-            emit("    _rv = (0, 0, 0, 0, cycles, instret, extra)")
-            emit("    break")
-            emit("budget = budget - 1")
-            emit(f"cycles = cycles + {cyc[k]!r}")
-
-            if cls is BinOp:
-                a = read(instr.a)
-                b = read(instr.b)
-                table = _FLOAT_EXPR if instr.vt.is_float else _INT_EXPR
-                write(instr.dst, table[instr.op].format(a=a, b=b))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Load:
-                a = read(instr.addr)
-                t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c1:")
-                emit(f"    extra = extra + _dc(thread, {t}, False)")
-                write(instr.dst, f"_mg({t}, 0)")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Store:
-                a = read(instr.addr)
-                t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c2:")
-                emit(f"    extra = extra + _dc(thread, {t}, True)")
-                s = read(instr.src)
-                emit(f"mem[{t}] = {s}")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Const:
-                write(instr.dst, repr(instr.value))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is UnOp:
-                a = read(instr.a)
-                write(instr.dst, _UNOP_EXPR[instr.op].format(a=a))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Work:
-                am = read(instr.amount)
-                wcls = InstrClass(instr.kind)
-                expansion = mf.isa.expansion(wcls)
-                cpi = cpu.cpi.get(wcls, 1.0)
-                t = self.fresh()
-                emit(f"{t} = {am} * {expansion!r}")
-                emit(f"cycles = cycles + {t} * {cpi!r}")
-                emit(f"instret = instret + {t}")
-                if instr.pages is not None:
-                    p = read(instr.pages)
-                    iname = self.intern(instr)
-                    emit(
-                        f"extra = extra + self._touch_range"
-                        f"(thread, {iname}, int({p}))"
-                    )
-                k += 1
-            elif cls is CBr:
-                c = read(instr.cond)
-                emit("instret = instret + 2")
-                emit(f"if {c}:")
-                self.jump(instr.if_true, 1)
-                self.jump(instr.if_false, 0)
-                return
-            elif cls is Br:
-                emit("instret = instret + 1")
-                self.jump(instr.target, 0)
-                return
-            elif cls is MigPoint:
-                emit("instret = instret + 5")
-                t = self.fresh()
-                emit(f"{t} = _rt(_tid)")
-                emit("if _hk is not None:")
-                emit(
-                    f"    _hk(thread, {mf.name!r}, {instr.point_id}, "
-                    "thread.instructions + instret)"
-                )
-                emit(f"if {t} is not None and {t} != _mn:")
-                emit(f"    thread.pc = ({block!r}, {k + 1})")
-                emit(
-                    f"    _rv = (2, {t}, {instr.site_id}, budget, "
-                    "cycles, instret, extra)"
-                )
-                emit("    break")
-                k += 1
-            elif cls is Call:
-                args = [read(a) for a in instr.args]
-                emit(f"frame.resume = ({block!r}, {k})")
-                emit(f"frame.call_site_id = {instr.site_id}")
-                emit(f"thread.pc = ({block!r}, {k})")
-                iname = self.intern(instr)
-                emit(
-                    f"_rv = (3, {iname}, [{', '.join(args)}], "
-                    "budget, cycles, instret, extra)"
-                )
-                emit("break")
-                return
-            elif cls is Ret:
-                v = read(instr.value) if instr.value is not None else "0"
-                epilogue = len(mf.frame.saved_reg_depths) + 2
-                emit(
-                    "cycles = cycles + "
-                    f"{epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0)!r}"
-                )
-                emit(f"instret = instret + {3 + epilogue}")
-                emit(
-                    f"_rv = (4, {v}, 0, budget, cycles, instret, extra)"
-                )
-                emit("break")
-                return
-            elif cls is AddrOf:
-                t = self.fresh()
-                emit(
-                    f"{t} = self._resolve_symbol"
-                    f"(thread, _mf, frame, {instr.symbol!r})"
-                )
-                write(instr.dst, t)
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is StackAlloc:
-                depth = mf.frame.buffer_depths[instr.name][0]
-                write(instr.dst, f"cfa - {depth}")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is InlineAsm:
-                emit(f"instret = instret + {instr.instr_estimate}")
-                k += 1
-            else:  # pragma: no cover
-                raise ExecutionError(
-                    f"fast-forward: unknown instruction {cls.__name__}"
-                )
+            if stepping:
+                self.flush()
+        self.depth = 0
 
     # ----------------------------------------------------------- build
 
-    def build(self, entry_block: str, entry_start: int) -> _Region:
-        if not self.single:
-            # Whole-function build: one label per block, one compile
-            # per (machine function, CPU model) for the whole run.
-            for b in self.mf.fn.blocks:
-                self.label_for(b, 0)
-        entry = self.label_for(entry_block, entry_start)
-        chunks: List[Tuple[int, List[str]]] = []
-        while self.worklist:
-            block, start, partial = self.worklist.pop(0)
-            label = self.labels[(block, start, partial)]
+    def region(self, labels: Dict[Tuple[str, int], int]):
+        """Compile every chunk in closed form behind its entry label."""
+        self.labels = labels
+        body = []
+        for (block, start), label in labels.items():
             self.lines = []
-            if partial:
-                self.gen_partial(block, start)
-            else:
-                self.gen_chunk(block, start)
+            self.gen(block, start)
             assert not self.pend_c and not self.pend_i
-            chunks.append((label, self.lines))
+            body.append(f"{'if' if label == 0 else 'elif'} _L == {label}:")
+            body.extend("    " + line for line in self.lines)
+        return self.assemble(
+            body, "_L", f"<fastforward {self.mf.name}:{self.cpu.name}>"
+        )
 
+    def stepping(self, block: str, start: int):
+        """Compile the stepping variant of the chunk at ``(block, start)``."""
+        self.stepping_mode = True
+        self.lines = []
+        self.gen(block, start)
+        return self.assemble(
+            self.lines,
+            "_at",
+            f"<fastforward {self.mf.name}:{block}:{start}:{self.cpu.name}>",
+        )
+
+    def assemble(self, body: List[str], entry: str, filename: str):
+        """Wrap ``body`` in the region function and compile it."""
         params = (
             "self, thread, frame, regs, mem, cache, "
-            "budget, cycles, instret, extra, entry"
+            f"budget, cycles, instret, extra, {entry}"
         )
         if self.validating:
             params += ", dyn"
         out = [f"def _region({params}):"]
-        out.append("    cfa = frame.cfa")
-        out.append("    _dc = self._dsm_charge")
-        out.append("    _mg = mem.get")
-        out.append("    _rt = self.process.vdso.read_target")
-        out.append("    _hk = self.hooks.on_migration_point")
-        out.append("    _tid = thread.tid")
-        out.append("    _mn = thread.machine_name")
-        out.append("    _c1 = cache[1]")
-        out.append("    _c2 = cache[2]")
-        out.append("    _rg = regs.get")
-        # Registers enter as locals.  ``None`` marks "absent from the
-        # dict and never written here": the epilogue skips those so the
-        # dict's key set — visible to checkpoint images and migration —
-        # is exactly what per-instruction interpretation leaves behind.
+        text = "\n".join(body)
+        out.extend(f"    {name} = {expr}" for name, expr in _PROLOGUE if name in text)
+        # ``None`` marks "absent from the dict or not loaded, and never
+        # written here": the epilogue skips those so the dict's key set
+        # — visible to checkpoint images and migration — is exactly
+        # what per-instruction interpretation leaves behind.
+        if self.loads:
+            out.append("    _rg = regs.get")
         for reg, local in self.regmap.items():
-            out.append(f"    {local} = _rg({reg!r})")
-        out.append("    _L = entry")
+            load = f"_rg({reg!r})" if reg in self.loads else "None"
+            out.append(f"    {local} = {load}")
         out.append("    while True:")
-        for i, (label, lines) in enumerate(sorted(chunks)):
-            kw = "if" if i == 0 else "elif"
-            out.append(f"        {kw} _L == {label}:")
-            for line in lines:
-                out.append("            " + line)
+        out.extend("        " + line for line in body)
         for reg, local in self.regmap.items():
-            out.append(f"    if {local} is not None: regs[{reg!r}] = {local}")
+            if reg in self.writes:
+                out.append(
+                    f"    if {local} is not None: regs[{reg!r}] = {local}"
+                )
         out.append("    return _rv")
         source = "\n".join(out) + "\n"
-        if self.single:
-            filename = (
-                f"<fastforward {self.mf.name}:{entry_block}:{entry_start}"
-                f":{self.cpu.name}>"
-            )
-        else:
-            filename = f"<fastforward {self.mf.name}:{self.cpu.name}>"
         # Code objects are pure functions of the source text; identical
         # rebuilds (same workload run again, tests, benchmarks) reuse
         # the compiled object instead of paying ``compile`` again.
@@ -751,11 +654,18 @@ class _RegionBuilder:
             code = compile(source, filename, "exec")
             _CODE_CACHE[source] = code
         exec(code, self.ns)
-        return _Region(self.ns["_region"], source, entry)
+        return self.ns["_region"]
 
 
 class FastExecutionEngine(ExecutionEngine):
     """Drop-in engine running compiled regions between shell events."""
+
+    _validating = False
+
+    def run(self, max_slices: int = 50_000_000):
+        # Read once per run: the flag is an environment lookup.
+        self._validating = _validate_enabled()
+        return super().run(max_slices)
 
     # ------------------------------------------------------------ slice
 
@@ -773,30 +683,23 @@ class FastExecutionEngine(ExecutionEngine):
         frame = thread.frames[-1]
         mf = frame.mf
         block, idx = thread.pc
-        validating = _validate_enabled()
+        validating = self._validating
+        code = self._function_code(mf, cpu)
+        step = False
 
         while budget > 0:
-            regions = self._region_table(mf, cpu, validating)
-            region = regions.get((block, idx))
-            if region is None:
-                builder = _RegionBuilder(
-                    self, mf, cpu, validating, single=idx != 0
-                )
-                region = builder.build(block, idx)
-                if builder.single:
-                    regions[(block, idx)] = region
-                else:
-                    # One compiled function serves every block entry of
-                    # this machine function; share it under each key.
-                    for (b, s, partial), label in builder.labels.items():
-                        if not partial:
-                            regions[(b, s)] = region.at_entry(label)
-                    region = regions[(block, idx)]
+            label = None if step else code.labels.get((block, idx))
+            if label is None:
+                # Inside a chunk, or a chunk the budget cannot cover.
+                fn, at = code.stepper(self, block, idx), idx
+            else:
+                fn, at = code.region, label
+            step = False
             if validating:
                 dyn: List[float] = []
-                kind, a, b, nbudget, ncycles, ninstret, extra = region.fn(
+                kind, a, b, nbudget, ncycles, ninstret, extra = fn(
                     self, thread, frame, regs, mem, cache,
-                    budget, cycles, instret, extra, region.entry, dyn,
+                    budget, cycles, instret, extra, at, dyn,
                 )
                 self._validate_segment(
                     mf, cpu, block, idx, budget - nbudget, dyn,
@@ -804,29 +707,24 @@ class FastExecutionEngine(ExecutionEngine):
                 )
                 budget, cycles, instret = nbudget, ncycles, ninstret
             else:
-                kind, a, b, budget, cycles, instret, extra = region.fn(
+                kind, a, b, budget, cycles, instret, extra = fn(
                     self, thread, frame, regs, mem, cache,
-                    budget, cycles, instret, extra, region.entry,
+                    budget, cycles, instret, extra, at,
                 )
-            if kind == _DONE:
-                # Slice exhausted inside a compiled partial chunk; the
-                # region already stored thread.pc.
-                self._commit(thread, machine, cycles, instret, extra)
-                return
-            elif kind == _RESUME:
+            if kind == _RESUME:
                 block, idx = a, b
-            elif kind == _TAIL:
-                # Not enough slice left to run the next block in
-                # closed form: finish the slice with the exact
-                # interpreter so the 256-instruction slice structure
-                # (and hence the scheduler interleaving) is preserved.
-                thread.pc = (a, b)
-                self._interp_slice(thread, machine, budget, cycles, instret, extra)
+            elif kind == _STEP:
+                block, idx = a, b
+                step = True
+            elif kind == _DONE:
+                # Slice exhausted while stepping; pc already stored.
+                self._commit(thread, machine, cycles, instret, extra)
                 return
             elif kind == _CALL:
                 callee = self._push_frame(thread, mf, frame, a, b, mem)
                 frame = thread.frames[-1]
                 mf = callee
+                code = self._function_code(mf, cpu)
                 block, idx = thread.pc
                 cycles += cpu.cycles_for(mf.prologue_counts)
                 instret += sum(mf.prologue_counts.values())
@@ -838,6 +736,7 @@ class FastExecutionEngine(ExecutionEngine):
                     return
                 frame = thread.frames[-1]
                 mf = frame.mf
+                code = self._function_code(mf, cpu)
                 block, idx = thread.pc
             elif kind == _SHELL:
                 # Parked at a syscall: the exact interpreter executes
@@ -854,17 +753,15 @@ class FastExecutionEngine(ExecutionEngine):
 
     # ---------------------------------------------------------- tables
 
-    def _region_table(self, mf, cpu, validating: bool) -> Dict:
-        cache = getattr(mf, "_fast_segments", None)
-        if cache is None:
-            cache = {}
-            mf._fast_segments = cache
-        key = (cpu.name, validating)
-        regions = cache.get(key)
-        if regions is None:
-            regions = {}
-            cache[key] = regions
-        return regions
+    def _function_code(self, mf, cpu) -> _FunctionCode:
+        tables = getattr(mf, "_fast_segments", None)
+        if tables is None:
+            tables = mf._fast_segments = {}
+        key = (cpu.name, self._validating)
+        code = tables.get(key)
+        if code is None:
+            code = tables[key] = _FunctionCode(self, mf, cpu, self._validating)
+        return code
 
     # ----------------------------------------------- cross-validation
 
@@ -891,7 +788,8 @@ class FastExecutionEngine(ExecutionEngine):
         factor, a miscounted instruction — surfaces as a bitwise
         mismatch.
 
-        Under validation, regions are single straight-line chunks, so
+        Under validation every call into compiled code runs one linear
+        range — one closed-form chunk, or one stepping segment — so
         ``(start, consumed)`` fully determines the executed range.
         """
         instrs = mf.fn.blocks[block].instrs

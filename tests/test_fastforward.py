@@ -1,8 +1,10 @@
 """Fast-forward engine tests: fast/exact equivalence over the workload
-registry (fault-free and under seeded message faults), the
-``REPRO_VALIDATE=1`` cross-validator, and the three hot-path accounting
-fixes that landed with the fast path (barrier wake vtime, per-thread
-cache eviction, IO scoping to the DSM transfer path).
+registry (fault-free and under seeded message faults) and at slice
+budgets that end a slice at every instruction offset, the bound on
+compiled code per function, the ``REPRO_VALIDATE=1`` cross-validator,
+and the three hot-path accounting fixes that landed with the fast path
+(barrier wake vtime, per-thread cache eviction, IO scoping to the DSM
+transfer path).
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.compiler import Toolchain
 from repro.faults.inject import FaultyMessagingLayer, RetryPolicy
 from repro.ir import FunctionBuilder, Module
+from repro.ir.instructions import Call, Syscall
 from repro.ir.summary import block_summaries, invalidate_summaries
 from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
@@ -26,6 +29,7 @@ from repro.workloads.golden import (
     GOLDEN_SCALE,
     golden_key,
 )
+from repro.workloads.interp_stress import interp_stress_module
 
 from tests.helpers import (
     ARM,
@@ -34,6 +38,8 @@ from tests.helpers import (
     simple_sum_module,
     stack_pointer_module,
 )
+from tests.test_condvars import _queue_module
+from tests.test_mutex import _locked_counter_module
 
 
 def _facts(system, process, engine):
@@ -62,8 +68,21 @@ def _facts(system, process, engine):
     )
 
 
-def _run(module, kind, start=X86, migrate_at=None, fault_seed=None):
-    """Build + run ``module`` on a fresh testbed with the given engine."""
+def _run(
+    module,
+    kind,
+    start=X86,
+    migrate_at=None,
+    fault_seed=None,
+    batch=256,
+    migrate_every=None,
+):
+    """Build + run ``module`` on a fresh testbed with the given engine.
+
+    ``migrate_at`` moves the process at that migration-point hit;
+    ``migrate_every`` moves the hitting thread to the other machine at
+    every such hit.  ``batch`` is the slice budget.
+    """
     binary = Toolchain().build(module)
     system = boot_testbed()
     if fault_seed is not None:
@@ -84,9 +103,14 @@ def _run(module, kind, start=X86, migrate_at=None, fault_seed=None):
                 m for m in system.machine_order if m != thread.machine_name
             ]
             system.request_migration(process, others[0])
+        if migrate_every is not None and hits[0] % migrate_every == 0:
+            others = [
+                m for m in system.machine_order if m != thread.machine_name
+            ]
+            system.request_thread_migration(thread, others[0])
 
     hooks.on_migration_point = on_point
-    engine = make_engine(system, process, hooks, engine=kind)
+    engine = make_engine(system, process, hooks, engine=kind, batch=batch)
     engine.run()
     return _facts(system, process, engine), system, process, engine
 
@@ -122,6 +146,65 @@ class TestFastMatchesExact:
         monkeypatch.setenv("REPRO_VALIDATE", "1")
         fast, _, _, _ = _run(module, "fast")
         assert fast == exact
+
+
+# ------------------------------------- fast == exact, at every offset
+
+_SLICE_PROGRAMS = {
+    "simple_sum": simple_sum_module,
+    "call_chain": call_chain_module,
+    "stack_pointer": stack_pointer_module,
+    "locked_counter": lambda: _locked_counter_module(2, 15),
+    "queue": lambda: _queue_module(20, 2),
+    "interp_stress": lambda: interp_stress_module(300),
+}
+
+
+def _chunk_count(mf) -> int:
+    """Chunks of a machine function: block starts plus return sites
+    (the instruction after a ``Call`` or a ``Syscall``)."""
+    return sum(
+        1 + sum(isinstance(i, (Call, Syscall)) for i in block.instrs[:-1])
+        for block in mf.fn.blocks.values()
+    )
+
+
+class TestSliceBoundaries:
+    """Small slice budgets end slices at every instruction offset of
+    every chunk, so every entry of every stepping variant runs: after a
+    slice boundary, after a migration, and where the budget cannot
+    cover a chunk's closed form."""
+
+    @pytest.mark.parametrize("migrate_every", [None, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 7, 13, 64])
+    @pytest.mark.parametrize("program", sorted(_SLICE_PROGRAMS))
+    def test_fast_matches_exact(self, program, batch, migrate_every):
+        module = _SLICE_PROGRAMS[program]()
+        exact, _, _, _ = _run(
+            module, "exact", batch=batch, migrate_every=migrate_every
+        )
+        fast, _, _, _ = _run(
+            module, "fast", batch=batch, migrate_every=migrate_every
+        )
+        assert fast == exact
+
+    @pytest.mark.parametrize("program", sorted(_SLICE_PROGRAMS))
+    def test_code_objects_bounded_by_chunks(self, program):
+        """Per (function, CPU model): one region plus at most one
+        stepping variant per chunk, however many distinct resume
+        positions the run visits (a budget of 1 visits them all)."""
+        _, _, process, _ = _run(
+            _SLICE_PROGRAMS[program](), "fast", batch=1, migrate_every=3
+        )
+        stepped = 0
+        for binary in process.binary.binaries.values():
+            for mf in binary.machine_functions.values():
+                for code in getattr(mf, "_fast_segments", {}).values():
+                    compiled = {code.region.__code__}
+                    compiled.update(fn.__code__ for fn in code.steps.values())
+                    assert len(compiled) <= 1 + _chunk_count(mf), mf.name
+                    stepped += len(code.steps)
+        assert stepped > 0
 
 
 # ------------------------------------------ fast == exact, under faults
@@ -167,7 +250,8 @@ class TestFaultEquivalence:
 class TestCrossValidation:
     def test_corrupted_summary_raises_divergence(self, monkeypatch):
         """REPRO_VALIDATE=1 must catch a block summary whose constants
-        no longer match the IR the interpreter executes."""
+        no longer match the IR the interpreter executes, whether
+        closed-form or stepping code reads them."""
         module = simple_sum_module()
         binary = Toolchain().build(module)
         mf = binary.machine_function("x86_64", "accum")
@@ -187,11 +271,15 @@ class TestCrossValidation:
         assert corrupted, "no instruction counts to corrupt"
 
         monkeypatch.setenv("REPRO_VALIDATE", "1")
-        system = boot_testbed()
-        process = system.exec_process(binary, X86)
-        engine = make_engine(system, process, engine="fast")
-        with pytest.raises(FastForwardDivergence):
-            engine.run()
+        # At a slice budget of 3 the corrupted chunk (the 6-instruction
+        # entry chunk of ``accum``) never runs in closed form: only its
+        # stepping variant reads the summary.
+        for batch in (256, 3):
+            system = boot_testbed()
+            process = system.exec_process(binary, X86)
+            engine = make_engine(system, process, engine="fast", batch=batch)
+            with pytest.raises(FastForwardDivergence):
+                engine.run()
 
     def test_corruption_unnoticed_without_validation(self, monkeypatch):
         """Sanity check on the test above: without the validator the
