@@ -739,7 +739,6 @@ def cmd_serve(args) -> int:
         make_trace,
         render_detector_rows,
         render_resilience_rows,
-        slo_report,
         render_slo_rows,
     )
     from repro.sim.rng import DeterministicRng
@@ -753,10 +752,6 @@ def cmd_serve(args) -> int:
         "diurnal": {"peak_to_trough": 6.0, "periods": 2.0},
         "flash-crowd": {},
     }[args.traffic]
-    trace = make_trace(
-        args.traffic, DeterministicRng(args.seed),
-        requests=args.requests, horizon_s=args.horizon, **shape_kwargs,
-    )
     slo_s = DEFAULT_SLO_S if args.slo_ms is None else args.slo_ms / 1e3
     tracer = Tracer()
     faults = None
@@ -770,17 +765,23 @@ def cmd_serve(args) -> int:
                 permanent=args.permanent, repair_seconds=repair,
             )
         ])
-    engine = ServingEngine(
-        make_serving_policy(args.policy), trace,
-        workload=args.workload, cls=args.cls, slo_s=slo_s, tracer=tracer,
-        faults=faults, detector=_make_detector(args),
-        resilience=default_resilience(slo_s) if args.resilient else None,
-        rng=DeterministicRng(args.seed),
-    )
+    try:
+        trace = make_trace(
+            args.traffic, DeterministicRng(args.seed),
+            requests=args.requests, horizon_s=args.horizon, **shape_kwargs,
+        )
+        engine = ServingEngine(
+            make_serving_policy(args.policy), trace,
+            workload=args.workload, cls=args.cls, slo_s=slo_s, tracer=tracer,
+            faults=faults, detector=_make_detector(args),
+            resilience=default_resilience(slo_s) if args.resilient else None,
+            rng=DeterministicRng(args.seed),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = engine.run()
-    report = slo_report(
-        [r.latency_s for r in engine.completed], slo_s, trace.requests
-    )
+    report = engine.report
 
     table = Table(
         f"serve {args.workload}.{args.cls} — {args.traffic} traffic, "
@@ -909,12 +910,12 @@ def cmd_fleet(args) -> int:
         )
         # Inside the try: it rejects fault schedules naming unknown nodes.
         sim = FleetSimulator(config, policy, rng, faults=faults, nested=nested)
+        trace = make_trace(
+            args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trace = make_trace(
-        args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
-    )
     result = sim.run(trace)
     print(render_result(result))
     from repro import validate

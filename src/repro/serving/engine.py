@@ -55,6 +55,7 @@ failed-loudly*, each request in exactly one bucket.
 """
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,10 +78,14 @@ from repro.serving.resilience import (
     RetryBudget,
     next_backoff,
 )
-from repro.serving.slo import DEFAULT_SLO_S, slo_report
+from repro.serving.slo import DEFAULT_SLO_S, SloReport, slo_report
 from repro.serving.traffic import ArrivalTrace
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
+
+
+#: The ``(time, rank)`` of "no event": it orders after every real one.
+_NEVER = (math.inf, 10)
 
 
 def _fault_order(entry) -> Tuple[float, int, str]:
@@ -90,29 +95,38 @@ def _fault_order(entry) -> Tuple[float, int, str]:
     return time, rank, str(getattr(payload, "node", payload))
 
 
-@dataclass
 class Request:
-    """One KV request's lifecycle timestamps and latency breakdown."""
+    """One KV request's lifecycle timestamps and latency breakdown.
 
-    index: int
-    arrival_s: float
-    start_s: Optional[float] = None
-    finish_s: Optional[float] = None
-    machine: Optional[str] = None
-    #: Wait attributed to an overlapping migration blackout.
-    migration_stall_s: float = 0.0
-    #: Extra service paid to the post-migration DSM warm-up.
-    warmup_extra_s: float = 0.0
-    #: Admission priority class (``resilience.PriorityClass`` name).
-    priority: str = "std"
-    #: Service starts so far (a crash-killed start is replayed).
-    attempts: int = 0
-    #: Last decorrelated-jitter backoff drawn for this request.
-    last_backoff_s: float = 0.0
-    #: Served on the non-home machine by the tail-latency hedge.
-    hedged: bool = False
-    #: Why the request failed loudly (``None`` while alive/completed).
-    failed_reason: Optional[str] = None
+    A slotted plain class: the engine makes one per arrival.
+    """
+
+    __slots__ = (
+        "index", "arrival_s", "start_s", "finish_s", "machine",
+        "migration_stall_s", "warmup_extra_s", "priority", "attempts",
+        "last_backoff_s", "hedged", "failed_reason",
+    )
+
+    def __init__(self, index: int, arrival_s: float):
+        self.index = index
+        self.arrival_s = arrival_s
+        self.start_s: Optional[float] = None
+        self.finish_s: Optional[float] = None
+        self.machine: Optional[str] = None
+        #: Wait attributed to an overlapping migration blackout.
+        self.migration_stall_s = 0.0
+        #: Extra service paid to the post-migration DSM warm-up.
+        self.warmup_extra_s = 0.0
+        #: Admission priority class (``resilience.PriorityClass`` name).
+        self.priority = "std"
+        #: Service starts so far (a crash-killed start is replayed).
+        self.attempts = 0
+        #: Last decorrelated-jitter backoff drawn for this request.
+        self.last_backoff_s = 0.0
+        #: Served on the non-home machine by the tail-latency hedge.
+        self.hedged = False
+        #: Why the request failed loudly (``None`` while alive/completed).
+        self.failed_reason: Optional[str] = None
 
     @property
     def latency_s(self) -> float:
@@ -234,6 +248,8 @@ class ServingEngine:
         self.tracer = tracer
         if tracer is not None:
             tracer.bind_clock(self)
+        if slo_s <= 0:
+            raise ValueError("SLO target must be positive")
         self.policy = policy
         self.trace = trace
         self.spec = JobSpec(workload, cls, 1)
@@ -306,6 +322,12 @@ class ServingEngine:
             if resilience is not None
             else None
         )
+        #: Deadlines or hedges on?  Their events move with the queue
+        #: head, so any arrival or departure can move them.
+        self._moving_events = resilience is not None and (
+            resilience.request_timeout_s is not None
+            or resilience.hedge_delay_s is not None
+        )
         self._retry_stream = None
         self._priority_stream = None
         #: node -> crash-killed requests awaiting the detector verdict.
@@ -348,6 +370,12 @@ class ServingEngine:
         self.energy_joules = {m.name: 0.0 for m in machines}
         #: (start, end, handoff_span_id) of every completed blackout.
         self._blackouts: List[Tuple[float, float, Optional[int]]] = []
+        #: Their end times: blackouts close at ``now``, so this is sorted.
+        self._blackout_ends: List[float] = []
+        #: Index of the next trace arrival.
+        self._next_arrival = 0
+        #: The finished run's SLO summary (set by :meth:`run`).
+        self.report: Optional[SloReport] = None
 
     # ------------------------------------------------------------ helpers
 
@@ -437,30 +465,36 @@ class ServingEngine:
             return 0.0
         return self.trace.arrivals_between(max(t0, 0.0), t1) / (t1 - t0)
 
+    def _watts(self, busy: bool) -> Dict[str, float]:
+        """Each machine's draw, with the home machine serving (``busy``)
+        or idle."""
+        watts = {}
+        for name, power in self._powers.items():
+            if not self._up[name]:
+                watts[name] = 0.0  # dead, or ostracised: powered off
+            elif name == self.location:
+                watts[name] = power.cpu_power(1.0 if busy else 0.0)
+            elif self._handoff is not None:
+                # Both boxes are awake for the duration of a hand-off.
+                watts[name] = power.cpu_power(
+                    1.0 if self._handoff.phase != "drain" else 0.0
+                )
+            elif self._hedge is not None and name == self._hedge_machine:
+                watts[name] = power.cpu_power(1.0)  # racing the hedge
+            else:
+                watts[name] = 0.0  # parked: the fleet reclaimed the box
+        return watts
+
+    def _hedge_here(self) -> bool:
+        """Does the hedge occupy the service's home machine?"""
+        return self._hedge is not None and self._hedge_machine == self.location
+
     def _accrue(self, dt: float) -> None:
         """Integrate both machines' power over ``dt`` seconds."""
         if dt <= 0:
             return
-        for name, power in self._powers.items():
-            if not self._up[name]:
-                watts = 0.0  # dead, or ostracised: the fleet powered it off
-            elif name == self.location:
-                busy = (
-                    1.0
-                    if self.current is not None
-                    or (self._hedge is not None and self._hedge_machine == name)
-                    else 0.0
-                )
-                watts = power.cpu_power(busy)
-            elif self._handoff is not None:
-                # Both boxes are awake for the duration of a hand-off.
-                watts = power.cpu_power(
-                    1.0 if self._handoff.phase != "drain" else 0.0
-                )
-            elif self._hedge is not None and name == self._hedge_machine:
-                watts = power.cpu_power(1.0)  # racing the hedged request
-            else:
-                watts = 0.0  # parked: the fleet reclaimed the idle box
+        busy = self.current is not None or self._hedge_here()
+        for name, watts in self._watts(busy).items():
             self.energy_joules[name] += watts * dt
 
     # ----------------------------------------------------------- service
@@ -494,34 +528,18 @@ class ServingEngine:
         self.current = request
         self._service_end = self.now + service
 
+    def _blackouts_since(self, arrival_s: float):
+        """The blackouts that ended after ``arrival_s``: no earlier one
+        can overlap a wait that began then."""
+        first = bisect.bisect_right(self._blackout_ends, arrival_s)
+        return self._blackouts[first:]
+
     def _attribute_stall(self, request: Request) -> None:
         """Attribute wait overlapping past blackouts to migration stall."""
-        for b0, b1, span_id in self._blackouts:
+        for b0, b1, _ in self._blackouts_since(request.arrival_s):
             overlap = min(b1, request.start_s) - max(b0, request.arrival_s)
             if overlap > 1e-12:
                 request.migration_stall_s += overlap
-
-    def _on_departure(self) -> None:
-        if self.chaos is not None:
-            self._site("serve.complete")
-            if self.current is None or not self._up[self.location]:
-                return  # the crash beat the completion: replay, not done
-        request = self.current
-        request.finish_s = self.now
-        self.busy_seconds += self.now - request.start_s
-        self.current = None
-        self.completed.append(request)
-        breaker = self._breakers[self.location]
-        if breaker.state != "closed":
-            breaker.record_success(self.now)
-        if self.tracer is not None:
-            self._emit_request_span(request)
-        handoff = self._handoff
-        if handoff is not None and handoff.phase == "drain":
-            if handoff.frozen_by is None:
-                self._begin_blackout(handoff)
-        else:
-            self._start_next()
 
     def _on_hedge_departure(self) -> None:
         request = self._hedge
@@ -560,7 +578,7 @@ class ServingEngine:
             # one child per overlapping blackout, flow-linked to the
             # hand-off that caused it — the request's critical path
             # shows exactly which migration cost it how much.
-            for b0, b1, cause in self._blackouts:
+            for b0, b1, cause in self._blackouts_since(request.arrival_s):
                 lo = max(b0, request.arrival_s)
                 hi = min(b1, request.start_s)
                 if hi - lo > 1e-12:
@@ -989,6 +1007,7 @@ class ServingEngine:
         if handoff.blackout_start is not None:
             self.blackout_seconds += now - handoff.blackout_start
             self._blackouts.append((handoff.blackout_start, now, span_id))
+            self._blackout_ends.append(now)
         self._start_next()
 
     def _emit_handoff_spans(
@@ -1116,99 +1135,43 @@ class ServingEngine:
     # -------------------------------------------------------------- run
 
     def run(self) -> RunResult:
-        """Drive the trace to completion and summarise the run."""
-        times = self.trace.times
-        n = len(times)
-        idx = 0
-        next_epoch = self.config.decision_period_s
-        res = self.resilience
-        faults_on = bool(self._fault_events)
-        hedge_on = res is not None and res.hedge_delay_s is not None
-        timeout_on = res is not None and res.request_timeout_s is not None
+        """Drive the trace to completion and summarise the run.
 
+        Each pass finds the next *sparse* event (anything but an
+        arrival or a departure), drains the arrivals and departures
+        that order before it, and fires it.  A drain that served
+        anything may have moved the next sparse event, so the pass
+        starts over before firing one.
+
+        Events order by ``(time, rank)``.  The ranks: hand-off phase 0,
+        departure 1, hedge departure 2, fault 3, arrival 4, retry
+        release 5, deadline 6, hedge launch 7, heartbeat 8, decision
+        epoch 9.  The original four (0 < 1 < 4 < 9) keep their relative
+        order, so fault-free runs match the pre-resilience engine.
+        """
+        n = len(self.trace.times)
+        next_epoch = self.config.decision_period_s
         while True:
-            # Event kinds order same-time ties; the relative order of
-            # the original four (hand-off=0 < departure=1 < arrival=4 <
-            # epoch=9) is preserved so fault-free runs are bit-identical
-            # to the pre-resilience engine.
-            candidates = []
-            handoff = self._handoff
-            if handoff is not None and handoff.next_at is not None:
-                candidates.append((handoff.next_at, 0))
-            if self.current is not None:
-                candidates.append((self._service_end, 1))
-            if self._hedge is not None:
-                candidates.append((self._hedge_end, 2))
-            work_left = (
-                idx < n
-                or self._queue_depth() > 0
-                or self.current is not None
-                or self._hedge is not None
-                or self._handoff is not None
-                or bool(self._retries)
-                or any(self._orphans.values())
+            static = self._static_event(n, next_epoch)
+            stop = (
+                min(static, self._moving_event())
+                if self._moving_events else static
             )
-            if (
-                faults_on
-                and self._fault_idx < len(self._fault_events)
-                and work_left
-            ):
-                candidates.append(
-                    (self._fault_events[self._fault_idx][0], 3)
-                )
-            if idx < n:
-                candidates.append((times[idx], 4))
-            if self._retries:
-                candidates.append(
-                    (min(t for t, _ in self._retries), 5)
-                )
-            if timeout_on:
-                deadline = None
-                if self._queue_depth() > 0:
-                    deadline = (
-                        self.queue[self._queue_head].arrival_s
-                        + res.request_timeout_s
-                    )
-                for _, request in self._retries:
-                    d = request.arrival_s + res.request_timeout_s
-                    if deadline is None or d < deadline:
-                        deadline = d
-                if deadline is not None:
-                    candidates.append((max(deadline, self.now), 6))
-            if (
-                hedge_on
-                and self._hedge is None
-                and self._handoff is None
-                and self._queue_depth() > 0
-            ):
-                machine = self._other_machine()
-                if machine is not None and self._breakers[machine].allow(
-                    self.now
-                ):
-                    ready = (
-                        self.queue[self._queue_head].arrival_s
-                        + res.hedge_delay_s
-                    )
-                    candidates.append((max(ready, self.now), 7))
-            if self.detector is not None and work_left:
-                candidates.append((self._next_hb, 8))
-            if work_left:
-                candidates.append((next_epoch, 9))
-            if not candidates:
+            if self._drain(stop, static):
+                continue
+            if stop == _NEVER:
                 break
-            t, kind = min(candidates)
+            t, rank = stop
             self._accrue(t - self.now)
             self.now = t
-            if kind == 0:
+            if rank == 0:
                 if self._handoff.pending:
                     self._advance_handoff()
                 else:
                     self._close_handoff()
-            elif kind == 1:
-                self._on_departure()
-            elif kind == 2:
+            elif rank == 2:
                 self._on_hedge_departure()
-            elif kind == 3:
+            elif rank == 3:
                 while (
                     self._fault_idx < len(self._fault_events)
                     and self._fault_events[self._fault_idx][0]
@@ -1219,19 +1182,13 @@ class ServingEngine:
                     ]
                     self._fault_idx += 1
                     self._apply_fault(action, payload)
-            elif kind == 4:
-                request = Request(index=idx, arrival_s=t)
-                idx += 1
-                if self.tracer is not None:
-                    self.tracer.metrics.counter("serve.requests").inc()
-                self._admit(request)
-            elif kind == 5:
+            elif rank == 5:
                 self._release_retries()
-            elif kind == 6:
+            elif rank == 6:
                 self._expire_deadlines()
-            elif kind == 7:
+            elif rank == 7:
                 self._launch_hedge()
-            elif kind == 8:
+            elif rank == 8:
                 self._heartbeat_round()
             else:
                 self._run_epoch()
@@ -1240,6 +1197,210 @@ class ServingEngine:
         if validate.enabled():
             self._check_conservation(n)
         return self._result(n)
+
+    def _static_event(self, n: int, next_epoch: float) -> Tuple[float, int]:
+        """The earliest sparse event that arrivals and departures cannot
+        move (every rank but 6 and 7), or ``_NEVER``."""
+        handoff = self._handoff
+        candidates = [_NEVER]
+        if handoff is not None and handoff.next_at is not None:
+            candidates.append((handoff.next_at, 0))
+        if self._hedge is not None:
+            candidates.append((self._hedge_end, 2))
+        if self._retries:
+            candidates.append((min(t for t, _ in self._retries), 5))
+        work_left = (
+            self._next_arrival < n
+            or self._queue_depth() > 0
+            or self.current is not None
+            or self._hedge is not None
+            or handoff is not None
+            or bool(self._retries)
+            or any(self._orphans.values())
+        )
+        if work_left:
+            if self._fault_idx < len(self._fault_events):
+                candidates.append(
+                    (self._fault_events[self._fault_idx][0], 3)
+                )
+            if self.detector is not None:
+                candidates.append((self._next_hb, 8))
+            candidates.append((next_epoch, 9))
+        return min(candidates)
+
+    def _moving_event(self) -> Tuple[float, int]:
+        """The earliest deadline (rank 6) or hedge launch (rank 7), or
+        ``_NEVER``.  Asks the other machine's breaker ``allow(now)``,
+        which can half-open it: call this once before every event."""
+        res = self.resilience
+        best = _NEVER
+        depth = self._queue_depth()
+        if res.request_timeout_s is not None:
+            deadline = None
+            if depth > 0:
+                deadline = (
+                    self.queue[self._queue_head].arrival_s
+                    + res.request_timeout_s
+                )
+            for _, request in self._retries:
+                d = request.arrival_s + res.request_timeout_s
+                if deadline is None or d < deadline:
+                    deadline = d
+            if deadline is not None:
+                best = (max(deadline, self.now), 6)
+        if (
+            res.hedge_delay_s is not None
+            and self._hedge is None
+            and self._handoff is None
+            and depth > 0
+        ):
+            machine = self._other_machine()
+            if machine is not None and self._breakers[machine].allow(
+                self.now
+            ):
+                ready = (
+                    self.queue[self._queue_head].arrival_s + res.hedge_delay_s
+                )
+                best = min(best, (max(ready, self.now), 7))
+        return best
+
+    def _drain(
+        self, stop: Tuple[float, int], static: Tuple[float, int]
+    ) -> bool:
+        """Serve, in ``(time, rank)`` order, the arrivals (rank 4) and
+        departures (rank 1) that order before the sparse event ``stop``.
+
+        It returns early whenever the event it served can move the next
+        sparse event: a departure while a hand-off is pending (it may
+        start the blackout), and any event under a chaos hook (a
+        protocol site may crash a node).  With deadlines or hedges on,
+        ``stop`` is re-read from ``static`` and :meth:`_moving_event`
+        before every event.  Energy accrues in locals, event by event
+        in the same order, and is written back at the end.  Returns
+        whether it served anything.
+        """
+        times = self.trace.times
+        n = len(times)
+        idx = self._next_arrival
+        if idx >= n and self.current is None:
+            return False
+        stop_t, stop_rank = stop
+        moving = self._moving_events
+        chaos = self.chaos
+        tracer = self.tracer
+        queue = self.queue
+        completed = self.completed
+        admission = self._admission
+        retry_budget = self._retry_budget
+        location = self.location
+        breaker = self._breakers[location]
+        # Only the home machine's draw depends on whether it is serving.
+        # The others draw a constant until an event this drain stops
+        # at, and a parked one (0 W) adds nothing.
+        energy = self.energy_joules
+        idle = self._watts(self._hedge_here())
+        home_idle = idle[location]
+        home_busy = self._watts(True)[location]
+        home_joules = energy[location]
+        others = [
+            [name, watts, energy[name]]
+            for name, watts in idle.items()
+            if name != location and watts
+        ]
+        now = self.now
+        served = False
+        while True:
+            current = self.current
+            if current is not None:
+                t, rank = self._service_end, 1
+                if idx < n and times[idx] < t:
+                    t, rank = times[idx], 4
+            elif idx < n:
+                t, rank = times[idx], 4
+            else:
+                break
+            if t > stop_t or (t == stop_t and rank > stop_rank):
+                break
+            dt = t - now
+            if dt > 0:
+                if current is not None:
+                    home_joules += home_busy * dt
+                else:
+                    home_joules += home_idle * dt
+                for other in others:
+                    other[2] += other[1] * dt
+            self.now = now = t
+            served = True
+            if rank == 4:
+                request = Request(idx, t)
+                idx += 1
+                if tracer is not None:
+                    tracer.metrics.counter("serve.requests").inc()
+                # Admission control at the door: classify, gate, then
+                # enqueue or shed.
+                if retry_budget is not None:
+                    retry_budget.offer()
+                if self._dead_end:
+                    self._fail_request(request, "no-capacity")
+                else:
+                    if chaos is not None:
+                        self._site("serve.admit")
+                    admitted = True
+                    if admission is not None:
+                        if len(admission.cumulative) > 1:
+                            priority = admission.classify(self._priority_u())
+                        else:
+                            priority = admission.cumulative[0][1]
+                        request.priority = priority.name
+                        admitted = admission.admit(
+                            now, len(queue) - self._queue_head, priority
+                        )
+                        if not admitted:
+                            self.shed.append(request)
+                            self._shed_recent += 1
+                            if tracer is not None:
+                                tracer.instant(
+                                    "serve.shed", "serve", track=location,
+                                    req=request.index,
+                                    reason=admission.last_reason,
+                                    priority=priority.name,
+                                )
+                                tracer.metrics.counter("serve.shed").inc()
+                    if admitted:
+                        if chaos is not None:
+                            self._site("serve.enqueue")
+                        queue.append(request)
+                        if self.current is None:
+                            self._start_next()
+            else:
+                if chaos is not None:
+                    self._site("serve.complete")
+                    if self.current is None or not self._up[location]:
+                        break  # the crash beat the completion: replay
+                current.finish_s = now
+                self.busy_seconds += now - current.start_s
+                self.current = None
+                completed.append(current)
+                if breaker.state != "closed":
+                    breaker.record_success(now)
+                if tracer is not None:
+                    self._emit_request_span(current)
+                handoff = self._handoff
+                if handoff is not None:
+                    if handoff.phase == "drain" and handoff.frozen_by is None:
+                        self._begin_blackout(handoff)
+                    break
+                if len(queue) > self._queue_head:
+                    self._start_next()
+            if chaos is not None:
+                break
+            if moving:
+                stop_t, stop_rank = min(static, self._moving_event())
+        self._next_arrival = idx
+        energy[location] = home_joules
+        for name, _, joules in others:
+            energy[name] = joules
+        return served
 
     def _apply_fault(self, action: str, payload) -> None:
         if action == "crash":
@@ -1258,36 +1419,6 @@ class ServingEngine:
             self.membership.islands.append(tuple(payload.island))
         elif action == "part-off":
             self.membership.islands.remove(tuple(payload.island))
-
-    def _admit(self, request: Request) -> None:
-        """Admission control at the door: classify, gate, enqueue/shed."""
-        if self._retry_budget is not None:
-            self._retry_budget.offer()
-        if self._dead_end:
-            self._fail_request(request, "no-capacity")
-            return
-        self._site("serve.admit")
-        admission = self._admission
-        if admission is not None:
-            if len(admission.cumulative) > 1:
-                priority = admission.classify(self._priority_u())
-            else:
-                priority = admission.cumulative[0][1]
-            request.priority = priority.name
-            if not admission.admit(self.now, self._queue_depth(), priority):
-                self.shed.append(request)
-                self._shed_recent += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "serve.shed", "serve", track=self.location,
-                        req=request.index, reason=admission.last_reason,
-                        priority=priority.name,
-                    )
-                    self.tracer.metrics.counter("serve.shed").inc()
-                return
-        self._site("serve.enqueue")
-        self.queue.append(request)
-        self._start_next()
 
     def _check_conservation(self, offered: int) -> None:
         """REPRO_VALIDATE: every request in exactly one outcome bucket,
@@ -1352,8 +1483,15 @@ class ServingEngine:
                 )
 
     def _result(self, admitted: int) -> RunResult:
-        latencies = [r.latency_s for r in self.completed]
-        report = slo_report(latencies, self.slo_s, admitted)
+        # Summed left to right from the int 0, as sum() did on 3.11:
+        # sum() is compensated from CPython 3.12 on, which would move
+        # the last digits.
+        latencies = []
+        stall = 0
+        for r in self.completed:
+            latencies.append(r.finish_s - r.arrival_s)
+            stall += r.migration_stall_s
+        report = self.report = slo_report(latencies, self.slo_s, admitted)
         in_slo = report.completed - report.violations
         detector = self.detector
         return RunResult(
@@ -1388,9 +1526,7 @@ class ServingEngine:
             slo_target_s=self.slo_s,
             slo_violations=report.violations,
             slo_violation_seconds=report.violation_seconds,
-            migration_stall_seconds=sum(
-                r.migration_stall_s for r in self.completed
-            ),
+            migration_stall_seconds=stall,
             requests_shed=len(self.shed),
             requests_failed=len(self.failed),
             requests_retried=len(self._retried_indices),

@@ -38,8 +38,8 @@ once) runs under ``REPRO_VALIDATE=1`` and is enforced by the serving
 chaos harness (:mod:`repro.faults.chaos`).  See ``docs/serving.md``.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.faults.inject import RetryPolicy
 
@@ -337,25 +337,6 @@ class AdmissionController:
             return False
         self.last_reason = ""
         return True
-
-
-@dataclass
-class ResilienceStats:
-    """Counters the engine accumulates and surfaces on ``RunResult``."""
-
-    offered: int = 0
-    shed: int = 0
-    failed: int = 0  # timed out, or crash-killed past the retry budget
-    timed_out: int = 0  # subset of ``failed``: deadline expiries
-    requests_retried: int = 0  # distinct requests that replayed >= once
-    retry_attempts: int = 0  # total replays
-    hedged: int = 0
-    failovers: int = 0
-    breaker_opens: int = 0
-
-    def conserved(self, completed: int) -> bool:
-        """The audit equation: offered == completed + shed + failed."""
-        return self.offered == completed + self.shed + self.failed
 
 
 def render_resilience_rows(result) -> List[Tuple[str, str]]:

@@ -19,7 +19,7 @@ Metric definitions (also in ``docs/serving.md``):
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.telemetry.metrics import SampleHistogram, percentiles
+from repro.telemetry.metrics import percentiles
 
 #: Default request-latency SLO: 10 ms end-to-end (a typical KV-fleet
 #: p99 target; tight enough that diurnal peaks on the ARM box breach).
@@ -50,24 +50,36 @@ class SloReport:
 def slo_report(
     latencies: Sequence[float], target_s: float, requests: int
 ) -> SloReport:
-    """Summarise per-request latencies against a latency target."""
+    """Summarise per-request latencies against a latency target.
+
+    One pass over the samples.  The mean and the violation excess are
+    summed left to right: builtin ``sum()`` is compensated from CPython
+    3.12 on, so it would make the last digits depend on the
+    interpreter.  The excess starts from the int 0, as ``sum()`` did, so
+    a run with no violation still reports ``0`` (the committed
+    baselines hold that value).
+    """
     if target_s <= 0:
         raise ValueError("SLO target must be positive")
-    histogram = SampleHistogram("serve.latency_s")
+    total = 0.0
+    violations = 0
+    excess = 0
     for value in latencies:
-        histogram.observe(value)
-    p50, p99, p999 = percentiles(histogram.samples)
-    violations = sum(1 for v in histogram.samples if v > target_s)
-    excess = sum(v - target_s for v in histogram.samples if v > target_s)
+        total += value
+        if value > target_s:
+            violations += 1
+            excess += value - target_s
+    count = len(latencies)
+    p50, p99, p999 = percentiles(latencies)
     return SloReport(
         target_s=target_s,
         requests=requests,
-        completed=histogram.count,
-        mean_s=histogram.mean,
+        completed=count,
+        mean_s=total / count if count else 0.0,
         p50_s=p50,
         p99_s=p99,
         p999_s=p999,
-        max_s=histogram.max,
+        max_s=max(latencies) if count else 0.0,
         violations=violations,
         violation_seconds=excess,
     )

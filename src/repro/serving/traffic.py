@@ -64,6 +64,15 @@ class ArrivalTrace:
         )
 
 
+def _check_shape(requests: int, horizon_s: float) -> None:
+    """Reject a count or horizon no trace can have: arrival times must
+    be non-negative and sorted."""
+    if requests < 0:
+        raise ValueError(f"requests must be >= 0, got {requests}")
+    if horizon_s <= 0:
+        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+
+
 def _sorted_uniforms(rng: DeterministicRng, count: int, stream: str) -> List[float]:
     draw = rng.stream(stream)
     return sorted(draw.random() for _ in range(count))
@@ -97,6 +106,7 @@ def steady(
     Conditioned on the total count, Poisson arrivals are the order
     statistics of uniforms — which is exactly what we draw.
     """
+    _check_shape(requests, horizon_s)
     times = tuple(u * horizon_s for u in _sorted_uniforms(rng, requests, stream))
     return ArrivalTrace("steady", horizon_s, times)
 
@@ -115,6 +125,7 @@ def diurnal(
     the trough, peaks mid-cycle; ``a`` is set so the peak:trough ratio
     equals ``peak_to_trough``.
     """
+    _check_shape(requests, horizon_s)
     if peak_to_trough < 1.0:
         raise ValueError("peak_to_trough must be >= 1")
     amp = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
@@ -148,6 +159,7 @@ def flash_crowd(
     so the surge *concentrates* the trace's requests rather than adding
     load — the closed-form piecewise inverse keeps sampling exact.
     """
+    _check_shape(requests, horizon_s)
     if surge_multiplier < 1.0:
         raise ValueError("surge_multiplier must be >= 1")
     start = surge_start_frac * horizon_s

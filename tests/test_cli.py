@@ -93,6 +93,19 @@ class TestCommands:
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "redis", "--slo-ms", "0"],
+        ["serve", "redis", "--requests", "-5"],
+        ["serve", "redis", "--horizon", "-1"],
+        ["serve", "redis", "--traffic", "diurnal", "--horizon", "0"],
+        ["fleet", "--horizon", "-5"],
+    ])
+    def test_bad_traffic_or_slo_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestLint:
     def test_lint_single_workload(self, capsys):

@@ -1,25 +1,39 @@
 """Open-loop serving subsystem tests (traffic, engine, SLO, policies)."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro import validate
 from repro.datacenter.energy import RunResult
 from repro.datacenter.job import (
-    DEFAULT_INTERCONNECT_BW, HANDOFF_S, RESPONSE_S, TRANSFORM_S,
-    migration_penalty,
+    COMMIT_S, DEFAULT_INTERCONNECT_BW, HANDOFF_S, PUBLISH_S, RESPONSE_S,
+    TRANSFORM_S, migration_penalty,
+)
+from repro.faults import (
+    DetectorConfig,
+    FailureDetector,
+    FaultSchedule,
+    LinkDegradation,
+    NetworkPartition,
+    NodeCrash,
 )
 from repro.serving import (
     DEFAULT_SLO_S,
+    ArrivalTrace,
     Decision,
+    EngineConfig,
     LatencyAwareServing,
+    PriorityClass,
     QueueReactiveServing,
+    ResilienceConfig,
     ServingEngine,
     ServingView,
     StaticArmServing,
     StaticX86Serving,
     TRAFFIC_SHAPES,
+    default_resilience,
     diurnal,
     flash_crowd,
     make_serving_policy,
@@ -131,6 +145,18 @@ class TestTrafficShapes:
         with pytest.raises(ValueError):
             flash_crowd(DeterministicRng(1), surge_start_frac=0.9,
                         surge_duration_frac=0.5)
+
+    @pytest.mark.parametrize("shape", sorted(TRAFFIC_SHAPES))
+    @pytest.mark.parametrize("kwargs", [
+        {"requests": -5}, {"horizon_s": 0.0}, {"horizon_s": -1.0},
+    ])
+    def test_bad_count_or_horizon_rejected(self, shape, kwargs):
+        with pytest.raises(ValueError):
+            make_trace(shape, DeterministicRng(1), **kwargs)
+
+    @pytest.mark.parametrize("shape", sorted(TRAFFIC_SHAPES))
+    def test_empty_trace_allowed(self, shape):
+        assert make_trace(shape, DeterministicRng(1), requests=0).times == ()
 
 
 class TestJobArrivalComposition:
@@ -332,6 +358,20 @@ class TestServingEngine:
         warmed = [r for r in engine.completed if r.warmup_extra_s > 0]
         assert len(warmed) == engine.config.dsm_warmup_requests * result.migrations
 
+    def test_run_keeps_its_slo_report(self):
+        engine, result = _run()
+        assert engine.report == slo_report(
+            [r.latency_s for r in engine.completed], engine.slo_s,
+            result.requests,
+        )
+
+    @pytest.mark.parametrize("slo_s", [0.0, -0.01])
+    def test_nonpositive_slo_rejected(self, slo_s):
+        trace = make_trace("steady", DeterministicRng(1), requests=10)
+        with pytest.raises(ValueError, match="SLO target"):
+            ServingEngine(make_serving_policy("static-arm"), trace,
+                          slo_s=slo_s)
+
     def test_unknown_start_machine_rejected(self):
         trace = make_trace("steady", DeterministicRng(1), requests=10)
         with pytest.raises(KeyError):
@@ -428,3 +468,345 @@ class TestOnePriceTable:
             RESPONSE_S + transform + HANDOFF_S * spec.threads + moved / bw,
             rel=1e-12,
         )
+
+
+# ------------------------------------------------------------ golden pins
+
+
+def _bench_trace(shape, **kwargs):
+    return make_trace(shape, DeterministicRng(7), requests=8000, **kwargs)
+
+
+def _golden_tie_order():
+    """A hand-built trace whose arrivals land exactly on other events.
+
+    Sixteen arrivals share one instant, and a queue gate of 14 sheds the
+    last.  Four more arrive exactly when a request departs (previous
+    start + service).  The first three are admitted only because the
+    departure goes first and frees a queue slot; the fourth lands on
+    the departure that starts the hand-off the 0.05 s epoch decided.
+    One arrival lands on the 0.1 s epoch while x86 is busy, so the
+    policy sees it queued and keeps the service there.  The rest land
+    on the crash (which must go first, or the request would start on
+    the dying node), on the failover's commit, on the 0.15 s epoch and
+    on the repair.
+    """
+    service = ServingEngine(
+        make_serving_policy("static-arm"), ArrivalTrace("steady", 1.0, ())
+    ).service_s
+    period = EngineConfig().decision_period_s
+    epochs = [period]
+    while len(epochs) < 3:
+        epochs.append(epochs[-1] + period)
+    burst_at, crash_at, repair_s = 0.045, 0.12, 0.05
+    times = [burst_at] * 16
+    departs = burst_at + service[ARM]
+    for _ in range(4):
+        times.append(departs)
+        departs += service[ARM]
+    times += [
+        epochs[1] - service[X86] / 2, epochs[1], crash_at,
+        crash_at + (PUBLISH_S + COMMIT_S), epochs[2], crash_at + repair_s,
+    ]
+    return ServingEngine(
+        make_serving_policy("queue-reactive"),
+        ArrivalTrace("ties", 0.25, tuple(sorted(times))),
+        faults=FaultSchedule([
+            NodeCrash(time=crash_at, node=X86, repair_seconds=repair_s)
+        ]),
+        resilience=ResilienceConfig(priority_classes=(
+            PriorityClass("std", 1.0, max_queue_depth=14),
+        )),
+        rng=DeterministicRng(42),
+    )
+
+
+#: name -> a function that makes the engine.  Three are bench cells;
+#: the rest put resilience, partitions and exact ties through the
+#: engine.  The deadline and hedge delay of "deadline-hedge/static-arm"
+#: are shorter than a decision period, so an arrival into an empty
+#: queue can bring the next sparse event forward.
+_GOLDEN = {
+    "flash-crowd/queue-reactive": lambda: ServingEngine(
+        make_serving_policy("queue-reactive"), _bench_trace("flash-crowd"),
+    ),
+    "diurnal/latency-aware": lambda: ServingEngine(
+        make_serving_policy("latency-aware"),
+        _bench_trace("diurnal", peak_to_trough=6.0, periods=2.0),
+    ),
+    "crash/failover-only": lambda: ServingEngine(
+        make_serving_policy("latency-aware"), _bench_trace("flash-crowd"),
+        faults=FaultSchedule([
+            NodeCrash(time=8.5, node=X86, repair_seconds=5.0)
+        ]),
+        detector=FailureDetector(DetectorConfig()),
+        rng=DeterministicRng(7),
+    ),
+    "resilient/static-arm": lambda: ServingEngine(
+        make_serving_policy("static-arm"),
+        make_trace("flash-crowd", DeterministicRng(7), requests=1500,
+                   horizon_s=4.0),
+        faults=FaultSchedule([
+            NodeCrash(time=2.0, node=ARM, repair_seconds=0.5)
+        ]),
+        detector=FailureDetector(DetectorConfig()),
+        resilience=default_resilience(),
+        rng=DeterministicRng(42),
+    ),
+    "deadline-hedge/static-arm": lambda: ServingEngine(
+        make_serving_policy("static-arm"),
+        make_trace("flash-crowd", DeterministicRng(7), requests=1500,
+                   horizon_s=4.0),
+        resilience=ResilienceConfig(
+            request_timeout_s=0.02, hedge_delay_s=0.004,
+            hedge_overhead_s=0.0005,
+        ),
+        rng=DeterministicRng(42),
+    ),
+    "degrade-partition": lambda: ServingEngine(
+        make_serving_policy("latency-aware"),
+        make_trace("flash-crowd", DeterministicRng(7), requests=4000,
+                   horizon_s=10.0),
+        faults=FaultSchedule([
+            LinkDegradation(time=3.5, duration=2.0, bandwidth_factor=0.25,
+                            latency_factor=3.0),
+            NetworkPartition(time=3.5, duration=4.0, island=(X86,)),
+        ]),
+        detector=FailureDetector(DetectorConfig()),
+        rng=DeterministicRng(42),
+    ),
+    "tie-order": _golden_tie_order,
+}
+
+
+def _golden_fingerprint(engine, result):
+    """``repr`` of every non-zero scalar and per-machine energy of the
+    result, and a digest over every scalar's ``repr`` (zeros too, so an
+    int 0 turning into 0.0 shows) and every finished request's
+    timeline."""
+    scalars = {}
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, (int, float)):
+            digest.update(f"{f.name}={value!r};".encode())
+            if value:
+                scalars[f.name] = repr(value)
+    for machine, joules in result.energy_by_machine.items():
+        scalars[f"energy:{machine}"] = repr(joules)
+    for bucket in (engine.completed, engine.shed, engine.failed):
+        for r in bucket:
+            digest.update(repr((
+                r.index, r.start_s, r.finish_s, r.machine,
+                r.migration_stall_s, r.warmup_extra_s, r.attempts, r.hedged,
+                r.failed_reason,
+            )).encode())
+        digest.update(b"|")
+    return scalars, digest.hexdigest()
+
+
+#: name -> (repr of each non-zero scalar, digest), recorded on CPython
+#: 3.11 before the drain loop replaced the per-event one.
+_PINS = {
+    "crash/failover-only": (
+        {
+            "breaker_opens": "1",
+            "busy_seconds": "9.3459555146462",
+            "energy:arm-server": "43.95057813912404",
+            "energy:x86-server": "16.071485501567388",
+            "failovers": "1",
+            "goodput_rps": "129.99498986909236",
+            "handoff_seconds": "0.003643256251928406",
+            "handoffs": "1",
+            "job_count": "8000",
+            "makespan": "20.000770819077363",
+            "mean_response": "2.299250616188587",
+            "migration_stall_seconds": "1.316027194364871",
+            "migrations": "1",
+            "mttd": "2.5",
+            "overhead_seconds": "0.0026582911999994963",
+            "p50_latency_s": "2.8742522877718564",
+            "p999_latency_s": "5.057117691170545",
+            "p99_latency_s": "5.012258543159676",
+            "requests": "8000",
+            "requests_completed": "7999",
+            "requests_failed": "1",
+            "slo_attainment": "0.325",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "18334.514201421553",
+            "slo_violations": "5399",
+        },
+        "0588d1cb78a6caf4630d83323c7fb75137326fd4b77957a4463d39fad72d77c6",
+    ),
+    "deadline-hedge/static-arm": (
+        {
+            "busy_seconds": "1.660691857142817",
+            "energy:arm-server": "9.746910548831572",
+            "energy:x86-server": "13.366222628573926",
+            "goodput_rps": "375.5195274755823",
+            "job_count": "1500",
+            "makespan": "3.9944660403779815",
+            "mean_response": "0.0035401018282679654",
+            "p50_latency_s": "0.0044385273299837325",
+            "p999_latency_s": "0.007844821642693012",
+            "p99_latency_s": "0.007033367157222838",
+            "requests": "1500",
+            "requests_completed": "1500",
+            "requests_hedged": "416",
+            "slo_attainment": "1.0",
+            "slo_target_s": "0.01",
+        },
+        "8da76639e1aaed3cb30a00e90d407697fcf6c537bafe18909554231e645df1ee",
+    ),
+    "degrade-partition": (
+        {
+            "breaker_opens": "1",
+            "busy_seconds": "2.5064184558860867",
+            "energy:arm-server": "19.212007394595922",
+            "energy:x86-server": "65.01638553417543",
+            "false_confirms": "1",
+            "false_suspicions": "1",
+            "goodput_rps": "390.6144687481232",
+            "handoff_seconds": "0.008630963525965818",
+            "handoffs": "2",
+            "job_count": "4000",
+            "makespan": "9.984269175944954",
+            "mean_response": "0.0013229843756002808",
+            "migration_stall_seconds": "0.278067979938883",
+            "migrations": "2",
+            "overhead_seconds": "0.008491456000000674",
+            "p50_latency_s": "0.0003453598718703432",
+            "p999_latency_s": "0.03374108450431186",
+            "p99_latency_s": "0.02437706439480467",
+            "requests": "4000",
+            "requests_completed": "4000",
+            "slo_attainment": "0.975",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "1.1962793877682156",
+            "slo_violations": "100",
+        },
+        "e45d7d1008bb240edc6073b72640c8e1d6342e303016a8bacfcc9f17d1a46a33",
+    ),
+    "diurnal/latency-aware": (
+        {
+            "busy_seconds": "4.938254411771348",
+            "energy:arm-server": "29.069392775270078",
+            "energy:x86-server": "257.63427911314307",
+            "goodput_rps": "399.3915724533142",
+            "handoff_seconds": "0.011428957904732417",
+            "handoffs": "4",
+            "job_count": "8000",
+            "makespan": "20.00042201925464",
+            "mean_response": "0.0008835942603232094",
+            "migration_stall_seconds": "0.03951042751849343",
+            "migrations": "4",
+            "overhead_seconds": "0.009433164799997229",
+            "p50_latency_s": "0.00019848571428582318",
+            "p999_latency_s": "0.012334093940175931",
+            "p99_latency_s": "0.005307146201517914",
+            "requests": "8000",
+            "requests_completed": "8000",
+            "slo_attainment": "0.9985",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "0.0381223160479479",
+            "slo_violations": "12",
+        },
+        "f6214225379a635c0e5da94c43aafb904a8077672ae55da7b1c04e629ef7b12a",
+    ),
+    "flash-crowd/queue-reactive": (
+        {
+            "busy_seconds": "6.5827519609139635",
+            "energy:arm-server": "44.716612722852354",
+            "energy:x86-server": "66.95463549253316",
+            "goodput_rps": "250.49034586313567",
+            "handoff_seconds": "0.17161250773433778",
+            "handoffs": "58",
+            "job_count": "8000",
+            "makespan": "20.000770819077363",
+            "mean_response": "0.009816918498978758",
+            "migration_stall_seconds": "3.5783793799992925",
+            "migrations": "58",
+            "overhead_seconds": "0.13678088960001134",
+            "p50_latency_s": "0.002303034930087655",
+            "p999_latency_s": "0.04076309003890035",
+            "p99_latency_s": "0.036965720859583696",
+            "requests": "8000",
+            "requests_completed": "8000",
+            "slo_attainment": "0.62625",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "38.64798364741399",
+            "slo_violations": "2990",
+        },
+        "ec5b141e63f5d9ee992f089505890c43b00a2b29398ec17eb451a658173cc804",
+    ),
+    "resilient/static-arm": (
+        {
+            "busy_seconds": "1.9386819179282884",
+            "energy:arm-server": "8.469950111381387",
+            "energy:x86-server": "37.78259417142863",
+            "goodput_rps": "143.19811314402207",
+            "job_count": "1500",
+            "makespan": "3.9944660403779815",
+            "mean_response": "0.02948676710976849",
+            "p50_latency_s": "0.002355072628147603",
+            "p999_latency_s": "0.10512698637225634",
+            "p99_latency_s": "0.10476101442892796",
+            "requests": "1500",
+            "requests_completed": "1041",
+            "requests_failed": "135",
+            "requests_hedged": "158",
+            "requests_retried": "1",
+            "requests_shed": "324",
+            "retry_attempts": "1",
+            "slo_attainment": "0.38133333333333336",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "25.114436984748373",
+            "slo_violations": "469",
+        },
+        "39ef866687f3ab2534dd4bb5e7383c93437d3120b3948cbb13404f7697d0ddbc",
+    ),
+    "tie-order": (
+        {
+            "breaker_opens": "1",
+            "busy_seconds": "0.016904958628571387",
+            "energy:arm-server": "0.23636285064000004",
+            "energy:x86-server": "2.2338434852571423",
+            "failovers": "1",
+            "goodput_rps": "104.98041187991468",
+            "handoff_seconds": "0.0027140911999999975",
+            "handoffs": "1",
+            "job_count": "26",
+            "makespan": "0.17146055799999999",
+            "mean_response": "0.00653764077857142",
+            "migration_stall_seconds": "0.03331607680000011",
+            "migrations": "1",
+            "overhead_seconds": "0.002658291200000003",
+            "p50_latency_s": "0.008352673485714286",
+            "p999_latency_s": "0.011535218300114263",
+            "p99_latency_s": "0.01145750368685712",
+            "requests": "26",
+            "requests_completed": "24",
+            "requests_shed": "2",
+            "slo_attainment": "0.6923076923076923",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "0.004620273314285602",
+            "slo_violations": "6",
+        },
+        "2cfb92493884586afeb9b21cc741a01cadea1065ed60a64da7f8e6f1d13cdefc",
+    ),
+}
+
+
+class TestServingGolden:
+    """Full-precision pins of seven runs.  The committed bench facts
+    round to 3-6 decimals and cover only the sweep, so they cannot see a
+    reassociated float sum or two same-time events swapped; these can.
+    A zero-valued field is pinned by its absence and by the digest."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_bit_identical(self, name):
+        engine = _GOLDEN[name]()
+        scalars, digest = _golden_fingerprint(engine, engine.run())
+        pinned_scalars, pinned_digest = _PINS[name]
+        assert scalars == pinned_scalars
+        assert digest == pinned_digest
