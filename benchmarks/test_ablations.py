@@ -27,7 +27,7 @@ from repro.workloads import build_workload
 class TestAlignmentAblation:
     def test_unaligned_binaries_cannot_share_addresses(self, benchmark, save_result):
         def measure():
-            aligned = Toolchain(align=True).build(
+            aligned = Toolchain().build(
                 build_workload("is", "A", 1, 0.001)
             )
             rows = []

@@ -27,7 +27,7 @@ L1I_TIME_SHARE = 0.03
 def _alignment_ratios(name, cls, isa_name):
     """(exec_ratio, l1i_miss_ratio): aligned / unaligned."""
     machine = MACHINES[isa_name]
-    binary = Toolchain(align=True).build(build_workload(name, cls, 1, 0.001))
+    binary = Toolchain().build(build_workload(name, cls, 1, 0.001))
     aligned_fp = binary.layout.footprint(isa_name, ".text", padded=True)
     natural_fp = binary.unaligned_layouts[isa_name].footprint(
         isa_name, ".text", padded=False
@@ -85,7 +85,7 @@ def test_alignment_overhead(benchmark, save_result):
 
 def test_alignment_grows_text_footprint(benchmark):
     def measure():
-        binary = Toolchain(align=True).build(build_workload("is", "A", 1, 0.001))
+        binary = Toolchain().build(build_workload("is", "A", 1, 0.001))
         out = {}
         for isa_name in binary.isa_names:
             padded = binary.layout.footprint(isa_name, ".text", padded=True)

@@ -9,7 +9,7 @@ baseline; never renumber an existing code.
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -8,7 +8,7 @@ so ``repro lint`` can still report ``MIG001`` structural problems for
 modules the toolchain would refuse to build.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.analyze.binary_checks import (

@@ -5,7 +5,7 @@ both standalone (``repro lint`` before the toolchain) and as the first
 stage of a whole-binary lint.
 """
 
-from typing import Dict, Set
+from typing import Set
 
 from repro.analyze.diagnostics import LintReport, Severity
 from repro.ir.function import Function, Module

@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from repro.analysis import Table, format_series
+from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 
@@ -126,11 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="machine the process starts on")
     run.add_argument("--migrate-at", type=int, default=None, metavar="N",
                      help="migrate the whole process at the Nth migration point")
-    run.add_argument("--engine", default=None, choices=("exact", "fast"),
+    run.add_argument("--engine", default="exact", choices=("exact", "fast"),
                      help="execution engine: 'exact' steps every "
                      "instruction, 'fast' fast-forwards compiled regions "
-                     "with bit-identical results (default: REPRO_ENGINE "
-                     "or 'exact')")
+                     "with bit-identical results (default: exact)")
 
     trace = sub.add_parser(
         "trace", help="run a workload with span tracing on and export "
@@ -873,17 +872,6 @@ def cmd_fleet(args) -> int:
         source, target = "x86-64", "arm64"
     else:
         source, target = "arm64", "x86-64"
-    faults = None
-    if args.crash is not None:
-        from repro.faults import FaultSchedule, NodeCrash
-
-        crash_at, repair = _crash_times(args, args.horizon)
-        faults = FaultSchedule([
-            NodeCrash(
-                time=crash_at, node=node_name(args.crash),
-                repair_seconds=repair,
-            )
-        ])
     nested = None
     if args.nested:
         from repro.datacenter.nested import NestedNodeSampler
@@ -891,6 +879,17 @@ def cmd_fleet(args) -> int:
         nested = NestedNodeSampler()
     rng = DeterministicRng(args.seed)
     try:
+        faults = None
+        if args.crash is not None:
+            from repro.faults import FaultSchedule, NodeCrash
+
+            crash_at, repair = _crash_times(args, args.horizon)
+            faults = FaultSchedule([
+                NodeCrash(
+                    time=crash_at, node=node_name(args.crash),
+                    repair_seconds=repair,
+                )
+            ])
         config = FleetConfig(
             nodes={"x86-64": args.x86_nodes, "arm64": args.arm_nodes},
             slots_per_node=args.slots,

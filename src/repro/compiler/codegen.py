@@ -12,7 +12,7 @@ the linker lays out: the shared IR body annotated, per ISA, with
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler.frame import FrameLayout, Location, build_frame_layout
 from repro.compiler.regalloc import AllocationResult, allocate_registers
@@ -123,9 +123,6 @@ class MachineFunction:
         if reg is not None:
             return Location.in_reg(reg)
         return Location.in_slot(self.frame.slot_depths[var])
-
-    def machine_instr(self, block: str, index: int) -> MachineInstr:
-        return self.blocks[block][index]
 
 
 def _work_class(kind: str) -> InstrClass:

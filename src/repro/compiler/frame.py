@@ -68,13 +68,6 @@ class FrameLayout:
     def slot_address(self, cfa: int, var: str) -> int:
         return cfa - self.slot_depths[var]
 
-    def buffer_address(self, cfa: int, name: str) -> int:
-        depth, _size = self.buffer_depths[name]
-        return cfa - depth
-
-    def save_slot_address(self, cfa: int, reg: str) -> int:
-        return cfa - self.saved_reg_depths[reg]
-
     def contains_depth(self, depth: int) -> bool:
         return 0 < depth <= self.frame_size
 

@@ -17,7 +17,7 @@ Two passes, mirroring the paper's workflow:
 import re
 from typing import Dict, List, Optional
 
-from repro.ir.function import BasicBlock, Function, Module
+from repro.ir.function import Function, Module
 from repro.ir.instructions import BinOp, Br, CBr, Const, MigPoint, Ret, UnOp, Work
 from repro.isa.types import ValueType
 

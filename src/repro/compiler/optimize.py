@@ -17,25 +17,16 @@ safety is unaffected: passes run *before* migration-point insertion and
 site-id assignment, exactly as in the paper's flow (Figure 2).
 """
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Set, Union
 
-from repro.ir.function import BasicBlock, Function, Module
+from repro.ir.function import Function, Module
 from repro.ir.instructions import (
     AddrOf,
     BinOp,
     Br,
     CBr,
-    Call,
     Const,
-    InlineAsm,
-    Load,
-    MigPoint,
-    Ret,
-    StackAlloc,
-    Store,
-    Syscall,
     UnOp,
-    Work,
 )
 # The interpreter uses the same tables, so folding and execution can
 # never disagree about semantics.

@@ -27,10 +27,6 @@ class GapProfile:
         if gap > 0:
             self.gaps_by_site[(function, point_id)].append(gap)
 
-    def mean_gap(self, function: str, point_id: int) -> float:
-        gaps = self.gaps_by_site.get((function, point_id), [])
-        return sum(gaps) / len(gaps) if gaps else 0.0
-
     def site_means(self) -> Dict[Tuple[str, int], float]:
         return {
             site: sum(gaps) / len(gaps)
@@ -91,10 +87,6 @@ class GapRecorder:
     def __init__(self, profile: GapProfile):
         self.profile = profile
         self._last_count: Dict[int, float] = {}
-
-    def on_instructions(self, tid: int, count: float) -> None:
-        # Engine reports cumulative counts; nothing to do until a point.
-        pass
 
     def on_migration_point(
         self, tid: int, function: str, point_id: int, cumulative_instrs: float

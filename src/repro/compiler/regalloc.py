@@ -22,7 +22,6 @@ from repro.ir.analysis import liveness
 from repro.ir.function import Function
 from repro.isa.isa import Isa
 from repro.isa.registers import RegKind
-from repro.isa.types import ValueType
 
 
 @dataclass
@@ -35,9 +34,6 @@ class AllocationResult:
     memory_locals: List[str] = field(default_factory=list)
     # Callee-saved registers clobbered by this function (need saving).
     clobbered_callee_saved: List[str] = field(default_factory=list)
-
-    def location_kind(self, var: str) -> str:
-        return "reg" if var in self.reg_assignment else "slot"
 
 
 def _is_float(fn: Function, var: str) -> bool:

@@ -112,10 +112,8 @@ class Toolchain:
     def __init__(
         self,
         isas: Optional[List[Isa]] = None,
-        vm_map: VirtualMemoryMap = DEFAULT_VM_MAP,
         migration_points: str = "profiled",
         target_gap: int = DEFAULT_TARGET_GAP,
-        align: bool = True,
         allow_unmigratable: bool = False,
         opt_level: int = 0,
         lint: bool = False,
@@ -123,12 +121,10 @@ class Toolchain:
         self.isas = list(isas) if isas is not None else list(ALL_ISAS.values())
         if not self.isas:
             raise ValueError("at least one target ISA required")
-        self.vm_map = vm_map
         if migration_points not in ("none", "boundary", "profiled"):
             raise ValueError(f"bad migration_points {migration_points!r}")
         self.migration_points = migration_points
         self.target_gap = target_gap
-        self.align = align
         self.allow_unmigratable = allow_unmigratable
         if opt_level not in (0, 1, 2):
             raise ValueError(f"bad opt_level {opt_level}")
@@ -173,9 +169,9 @@ class Toolchain:
                 isa=isa, machine_functions=mfs, object=obj
             )
 
-        layout = align_symbols(objects, self.vm_map, align_functions=self.align)
+        layout = align_symbols(objects, DEFAULT_VM_MAP)
         unaligned = {
-            obj.isa_name: align_symbols([obj], self.vm_map, align_functions=False)
+            obj.isa_name: align_symbols([obj], DEFAULT_VM_MAP, align_functions=False)
             for obj in objects
         }
         for binary in binaries.values():
@@ -196,7 +192,7 @@ class Toolchain:
             layout=layout,
             unaligned_layouts=unaligned,
             tls=tls,
-            vm_map=self.vm_map,
+            vm_map=DEFAULT_VM_MAP,
             global_addresses=global_addresses,
             migration_point_count=inserted,
             site_count=site_count,

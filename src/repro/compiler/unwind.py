@@ -36,16 +36,3 @@ class UnwindInfo:
             saved_lr_depth=layout.saved_lr_depth,
             saved_reg_depths=dict(layout.saved_reg_depths),
         )
-
-    def caller_cfa(self, callee_cfa: int) -> int:
-        """CFA of this function's frame when it is the *caller*.
-
-        With a downward-growing stack a function's CFA sits
-        ``frame_size`` bytes above the stack pointer it runs with (which
-        becomes the callee's CFA), so the stack walker computes
-        ``callee_cfa + caller.frame_size`` using the caller's record.
-        """
-        return callee_cfa + self.frame_size
-
-    def saves_register(self, reg: str) -> bool:
-        return reg in self.saved_reg_depths

@@ -9,7 +9,7 @@ Two arrival patterns, as evaluated in the paper:
   uniformly between 60 and 240 seconds (open system with idle gaps).
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.datacenter.job import JobSpec
 from repro.sim.rng import DeterministicRng

@@ -20,12 +20,12 @@ ARM board.  A crashed node draws no power until repaired.
 Since the DES unification the simulator runs on the shared
 :mod:`repro.sim` substrate — a :class:`~repro.sim.clock.Clock` plus a
 :class:`~repro.sim.events.EventQueue` — the same primitives the kernel
-testbed charges time to.  A cluster run can therefore share its clock
-with nested :class:`~repro.kernel.kernel.PopcornSystem` instances
-(see :mod:`repro.datacenter.nested`): sampled nodes measure job
-durations by actually executing the workload's binary on a real
-replicated-kernel testbed while the remaining nodes run on the
-analytic cost summaries.
+testbed charges time to.  Sampled nodes can nest a real
+:class:`~repro.kernel.kernel.PopcornSystem` (see
+:mod:`repro.datacenter.nested`): they measure job durations by
+actually executing the workload's binary on a one-machine
+replicated-kernel testbed, on its own clock, while the remaining nodes
+run on the analytic cost summaries.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ from repro.faults.membership import DEAD, REJOIN, Membership
 from repro.linker.layout import PAGE_SIZE
 from repro.machine.machine import Machine
 from repro.machine.mcpat import arm_finfet_power
-from repro.sim.clock import Clock
 from repro.sim.events import Simulator
 from repro.telemetry.faultlog import FaultLog
 
@@ -118,7 +117,6 @@ class ClusterSimulator:
         recovery: Optional["RecoveryPolicy"] = None,
         detector: Optional["FailureDetector"] = None,
         tracer=None,
-        clock: Optional[Clock] = None,
         nested: Optional["NestedNodeSampler"] = None,
         nested_nodes: Tuple[str, ...] = (),
     ):
@@ -146,11 +144,11 @@ class ClusterSimulator:
         self._live_cache: Optional[List[MachineNode]] = None
         self.policy = policy
         self.interconnect_bw = interconnect_bw
-        # The unified DES substrate: simulated time lives in a shared
+        # The unified DES substrate: simulated time lives in a
         # repro.sim Clock and fault/protocol events in its EventQueue,
-        # so cluster runs and nested kernel testbeds tick on the same
-        # primitives.  ``now`` is a read-only view of the clock.
-        self._sim = Simulator(clock)
+        # the primitives nested kernel testbeds tick on too.  ``now``
+        # is a read-only view of the clock.
+        self._sim = Simulator()
         self.migrations = 0
         self._durations: Dict[Tuple[JobSpec, str], float] = {}
         self.finished: List[Job] = []
@@ -214,14 +212,8 @@ class ClusterSimulator:
 
     @property
     def now(self) -> float:
-        """Current simulated time (the shared ``sim`` clock's view)."""
+        """Current simulated time (the ``sim`` clock's view)."""
         return self._sim.now
-
-    @property
-    def clock(self) -> Clock:
-        """The run's :class:`~repro.sim.clock.Clock` (shareable with
-        nested kernel testbeds and fleet-level simulators)."""
-        return self._sim.clock
 
     def duration_on(self, spec: JobSpec, node: MachineNode) -> float:
         """Seconds ``spec`` runs alone on ``node`` (memoized)."""

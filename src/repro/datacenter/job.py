@@ -9,8 +9,8 @@ instruction-level execution engine charges, so the two models agree.
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine

@@ -19,22 +19,19 @@ from typing import Dict, Tuple
 
 from repro.datacenter.job import JobSpec
 
+#: How far a nested run shrinks both the migration-point target gap and
+#: the workload's dynamic instruction count; the full-size duration is
+#: the measured simulated time divided by ``SCALE`` (the workload
+#: builders scale the timed region linearly).  0.01 keeps one
+#: measurement around a tenth of a wall-clock second.
+SCALE = 0.01
+
 
 class NestedNodeSampler:
-    """Measures job durations by running real workloads on one machine.
+    """Measures job durations by running real workloads on one machine,
+    at :data:`SCALE` on the fast-forward engine."""
 
-    ``scale`` shrinks both the migration-point target gap and the
-    workload's dynamic instruction count; the full-size duration is the
-    measured simulated time divided by ``scale`` (the workload builders
-    scale the timed region linearly).  The default 0.01 keeps one
-    measurement around a tenth of a wall-clock second.
-    """
-
-    def __init__(self, scale: float = 0.01, engine: str = "fast"):
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
-        self.scale = scale
-        self.engine = engine
+    def __init__(self):
         self._memo: Dict[Tuple[str, str, int, str], float] = {}
 
     def duration(self, spec: JobSpec, isa: str) -> float:
@@ -55,18 +52,18 @@ class NestedNodeSampler:
         from repro.workloads import build_workload
 
         toolchain = Toolchain(
-            target_gap=max(int(DEFAULT_TARGET_GAP * self.scale), 1000)
+            target_gap=max(int(DEFAULT_TARGET_GAP * SCALE), 1000)
         )
         binary = toolchain.build(
-            build_workload(spec.bench, spec.cls, spec.threads, self.scale)
+            build_workload(spec.bench, spec.cls, spec.threads, SCALE)
         )
         system = boot_single(isa)
         process = system.exec_process(binary, system.machine_order[0])
-        engine = make_engine(system, process, engine=self.engine)
+        engine = make_engine(system, process, engine="fast")
         engine.run()
         if process.exit_code != 0:
             raise RuntimeError(
                 f"nested run of {spec} on {isa} failed "
                 f"(exit {process.exit_code})"
             )
-        return system.clock.now / self.scale
+        return system.clock.now / SCALE

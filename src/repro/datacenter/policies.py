@@ -9,8 +9,7 @@ the observation (DeVuyst et al.) that unbalanced thread scheduling on
 heterogeneous processors can save energy.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.datacenter.job import Job
 

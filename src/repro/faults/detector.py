@@ -10,10 +10,10 @@ classic false-suspicion hazard under partitions and latency spikes).
 :class:`FailureDetector` models exactly that, deterministically:
 
 * every node broadcasts a heartbeat each ``heartbeat_period_s``;
-* a node unheard for ``miss_threshold`` consecutive periods becomes
+* a node unheard for ``MISS_THRESHOLD`` consecutive periods becomes
   *suspected* (a suspicion of a node that is actually alive — cut off
   by a :class:`~repro.faults.models.NetworkPartition` or delayed past
-  ``degradation_miss_factor`` by a
+  ``DEGRADATION_MISS_FACTOR`` by a
   :class:`~repro.faults.models.LinkDegradation` — is a recorded
   **false suspicion**);
 * a suspect still unheard ``lease_s`` after suspicion is *confirmed
@@ -22,7 +22,7 @@ classic false-suspicion hazard under partitions and latency spikes).
   it is heard again and rejoins.
 
 Mean time-to-detect (MTTD = crash → confirm latency) is therefore
-``miss_threshold * heartbeat_period_s + lease_s`` plus the phase of the
+``MISS_THRESHOLD * heartbeat_period_s + lease_s`` plus the phase of the
 heartbeat clock — and the simulator now *measures* it instead of
 assuming zero.
 """
@@ -35,29 +35,29 @@ SUSPECT = "suspect"
 UNSUSPECT = "unsuspect"
 CONFIRM = "confirm"
 
+#: Consecutive silent heartbeat periods before a node is suspected.
+MISS_THRESHOLD = 3
+#: A latency stretch (product of active degradation factors) at or
+#: beyond this makes heartbeats arrive after their timeout.
+DEGRADATION_MISS_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     """Calibration knobs (see docs/faults.md for the cost model)."""
 
     heartbeat_period_s: float = 0.5
-    miss_threshold: int = 3  # consecutive silent periods -> suspect
     lease_s: float = 1.5  # suspicion age -> confirmed dead (fenced)
-    # A latency stretch (product of active degradation factors) at or
-    # beyond this makes heartbeats arrive after their timeout.
-    degradation_miss_factor: float = 8.0
 
     def __post_init__(self):
         if self.heartbeat_period_s <= 0:
             raise ValueError("heartbeat period must be positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss threshold must be >= 1")
         if self.lease_s < 0:
             raise ValueError("lease must be non-negative")
 
     @property
     def suspect_after_s(self) -> float:
-        return self.miss_threshold * self.heartbeat_period_s
+        return MISS_THRESHOLD * self.heartbeat_period_s
 
     @property
     def nominal_mttd_s(self) -> float:

@@ -16,7 +16,7 @@ all seed numbers are unchanged.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.kernel.messages import MessagingLayer
 from repro.sim.rng import DeterministicRng

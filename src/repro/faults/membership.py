@@ -42,7 +42,7 @@ from typing import (
     Tuple,
 )
 
-from repro.faults.detector import CONFIRM, FailureDetector
+from repro.faults.detector import CONFIRM, DEGRADATION_MISS_FACTOR, FailureDetector
 
 #: Verdict events, beside the detector's SUSPECT / UNSUSPECT.  A
 #: confirm is reported as DEAD (a real crash) or FENCE (a live node).
@@ -151,7 +151,7 @@ class Membership:
             stretch = 1.0
             for degradation in self.degradations:
                 stretch *= degradation.latency_factor
-            if stretch >= self.detector.config.degradation_miss_factor:
+            if stretch >= DEGRADATION_MISS_FACTOR:
                 # Heartbeats arrive after their timeout: all silent.
                 return dict.fromkeys(self.nodes, False)
         cell = self._observer_cell()

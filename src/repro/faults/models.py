@@ -13,11 +13,33 @@ schedule fully determines a run (the same discipline the arrival
 generators follow).
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Tuple
 
 from repro.faults.inject import FaultSchedule
 from repro.sim.rng import DeterministicRng
+
+
+def _require(event, field: str, ok: bool, rule: str) -> None:
+    """Reject a malformed event when it is built, not mid-run."""
+    if not ok:
+        raise ValueError(
+            f"{type(event).__name__}.{field} must be {rule}, "
+            f"got {getattr(event, field)!r}"
+        )
+
+
+def _check_time(event) -> None:
+    _require(event, "time", math.isfinite(event.time) and event.time >= 0,
+             "finite and >= 0")
+
+
+def _check_window(event) -> None:
+    _check_time(event)
+    _require(event, "duration",
+             math.isfinite(event.duration) and event.duration > 0,
+             "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -34,6 +56,12 @@ class NodeCrash:
     permanent: bool = False
     repair_seconds: float = 120.0
 
+    def __post_init__(self):
+        _check_time(self)
+        _require(self, "repair_seconds",
+                 math.isfinite(self.repair_seconds) and self.repair_seconds >= 0,
+                 "finite and >= 0")
+
 
 @dataclass(frozen=True)
 class NodeRepair:
@@ -42,6 +70,9 @@ class NodeRepair:
     kind: ClassVar[str] = "repair"
     time: float
     node: str
+
+    def __post_init__(self):
+        _check_time(self)
 
 
 @dataclass(frozen=True)
@@ -59,6 +90,11 @@ class LinkDegradation:
     bandwidth_factor: float = 0.5
     latency_factor: float = 2.0
 
+    def __post_init__(self):
+        _check_window(self)
+        _require(self, "bandwidth_factor", self.bandwidth_factor > 0, "> 0")
+        _require(self, "latency_factor", self.latency_factor > 0, "> 0")
+
 
 @dataclass(frozen=True)
 class NetworkPartition:
@@ -71,6 +107,10 @@ class NetworkPartition:
     time: float
     duration: float
     island: Tuple[str, ...]
+
+    def __post_init__(self):
+        _check_window(self)
+        _require(self, "island", len(self.island) > 0, "non-empty")
 
 
 @dataclass(frozen=True)

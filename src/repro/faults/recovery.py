@@ -21,7 +21,7 @@ Two strategies reproduce the paper's head-to-head framing:
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from repro.datacenter.job import Job, JobState
 from repro.kernel.checkpoint import CrossIsaRestoreError

@@ -15,7 +15,7 @@ instantiate by the thousand.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.datacenter.job import JobSpec, job_duration
 from repro.kernel.testbed import machine_for_isa
@@ -138,13 +138,16 @@ class FleetConfig:
     slo_factor: float = 8.0
 
     def validate(self) -> None:
-        """Reject configurations that cannot place their services."""
+        """Reject configurations that cannot place their services or
+        would judge them against an SLO of zero."""
         if self.services < 1:
             raise ValueError(f"a fleet needs at least 1 service, got {self.services}")
         if self.slots_per_node < 1:
             raise ValueError(
                 f"slots per node must be at least 1, got {self.slots_per_node}"
             )
+        if not self.slo_factor > 0:
+            raise ValueError(f"slo_factor must be > 0, got {self.slo_factor}")
         for isa, count in self.nodes.items():
             if count < 0:
                 raise ValueError(f"negative node count {count} for ISA {isa!r}")

@@ -9,7 +9,7 @@ signal regresses — the fleet analogue of PR-9's latency-aware
 migration gate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 
@@ -45,6 +45,12 @@ class WavePolicy:
             last = frac
         if self.wave_interval_s <= 0:
             raise ValueError("wave_interval_s must be positive")
+        if not self.bake_s >= 0:
+            raise ValueError(f"bake_s must be >= 0, got {self.bake_s}")
+        if not self.regression_threshold >= 0:
+            raise ValueError(
+                f"regression_threshold must be >= 0, got {self.regression_threshold}"
+            )
 
     def targets(self) -> Tuple[float, ...]:
         """Cumulative migrated fraction after wave 1, 2, ..."""

@@ -5,7 +5,7 @@ the set of locals whose values must survive each call site is exactly
 what the stack transformation runtime copies between ABIs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.ir.function import Function, Module

@@ -15,7 +15,7 @@ benchmark code reads like the C it stands in for:
 """
 
 import contextlib
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (

@@ -6,7 +6,7 @@ names its destination local in ``dst``.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.isa.types import ValueType
 
@@ -28,10 +28,6 @@ SYSCALL_NAMES = (
     "gettid", "getcpu", "time_ns", "migrate_hint",
     "write", "read", "open", "close",
 )
-
-
-def is_var(op: Operand) -> bool:
-    return isinstance(op, str)
 
 
 @dataclass

@@ -7,7 +7,7 @@ of the text — the toolchain assigns them at build time.
 """
 
 import re
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.ir.function import Function, GlobalVar, Module
 from repro.ir.instructions import (

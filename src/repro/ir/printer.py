@@ -31,7 +31,7 @@ through :mod:`repro.ir.parser`.  Format by example::
     }
 """
 
-from typing import List, Union
+from typing import List
 
 from repro.ir.function import Function, GlobalVar, Module
 from repro.ir.instructions import (

@@ -67,12 +67,6 @@ class BlockSummary:
         """
         return [cpu.cycles_for(c) for c in self.counts]
 
-    @property
-    def straight_line(self) -> bool:
-        """True when nothing in the block bounds a segment early (the
-        only event is the terminator)."""
-        return len(self.events) <= 1
-
 
 def summarize_block(label: str, mis) -> BlockSummary:
     """Build the summary for one block's lowered instructions."""
@@ -120,12 +114,3 @@ def invalidate_summaries(mf) -> None:
         del mf._block_summaries
     if hasattr(mf, "_fast_segments"):
         del mf._fast_segments
-
-
-def function_totals(mf) -> Dict[InstrClass, float]:
-    """Aggregate machine-instruction counts across all blocks."""
-    totals: Dict[InstrClass, float] = {}
-    for summary in block_summaries(mf).values():
-        for cls, n in summary.totals.items():
-            totals[cls] = totals.get(cls, 0.0) + n
-    return totals

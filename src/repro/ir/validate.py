@@ -8,7 +8,7 @@ calls to missing functions) at build time instead of interpret time.
 from typing import List
 
 from repro.ir.function import Function, Module
-from repro.ir.instructions import AddrOf, Br, CBr, Call, StackAlloc
+from repro.ir.instructions import AddrOf, Call, StackAlloc
 
 
 class ValidationError(Exception):

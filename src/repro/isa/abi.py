@@ -10,8 +10,8 @@ stack transformation non-trivial:
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class FrameLayoutStyle(enum.Enum):

@@ -19,8 +19,7 @@ This module implements that baseline faithfully enough to compare:
   image crosses the wire up front, unlike the hDSM's on-demand pull.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.process import Barrier, CondVar, KernelThreadState, Mutex, Process, Thread, ThreadState

@@ -36,9 +36,6 @@ class VirtualFileSystem:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def listdir(self, prefix: str = "/") -> List[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
-
     # -------------------------------------------------------------- fds
 
     def open(self, path: str, kernel: str, create: bool = False) -> Tuple[int, float]:

@@ -126,12 +126,6 @@ class PopcornSystem:
 
     # ----------------------------------------------------------- lookup
 
-    def kernel_of(self, thread: Thread) -> Kernel:
-        return self.kernels[thread.machine_name]
-
-    def machine_of(self, thread: Thread) -> Machine:
-        return self.machines[thread.machine_name]
-
     def isa_of(self, machine_name: str) -> str:
         return self.machines[machine_name].isa.name
 

@@ -10,8 +10,6 @@ page-table flip, not a copy, so the loader marks text pages as
 never-transferred for the DSM.
 """
 
-from typing import Optional
-
 from repro import validate
 from repro.compiler.toolchain import MultiIsaBinary
 from repro.isa.types import type_size

@@ -7,7 +7,7 @@ turn charges the interconnect model.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.machine.interconnect import Interconnect

@@ -111,10 +111,6 @@ class Thread:
         self.start_function: str = ""
         self.start_args: List[float] = []
 
-    @property
-    def current_frame(self) -> Frame:
-        return self.frames[-1]
-
     def block(self, reason: str, token: int) -> None:
         self.state = ThreadState.BLOCKED
         self.blocked_on = (reason, token)
@@ -178,13 +174,6 @@ class Process:
         index = self._next_stack_index
         self._next_stack_index += 1
         return index
-
-    def thread_count_on(self, machine_name: str) -> int:
-        return sum(
-            1
-            for t in self.alive_threads
-            if t.machine_name == machine_name
-        )
 
     def __repr__(self) -> str:
         return f"Process(pid={self.pid}, {self.binary.module.name}, threads={len(self.threads)})"

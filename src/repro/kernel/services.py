@@ -19,7 +19,7 @@ levels, with full message/byte accounting.  Concrete services:
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 
@@ -185,9 +185,6 @@ class SysInfoService(ReplicatedService):
     name = "sysinfo"
     consistency = Consistency.EVENTUAL
     record_bytes = 256
-
-    def set_hostname(self, origin_kernel: str, pid: int, hostname: str) -> float:
-        return self.update(origin_kernel, pid, "hostname", hostname)
 
     def hostname(self, kernel: str, pid: int) -> Tuple[str, float]:
         return self.read(kernel, pid, "hostname", default="localhost")

@@ -9,7 +9,7 @@ time, then acts on the result's action.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.kernel.process import Barrier, CondVar, Mutex, Process, Thread
 

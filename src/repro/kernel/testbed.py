@@ -19,8 +19,9 @@ from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
 from repro.sim.clock import Clock
 
 
-def boot_testbed(clock: Optional[Clock] = None, tracer=None):
-    """The paper's dual-server setup: X-Gene 1 + Xeon over Dolphin PCIe.
+def boot_testbed(tracer=None):
+    """The paper's dual-server setup: X-Gene 1 + Xeon over Dolphin PCIe,
+    on a fresh clock.
 
     ``tracer`` opts into span tracing; when omitted, ``REPRO_TRACE=1``
     in the environment attaches a fresh tracer (else tracing is off and
@@ -30,7 +31,7 @@ def boot_testbed(clock: Optional[Clock] = None, tracer=None):
         from repro.telemetry.spans import maybe_tracer
 
         tracer = maybe_tracer()
-    clock = clock if clock is not None else Clock()
+    clock = Clock()
     arm = make_xgene1("arm-server", clock)
     x86 = make_xeon_e5_1650v2("x86-server", clock)
     return PopcornSystem([arm, x86], make_dolphin_pxh810(), clock, tracer=tracer)
@@ -50,13 +51,13 @@ def machine_for_isa(isa: str, name: str, clock: Optional[Clock] = None) -> Machi
     raise ValueError(f"no reference machine for ISA {isa!r}")
 
 
-def boot_single(isa: str, clock: Optional[Clock] = None, tracer=None):
-    """Boot a one-machine system of the given ISA.
+def boot_single(isa: str):
+    """Boot a one-machine system of the given ISA on a fresh clock.
 
-    No tracer is attached by default (unlike :func:`boot_testbed`):
-    callers boot these by the dozen for duration sampling, and tracing
-    every one would change neither results nor determinism, only cost.
+    No tracer is attached (unlike :func:`boot_testbed`): callers boot
+    these by the dozen for duration sampling, and tracing every one
+    would change neither results nor determinism, only cost.
     """
-    clock = clock if clock is not None else Clock()
+    clock = Clock()
     machine = machine_for_isa(isa, f"{isa}-node", clock)
-    return PopcornSystem([machine], make_dolphin_pxh810(), clock, tracer=tracer)
+    return PopcornSystem([machine], make_dolphin_pxh810(), clock)

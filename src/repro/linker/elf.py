@@ -43,10 +43,6 @@ class Section:
             )
         self.symbols.append(symbol)
 
-    @property
-    def total_size(self) -> int:
-        return sum(s.size for s in self.symbols)
-
 
 @dataclass
 class IsaObject:

@@ -15,10 +15,6 @@ def page_of(addr: int) -> int:
     return addr // PAGE_SIZE
 
 
-def page_base(addr: int) -> int:
-    return addr - (addr % PAGE_SIZE)
-
-
 def align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 

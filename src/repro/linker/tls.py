@@ -10,7 +10,7 @@ ISAs (L_i^IA = L_i^IB in the model).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.ir.function import GlobalVar
 from repro.isa.types import type_align, type_size
@@ -33,9 +33,6 @@ class TlsLayout:
     initial: Dict[str, List] = field(default_factory=dict)
     element_size: Dict[str, int] = field(default_factory=dict)
     element_count: Dict[str, int] = field(default_factory=dict)
-
-    def offset_of(self, name: str) -> int:
-        return self.offsets[name]
 
     def address_of(self, thread_pointer: int, name: str) -> int:
         return thread_pointer + self.offsets[name]

@@ -34,12 +34,6 @@ class CpuModel:
     def seconds_for(self, counts: Dict[InstrClass, float]) -> float:
         return self.cycles_for(counts) / self.freq_hz
 
-    def seconds_for_cycles(self, cycles: float) -> float:
-        return cycles / self.freq_hz
-
-    def instructions_per_second(self, cls: InstrClass = InstrClass.INT_ALU) -> float:
-        return self.freq_hz / self.cpi.get(cls, 1.0)
-
 
 # Intel Xeon E5-1650 v2 (Ivy Bridge-EP): wide out-of-order core.
 XEON_CPI = {

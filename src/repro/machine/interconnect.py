@@ -23,9 +23,6 @@ class Interconnect:
         """One-way time for a message of ``nbytes``."""
         return self.latency_s + nbytes / self.bandwidth_bytes_per_s
 
-    def round_trip_time(self, request_bytes: int, reply_bytes: int) -> float:
-        return self.transfer_time(request_bytes) + self.transfer_time(reply_bytes)
-
     def record(self, nbytes: int) -> None:
         self.messages_sent += 1
         self.bytes_sent += nbytes

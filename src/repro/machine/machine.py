@@ -5,7 +5,6 @@ the power sensors and the Figure 11 load traces read the resulting
 core occupancy.
 """
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa import Isa, get_isa

@@ -15,10 +15,6 @@ class MemoryModel:
     bandwidth_bytes_per_s: float
     latency_s: float = 90e-9
 
-    def copy_time(self, nbytes: int) -> float:
-        """Seconds to stream ``nbytes`` through memory."""
-        return self.latency_s + nbytes / self.bandwidth_bytes_per_s
-
 
 def make_xeon_memory() -> MemoryModel:
     return MemoryModel(

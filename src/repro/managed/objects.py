@@ -6,8 +6,7 @@ walk (cycles included) with realistic byte counts.
 """
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set
 
 PRIMITIVE_BYTES = {"int": 4, "long": 8, "float": 4, "double": 8, "boolean": 1}
 OBJECT_HEADER_BYTES = 16

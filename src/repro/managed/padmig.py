@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.managed.objects import ObjectGraph
-from repro.managed.serializer import ReflectionSerializer, SerializationResult
+from repro.managed.serializer import ReflectionSerializer
 
 DEFAULT_JAVA_SLOWDOWN = 2.0
 

@@ -13,10 +13,10 @@ exactly the paper's common-data-format argument, which lets pages move
 between ISAs "without any transformation".
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
-from repro.linker.layout import PAGE_SIZE, VirtualMemoryMap, page_of
+from repro.linker.layout import VirtualMemoryMap, page_of
 
 Word = Union[int, float]
 
@@ -147,14 +147,3 @@ class AddressSpace:
 
     def read_words(self, base: int, count: int, stride: int = 8) -> List[Word]:
         return [self._mem.get(base + i * stride, 0) for i in range(count)]
-
-    def words_in_page(self, page: int) -> Iterator[Tuple[int, Word]]:
-        lo = page * PAGE_SIZE
-        hi = lo + PAGE_SIZE
-        for addr, value in self._mem.items():
-            if lo <= addr < hi:
-                yield addr, value
-
-    def resident_bytes(self) -> int:
-        """Rough footprint: 8 bytes per stored word."""
-        return 8 * len(self._mem)

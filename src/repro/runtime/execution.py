@@ -14,9 +14,8 @@ When a machine has more runnable threads than cores, compute time is
 stretched by the oversubscription factor.
 """
 
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.instructions import (
     AddrOf,
@@ -747,36 +746,24 @@ class ExecutionEngine:
 ENGINE_KINDS = ("exact", "fast")
 
 
-def default_engine_kind() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default: ``exact``)."""
-    kind = os.environ.get("REPRO_ENGINE", "exact").strip().lower() or "exact"
-    if kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"REPRO_ENGINE={kind!r} unknown; choose one of {ENGINE_KINDS}"
-        )
-    return kind
-
-
 def make_engine(
     system,
     process: Process,
     hooks: Optional[EngineHooks] = None,
     sampler=None,
     batch: int = 256,
-    engine: Optional[str] = None,
+    engine: str = "exact",
 ) -> ExecutionEngine:
     """Build an execution engine: ``engine="exact"`` steps instruction
     by instruction, ``engine="fast"`` fast-forwards compiled regions
     (:mod:`repro.runtime.fastforward`) with bit-identical results.
-    ``engine=None`` defers to the ``REPRO_ENGINE`` environment variable.
     """
-    kind = engine if engine is not None else default_engine_kind()
-    if kind == "exact":
+    if engine == "exact":
         return ExecutionEngine(system, process, hooks, sampler=sampler, batch=batch)
-    if kind == "fast":
+    if engine == "fast":
         from repro.runtime.fastforward import FastExecutionEngine
 
         return FastExecutionEngine(
             system, process, hooks, sampler=sampler, batch=batch
         )
-    raise ValueError(f"unknown engine kind {kind!r}; choose one of {ENGINE_KINDS}")
+    raise ValueError(f"unknown engine kind {engine!r}; choose one of {ENGINE_KINDS}")

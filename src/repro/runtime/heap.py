@@ -6,7 +6,7 @@ backed by this allocator.  Heap addresses are part of the common layout
 — only *pages* move, via the hDSM.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.linker.layout import align_up
 from repro.runtime.address_space import AddressSpace

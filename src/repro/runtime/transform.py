@@ -23,15 +23,15 @@ The rewrite targets the inactive half of the thread's stack region and
 the caller switches halves afterwards, exactly as in the paper.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.compiler.codegen import MachineFunction
 from repro.compiler.stackmaps import StackMap, StackMapEntry, join_stackmaps
 from repro.compiler.toolchain import MultiIsaBinary
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.regmap import map_registers
-from repro.runtime.stack import Frame, UserStack
+from repro.runtime.stack import Frame
 
 
 class TransformError(Exception):

@@ -72,6 +72,10 @@ from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
 from repro.machine.mcpat import arm_finfet_power
 from repro.serving.policies import ServingPolicy
 from repro.serving.resilience import (
+    MAX_ATTEMPTS,
+    MIN_RETRY_TOKENS,
+    RETRY_BACKOFF,
+    RETRY_BUDGET_FRACTION,
     AdmissionController,
     CircuitBreaker,
     ResilienceConfig,
@@ -143,6 +147,12 @@ class Request:
         return self.start_s - self.arrival_s
 
 
+#: Seconds between policy decision epochs.
+DECISION_PERIOD_S = 0.05
+#: Trailing window for the arrival-rate estimate policies see.
+RATE_WINDOW_S = 0.5
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-level tuning knobs (the hand-off itself is priced by the
@@ -162,18 +172,10 @@ class EngineConfig:
     #: set) the same count of requests amortises the **full** footprint
     #: instead.  See ``docs/serving.md``.
     dsm_warmup_requests: int = 64
-    #: Seconds between policy decision epochs.
-    decision_period_s: float = 0.05
-    #: Trailing window for the arrival-rate estimate policies see.
-    rate_window_s: float = 0.5
 
     def __post_init__(self):
         if self.dsm_warmup_requests < 1:
             raise ValueError("dsm_warmup_requests must be >= 1")
-        if self.decision_period_s <= 0:
-            raise ValueError("decision period must be positive")
-        if self.rate_window_s <= 0:
-            raise ValueError("rate window must be positive")
 
 
 @dataclass(frozen=True)
@@ -305,20 +307,12 @@ class ServingEngine:
         )
         #: machine -> up (alive and unfenced): the membership's map.
         self._up = self.membership.up
-        breaker_kw = {}
-        if resilience is not None:
-            breaker_kw = dict(
-                failure_threshold=resilience.breaker_failure_threshold,
-                reset_s=resilience.breaker_reset_s,
-            )
-        self._breakers = {
-            name: CircuitBreaker(**breaker_kw) for name in self.machines
-        }
+        self._breakers = {name: CircuitBreaker() for name in self.machines}
         self._admission = (
             AdmissionController(resilience) if resilience is not None else None
         )
         self._retry_budget = (
-            RetryBudget(resilience.retry_budget_fraction, resilience.min_retry_tokens)
+            RetryBudget(RETRY_BUDGET_FRACTION, MIN_RETRY_TOKENS)
             if resilience is not None
             else None
         )
@@ -628,14 +622,14 @@ class ServingEngine:
         res = self.resilience
         if (
             res is not None
-            and request.attempts < res.max_attempts
+            and request.attempts < MAX_ATTEMPTS
             and self._retry_budget.allow()
         ):
             self._retry_budget.spend()
             self._retry_attempts += 1
             self._retried_indices.add(request.index)
             backoff = next_backoff(
-                res.retry_backoff, request.attempts,
+                RETRY_BACKOFF, request.attempts,
                 request.last_backoff_s, self._retry_u(),
             )
             request.last_backoff_s = backoff
@@ -647,7 +641,7 @@ class ServingEngine:
                     backoff_s=round(backoff, 9),
                 )
                 self.tracer.metrics.counter("serve.retries").inc()
-        elif res is not None and request.attempts >= res.max_attempts:
+        elif res is not None and request.attempts >= MAX_ATTEMPTS:
             self._fail_request(request, "retries-exhausted")
         elif res is not None:
             self._fail_request(request, "retry-budget-exhausted")
@@ -1074,7 +1068,7 @@ class ServingEngine:
     # ----------------------------------------------------------- policy
 
     def _run_epoch(self) -> None:
-        w = self.config.rate_window_s
+        w = RATE_WINDOW_S
         view = ServingView(
             now=self.now,
             machine=self.location,
@@ -1150,7 +1144,7 @@ class ServingEngine:
         order, so fault-free runs match the pre-resilience engine.
         """
         n = len(self.trace.times)
-        next_epoch = self.config.decision_period_s
+        next_epoch = DECISION_PERIOD_S
         while True:
             static = self._static_event(n, next_epoch)
             stop = (
@@ -1192,7 +1186,7 @@ class ServingEngine:
                 self._heartbeat_round()
             else:
                 self._run_epoch()
-                next_epoch = self.now + self.config.decision_period_s
+                next_epoch = self.now + DECISION_PERIOD_S
 
         if validate.enabled():
             self._check_conservation(n)

@@ -48,6 +48,21 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Total service attempts per request: a request whose service a crash
+#: killed is replayed at most twice, then fails loudly.
+MAX_ATTEMPTS = 3
+#: Backoff schedule between a crash-killed attempt and its replay —
+#: the kernel messaging layer's decorrelated-jitter policy.
+RETRY_BACKOFF = RetryPolicy(ack_timeout_s=0.0, backoff_base_s=2e-3, max_backoff_s=0.1)
+#: The engine's global retry budget (:class:`RetryBudget`): replays are
+#: allowed while ``retries < MIN_RETRY_TOKENS + RETRY_BUDGET_FRACTION *
+#: offered``.
+RETRY_BUDGET_FRACTION = 0.2
+MIN_RETRY_TOKENS = 8
+#: Seconds a repaired node must stay up before placement trusts it
+#: (:class:`CircuitBreaker`).
+BREAKER_RESET_S = 2.0
+
 
 @dataclass(frozen=True)
 class PriorityClass:
@@ -65,6 +80,14 @@ class PriorityClass:
     name: str
     weight: float
     max_queue_depth: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.weight > 0:
+            raise ValueError(f"priority class {self.name!r}: weight must be > 0")
+        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+            raise ValueError(
+                f"priority class {self.name!r}: max_queue_depth must be None or >= 1"
+            )
 
 
 #: The no-shedding default: a single class with no queue gate.
@@ -85,28 +108,12 @@ class ResilienceConfig:
     #: End-to-end deadline; a request still *queued* past it fails
     #: loudly ("deadline-exceeded").  ``None`` waits forever.
     request_timeout_s: Optional[float] = None
-    #: Total service attempts per request (1 = never retry a request
-    #: whose service a crash killed; such requests fail loudly).
-    max_attempts: int = 3
-    #: Backoff schedule between a crash-killed attempt and its replay —
-    #: the kernel messaging layer's decorrelated-jitter policy.
-    retry_backoff: RetryPolicy = RetryPolicy(
-        ack_timeout_s=0.0, backoff_base_s=2e-3, max_backoff_s=0.1
-    )
-    #: Global retry budget: replays are allowed while
-    #: ``retry_attempts <= min_retry_tokens + fraction * offered``.
-    retry_budget_fraction: float = 0.2
-    min_retry_tokens: int = 8
     #: Queue wait beyond which the oldest queued request is hedged on
     #: the other (idle) machine.  ``None`` disables hedging.
     hedge_delay_s: Optional[float] = None
     #: Fixed surcharge a hedged execution pays on the cold box (its
     #: working set is not resident there).
     hedge_overhead_s: float = 0.0
-    #: Confirmed node failures before the node's breaker opens.
-    breaker_failure_threshold: int = 1
-    #: Seconds a repaired node must stay up before placement trusts it.
-    breaker_reset_s: float = 2.0
     #: Token-bucket admission rate (requests/s); ``None`` disables the
     #: bucket.  ``admit_burst`` is the bucket capacity.
     admit_rate: Optional[float] = None
@@ -115,18 +122,14 @@ class ResilienceConfig:
     priority_classes: Tuple[PriorityClass, ...] = DEFAULT_CLASSES
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.retry_budget_fraction < 0:
-            raise ValueError("retry_budget_fraction must be >= 0")
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
         if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
             raise ValueError("hedge_delay_s must be positive")
+        if self.hedge_overhead_s < 0:
+            raise ValueError("hedge_overhead_s must be >= 0")
         if not self.priority_classes:
             raise ValueError("need at least one priority class")
-        if abs(sum(c.weight for c in self.priority_classes)) <= 0:
-            raise ValueError("priority-class weights must sum > 0")
 
     @property
     def inert(self) -> bool:
@@ -232,36 +235,19 @@ class CircuitBreaker:
 
     States follow the classic pattern, driven by the simulated clock:
     ``closed`` (normal), ``open`` (placement must avoid the node), and
-    ``half-open`` once ``reset_s`` has elapsed — the next success
-    closes it, the next failure re-opens it.  The serving engine trips
-    it on every confirmed node death and records a success when the
-    node has served again after repair.
+    ``half-open`` once ``BREAKER_RESET_S`` has elapsed — the next
+    success closes it, the next trip re-opens it.  The serving engine
+    trips it on every confirmed node death and records a success when
+    the node has served again after repair.
     """
 
-    def __init__(self, failure_threshold: int = 1, reset_s: float = 2.0):
-        if failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_s = reset_s
+    def __init__(self):
         self.state = CLOSED
-        self.failures = 0
         self.opens = 0
         self._opened_at = 0.0
 
-    def record_failure(self, now: float) -> None:
-        """Count a failure; open at the threshold (re-open if half-open)."""
-        self.failures += 1
-        if self.state == OPEN:
-            self._opened_at = now
-            return
-        if self.state == HALF_OPEN or self.failures >= self.failure_threshold:
-            self.state = OPEN
-            self.opens += 1
-            self._opened_at = now
-
     def trip(self, now: float) -> None:
         """A definitive failure (confirmed crash): open immediately."""
-        self.failures = max(self.failures, self.failure_threshold)
         if self.state != OPEN:
             self.state = OPEN
             self.opens += 1
@@ -269,22 +255,21 @@ class CircuitBreaker:
 
     def touch(self, now: float) -> None:
         """Restart the reset clock (the node just came back: it must
-        stay up ``reset_s`` before placement trusts it again)."""
+        stay up ``BREAKER_RESET_S`` before placement trusts it again)."""
         if self.state != CLOSED:
             self.state = OPEN
             self._opened_at = now
 
     def record_success(self, now: float) -> None:
-        """A successful probe: close and forget the failure streak."""
+        """A successful probe: close."""
         self.state = CLOSED
-        self.failures = 0
 
     def allow(self, now: float) -> bool:
         """May placement use the node?  Open breakers half-open after
-        ``reset_s`` and admit one probe."""
+        ``BREAKER_RESET_S`` and admit one probe."""
         if self.state == CLOSED:
             return True
-        if self.state == OPEN and now - self._opened_at >= self.reset_s:
+        if self.state == OPEN and now - self._opened_at >= BREAKER_RESET_S:
             self.state = HALF_OPEN
         return self.state == HALF_OPEN
 

@@ -12,8 +12,8 @@ identical trace run-to-run — the determinism guarantee the DES makes
 for every other output.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.render import timeline_line
 
@@ -53,23 +53,9 @@ class FaultLog:
         self.entries.append(entry)
         return entry
 
-    def by_kind(self) -> Dict[str, int]:
-        """Event counts per kind."""
-        counts: Dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.kind] = counts.get(entry.kind, 0) + 1
-        return counts
-
     def kinds(self) -> set:
         """The set of event kinds that occurred."""
         return {entry.kind for entry in self.entries}
-
-    def format_trace(self, title: str = "fault trace") -> str:
-        """The whole timeline as printable text."""
-        lines = [title] + [e.format() for e in self.entries]
-        if not self.entries:
-            lines.append("(no fault events)")
-        return "\n".join(lines)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -55,10 +55,6 @@ class LintLog:
         """Total pass executions across all recorded reports."""
         return sum(self.pass_checks.values())
 
-    def total_errors(self) -> int:
-        """Total error-severity diagnostics across all reports."""
-        return sum(r.errors for r in self.records)
-
     def counts_by_family(self) -> Dict[str, int]:
         """Diagnostic counts rolled up by code family (MIG/RACE/SHR).
 

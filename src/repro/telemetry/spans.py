@@ -125,10 +125,6 @@ class Tracer:
         """Replace the ambient attributes merged into emitted spans."""
         self._context = {k: v for k, v in attrs.items() if v is not None}
 
-    def clear_context(self) -> None:
-        """Drop the ambient attributes."""
-        self._context = {}
-
     # --------------------------------------------------------- emission
 
     def _make(self, name, category, start_s, end_s, track, parent_id, attrs):

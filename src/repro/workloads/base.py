@@ -13,8 +13,8 @@ by the analytic job model of the datacenter experiments and by the
 emulation study.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.isa.isa import InstrClass
@@ -69,10 +69,6 @@ class WorkloadBuild:
     threads: int
 
 
-def check_class(profile: BenchProfile, cls: str) -> ClassParams:
-    return profile.params(cls)
-
-
 def mix_normalised(mix: Dict[InstrClass, float]) -> Dict[InstrClass, float]:
     # Added left to right, not with sum(): CPython 3.12 made sum() of
     # floats compensated, which moved these fractions, and every
@@ -91,19 +87,6 @@ def emit_lcg_next(fb: FunctionBuilder, state_var: str) -> str:
     t = fb.binop("add", t, LCG_C, VT.I64)
     fb.binop_into(state_var, "and", t, LCG_MASK, VT.I64)
     return state_var
-
-
-def emit_work_share(
-    fb: FunctionBuilder,
-    total_amount: float,
-    threads: int,
-    kind: str,
-    pages_var: Optional[str] = None,
-    span: int = 0,
-) -> None:
-    """One thread's share of a work burst."""
-    share = max(int(total_amount / max(threads, 1)), 1)
-    fb.work(share, kind, pages=pages_var, span=span)
 
 
 def build_parallel_scaffold(

@@ -12,7 +12,7 @@ iteration structure and call tree.  Each emits:
   the gap and transformation figures rely on.
 """
 
-from typing import Dict, List
+from typing import List
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.isa.types import ValueType as VT

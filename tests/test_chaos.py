@@ -49,11 +49,8 @@ class TestFailureDetector:
         with pytest.raises(ValueError):
             DetectorConfig(heartbeat_period_s=0.0)
         with pytest.raises(ValueError):
-            DetectorConfig(miss_threshold=0)
-        with pytest.raises(ValueError):
             DetectorConfig(lease_s=-1.0)
-        cfg = DetectorConfig(heartbeat_period_s=0.5, miss_threshold=3,
-                             lease_s=1.5)
+        cfg = DetectorConfig(heartbeat_period_s=0.5, lease_s=1.5)
         assert cfg.suspect_after_s == pytest.approx(1.5)
         assert cfg.nominal_mttd_s == pytest.approx(3.0)
 

@@ -99,6 +99,10 @@ class TestCommands:
         ["serve", "redis", "--horizon", "-1"],
         ["serve", "redis", "--traffic", "diurnal", "--horizon", "0"],
         ["fleet", "--horizon", "-5"],
+        ["fleet", "--bake", "-5"],
+        ["fleet", "--slo-factor", "0"],
+        ["fleet", "--regression-threshold", "-1"],
+        ["fleet", "--crash", "1", "--crash-at", "inf"],
     ])
     def test_bad_traffic_or_slo_exit_2(self, argv, capsys):
         assert main(argv) == 2

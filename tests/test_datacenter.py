@@ -280,7 +280,7 @@ class TestNestedNodes:
         from repro.datacenter.job import job_duration
         from repro.datacenter.nested import NestedNodeSampler
 
-        sampler = NestedNodeSampler(scale=0.01)
+        sampler = NestedNodeSampler()
         spec = JobSpec("is", "A", 2)
         arm, x86 = het_machines()
         for isa, machine in (("x86-64", x86), ("arm64", arm)):
@@ -292,7 +292,7 @@ class TestNestedNodes:
     def test_nested_is_memoized(self):
         from repro.datacenter.nested import NestedNodeSampler
 
-        sampler = NestedNodeSampler(scale=0.01)
+        sampler = NestedNodeSampler()
         spec = JobSpec("is", "A", 2)
         first = sampler.duration(spec, "x86-64")
         assert sampler.duration(spec, "x86-64") == first
@@ -300,7 +300,7 @@ class TestNestedNodes:
     def test_cluster_accepts_nested_nodes(self):
         from repro.datacenter.nested import NestedNodeSampler
 
-        sampler = NestedNodeSampler(scale=0.01)
+        sampler = NestedNodeSampler()
         specs, conc = sustained_backfill(DeterministicRng(5), 6, 2)
         analytic = ClusterSimulator(
             het_machines(), make_policy("dynamic-balanced")

@@ -1,7 +1,10 @@
-"""Documentation lint: the docs reference real files and real APIs."""
+"""Documentation lint: the docs reference real files and real APIs,
+and ``src/`` holds nothing that nothing uses."""
 
+import ast
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -278,3 +281,102 @@ class TestWorkloadDocsMatchRegistry:
 
         benches = {key.split(".")[0] for key in GOLDEN_CHECKSUMS}
         assert benches == set(workload_names())
+
+
+# ------------------------------------------------------------ dead code
+
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Where a name counts as used.  ROADMAP.md and CHANGES.md are left
+#: out: they name deleted helpers on purpose.
+USE_DIRS = ("src", "tests", "bench", "tools", "benchmarks", "examples")
+USE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
+
+
+def _exempt(name: str) -> bool:
+    """Names reached without being spelled out: dunders, the syscall
+    handlers ``kernel/syscall.py`` dispatches by name, and
+    ``FunctionBuilder.migration_point``, kept for generated programs."""
+    return (
+        (name.startswith("__") and name.endswith("__"))
+        or name.startswith("_sys_")
+        or name == "migration_point"
+    )
+
+
+def _src_modules(root: pathlib.Path):
+    for path in sorted((root / "src").rglob("*.py")):
+        yield path, path.relative_to(root), ast.parse(path.read_text())
+
+
+def unused_definitions(root: pathlib.Path) -> list:
+    """``path:line name`` for every function or class in ``src/`` whose
+    name appears once (its own definition) across the use set."""
+    files = [p for d in USE_DIRS for p in sorted((root / d).rglob("*.py"))]
+    files += sorted((root / "docs").glob("*.md"))
+    files += [root / name for name in USE_DOCS if (root / name).exists()]
+    counts = Counter()
+    for path in files:
+        counts.update(IDENT.findall(path.read_text()))
+    return [
+        f"{rel}:{node.lineno} {node.name}"
+        for path, rel, tree in _src_modules(root)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not _exempt(node.name)
+        and counts[node.name] < 2
+    ]
+
+
+def unused_imports(root: pathlib.Path) -> list:
+    """``path:line name`` for every module-level import in ``src/``
+    (outside ``__init__.py``, which re-exports) whose name never
+    appears again in its module."""
+    dead = []
+    for path, rel, tree in _src_modules(root):
+        if path.name == "__init__.py":
+            continue
+        counts = Counter(IDENT.findall(path.read_text()))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if counts[name] < 2:
+                    dead.append(f"{rel}:{node.lineno} {name}")
+    return dead
+
+
+class TestNothingUnused:
+    """Dead code cannot build up: a helper nothing names and an import
+    nothing reads both fail here, printed as ``path:line name``."""
+
+    def test_every_definition_is_named_elsewhere(self):
+        dead = unused_definitions(ROOT)
+        assert not dead, "named nowhere else:\n" + "\n".join(dead)
+
+    def test_no_unused_imports(self):
+        dead = unused_imports(ROOT)
+        assert not dead, "imported, never used:\n" + "\n".join(dead)
+
+    def test_scanner_catches_planted_dead_code(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("from pkg.mod import used\n")
+        (pkg / "mod.py").write_text(
+            "import json\n"
+            "import os\n\n\n"
+            "def used():\n"
+            "    return os.sep\n\n\n"
+            "def dead_helper():\n"
+            "    return 1\n\n\n"
+            "def _sys_exit():\n"
+            "    pass\n"
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from pkg import used\n"
+        )
+        assert unused_definitions(tmp_path) == ["src/pkg/mod.py:9 dead_helper"]
+        assert unused_imports(tmp_path) == ["src/pkg/mod.py:1 json"]

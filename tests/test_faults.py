@@ -20,6 +20,7 @@ from repro.faults import (
     LinkDegradation,
     NetworkPartition,
     NodeCrash,
+    NodeRepair,
     RetryPolicy,
     degraded_window,
     make_recovery,
@@ -78,6 +79,57 @@ class TestFaultSchedule:
     def test_random_schedule_needs_nodes(self):
         with pytest.raises(ValueError):
             random_crash_schedule(DeterministicRng(1), [], 10.0)
+
+
+BAD_NUMBERS = [-1.0, float("inf"), float("nan")]
+
+
+class TestMalformedEventsFailWhenBuilt:
+    """Each fault event checks its fields in ``__post_init__``, so a bad
+    schedule fails the same way in all three simulators: at once."""
+
+    @pytest.mark.parametrize("time", BAD_NUMBERS)
+    def test_time(self, time):
+        for build in (
+            lambda: NodeCrash(time, "x86"),
+            lambda: NodeRepair(time, "x86"),
+            lambda: LinkDegradation(time, 1.0),
+            lambda: NetworkPartition(time, 1.0, ("x86",)),
+        ):
+            with pytest.raises(ValueError, match=r"\.time must be finite and >= 0"):
+                build()
+
+    @pytest.mark.parametrize("duration", BAD_NUMBERS + [0.0])
+    def test_duration(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            LinkDegradation(1.0, duration)
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            NetworkPartition(1.0, duration, ("x86",))
+
+    @pytest.mark.parametrize("repair", BAD_NUMBERS)
+    def test_repair_seconds(self, repair):
+        with pytest.raises(ValueError, match="repair_seconds must be finite and >= 0"):
+            NodeCrash(1.0, "x86", repair_seconds=repair)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, float("nan")])
+    def test_bandwidth_factor(self, factor):
+        with pytest.raises(ValueError, match="bandwidth_factor must be > 0"):
+            LinkDegradation(1.0, 1.0, bandwidth_factor=factor)
+
+    @pytest.mark.parametrize("factor", [0.0, -2.0, float("nan")])
+    def test_latency_factor(self, factor):
+        with pytest.raises(ValueError, match="latency_factor must be > 0"):
+            LinkDegradation(1.0, 1.0, latency_factor=factor)
+
+    def test_island(self):
+        with pytest.raises(ValueError, match="island must be non-empty"):
+            NetworkPartition(1.0, 1.0, ())
+
+    def test_boundary_values_are_accepted(self):
+        NodeCrash(0.0, "x86", repair_seconds=0.0)
+        NodeRepair(0.0, "x86")
+        LinkDegradation(0.0, 1e-9, bandwidth_factor=1e-9, latency_factor=1e-9)
+        NetworkPartition(0.0, 1e-9, ("x86",))
 
 
 class TestFaultyMessaging:

@@ -137,6 +137,18 @@ class TestWavePolicy:
         with pytest.raises(ValueError):
             WavePolicy(wave_interval_s=0.0)
 
+    def test_negative_bake_rejected(self):
+        # Before: the first wave fired at t < 0 and the run died with
+        # "clock cannot move backwards".
+        with pytest.raises(ValueError, match="bake_s must be >= 0"):
+            WavePolicy(bake_s=-5.0)
+        assert WavePolicy(bake_s=0.0).wave_times(1.0) == [0.0]
+
+    def test_negative_regression_threshold_rejected(self):
+        # Before: every wave paused, even at attainment 1.000.
+        with pytest.raises(ValueError, match="regression_threshold must be >= 0"):
+            WavePolicy(regression_threshold=-1.0)
+
     def test_targets_prepend_canary(self):
         policy = WavePolicy(canary_fraction=0.05, ramp=(0.25, 1.0))
         assert policy.targets() == (0.05, 0.25, 1.0)
@@ -177,6 +189,9 @@ class TestFleetConfig:
         (dict(slots_per_node=0), "slots per node"),
         (dict(nodes={"x86-64": 4, "arm64": 4, "riscv64": -1}),
          "negative node count"),
+        # An SLO of zero fails every job: attainment 0.0000.
+        (dict(slo_factor=0.0), "slo_factor must be > 0"),
+        (dict(slo_factor=-1.0), "slo_factor must be > 0"),
     ])
     def test_empty_fleet_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -420,7 +435,7 @@ class TestNestedFleet:
     def test_nested_durations_change_results(self):
         from repro.datacenter.nested import NestedNodeSampler
 
-        sampler = NestedNodeSampler(scale=0.01)
+        sampler = NestedNodeSampler()
         analytic = run_fleet(jobs=200)
         nested_sim = FleetSimulator(
             small_config(), quick_policy(), DeterministicRng(42),

@@ -23,7 +23,6 @@ from repro.serving import (
     DEFAULT_SLO_S,
     ArrivalTrace,
     Decision,
-    EngineConfig,
     LatencyAwareServing,
     PriorityClass,
     QueueReactiveServing,
@@ -44,6 +43,7 @@ from repro.serving import (
     steady,
     to_job_arrivals,
 )
+from repro.serving.engine import DECISION_PERIOD_S
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.metrics import SampleHistogram, percentiles, quantile
 from repro.telemetry.spans import Tracer, check_causality
@@ -494,7 +494,7 @@ def _golden_tie_order():
     service = ServingEngine(
         make_serving_policy("static-arm"), ArrivalTrace("steady", 1.0, ())
     ).service_s
-    period = EngineConfig().decision_period_s
+    period = DECISION_PERIOD_S
     epochs = [period]
     while len(epochs) < 3:
         epochs.append(epochs[-1] + period)

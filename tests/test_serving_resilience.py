@@ -102,19 +102,19 @@ class TestResiliencePrimitives:
         assert spent == 12  # 2 + 0.1 * 100
 
     def test_breaker_trips_opens_and_half_opens(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_s=2.0)
+        breaker = CircuitBreaker()
         assert breaker.allow(0.0)
-        breaker.record_failure(0.0)
+        breaker.trip(0.0)
         assert breaker.is_open
         assert breaker.opens == 1
         assert not breaker.allow(1.0)  # still open inside reset window
-        assert breaker.allow(2.5)  # half-open probe after reset_s
+        assert breaker.allow(2.5)  # half-open probe after BREAKER_RESET_S
         breaker.record_success(2.5)
         assert breaker.state == "closed"
         assert breaker.allow(2.6)
 
     def test_breaker_touch_restarts_reset_clock(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_s=2.0)
+        breaker = CircuitBreaker()
         breaker.trip(0.0)
         breaker.touch(1.9)
         assert not breaker.allow(2.5)  # clock restarted at 1.9
@@ -164,13 +164,26 @@ class TestResiliencePrimitives:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ResilienceConfig(max_attempts=0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry_budget_fraction=-0.1)
-        with pytest.raises(ValueError):
             ResilienceConfig(priority_classes=())
+        # A negative hedge surcharge finished hedged requests before
+        # they started (negative latency).
+        with pytest.raises(ValueError, match="hedge_overhead_s must be >= 0"):
+            ResilienceConfig(hedge_delay_s=0.004, hedge_overhead_s=-1.0)
         assert ResilienceConfig().inert
         assert not default_resilience().inert
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(weight=0.0), "weight must be > 0"),
+        (dict(weight=-0.5), "weight must be > 0"),
+        # A gate of depth 0 (or less) shed every request of the class.
+        (dict(weight=1.0, max_queue_depth=0), "max_queue_depth must be None or >= 1"),
+        (dict(weight=1.0, max_queue_depth=-1), "max_queue_depth must be None or >= 1"),
+    ])
+    def test_priority_class_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PriorityClass("std", **kwargs)
+        PriorityClass("std", 1.0, max_queue_depth=1)
 
 
 # ------------------------------------------------------- engine config
@@ -185,8 +198,6 @@ class TestEngineConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(dsm_warmup_requests=0)
-        with pytest.raises(ValueError):
-            EngineConfig(decision_period_s=0.0)
 
     def test_smaller_warmup_pays_larger_per_request_surcharge(self):
         few = _engine(config=EngineConfig(dsm_warmup_requests=4))
@@ -505,25 +516,6 @@ class TestDeterminism:
             ).run())
 
         assert run() == run()
-
-    @pytest.mark.parametrize("engine_kind", ["exact", "fast"])
-    def test_identical_across_interpreter_engines(
-        self, engine_kind, monkeypatch
-    ):
-        # The serving DES does not consume the instruction interpreter,
-        # so its results must be byte-for-byte identical whichever
-        # execution engine (exact or fast-forward) the process-level
-        # layers select.  Pin the env both ways and compare to a
-        # baseline computed without the variable set.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        baseline = _strip(_engine(
-            faults=_crash(), resilience=default_resilience()
-        ).run())
-        monkeypatch.setenv("REPRO_ENGINE", engine_kind)
-        result = _strip(_engine(
-            faults=_crash(), resilience=default_resilience()
-        ).run())
-        assert result == baseline
 
     def test_shed_retry_hedge_counts_are_deterministic(self):
         def run():
