@@ -140,7 +140,7 @@ def test_fault_recovery(benchmark, save_result):
             assert evac.goodput > cr.goodput, (pattern, results)
 
             # Nobody loses jobs outright; the mechanisms differ in cost.
-            assert evac.jobs_lost == 0 and cr.jobs_lost == 0
+            assert evac.requests_failed == 0 and cr.requests_failed == 0
             assert evac.jobs_evacuated > 0
             assert cr.jobs_restarted > 0
 

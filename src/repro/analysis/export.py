@@ -43,7 +43,7 @@ def series_to_csv(series_list: Iterable[TimeSeries]) -> str:
 
 
 def runs_to_csv(runs_by_policy: Dict[str, List]) -> str:
-    """Flatten RunResults into one CSV row per (policy, set)."""
+    """Flatten ClusterResults into one CSV row per (policy, set)."""
     out = io.StringIO()
     writer = csv.writer(out)
     machines: List[str] = []
@@ -62,7 +62,7 @@ def runs_to_csv(runs_by_policy: Dict[str, List]) -> str:
             writer.writerow(
                 [policy, index, f"{run.makespan:.6f}",
                  f"{run.total_energy:.3f}", f"{run.edp:.3f}",
-                 run.migrations, run.job_count, f"{run.mean_response:.6f}"]
+                 run.migrations, run.requests, f"{run.mean_response:.6f}"]
                 + [f"{run.energy_by_machine.get(m, 0.0):.3f}" for m in machines]
             )
     return out.getvalue()
@@ -243,7 +243,7 @@ def validate_chrome_trace(text: str) -> List[str]:
 
 
 def runs_to_json(runs_by_policy: Dict[str, List]) -> str:
-    """RunResults as a JSON document."""
+    """ClusterResults as a JSON document."""
     payload = {
         policy: [
             {
@@ -251,7 +251,7 @@ def runs_to_json(runs_by_policy: Dict[str, List]) -> str:
                 "total_energy_j": run.total_energy,
                 "edp": run.edp,
                 "migrations": run.migrations,
-                "jobs": run.job_count,
+                "jobs": run.requests,
                 "mean_response_s": run.mean_response,
                 "energy_by_machine_j": run.energy_by_machine,
             }

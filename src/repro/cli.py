@@ -27,7 +27,7 @@ def _add_workload_args(parser, with_threads=True):
                         help="NPB problem class")
     if with_threads:
         parser.add_argument("--threads", type=int, default=2)
-    parser.add_argument("--scale", type=float, default=0.01,
+    parser.add_argument("--scale", type=_positive, default=0.01,
                         help="instruction-budget scale (1.0 = full size)")
 
 
@@ -43,6 +43,16 @@ def _positive(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _at_least(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+    return count
 
 
 def _add_fault_args(parser, span: str, detector: bool = True) -> None:
@@ -65,9 +75,9 @@ def _add_fault_args(parser, span: str, detector: bool = True) -> None:
                         "failure detector (measured MTTD, false "
                         "suspicions and confirms, fencing) instead of "
                         "omniscient instant recovery")
-    parser.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
+    parser.add_argument("--heartbeat", type=_positive, default=0.5, metavar="S",
                         help="detector heartbeat period in seconds")
-    parser.add_argument("--lease", type=float, default=1.5, metavar="S",
+    parser.add_argument("--lease", type=_non_negative, default=1.5, metavar="S",
                         help="suspicion-to-confirm lease in seconds")
 
 
@@ -166,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="lint every registered workload")
     lint.add_argument("--cls", default="A", choices=("A", "B", "C"))
     lint.add_argument("--threads", type=int, default=2)
-    lint.add_argument("--scale", type=float, default=0.01)
+    lint.add_argument("--scale", type=_positive, default=0.01)
     lint.add_argument("--format", default="text", choices=("text", "json"))
     lint.add_argument("--verbose", action="store_true",
                       help="include info-severity notes in text output")
@@ -189,15 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     sched = sub.add_parser("schedule", help="scheduling/energy study")
     sched.add_argument("--pattern", default="sustained",
                        choices=("sustained", "periodic"))
-    sched.add_argument("--sets", type=int, default=3)
-    sched.add_argument("--jobs", type=int, default=40)
+    sched.add_argument("--sets", type=_at_least(1), default=3)
+    sched.add_argument("--jobs", type=_at_least(1), default=40)
     sched.add_argument("--seed", type=int, default=1200)
 
     faults = sub.add_parser(
         "faults", help="fault injection: crash a node, compare recovery")
     faults.add_argument("--pattern", default="sustained",
                         choices=("sustained", "periodic"))
-    faults.add_argument("--jobs", type=int, default=24)
+    faults.add_argument("--jobs", type=_at_least(1), default=24)
     faults.add_argument("--seed", type=int, default=1200)
     faults.add_argument("--crash", default="x86", choices=("x86", "arm"),
                         help="which node dies")
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated registry workloads")
     chaos.add_argument("--cls", default="A", choices=("A", "B", "C"))
     chaos.add_argument("--threads", type=int, default=2)
-    chaos.add_argument("--scale", type=float, default=0.01)
+    chaos.add_argument("--scale", type=_positive, default=0.01)
     chaos.add_argument("--migrate-at", type=int, default=2, metavar="N",
                        help="migrate the process at the Nth migration point "
                        "(the hand-off protocol is what chaos crashes into)")
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate the serving-plane crash points "
                        "instead (admit/enqueue/serve/complete and every "
                        "hand-off phase, request-conservation audited)")
-    chaos.add_argument("--soak", type=int, default=0, metavar="N",
+    chaos.add_argument("--soak", type=_at_least(0), default=0, metavar="N",
                        help="additionally run N seeded random crash "
                        "injections per workload")
     chaos.add_argument("--seed", type=int, default=1234)
@@ -780,7 +790,6 @@ def cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = engine.run()
-    report = engine.report
 
     table = Table(
         f"serve {args.workload}.{args.cls} — {args.traffic} traffic, "
@@ -790,7 +799,7 @@ def cmd_serve(args) -> int:
     table.add_row("trace checksum", trace.checksum())
     table.add_row("mean arrival rate", f"{trace.mean_rate():.1f} req/s")
     table.add_row("simulated time (s)", f"{result.makespan:.4f}")
-    for metric, value in render_slo_rows(report):
+    for metric, value in render_slo_rows(result):
         table.add_row(metric, value)
     table.add_row("hand-offs", result.migrations)
     table.add_row("hand-off seconds", f"{result.handoff_seconds:.6f}")

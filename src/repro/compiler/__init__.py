@@ -23,7 +23,6 @@ from repro.compiler.codegen import MachineFunction, MachineInstr, lower_function
 from repro.compiler.regalloc import AllocationResult, allocate_registers
 from repro.compiler.stackmaps import StackMap, StackMapEntry
 from repro.compiler.unwind import UnwindInfo
-from repro.compiler.migration_points import insert_migration_points
 from repro.compiler.toolchain import CompiledBinary, MultiIsaBinary, Toolchain
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "StackMap",
     "StackMapEntry",
     "UnwindInfo",
-    "insert_migration_points",
     "Toolchain",
     "CompiledBinary",
     "MultiIsaBinary",

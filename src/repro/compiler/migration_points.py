@@ -267,16 +267,3 @@ def _strip_mine(fn: Function, label: str, index: int, chunk: int) -> None:
     body.append(Br(header.label))
 
     cont.instrs = suffix
-
-
-def insert_migration_points(
-    module: Module,
-    target_gap: int = DEFAULT_TARGET_GAP,
-    profiled: bool = True,
-) -> Dict[str, int]:
-    """Run both insertion passes; returns counts by pass."""
-    boundary = insert_boundary_points(module)
-    profiled_count = (
-        insert_profiled_points(module, target_gap) if profiled else 0
-    )
-    return {"boundary": boundary, "profiled": profiled_count}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import validate
-from repro.datacenter.energy import RunResult
+from repro.datacenter.energy import ClusterResult
 from repro.datacenter.job import (
     DEFAULT_INTERCONNECT_BW, Job, JobSpec, JobState, job_duration,
     migration_penalty,
@@ -45,6 +45,7 @@ from repro.machine.machine import Machine
 from repro.machine.mcpat import arm_finfet_power
 from repro.sim.events import Simulator
 from repro.telemetry.faultlog import FaultLog
+from repro.telemetry.metrics import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.nested import NestedNodeSampler
@@ -150,6 +151,9 @@ class ClusterSimulator:
         # is a read-only view of the clock.
         self._sim = Simulator()
         self.migrations = 0
+        #: Migration penalties plus committed hand-off in-flight time,
+        #: summed in event order.
+        self.migration_stall_seconds = 0.0
         self._durations: Dict[Tuple[JobSpec, str], float] = {}
         self.finished: List[Job] = []
         # Nested-node sampling: jobs landing on these nodes take their
@@ -340,6 +344,7 @@ class ClusterSimulator:
         work, rebind the job and count it.  Returns the penalty."""
         penalty = migration_penalty(job.spec, self.effective_bandwidth())
         self.charge(job, dst, penalty)
+        self.migration_stall_seconds += penalty
         job.machine = dst.name
         dst.jobs.append(job)
         job.migrations += 1
@@ -645,9 +650,10 @@ class ClusterSimulator:
         self.start_job(job, dst_node)
         job.migrations += 1
         self.migrations += 1
-        self.handoff_seconds += self.now - handoff.prepared_at
+        in_flight = self.now - handoff.prepared_at
+        self.handoff_seconds += in_flight
+        self.migration_stall_seconds += in_flight
         if self.tracer is not None:
-            in_flight = self.now - handoff.prepared_at
             self.tracer.complete(
                 "sched.handoff", "sched", handoff.prepared_at, in_flight,
                 track=handoff.dst, job=str(job.spec), src=handoff.src,
@@ -746,7 +752,7 @@ class ClusterSimulator:
 
     # ------------------------------------------------------ experiment
 
-    def run_sustained(self, specs: List[JobSpec], concurrency: int) -> RunResult:
+    def run_sustained(self, specs: List[JobSpec], concurrency: int) -> ClusterResult:
         """Closed system: keep ``concurrency`` jobs in flight (Fig. 12)."""
         queue = [Job(s, arrival=0.0) for s in specs]
         pending = list(queue)
@@ -793,7 +799,7 @@ class ClusterSimulator:
                 self._checker.check(self, outstanding=len(pending))
         return self._result(len(queue), outstanding=len(pending))
 
-    def run_periodic(self, arrivals: List[Tuple[float, JobSpec]]) -> RunResult:
+    def run_periodic(self, arrivals: List[Tuple[float, JobSpec]]) -> ClusterResult:
         """Open system with timed arrivals (Fig. 13)."""
         schedule = sorted(
             (Job(spec, arrival=t) for t, spec in arrivals),
@@ -840,28 +846,34 @@ class ClusterSimulator:
                 self._checker.check(self, outstanding=total - idx)
         return self._result(total, outstanding=total - idx)
 
-    def _result(self, job_count: int, outstanding: int = 0) -> RunResult:
+    def _result(self, offered: int, outstanding: int = 0) -> ClusterResult:
         if self._checker is not None:
             self._checker.check(self, outstanding=outstanding, final=True)
         useful = max(
             self.busy_seconds - self.lost_work_seconds - self.overhead_seconds,
             0.0,
         )
-        return RunResult(
-            policy=self.policy.name,
+        responses = [j.response_time() for j in self.finished]
+        p50, p99, p999 = percentiles(responses)
+        return ClusterResult(
             makespan=self.now,
             energy_by_machine={n.name: n.energy_joules for n in self.nodes},
+            requests=offered,
+            requests_completed=len(self.finished),
+            requests_shed=0,
+            requests_failed=self.jobs_lost,
             migrations=self.migrations,
-            job_count=job_count,
+            migration_stall_seconds=self.migration_stall_seconds,
+            p50_latency_s=p50,
+            p99_latency_s=p99,
+            p999_latency_s=p999,
+            policy=self.policy.name,
             mean_response=(
-                sum(j.response_time() for j in self.finished) / len(self.finished)
-                if self.finished
-                else 0.0
+                sum(responses) / len(responses) if responses else 0.0
             ),
             fault_events=self.fault_events,
             jobs_evacuated=self.jobs_evacuated,
             jobs_restarted=self.jobs_restarted,
-            jobs_lost=self.jobs_lost,
             lost_work_seconds=self.lost_work_seconds,
             overhead_seconds=self.overhead_seconds,
             busy_seconds=self.busy_seconds,

@@ -1,71 +1,33 @@
 """Result records and cross-policy summaries (energy, makespan, EDP)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 
 @dataclass
 class RunResult:
-    """One (job set, policy) simulation outcome.
+    """What every simulator measures about one run: the core that
+    :class:`ClusterResult`, :class:`~repro.serving.slo.ServingResult`
+    and :class:`~repro.fleet.simulator.FleetRunResult` extend.
 
-    The fault fields default to a fault-free run, so results from the
-    zero-fault path compare equal to pre-fault-subsystem results.
+    A *request* is one unit of offered work: a job in the cluster and
+    the fleet, a request in serving.  Every offered request ends in
+    exactly one of completed, shed (refused before it ran) or failed
+    (lost to a fault, or failed loudly).  Latency is completion minus
+    arrival over the completed requests.
     """
 
-    policy: str
     makespan: float
-    energy_by_machine: Dict[str, float]
+    energy_by_machine: Dict[str, float]  # joules per node (fleet: per ISA pool)
+    requests: int
+    requests_completed: int
+    requests_shed: int
+    requests_failed: int
     migrations: int
-    job_count: int
-    mean_response: float = 0.0
-    # ---- fault injection & recovery (repro.faults) ----
-    fault_events: int = 0
-    jobs_evacuated: int = 0
-    jobs_restarted: int = 0
-    jobs_lost: int = 0
-    lost_work_seconds: float = 0.0  # progress rolled back by C/R
-    overhead_seconds: float = 0.0  # migration penalties + restore downtime
-    busy_seconds: float = 0.0  # summed wall seconds jobs spent running
-    mttr: float = 0.0  # mean crash-to-repair time over repaired nodes
-    goodput: float = 0.0  # useful seconds per wall second
-    fault_trace: List = field(default_factory=list)  # FaultLogEntry list
-    # ---- failure detection & two-phase hand-off (crash consistency) ----
-    mttd: float = 0.0  # mean crash-to-confirmed-dead time (0 = omniscient)
-    false_suspicions: int = 0  # live nodes suspected (partition/degradation)
-    lost_pages: int = 0  # dirty pages whose only copy died with a node
-    handoffs: int = 0  # two-phase hand-offs begun
-    handoffs_aborted: int = 0  # rolled back (destination died mid-flight)
-    handoff_seconds: float = 0.0  # summed in-flight (PREPARE->COMMIT) time
-    # ---- observability (repro.telemetry.spans) ----
-    # MetricsRegistry.snapshot() of the run's tracer; empty when
-    # tracing is off, so untraced results compare equal to old ones.
-    metrics: Dict[str, object] = field(default_factory=dict)
-    # ---- open-loop serving (repro.serving) ----
-    # Request-latency percentiles and SLO accounting; all-zero for
-    # batch (non-serving) runs so old results compare equal.
-    requests: int = 0  # requests admitted by the open-loop trace
-    requests_completed: int = 0
-    p50_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
-    p999_latency_s: float = 0.0
-    slo_target_s: float = 0.0  # the latency SLO the run was held to
-    slo_violations: int = 0  # requests finishing above the target
-    slo_violation_seconds: float = 0.0  # summed latency excess over target
-    migration_stall_seconds: float = 0.0  # request wait attributed to hand-offs
-    # ---- serving resilience (repro.serving.resilience) ----
-    # Fault-tolerant serving outcomes; all-zero (and attainment 0.0)
-    # on fault-free runs without resilience gates, so pre-resilience
-    # results compare equal.
-    requests_shed: int = 0  # rejected at admission (rate/queue gates)
-    requests_failed: int = 0  # failed loudly (deadline or retries exhausted)
-    requests_retried: int = 0  # distinct requests replayed after a crash
-    requests_hedged: int = 0  # requests raced on the other machine
-    retry_attempts: int = 0  # total crash-killed replays
-    failovers: int = 0  # service relocations forced by node death
-    breaker_opens: int = 0  # circuit-breaker open transitions
-    goodput_rps: float = 0.0  # completed-in-SLO requests per second
-    slo_attainment: float = 0.0  # completed-in-SLO / offered
-    false_confirms: int = 0  # live nodes fenced by the detector
+    migration_stall_seconds: float  # time work waited on migrations
+    p50_latency_s: float
+    p99_latency_s: float
+    p999_latency_s: float
 
     @property
     def total_energy(self) -> float:
@@ -94,6 +56,37 @@ class RunResult:
 
 
 @dataclass
+class ClusterResult(RunResult):
+    """One (job set, policy) cluster run: the core plus the fault,
+    recovery and hand-off accounting of :mod:`repro.faults`.
+
+    A lost job counts as a failed request; the cluster has no admission
+    control, so it sheds nothing.
+    """
+
+    policy: str
+    mean_response: float
+    fault_events: int
+    jobs_evacuated: int
+    jobs_restarted: int
+    lost_work_seconds: float  # progress rolled back by C/R
+    overhead_seconds: float  # migration penalties + restore downtime
+    busy_seconds: float  # summed wall seconds jobs spent running
+    mttr: float  # mean crash-to-repair time over repaired nodes
+    goodput: float  # useful seconds per wall second
+    fault_trace: List  # FaultLogEntry list
+    mttd: float  # mean crash-to-confirmed-dead time (0 = omniscient)
+    false_suspicions: int  # live nodes suspected (partition/degradation)
+    lost_pages: int  # dirty pages whose only copy died with a node
+    handoffs: int  # two-phase hand-offs begun
+    handoffs_aborted: int  # rolled back (destination died mid-flight)
+    handoff_seconds: float  # summed in-flight (PREPARE->COMMIT) time
+    # MetricsRegistry.snapshot() of the run's tracer; empty when
+    # tracing is off.
+    metrics: Dict[str, object]
+
+
+@dataclass
 class PolicySummary:
     policy: str
     mean_energy: float
@@ -111,6 +104,8 @@ def summarize_runs(
     """Aggregate per-set results, comparing each policy to the baseline
     set-by-set (as the paper's per-set bars do)."""
     baselines = runs_by_policy[baseline_policy]
+    if not baselines:
+        raise ValueError("no runs to summarize")
     summaries: Dict[str, PolicySummary] = {}
     for policy, runs in runs_by_policy.items():
         if len(runs) != len(baselines):

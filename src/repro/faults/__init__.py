@@ -56,7 +56,6 @@ from repro.faults.recovery import (
     make_recovery,
 )
 from repro.faults.report import (
-    goodput_summary,
     render_fault_timeline,
     render_recovery_comparison,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "make_recovery",
     "render_recovery_comparison",
     "render_fault_timeline",
-    "goodput_summary",
     "DetectorConfig",
     "DetectorStats",
     "FailureDetector",

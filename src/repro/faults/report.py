@@ -1,20 +1,20 @@
 """Fault-run observability: recovery comparisons and timelines.
 
 Renders the fault metrics the cluster simulator exports on
-:class:`~repro.datacenter.energy.RunResult` — goodput (useful seconds
-per wall second), MTTR, lost work, and the evacuated/restarted/lost job
-counts — in the harness's standard table format, plus the raw fault
-timeline for debugging a run.
+:class:`~repro.datacenter.energy.ClusterResult` — goodput (useful
+seconds per wall second), MTTR, lost work, and the evacuated/restarted
+job counts and the lost ones (``requests_failed``) — in the harness's
+standard table format, plus the raw fault timeline for debugging a run.
 """
 
 from typing import Dict, List
 
 from repro.analysis import Table
-from repro.datacenter.energy import RunResult
+from repro.datacenter.energy import ClusterResult
 
 
 def render_recovery_comparison(
-    results: Dict[str, RunResult],
+    results: Dict[str, ClusterResult],
     title: str = "Recovery strategies under failure",
 ) -> str:
     """One row per recovery strategy, most informative columns first."""
@@ -46,21 +46,17 @@ def render_recovery_comparison(
             f"{run.overhead_seconds:.2f}",
             run.jobs_evacuated,
             run.jobs_restarted,
-            run.jobs_lost,
+            run.requests_failed,
             run.false_suspicions,
             run.lost_pages,
         )
     return table.render()
 
 
-def render_fault_timeline(run: RunResult, title: str = "fault timeline") -> str:
+def render_fault_timeline(run: ClusterResult, title: str = "fault timeline") -> str:
     lines: List[str] = [title]
     if not run.fault_trace:
         lines.append("(no fault events)")
     for entry in run.fault_trace:
         lines.append(entry.format())
     return "\n".join(lines)
-
-
-def goodput_summary(results: Dict[str, RunResult]) -> Dict[str, float]:
-    return {name: run.goodput for name, run in results.items()}

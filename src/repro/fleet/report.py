@@ -49,7 +49,7 @@ def isa_table(result: FleetRunResult) -> Table:
             result.capacity_slots_by_isa[isa],
             result.jobs_by_isa[isa],
             f"{result.busy_core_seconds_by_isa[isa]:.1f}",
-            f"{result.energy_by_isa[isa] / 1e3:.2f}",
+            f"{result.energy_by_machine[isa] / 1e3:.2f}",
         )
     return table
 
@@ -59,10 +59,10 @@ def summary_table(result: FleetRunResult) -> Table:
     table = Table("fleet run", ["metric", "value"])
     table.add_row("seed", result.seed)
     table.add_row("services", result.services)
-    table.add_row("jobs offered", result.jobs_offered)
-    table.add_row("jobs completed", result.jobs_completed)
-    if result.jobs_shed:
-        table.add_row("jobs shed (stranded)", result.jobs_shed)
+    table.add_row("jobs offered", result.requests)
+    table.add_row("jobs completed", result.requests_completed)
+    if result.requests_shed:
+        table.add_row("jobs shed (stranded)", result.requests_shed)
     table.add_row("horizon (s)", f"{result.horizon_s:.0f}")
     table.add_row("makespan (s)", f"{result.makespan:.2f}")
     table.add_row("p50 / p99 / p99.9 latency (s)", (

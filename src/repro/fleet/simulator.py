@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.datacenter.energy import RunResult
 from repro.datacenter.job import (
     DEFAULT_INTERCONNECT_BW, JobSpec, migration_penalty,
 )
@@ -65,47 +66,54 @@ DEFAULT_SERVICE_MIX: Tuple[JobSpec, ...] = (
 
 
 @dataclass
-class FleetRunResult:
-    """Everything one fleet-migration-wave run produced."""
+class FleetRunResult(RunResult):
+    """Everything one fleet-migration-wave run produced.
+
+    A request is a job; ``energy_by_machine`` is keyed by ISA pool and
+    ``migrations`` counts wave moves and evacuations.  A job is shed
+    when its service is stranded by a full fleet; the fleet never fails
+    one (``requests_failed`` is 0).
+    """
 
     seed: int
     nodes_by_isa: Dict[str, int]
     services: int
     horizon_s: float
-    makespan: float
-    # ---- jobs ----
-    jobs_offered: int
-    jobs_completed: int
-    jobs_shed: int  # arrivals for a service stranded by a full fleet
-    # ---- latency / SLO ----
-    p50_latency_s: float
-    p99_latency_s: float
-    p999_latency_s: float
+    # ---- SLO ----
     slo_violations: int
     slo_attainment: float
     # ---- migration waves ----
     waves: List[WaveReport]
     services_migrated: int
-    migrations: int  # wave migrations + evacuations
-    migration_stall_seconds: float
     paused_waves: int
     deferred_migrations: int
     # ---- per-ISA rollups ----
     jobs_by_isa: Dict[str, int]
     busy_core_seconds_by_isa: Dict[str, float]
-    energy_by_isa: Dict[str, float]
     capacity_slots_by_isa: Dict[str, int]
     # ---- fault plane ----
-    crashes: int = 0
-    repairs: int = 0
-    evacuations: int = 0
-    failovers: int = 0  # cross-ISA evacuations
-    stranded_services: int = 0  # left unplaced at end of run
+    crashes: int
+    repairs: int
+    evacuations: int
+    failovers: int  # cross-ISA evacuations
+    stranded_services: int  # left unplaced at end of run
+
+    # The old names of three core fields, read-only, kept only for
+    # bench/passes.py.
+    @property
+    def jobs_offered(self) -> int:
+        """``requests`` under its old name."""
+        return self.requests
 
     @property
-    def total_energy(self) -> float:
-        """Whole-fleet on-package energy over the run (joules)."""
-        return sum(self.energy_by_isa.values())
+    def jobs_completed(self) -> int:
+        """``requests_completed`` under its old name."""
+        return self.requests_completed
+
+    @property
+    def jobs_shed(self) -> int:
+        """``requests_shed`` under its old name."""
+        return self.requests_shed
 
     def checksum(self) -> str:
         """Content digest of the run (bit-identity and bench baselines).
@@ -118,9 +126,9 @@ class FleetRunResult:
             repr(sorted(self.nodes_by_isa.items())),
             repr(self.services),
             repr(self.makespan),
-            repr(self.jobs_offered),
-            repr(self.jobs_completed),
-            repr(self.jobs_shed),
+            repr(self.requests),
+            repr(self.requests_completed),
+            repr(self.requests_shed),
             repr(self.p50_latency_s),
             repr(self.p99_latency_s),
             repr(self.p999_latency_s),
@@ -130,7 +138,7 @@ class FleetRunResult:
             repr(self.migration_stall_seconds),
             repr(self.paused_waves),
             repr(sorted(self.jobs_by_isa.items())),
-            repr(sorted(self.energy_by_isa.items())),
+            repr(sorted(self.energy_by_machine.items())),
             repr(self.crashes),
             repr(self.evacuations),
             repr(self.failovers),
@@ -629,28 +637,29 @@ class FleetSimulator:
         p50, p99, p999 = percentiles(self._latencies)
         offered = c["offered"]
         return FleetRunResult(
+            makespan=self._makespan,
+            energy_by_machine=energy_by_isa,
+            requests=offered,
+            requests_completed=c["completed"],
+            requests_shed=c["shed"],
+            requests_failed=0,
+            migrations=c["migrations"],
+            migration_stall_seconds=self._stall_seconds,
+            p50_latency_s=p50,
+            p99_latency_s=p99,
+            p999_latency_s=p999,
             seed=self.rng.seed,
             nodes_by_isa=dict(self.config.nodes),
             services=self.config.services,
             horizon_s=trace.horizon_s,
-            makespan=self._makespan,
-            jobs_offered=offered,
-            jobs_completed=c["completed"],
-            jobs_shed=c["shed"],
-            p50_latency_s=p50,
-            p99_latency_s=p99,
-            p999_latency_s=p999,
             slo_violations=c["violations"],
             slo_attainment=c["in_slo"] / offered if offered else 0.0,
             waves=list(self.waves),
             services_migrated=self._migrated_count,
-            migrations=c["migrations"],
-            migration_stall_seconds=self._stall_seconds,
             paused_waves=sum(1 for w in self.waves if w.paused),
             deferred_migrations=c["deferred"],
             jobs_by_isa=dict(zip(self.isas, self._jobs_by_isa)),
             busy_core_seconds_by_isa=busy_by_isa,
-            energy_by_isa=energy_by_isa,
             capacity_slots_by_isa={
                 isa: count * self.config.slots_per_node
                 for isa, count in self.config.nodes.items()

@@ -44,7 +44,6 @@ from repro.serving.policies import (
 )
 from repro.serving.slo import (
     DEFAULT_SLO_S,
-    SloReport,
     render_slo_rows,
     slo_report,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "ServingEngine",
     "ServingPolicy",
     "ServingView",
-    "SloReport",
     "StaticArmServing",
     "StaticX86Serving",
     "TRAFFIC_SHAPES",

@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import validate
-from repro.datacenter.energy import RunResult
 from repro.datacenter.job import (
     COMMIT_S, DEFAULT_INTERCONNECT_BW, HANDOFF_S, HOT_FRACTION, PUBLISH_S,
     TRANSFORM_S, JobSpec, job_duration,
@@ -82,7 +81,7 @@ from repro.serving.resilience import (
     RetryBudget,
     next_backoff,
 )
-from repro.serving.slo import DEFAULT_SLO_S, SloReport, slo_report
+from repro.serving.slo import DEFAULT_SLO_S, ServingResult, slo_report
 from repro.serving.traffic import ArrivalTrace
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
@@ -368,8 +367,6 @@ class ServingEngine:
         self._blackout_ends: List[float] = []
         #: Index of the next trace arrival.
         self._next_arrival = 0
-        #: The finished run's SLO summary (set by :meth:`run`).
-        self.report: Optional[SloReport] = None
 
     # ------------------------------------------------------------ helpers
 
@@ -1128,7 +1125,7 @@ class ServingEngine:
 
     # -------------------------------------------------------------- run
 
-    def run(self) -> RunResult:
+    def run(self) -> ServingResult:
         """Drive the trace to completion and summarise the run.
 
         Each pass finds the next *sparse* event (anything but an
@@ -1476,7 +1473,7 @@ class ServingEngine:
                     },
                 )
 
-    def _result(self, admitted: int) -> RunResult:
+    def _result(self, admitted: int) -> ServingResult:
         # Summed left to right from the int 0, as sum() did on 3.11:
         # sum() is compensated from CPython 3.12 on, which would move
         # the last digits.
@@ -1485,19 +1482,29 @@ class ServingEngine:
         for r in self.completed:
             latencies.append(r.finish_s - r.arrival_s)
             stall += r.migration_stall_s
-        report = self.report = slo_report(latencies, self.slo_s, admitted)
-        in_slo = report.completed - report.violations
+        slo = slo_report(latencies, self.slo_s)
+        in_slo = slo["requests_completed"] - slo["slo_violations"]
         detector = self.detector
-        return RunResult(
-            policy=self.policy.name,
+        return ServingResult(
             makespan=self.now,
             energy_by_machine=dict(self.energy_joules),
+            requests=admitted,
+            requests_completed=slo["requests_completed"],
+            requests_shed=len(self.shed),
+            requests_failed=len(self.failed),
             migrations=self.migrations,
-            job_count=admitted,
-            mean_response=report.mean_s,
+            migration_stall_seconds=stall,
+            p50_latency_s=slo["p50_latency_s"],
+            p99_latency_s=slo["p99_latency_s"],
+            p999_latency_s=slo["p999_latency_s"],
+            policy=self.policy.name,
+            mean_response=slo["mean_response"],
+            max_latency_s=slo["max_latency_s"],
+            slo_target_s=self.slo_s,
+            slo_violations=slo["slo_violations"],
+            slo_violation_seconds=slo["slo_violation_seconds"],
             busy_seconds=self.busy_seconds,
             overhead_seconds=self.blackout_seconds,
-            handoffs=self.migrations,
             handoffs_aborted=self.handoffs_aborted,
             handoff_seconds=self.handoff_seconds,
             mttd=self.membership.mttd,
@@ -1507,22 +1514,6 @@ class ServingEngine:
             false_confirms=(
                 detector.stats.false_confirms if detector is not None else 0
             ),
-            metrics=(
-                self.tracer.metrics.snapshot()
-                if self.tracer is not None
-                else {}
-            ),
-            requests=admitted,
-            requests_completed=report.completed,
-            p50_latency_s=report.p50_s,
-            p99_latency_s=report.p99_s,
-            p999_latency_s=report.p999_s,
-            slo_target_s=self.slo_s,
-            slo_violations=report.violations,
-            slo_violation_seconds=report.violation_seconds,
-            migration_stall_seconds=stall,
-            requests_shed=len(self.shed),
-            requests_failed=len(self.failed),
             requests_retried=len(self._retried_indices),
             requests_hedged=self._hedged_count,
             retry_attempts=self._retry_attempts,
@@ -1530,4 +1521,9 @@ class ServingEngine:
             breaker_opens=sum(b.opens for b in self._breakers.values()),
             goodput_rps=in_slo / self.now if self.now > 0 else 0.0,
             slo_attainment=in_slo / admitted if admitted else 0.0,
+            metrics=(
+                self.tracer.metrics.snapshot()
+                if self.tracer is not None
+                else {}
+            ),
         )

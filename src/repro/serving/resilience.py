@@ -325,11 +325,8 @@ class AdmissionController:
 
 
 def render_resilience_rows(result) -> List[Tuple[str, str]]:
-    """(metric, value) rows for the ``repro serve`` report table.
-
-    Takes a :class:`~repro.datacenter.energy.RunResult` with the
-    serving-resilience fields populated.
-    """
+    """(metric, value) rows for the ``repro serve`` report table,
+    from a :class:`~repro.serving.slo.ServingResult`."""
     return [
         ("requests shed", result.requests_shed),
         ("requests failed loudly", result.requests_failed),

@@ -14,7 +14,6 @@ from repro.telemetry.lintlog import (
     LintLog,
     LintRunRecord,
     default_lint_log,
-    reset_default_lint_log,
 )
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.recorder import MachineTraces, PowerRecorder
@@ -44,6 +43,5 @@ __all__ = [
     "maybe_tracer",
     "default_lint_log",
     "default_log",
-    "reset_default_lint_log",
     "reset_default_log",
 ]

@@ -2,7 +2,7 @@
 
 Every fault the cluster simulator injects or recovers from is recorded
 as a :class:`FaultLogEntry` in a per-run :class:`FaultLog`.  The log is
-exported verbatim on the :class:`~repro.datacenter.energy.RunResult`
+exported verbatim on the :class:`~repro.datacenter.energy.ClusterResult`
 (``fault_trace``) so benchmarks and the CLI can print a timeline and
 tests can assert exact recovery behaviour.
 

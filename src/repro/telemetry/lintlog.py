@@ -83,10 +83,3 @@ _DEFAULT = LintLog()
 def default_lint_log() -> LintLog:
     """The process-wide log lints report into."""
     return _DEFAULT
-
-
-def reset_default_lint_log() -> LintLog:
-    """Swap in a fresh default log (tests, CLI runs); returns it."""
-    global _DEFAULT
-    _DEFAULT = LintLog()
-    return _DEFAULT

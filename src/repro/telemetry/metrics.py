@@ -4,9 +4,11 @@ A :class:`MetricsRegistry` is the aggregate view of what the span
 stream records event-by-event: how many DSM faults fired
 (``dsm.page_faults``), how long hand-offs took (``migrate.handoff_s``),
 how many bytes crossed the wire (``msg.wire_bytes``).  The registry is
-owned by a :class:`~repro.telemetry.spans.Tracer` and surfaced on
-:class:`~repro.datacenter.energy.RunResult.metrics` and in the CLI run
-report; its snapshot format is stable so exported runs stay diffable.
+owned by a :class:`~repro.telemetry.spans.Tracer` and surfaced as the
+``metrics`` field of the cluster's and the serving engine's results
+(:class:`~repro.datacenter.energy.ClusterResult`,
+:class:`~repro.serving.slo.ServingResult`) and in the CLI run report;
+its snapshot format is stable so exported runs stay diffable.
 
 Like the tracer, metrics are passive and deterministic: updating them
 never charges simulated time and never consumes randomness.

@@ -9,7 +9,7 @@ bursts carry the full-size instruction counts and memory footprints of
 the original benchmark classes.
 """
 
-from repro.workloads.base import BenchProfile, ClassParams, WorkloadBuild
+from repro.workloads.base import BenchProfile, ClassParams
 from repro.workloads.registry import (
     REGISTRY,
     build_workload,
@@ -20,7 +20,6 @@ from repro.workloads.registry import (
 __all__ = [
     "BenchProfile",
     "ClassParams",
-    "WorkloadBuild",
     "REGISTRY",
     "build_workload",
     "profile_for",

@@ -59,16 +59,6 @@ class BenchProfile:
         return {icls: total * frac for icls, frac in self.mix.items()}
 
 
-@dataclass
-class WorkloadBuild:
-    """A built workload module plus its metadata."""
-
-    module: Module
-    profile: BenchProfile
-    cls: str
-    threads: int
-
-
 def mix_normalised(mix: Dict[InstrClass, float]) -> Dict[InstrClass, float]:
     # Added left to right, not with sum(): CPython 3.12 made sum() of
     # floats compensated, which moved these fractions, and every

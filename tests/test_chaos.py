@@ -417,7 +417,7 @@ class TestClusterDetector:
         res = sim.run_sustained(specs, conc)
         cfg = DetectorConfig()
         assert 0.0 < res.mttd <= cfg.nominal_mttd_s + cfg.heartbeat_period_s
-        assert res.handoffs > 0 and res.jobs_lost == 0
+        assert res.handoffs > 0 and res.requests_failed == 0
         kinds = {e.kind for e in res.fault_trace}
         assert {"suspect", "confirm", "handoff-begin",
                 "handoff-commit"} <= kinds

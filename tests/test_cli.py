@@ -93,6 +93,28 @@ class TestCommands:
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    # Counts, scales and detector timings: the crash-time product above
+    # would pair the detector flags with ``fleet``, which has none.
+    @pytest.mark.parametrize("command, flag", [
+        (["schedule"], ["--sets", "0"]),
+        (["schedule"], ["--sets", "-2"]),
+        (["schedule"], ["--jobs", "0"]),
+        (["faults"], ["--jobs", "0"]),
+        (["faults", "--detector"], ["--heartbeat", "0"]),
+        (["faults", "--detector"], ["--lease", "-1"]),
+        (["serve", "redis", "--detector"], ["--heartbeat", "0"]),
+        (["serve", "redis", "--detector"], ["--lease", "-1"]),
+        (["run", "is"], ["--scale", "0"]),
+        (["trace", "is"], ["--scale", "0"]),
+        (["chaos"], ["--scale", "0"]),
+        (["chaos", "--serving"], ["--soak", "-1"]),
+    ])
+    def test_invalid_counts_and_timings_exit_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["serve", "redis", "--slo-ms", "0"],
         ["serve", "redis", "--requests", "-5"],

@@ -129,7 +129,7 @@ class TestClusterSimulator:
 
     def test_all_jobs_complete(self):
         result = self._sustained("dynamic-balanced")
-        assert result.job_count == 20
+        assert result.requests == 20
         assert result.makespan > 0
         assert result.total_energy > 0
 
@@ -158,7 +158,7 @@ class TestClusterSimulator:
         arrivals = periodic_waves(rng)
         sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
         result = sim.run_periodic(arrivals)
-        assert result.job_count == len(arrivals)
+        assert result.requests == len(arrivals)
         assert result.makespan >= max(t for t, _ in arrivals)
 
     def test_periodic_dynamic_saves_energy(self):
@@ -204,16 +204,26 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize_runs(runs, "static-x86(2)")
 
+    def test_empty_runs_rejected(self):
+        with pytest.raises(ValueError, match="no runs"):
+            summarize_runs({"static-x86(2)": [], "dyn": []}, "static-x86(2)")
+
 
 def self_result(energy, makespan):
     from repro.datacenter.energy import RunResult
 
     return RunResult(
-        policy="p",
         makespan=makespan,
         energy_by_machine={"m": energy},
+        requests=1,
+        requests_completed=1,
+        requests_shed=0,
+        requests_failed=0,
         migrations=0,
-        job_count=1,
+        migration_stall_seconds=0.0,
+        p50_latency_s=makespan,
+        p99_latency_s=makespan,
+        p999_latency_s=makespan,
     )
 
 
@@ -235,6 +245,10 @@ class TestUnificationGolden:
         assert result.total_energy == 2736.0251435424757
         assert result.migrations == 2
         assert result.mean_response == 5.071762475884219
+        # Result-core fields, recorded when the cluster started to set
+        # them (summed left to right, so every interpreter agrees).
+        assert result.migration_stall_seconds == 0.1050432
+        assert result.p99_latency_s == 26.776413523381194
 
     def test_periodic_golden(self):
         result = ClusterSimulator(
@@ -244,6 +258,8 @@ class TestUnificationGolden:
         assert result.total_energy == 28401.323567397456
         assert result.migrations == 25
         assert result.mean_response == 6.493590158901034
+        assert result.migration_stall_seconds == 1.2663870720000001
+        assert result.p99_latency_s == 36.93817589484973
 
     def test_faulted_golden(self):
         from repro.faults import (
@@ -271,6 +287,8 @@ class TestUnificationGolden:
         assert result.mttd == 2.5
         assert result.busy_seconds == 26.01058420775216
         assert result.fault_events == 2
+        assert result.migration_stall_seconds == 0.2697740799999999
+        assert result.requests_completed == 16
 
 
 class TestNestedNodes:
@@ -309,5 +327,5 @@ class TestNestedNodes:
             het_machines(), make_policy("dynamic-balanced"),
             nested=sampler, nested_nodes=("arm", "x86"),
         ).run_sustained(list(specs), conc)
-        assert nested.job_count == analytic.job_count
+        assert nested.requests == analytic.requests
         assert 0.5 < nested.makespan / analytic.makespan < 2.0

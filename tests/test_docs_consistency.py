@@ -308,15 +308,34 @@ def _src_modules(root: pathlib.Path):
         yield path, path.relative_to(root), ast.parse(path.read_text())
 
 
+def _without_reexports(text: str) -> str:
+    """A package ``__init__.py`` minus its import statements and
+    ``__all__``: re-exporting a name does not use it."""
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ):
+            for index in range(node.lineno - 1, node.end_lineno):
+                lines[index] = ""
+    return "\n".join(lines)
+
+
 def unused_definitions(root: pathlib.Path) -> list:
     """``path:line name`` for every function or class in ``src/`` whose
-    name appears once (its own definition) across the use set."""
+    name appears once (its own definition) across the use set.  A
+    ``src/`` package ``__init__.py`` counts only outside its imports
+    and ``__all__``."""
     files = [p for d in USE_DIRS for p in sorted((root / d).rglob("*.py"))]
     files += sorted((root / "docs").glob("*.md"))
     files += [root / name for name in USE_DOCS if (root / name).exists()]
     counts = Counter()
     for path in files:
-        counts.update(IDENT.findall(path.read_text()))
+        text = path.read_text()
+        if path.name == "__init__.py" and root / "src" in path.parents:
+            text = _without_reexports(text)
+        counts.update(IDENT.findall(text))
     return [
         f"{rel}:{node.lineno} {node.name}"
         for path, rel, tree in _src_modules(root)
@@ -363,7 +382,16 @@ class TestNothingUnused:
     def test_scanner_catches_planted_dead_code(self, tmp_path):
         pkg = tmp_path / "src" / "pkg"
         pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text("from pkg.mod import used\n")
+        (pkg / "__init__.py").write_text(
+            "from pkg.mod import (\n"
+            "    inner,\n"
+            "    reexported,\n"
+            "    used,\n"
+            ")\n\n"
+            "__all__ = [\"reexported\", \"used\", \"wrapper\"]\n\n\n"
+            "def wrapper():\n"
+            "    return inner()\n"
+        )
         (pkg / "mod.py").write_text(
             "import json\n"
             "import os\n\n\n"
@@ -372,11 +400,18 @@ class TestNothingUnused:
             "def dead_helper():\n"
             "    return 1\n\n\n"
             "def _sys_exit():\n"
-            "    pass\n"
+            "    pass\n\n\n"
+            "def reexported():\n"
+            "    return 2\n\n\n"
+            "def inner():\n"
+            "    return 3\n"
         )
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "test_mod.py").write_text(
-            "from pkg import used\n"
+            "from pkg import used, wrapper\n"
         )
-        assert unused_definitions(tmp_path) == ["src/pkg/mod.py:9 dead_helper"]
+        assert unused_definitions(tmp_path) == [
+            "src/pkg/mod.py:9 dead_helper",
+            "src/pkg/mod.py:17 reexported",
+        ]
         assert unused_imports(tmp_path) == ["src/pkg/mod.py:1 json"]

@@ -1,6 +1,7 @@
 """Tests for result export and the heavy-tailed trace generator."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,21 +10,26 @@ import pytest
 from repro.analysis.export import runs_to_csv, runs_to_json, series_to_csv
 from repro.datacenter import ClusterSimulator, make_policy
 from repro.datacenter.arrivals import heavy_tailed_trace
-from repro.datacenter.energy import RunResult
+from repro.datacenter.energy import ClusterResult
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.sim.rng import DeterministicRng
 from repro.sim.trace import TimeSeries
 
 
 def _result(policy, energy, makespan):
-    return RunResult(
+    values = {f.name: 0 for f in dataclasses.fields(ClusterResult)}
+    values.update(
         policy=policy,
         makespan=makespan,
         energy_by_machine={"x86": energy * 0.8, "arm": energy * 0.2},
         migrations=2,
-        job_count=5,
+        requests=5,
+        requests_completed=5,
         mean_response=1.5,
+        fault_trace=[],
+        metrics={},
     )
+    return ClusterResult(**values)
 
 
 class TestCsvExport:
@@ -95,7 +101,7 @@ class TestHeavyTailedTrace:
             [make_xgene1("arm"), make_xeon_e5_1650v2("x86")],
             make_policy("dynamic-balanced"),
         ).run_periodic(list(trace))
-        assert base.job_count == dyn.job_count == 30
+        assert base.requests == dyn.requests == 30
         # The heterogeneous pair still wins energy on an open trace.
         assert dyn.energy_reduction_vs(base) > 0
 

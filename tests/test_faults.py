@@ -272,7 +272,7 @@ class TestEvacuateLive:
             recovery=EvacuateLive(),
         )
         assert result.jobs_evacuated > 0
-        assert result.jobs_lost == 0
+        assert result.requests_failed == 0
         assert result.lost_work_seconds == 0.0  # live migration keeps progress
         kinds = {e.kind for e in result.fault_trace}
         assert {"crash", "evacuate", "repair"} <= kinds
@@ -284,7 +284,7 @@ class TestEvacuateLive:
             faults=single_crash(5.0, "x86", permanent=True),
             recovery=EvacuateLive(),
         )
-        assert result.jobs_lost == 0
+        assert result.requests_failed == 0
         assert result.jobs_evacuated > 0
         assert result.mttr == 0.0  # never repaired
         # Only the ARM board burns energy after the crash.
@@ -295,7 +295,7 @@ class TestEvacuateLive:
             het_machines(),
             faults=single_crash(5.0, "x86", repair_seconds=20.0),
         )
-        assert result.jobs_evacuated > 0 and result.jobs_lost == 0
+        assert result.jobs_evacuated > 0 and result.requests_failed == 0
 
 
 class TestCheckpointRestart:
@@ -306,7 +306,7 @@ class TestCheckpointRestart:
             recovery=CheckpointRestart(2.0),
         )
         assert result.jobs_restarted > 0
-        assert result.jobs_lost == 0
+        assert result.requests_failed == 0
         assert result.lost_work_seconds > 0.0
         kinds = {e.kind for e in result.fault_trace}
         assert "restart" in kinds
@@ -322,7 +322,7 @@ class TestCheckpointRestart:
         kinds = {e.kind for e in result.fault_trace}
         assert {"cross-isa-denied", "park", "repair", "restart"} <= kinds
         assert result.jobs_restarted > 0
-        assert result.jobs_lost == 0
+        assert result.requests_failed == 0
 
     def test_cross_isa_restore_raises(self):
         sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
@@ -349,10 +349,10 @@ class TestFailStop:
             faults=single_crash(5.0, "x86", repair_seconds=20.0),
             recovery=FailStop(),
         )
-        assert result.jobs_lost > 0
+        assert result.requests_failed > 0
         # The closed system backfills the freed slots, so every spec is
         # either finished or lost.
-        assert result.job_count == 20
+        assert result.requests == 20
 
     def test_all_nodes_permanently_down_abandons(self):
         result = sustained_run(
@@ -367,7 +367,7 @@ class TestFailStop:
         )
         # Evacuation target disappears too: parked jobs are abandoned
         # instead of hanging the event loop.
-        assert result.jobs_lost > 0
+        assert result.requests_failed > 0
         assert "lost" in {e.kind for e in result.fault_trace}
 
 

@@ -210,7 +210,7 @@ class TestDeterminism:
         assert a.checksum() == b.checksum()
         assert a.makespan == b.makespan
         assert a.p999_latency_s == b.p999_latency_s
-        assert a.energy_by_isa == b.energy_by_isa
+        assert a.energy_by_machine == b.energy_by_machine
         assert [w.describe() for w in a.waves] == [
             w.describe() for w in b.waves
         ]
@@ -233,7 +233,7 @@ class TestDeterminism:
     ], ids=["crash-and-degrade", "stranded", "failover", "regression"])
     def test_golden_results(self, scenario, checksum, shed):
         result = scenario()
-        assert (result.checksum(), result.jobs_shed) == (checksum, shed)
+        assert (result.checksum(), result.requests_shed) == (checksum, shed)
 
 
 class TestInlineDraw:
@@ -280,10 +280,10 @@ class TestMigrationWaves:
 
     def test_job_conservation(self):
         result = run_fleet()
-        assert result.jobs_offered == 600
-        assert result.jobs_completed + result.jobs_shed == 600
-        in_slo = round(result.slo_attainment * result.jobs_offered)
-        assert in_slo + result.slo_violations == result.jobs_completed
+        assert result.requests == 600
+        assert result.requests_completed + result.requests_shed == 600
+        in_slo = round(result.slo_attainment * result.requests)
+        assert in_slo + result.slo_violations == result.requests_completed
 
     def test_migration_stall_accounted(self):
         result = run_fleet()
@@ -321,18 +321,18 @@ class TestFaults:
         result = run_fleet(faults=faults)
         assert result.crashes == 1 and result.repairs == 1
         assert result.evacuations > 0
-        assert result.jobs_shed == 0  # evacuate-live: no work lost
-        assert result.jobs_completed == result.jobs_offered
+        assert result.requests_shed == 0  # evacuate-live: no work lost
+        assert result.requests_completed == result.requests
 
     def test_cross_isa_failover(self):
         result = failover_run()
         assert result.failovers > 0
-        assert result.jobs_shed == 0
+        assert result.requests_shed == 0
 
     def test_stranded_service_sheds_until_repair(self):
         result = stranded_run()
-        assert result.jobs_shed > 0
-        assert result.jobs_completed + result.jobs_shed == result.jobs_offered
+        assert result.requests_shed > 0
+        assert result.requests_completed + result.requests_shed == result.requests
         assert result.stranded_services == 0  # repair re-placed them
 
     def test_degradation_inflates_stall(self):
@@ -417,7 +417,7 @@ class TestValidatedRun:
         finally:
             validate.set_enabled(None)
         assert log.checks["fleet"] > 0 and not log.violations
-        assert result.jobs_completed + result.jobs_shed == 50_000
+        assert result.requests_completed + result.requests_shed == 50_000
         assert result.services_migrated == 1500
 
     def test_checker_off_when_disabled(self):
@@ -445,7 +445,7 @@ class TestNestedFleet:
             "steady", DeterministicRng(42), requests=200, horizon_s=600.0
         )
         nested = nested_sim.run(trace)
-        assert nested.jobs_completed == analytic.jobs_completed
+        assert nested.requests_completed == analytic.requests_completed
         # Measured durations differ from analytic ones but stay in the
         # same regime, so latency shifts without changing the story.
         assert nested.p50_latency_s != analytic.p50_latency_s

@@ -6,7 +6,6 @@ import hashlib
 import pytest
 
 from repro import validate
-from repro.datacenter.energy import RunResult
 from repro.datacenter.job import (
     COMMIT_S, DEFAULT_INTERCONNECT_BW, HANDOFF_S, PUBLISH_S, RESPONSE_S,
     TRANSFORM_S, migration_penalty,
@@ -180,7 +179,7 @@ class TestJobArrivalComposition:
             make_policy("dynamic-balanced"),
         )
         result = sim.run_periodic(arrivals)
-        assert result.job_count == len(arrivals)
+        assert result.requests == len(arrivals)
 
 
 # ------------------------------------------------- shared percentile helper
@@ -215,22 +214,28 @@ class TestSharedQuantiles:
 
 class TestSloReport:
     def test_counts_violations_and_excess(self):
-        report = slo_report([0.001, 0.002, 0.015, 0.030], 0.010, requests=4)
-        assert report.violations == 2
-        assert report.violation_seconds == pytest.approx(0.005 + 0.020)
-        assert report.violation_fraction == pytest.approx(0.5)
-        assert report.p50_s <= report.p99_s <= report.p999_s <= report.max_s
+        slo = slo_report([0.001, 0.002, 0.015, 0.030], 0.010)
+        assert slo["requests_completed"] == 4
+        assert slo["slo_violations"] == 2
+        assert slo["slo_violation_seconds"] == pytest.approx(0.005 + 0.020)
+        assert slo["max_latency_s"] == 0.030
+        assert (slo["p50_latency_s"] <= slo["p99_latency_s"]
+                <= slo["p999_latency_s"] <= slo["max_latency_s"])
 
     def test_render_rows_cover_percentiles(self):
-        report = slo_report([0.001] * 10, DEFAULT_SLO_S, requests=10)
-        rendered = dict(render_slo_rows(report))
+        _, result = _run(requests=200)
+        rendered = dict(render_slo_rows(result))
         for key in ("latency p50", "latency p99", "latency p999",
                     "SLO violations", "SLO violation seconds"):
             assert key in rendered
+        fraction = result.slo_violations / result.requests_completed
+        assert rendered["SLO violations"] == (
+            f"{result.slo_violations} ({fraction * 100:.2f}%)"
+        )
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
-            slo_report([0.001], 0.0, requests=1)
+            slo_report([0.001], 0.0)
 
 
 # ----------------------------------------------------------------- policies
@@ -323,13 +328,6 @@ class TestServingEngine:
         assert result.p50_latency_s <= result.p99_latency_s
         assert result.p99_latency_s <= result.p999_latency_s
 
-    def test_batch_runresult_defaults_stay_zero(self):
-        batch = RunResult(policy="p", makespan=1.0, energy_by_machine={},
-                          migrations=0, job_count=1)
-        assert batch.requests == 0
-        assert batch.p99_latency_s == 0.0
-        assert batch.migration_stall_seconds == 0.0
-
     def test_validate_invariants_pass(self, monkeypatch):
         monkeypatch.setattr(validate, "enabled", lambda: True)
         _, result = _run()
@@ -360,10 +358,9 @@ class TestServingEngine:
 
     def test_run_keeps_its_slo_report(self):
         engine, result = _run()
-        assert engine.report == slo_report(
-            [r.latency_s for r in engine.completed], engine.slo_s,
-            result.requests,
-        )
+        slo = slo_report([r.latency_s for r in engine.completed], engine.slo_s)
+        assert {name: getattr(result, name) for name in slo} == slo
+        assert result.slo_target_s == engine.slo_s
 
     @pytest.mark.parametrize("slo_s", [0.0, -0.01])
     def test_nonpositive_slo_rejected(self, slo_s):
@@ -606,7 +603,10 @@ def _golden_fingerprint(engine, result):
 
 
 #: name -> (repr of each non-zero scalar, digest), recorded on CPython
-#: 3.11 before the drain loop replaced the per-event one.
+#: 3.11 before the drain loop replaced the per-event one.  When the
+#: result became ``ServingResult`` the digests were re-derived by
+#: feeding the previous engine's runs through this fingerprint in the
+#: new field order; every value string stayed the same.
 _PINS = {
     "crash/failover-only": (
         {
@@ -617,9 +617,8 @@ _PINS = {
             "failovers": "1",
             "goodput_rps": "129.99498986909236",
             "handoff_seconds": "0.003643256251928406",
-            "handoffs": "1",
-            "job_count": "8000",
             "makespan": "20.000770819077363",
+            "max_latency_s": "5.060474801623748",
             "mean_response": "2.299250616188587",
             "migration_stall_seconds": "1.316027194364871",
             "migrations": "1",
@@ -636,7 +635,7 @@ _PINS = {
             "slo_violation_seconds": "18334.514201421553",
             "slo_violations": "5399",
         },
-        "0588d1cb78a6caf4630d83323c7fb75137326fd4b77957a4463d39fad72d77c6",
+        "a91c81f58b81a8cc2792a944ad8593315082f223c03706872214d9b151f300f0",
     ),
     "deadline-hedge/static-arm": (
         {
@@ -644,8 +643,8 @@ _PINS = {
             "energy:arm-server": "9.746910548831572",
             "energy:x86-server": "13.366222628573926",
             "goodput_rps": "375.5195274755823",
-            "job_count": "1500",
             "makespan": "3.9944660403779815",
+            "max_latency_s": "0.008064036367412708",
             "mean_response": "0.0035401018282679654",
             "p50_latency_s": "0.0044385273299837325",
             "p999_latency_s": "0.007844821642693012",
@@ -656,7 +655,7 @@ _PINS = {
             "slo_attainment": "1.0",
             "slo_target_s": "0.01",
         },
-        "8da76639e1aaed3cb30a00e90d407697fcf6c537bafe18909554231e645df1ee",
+        "ea268c2b09f7d9bcb37c0b73a2e992e342a6ee35c14d6802ae9809cc31afd2bb",
     ),
     "degrade-partition": (
         {
@@ -668,9 +667,8 @@ _PINS = {
             "false_suspicions": "1",
             "goodput_rps": "390.6144687481232",
             "handoff_seconds": "0.008630963525965818",
-            "handoffs": "2",
-            "job_count": "4000",
             "makespan": "9.984269175944954",
+            "max_latency_s": "0.03392083887123398",
             "mean_response": "0.0013229843756002808",
             "migration_stall_seconds": "0.278067979938883",
             "migrations": "2",
@@ -685,7 +683,7 @@ _PINS = {
             "slo_violation_seconds": "1.1962793877682156",
             "slo_violations": "100",
         },
-        "e45d7d1008bb240edc6073b72640c8e1d6342e303016a8bacfcc9f17d1a46a33",
+        "33c567cb0c717d24ae3b268a6ffff2a3501706032ef9b19cbd00c366be44248b",
     ),
     "diurnal/latency-aware": (
         {
@@ -694,9 +692,8 @@ _PINS = {
             "energy:x86-server": "257.63427911314307",
             "goodput_rps": "399.3915724533142",
             "handoff_seconds": "0.011428957904732417",
-            "handoffs": "4",
-            "job_count": "8000",
             "makespan": "20.00042201925464",
+            "max_latency_s": "0.015677947262612957",
             "mean_response": "0.0008835942603232094",
             "migration_stall_seconds": "0.03951042751849343",
             "migrations": "4",
@@ -711,7 +708,7 @@ _PINS = {
             "slo_violation_seconds": "0.0381223160479479",
             "slo_violations": "12",
         },
-        "f6214225379a635c0e5da94c43aafb904a8077672ae55da7b1c04e629ef7b12a",
+        "7af107e30c67be5e3c48a234683c06de2d8a309b07101712202e9f83fbe2bcb3",
     ),
     "flash-crowd/queue-reactive": (
         {
@@ -720,9 +717,8 @@ _PINS = {
             "energy:x86-server": "66.95463549253316",
             "goodput_rps": "250.49034586313567",
             "handoff_seconds": "0.17161250773433778",
-            "handoffs": "58",
-            "job_count": "8000",
             "makespan": "20.000770819077363",
+            "max_latency_s": "0.041470701862476034",
             "mean_response": "0.009816918498978758",
             "migration_stall_seconds": "3.5783793799992925",
             "migrations": "58",
@@ -737,7 +733,7 @@ _PINS = {
             "slo_violation_seconds": "38.64798364741399",
             "slo_violations": "2990",
         },
-        "ec5b141e63f5d9ee992f089505890c43b00a2b29398ec17eb451a658173cc804",
+        "94c9034dd41742b3908ab3d09b874864469410da57e3f6a9b02bf69278319b18",
     ),
     "resilient/static-arm": (
         {
@@ -745,8 +741,8 @@ _PINS = {
             "energy:arm-server": "8.469950111381387",
             "energy:x86-server": "37.78259417142863",
             "goodput_rps": "143.19811314402207",
-            "job_count": "1500",
             "makespan": "3.9944660403779815",
+            "max_latency_s": "0.10518095406760031",
             "mean_response": "0.02948676710976849",
             "p50_latency_s": "0.002355072628147603",
             "p999_latency_s": "0.10512698637225634",
@@ -763,7 +759,7 @@ _PINS = {
             "slo_violation_seconds": "25.114436984748373",
             "slo_violations": "469",
         },
-        "39ef866687f3ab2534dd4bb5e7383c93437d3120b3948cbb13404f7697d0ddbc",
+        "01c0f1707243b9a8e23c21dbbb8aa87a15dc366645e543d88447744724429dda",
     ),
     "tie-order": (
         {
@@ -774,9 +770,8 @@ _PINS = {
             "failovers": "1",
             "goodput_rps": "104.98041187991468",
             "handoff_seconds": "0.0027140911999999975",
-            "handoffs": "1",
-            "job_count": "26",
             "makespan": "0.17146055799999999",
+            "max_latency_s": "0.011543853257142835",
             "mean_response": "0.00653764077857142",
             "migration_stall_seconds": "0.03331607680000011",
             "migrations": "1",
@@ -792,7 +787,7 @@ _PINS = {
             "slo_violation_seconds": "0.004620273314285602",
             "slo_violations": "6",
         },
-        "2cfb92493884586afeb9b21cc741a01cadea1065ed60a64da7f8e6f1d13cdefc",
+        "979d4a91602098ebe3e0deed60aa3e10e591ae39d52317b5c21fd5f99c28f995",
     ),
 }
 

@@ -556,8 +556,8 @@ class TestServingArrivalsUnderClusterFaults:
 
     def test_jobs_conserved_under_node_crash(self):
         arrivals, result = self._run()
-        assert result.job_count == len(arrivals)
-        assert result.jobs_lost == 0
+        assert result.requests == len(arrivals)
+        assert result.requests_failed == 0
 
     def test_bit_identical_across_reruns(self):
         _, a = self._run()

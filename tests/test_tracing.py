@@ -209,7 +209,7 @@ class TestClusterTracing:
     def test_metrics_surface_in_result(self):
         result = self._run(Tracer())
         assert result.metrics
-        assert result.metrics["sched.placements"] >= result.job_count
+        assert result.metrics["sched.placements"] >= result.requests
 
     def test_rebalance_spans_match_overhead(self):
         tracer = Tracer()

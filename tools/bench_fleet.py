@@ -125,9 +125,9 @@ def run_cell(params):
     facts = {
         "trace_checksum": trace.checksum(),
         "result_checksum": result.checksum(),
-        "jobs_offered": result.jobs_offered,
-        "jobs_completed": result.jobs_completed,
-        "jobs_shed": result.jobs_shed,
+        "jobs_offered": result.requests,
+        "jobs_completed": result.requests_completed,
+        "jobs_shed": result.requests_shed,
         "p50_latency_ms": round(result.p50_latency_s * 1e3, 6),
         "p99_latency_ms": round(result.p99_latency_s * 1e3, 6),
         "slo_attainment": round(result.slo_attainment, 6),
@@ -143,7 +143,7 @@ def run_cell(params):
         "energy_mj": round(result.total_energy / 1e6, 6),
         "makespan_s": round(result.makespan, 6),
     }
-    return facts, wall, result.jobs_completed
+    return facts, wall, result.requests_completed
 
 
 def run_sweep():
