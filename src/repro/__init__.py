@@ -31,42 +31,12 @@ Quickstart::
     ExecutionEngine(system, process).run()
 """
 
-from repro.compiler import MultiIsaBinary, Toolchain
-from repro.isa import ARM64, X86_64, get_isa
-from repro.kernel import PopcornSystem, boot_testbed
-from repro.workloads import build_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name):
-    if name in ("ExecutionEngine", "EngineHooks"):
-        from repro.runtime import execution
-
-        return getattr(execution, name)
-    if name == "StackTransformer":
-        from repro.runtime.transform import StackTransformer
-
-        return StackTransformer
-    if name == "InvariantViolation":
-        from repro.validate import InvariantViolation
-
-        return InvariantViolation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Toolchain",
-    "MultiIsaBinary",
-    "ARM64",
-    "X86_64",
-    "get_isa",
-    "PopcornSystem",
-    "boot_testbed",
-    "build_workload",
-    "ExecutionEngine",
-    "EngineHooks",
-    "StackTransformer",
-    "InvariantViolation",
-    "__version__",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".compiler.toolchain": "Toolchain",
+    ".kernel.testbed": "boot_testbed",
+    ".runtime.execution": "EngineHooks ExecutionEngine",
+})

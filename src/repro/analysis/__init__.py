@@ -2,36 +2,11 @@
 rendering used by the benchmark harness (one module per paper table or
 figure lives under ``benchmarks/``)."""
 
-from repro.analysis.stats import FiveNumber, five_number_summary, geomean
-from repro.render import Table, bar, format_series
-from repro.analysis.export import (
-    runs_to_csv,
-    runs_to_json,
-    series_to_csv,
-    spans_to_chrome,
-    spans_to_jsonl,
-    validate_chrome_trace,
-)
-from repro.analysis.critical_path import (
-    MigrationSegments,
-    migration_critical_path,
-    render_critical_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FiveNumber",
-    "five_number_summary",
-    "geomean",
-    "Table",
-    "bar",
-    "format_series",
-    "runs_to_csv",
-    "runs_to_json",
-    "series_to_csv",
-    "spans_to_chrome",
-    "spans_to_jsonl",
-    "validate_chrome_trace",
-    "MigrationSegments",
-    "migration_critical_path",
-    "render_critical_path",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".critical_path": "migration_critical_path render_critical_path",
+    ".export": "spans_to_chrome spans_to_jsonl validate_chrome_trace",
+    ".stats": "five_number_summary geomean",
+    "..render": "Table bar format_series",
+})

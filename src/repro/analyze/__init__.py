@@ -40,43 +40,12 @@ linting at link time with ``Toolchain(lint=True)``, or run
 ``python -m repro lint --all`` over the whole registry.
 """
 
-from repro.analyze.baseline import DEFAULT_BASELINE_PATH, Baseline
-from repro.analyze.diagnostics import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    LintReport,
-    Severity,
-)
-from repro.analyze.driver import (
-    LINT_PASSES,
-    LintContext,
-    LintError,
-    LintPass,
-    pass_names,
-    run_lint,
-)
-from repro.analyze.concurrency import ConcurrencyModel, get_model
-from repro.analyze.report import render_json, render_text, report_to_dict
-from repro.analyze.sharing import RegionPrediction, predict_sharing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "ConcurrencyModel",
-    "DEFAULT_BASELINE_PATH",
-    "DIAGNOSTIC_CODES",
-    "Diagnostic",
-    "LintContext",
-    "LintError",
-    "LintPass",
-    "LINT_PASSES",
-    "LintReport",
-    "RegionPrediction",
-    "Severity",
-    "get_model",
-    "pass_names",
-    "predict_sharing",
-    "render_json",
-    "render_text",
-    "report_to_dict",
-    "run_lint",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".baseline": "Baseline",
+    ".diagnostics": "DIAGNOSTIC_CODES Diagnostic LintReport Severity",
+    ".driver": "LintError pass_names run_lint",
+    ".report": "render_json render_text",
+    ".sharing": "predict_sharing",
+})

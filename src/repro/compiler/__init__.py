@@ -18,25 +18,10 @@ Mirrors the paper's modified clang/LLVM pipeline (Figure 2):
    :mod:`repro.linker`).
 """
 
-from repro.compiler.frame import FrameLayout, Location
-from repro.compiler.codegen import MachineFunction, MachineInstr, lower_function
-from repro.compiler.regalloc import AllocationResult, allocate_registers
-from repro.compiler.stackmaps import StackMap, StackMapEntry
-from repro.compiler.unwind import UnwindInfo
-from repro.compiler.toolchain import CompiledBinary, MultiIsaBinary, Toolchain
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Location",
-    "FrameLayout",
-    "MachineFunction",
-    "MachineInstr",
-    "lower_function",
-    "AllocationResult",
-    "allocate_registers",
-    "StackMap",
-    "StackMapEntry",
-    "UnwindInfo",
-    "Toolchain",
-    "CompiledBinary",
-    "MultiIsaBinary",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".codegen": "lower_function",
+    ".regalloc": "allocate_registers",
+    ".toolchain": "Toolchain",
+})

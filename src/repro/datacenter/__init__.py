@@ -11,46 +11,12 @@ machine's power model — with the McPAT FinFET projection applied to the
 ARM board, as in the paper.
 """
 
-from repro.datacenter.job import Job, JobSpec, job_duration
-from repro.datacenter.arrivals import (
-    heavy_tailed_trace,
-    periodic_waves,
-    sustained_backfill,
-    uniform_job_mix,
-)
-from repro.datacenter.policies import (
-    POLICIES,
-    DynamicBalanced,
-    DynamicUnbalanced,
-    SchedulingPolicy,
-    StaticHetBalanced,
-    StaticHetUnbalanced,
-    StaticX86Pair,
-    make_policy,
-)
-from repro.datacenter.cluster import ClusterSimulator, MachineNode
-from repro.datacenter.energy import RunResult, summarize_runs
-from repro.datacenter.nested import NestedNodeSampler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "Job",
-    "job_duration",
-    "uniform_job_mix",
-    "sustained_backfill",
-    "periodic_waves",
-    "heavy_tailed_trace",
-    "SchedulingPolicy",
-    "StaticX86Pair",
-    "StaticHetBalanced",
-    "StaticHetUnbalanced",
-    "DynamicBalanced",
-    "DynamicUnbalanced",
-    "POLICIES",
-    "make_policy",
-    "ClusterSimulator",
-    "MachineNode",
-    "NestedNodeSampler",
-    "RunResult",
-    "summarize_runs",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".arrivals": "periodic_waves sustained_backfill uniform_job_mix",
+    ".cluster": "ClusterSimulator",
+    ".energy": "RunResult summarize_runs",
+    ".job": "Job JobSpec",
+    ".policies": "POLICIES make_policy",
+})

@@ -4,7 +4,7 @@ fault injection.
 Between events every machine runs its resident jobs under processor
 sharing (oversubscription stretches everyone equally); events are job
 arrivals, completions, policy-driven migrations — and, when a
-:class:`~repro.faults.inject.FaultSchedule` is attached, node crashes,
+:class:`~repro.faults.models.FaultSchedule` is attached, node crashes,
 repairs, interconnect degradation windows and network partitions.
 Recovery from a crash is delegated to a
 :class:`~repro.faults.recovery.RecoveryPolicy` (evacuate via live
@@ -50,7 +50,7 @@ from repro.telemetry.metrics import percentiles
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.nested import NestedNodeSampler
     from repro.faults.detector import FailureDetector
-    from repro.faults.inject import FaultSchedule
+    from repro.faults.models import FaultSchedule
     from repro.faults.recovery import RecoveryPolicy
 
 

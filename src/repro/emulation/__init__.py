@@ -12,13 +12,9 @@ package models a 2016-era TCG dynamic binary translator:
   guest CPUs), which is what makes multi-threaded guests so much worse.
 """
 
-from repro.emulation.dbt import DbtProfile, TranslationCache, expansion_profile
-from repro.emulation.qemu import make_emulated_machine, emulation_warmup_seconds
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DbtProfile",
-    "TranslationCache",
-    "expansion_profile",
-    "make_emulated_machine",
-    "emulation_warmup_seconds",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".dbt": "TranslationCache expansion_profile",
+    ".qemu": "emulation_warmup_seconds make_emulated_machine",
+})

@@ -13,86 +13,16 @@ All defaults are lossless/fault-free, so wiring the layer through the
 stack changes no seed numbers until a fault is actually scheduled.
 """
 
-from repro.faults.chaos import (
-    ChaosCase,
-    ChaosHarness,
-    ChaosReport,
-    ChaosScenario,
-    CrashInjector,
-    ProtocolSite,
-    ServingChaosScenario,
-    registry_scenario,
-    run_chaos_suite,
-    serving_scenarios,
-)
-from repro.faults.detector import (
-    DetectorConfig,
-    DetectorStats,
-    FailureDetector,
-)
-from repro.faults.inject import (
-    DeliveryTimeout,
-    FaultSchedule,
-    FaultyMessagingLayer,
-    RetryPolicy,
-)
-from repro.faults.membership import Membership
-from repro.faults.models import (
-    LinkDegradation,
-    MessageFaultModel,
-    NetworkPartition,
-    NodeCrash,
-    NodeRepair,
-    degraded_window,
-    random_crash_schedule,
-    single_crash,
-)
-from repro.faults.recovery import (
-    RECOVERY_POLICIES,
-    CheckpointRestart,
-    EvacuateLive,
-    FailStop,
-    RecoveryPolicy,
-    make_recovery,
-)
-from repro.faults.report import (
-    render_fault_timeline,
-    render_recovery_comparison,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultSchedule",
-    "FaultyMessagingLayer",
-    "RetryPolicy",
-    "DeliveryTimeout",
-    "NodeCrash",
-    "NodeRepair",
-    "LinkDegradation",
-    "NetworkPartition",
-    "MessageFaultModel",
-    "single_crash",
-    "random_crash_schedule",
-    "degraded_window",
-    "RecoveryPolicy",
-    "FailStop",
-    "EvacuateLive",
-    "CheckpointRestart",
-    "RECOVERY_POLICIES",
-    "make_recovery",
-    "render_recovery_comparison",
-    "render_fault_timeline",
-    "DetectorConfig",
-    "DetectorStats",
-    "FailureDetector",
-    "Membership",
-    "ChaosCase",
-    "ChaosHarness",
-    "ChaosReport",
-    "ChaosScenario",
-    "CrashInjector",
-    "ProtocolSite",
-    "ServingChaosScenario",
-    "registry_scenario",
-    "run_chaos_suite",
-    "serving_scenarios",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".chaos": "ChaosHarness ChaosScenario ServingChaosScenario registry_scenario "
+              "run_chaos_suite serving_scenarios",
+    ".detector": "DetectorConfig FailureDetector",
+    ".inject": "DeliveryTimeout FaultyMessagingLayer",
+    ".membership": "Membership",
+    ".models": "FaultSchedule LinkDegradation NetworkPartition NodeCrash NodeRepair "
+               "RetryPolicy degraded_window random_crash_schedule single_crash",
+    ".recovery": "CheckpointRestart EvacuateLive FailStop make_recovery",
+    ".report": "render_fault_timeline render_recovery_comparison",
+})

@@ -1,81 +1,23 @@
-"""Fault injection: the timed fault schedule and the lossy messaging
-layer.
-
-:class:`FaultSchedule` is the timeline the cluster simulator consumes —
-crash/repair/degradation/partition events interleaved with job arrivals
-and completions in the event loop.
+"""Fault injection into the kernel: the lossy messaging layer.
 
 :class:`FaultyMessagingLayer` wraps the inter-kernel
 :class:`~repro.kernel.messages.MessagingLayer` with per-message loss and
-corruption.  A lost or corrupted message charges an ACK timeout plus
-exponential backoff before the retransmission; the wire cost of every
-attempt (including failed ones) is charged to the interconnect, exactly
-as a real reliable-delivery layer would burn bandwidth.  With both
+corruption.  A lost or corrupted message charges an ACK timeout plus a
+:class:`~repro.faults.models.RetryPolicy` backoff before the
+retransmission; the wire cost of every attempt (including failed ones)
+is charged to the interconnect, exactly as a real reliable-delivery
+layer would burn bandwidth.  With both
 probabilities at zero it takes the wrapped layer's exact code path, so
 all seed numbers are unchanged.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
-
+from repro.faults.models import RetryPolicy
 from repro.kernel.messages import MessagingLayer
 from repro.sim.rng import DeterministicRng
 
 
 class DeliveryTimeout(RuntimeError):
     """A message was lost on every attempt the retry policy allows."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Reliable-delivery knobs charged on every lost/corrupted message.
-
-    Backoff uses *decorrelated jitter* by default: each wait is drawn
-    uniformly from [base, 3 x previous wait], capped at
-    ``max_backoff_s``.  Bare ``2 ** attempt`` growth is unbounded and
-    synchronizes retries across senders during a degraded window —
-    every sender that lost a message at t0 would retransmit at exactly
-    t0 + base, t0 + 2*base, ... in lock-step.  Set ``jitter=False`` for
-    the plain (still capped) exponential schedule.
-    """
-
-    max_retries: int = 4
-    ack_timeout_s: float = 200e-6  # sender waits this long before resending
-    backoff_base_s: float = 100e-6  # first wait; grows per attempt
-    max_backoff_s: float = 5e-3  # cap on any single backoff wait
-    jitter: bool = True  # decorrelated jitter vs. plain exponential
-
-
-class FaultSchedule:
-    """An immutable, time-sorted sequence of fault events.
-
-    Events are anything with a ``kind`` attribute and a ``time`` field
-    (see :mod:`repro.faults.models`).  The schedule itself is never
-    mutated by a run — the simulator keeps its own cursor — so one
-    schedule can seed many runs (the determinism tests rely on this).
-    """
-
-    def __init__(self, events: Iterable = ()):
-        self.events: Tuple = tuple(sorted(events, key=lambda e: e.time))
-
-    @property
-    def empty(self) -> bool:
-        return not self.events
-
-    def merged(self, other: "FaultSchedule") -> "FaultSchedule":
-        return FaultSchedule(self.events + other.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def __repr__(self) -> str:
-        return f"FaultSchedule({list(self.events)!r})"
 
 
 class FaultyMessagingLayer(MessagingLayer):
@@ -149,17 +91,11 @@ class FaultyMessagingLayer(MessagingLayer):
                     f"{kind} {src}->{dst} undeliverable after "
                     f"{attempt + 1} attempts"
                 )
-            if retry.jitter:
-                # Decorrelated jitter (drawn from the same RNG stream as
-                # the loss decisions, so runs stay seed-deterministic):
-                # uniform in [base, 3 x previous wait], then capped.
-                span = max(3.0 * prev_backoff - retry.backoff_base_s, 0.0)
-                backoff = retry.backoff_base_s + stream.random() * span
-            else:
-                backoff = retry.backoff_base_s * (2 ** attempt)
-            backoff = min(backoff, retry.max_backoff_s)
-            prev_backoff = backoff
-            total += retry.ack_timeout_s + backoff
+            # The jitter draw comes from the same RNG stream as the
+            # loss decisions, so runs stay seed-deterministic.
+            u = stream.random() if retry.jitter else 0.0
+            prev_backoff = retry.backoff(attempt, prev_backoff, u)
+            total += retry.ack_timeout_s + prev_backoff
             total += MessagingLayer.send(self, kind, src, dst, payload_bytes)
             self.retries += 1
             attempt += 1

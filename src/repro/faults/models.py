@@ -4,8 +4,10 @@ The paper's value proposition — evacuating work across the ISA boundary
 via live migration instead of stop-the-world checkpoint/restore — only
 matters in a fleet where machines degrade and die.  These models give
 the DES that fleet: node crashes (permanent, or transient with a repair
-time), interconnect degradation windows, network partitions, and
-per-message loss/corruption for the kernel messaging layer.
+time), interconnect degradation windows and network partitions,
+collected in a :class:`FaultSchedule`, plus the :class:`RetryPolicy` a
+sender follows when a message is lost.  Nothing here needs the kernel,
+so the serving and fleet simulators load no kernel code.
 
 Every stochastic generator draws from a named
 :class:`~repro.sim.rng.DeterministicRng` stream, so a seed plus a
@@ -15,9 +17,8 @@ generators follow).
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Tuple
+from typing import ClassVar, Iterable, Iterator, Sequence, Tuple
 
-from repro.faults.inject import FaultSchedule
 from repro.sim.rng import DeterministicRng
 
 
@@ -113,21 +114,69 @@ class NetworkPartition:
         _require(self, "island", len(self.island) > 0, "non-empty")
 
 
-@dataclass(frozen=True)
-class MessageFaultModel:
-    """Per-message loss/corruption probabilities for the messaging
-    layer (consumed by :class:`~repro.faults.inject.FaultyMessagingLayer`).
+class FaultSchedule:
+    """An immutable, time-sorted sequence of fault events.
 
-    The defaults model today's lossless interconnect, so wiring the
-    model through changes nothing until a probability is raised.
+    Events are anything with a ``kind`` attribute and a ``time`` field
+    (the event classes above).  The schedule itself is never mutated by
+    a run — the simulator keeps its own cursor — so one schedule can
+    seed many runs (the determinism tests rely on this).  The cluster,
+    serving and fleet simulators all consume it.
     """
 
-    loss_probability: float = 0.0
-    corruption_probability: float = 0.0
+    def __init__(self, events: Iterable = ()):
+        self.events: Tuple = tuple(sorted(events, key=lambda e: e.time))
 
     @property
-    def lossless(self) -> bool:
-        return self.loss_probability <= 0.0 and self.corruption_probability <= 0.0
+    def empty(self) -> bool:
+        return not self.events
+
+    def merged(self, other: "FaultSchedule") -> "FaultSchedule":
+        return FaultSchedule(self.events + other.events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.events)
+
+    def __bool__(self) -> bool:
+        return bool(self.events)
+
+    def __repr__(self) -> str:
+        return f"FaultSchedule({list(self.events)!r})"
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Reliable-delivery knobs charged on every lost/corrupted message.
+
+    Backoff uses *decorrelated jitter* by default: each wait is drawn
+    uniformly from [base, 3 x previous wait], capped at
+    ``max_backoff_s``.  Bare ``2 ** attempt`` growth is unbounded and
+    synchronizes retries across senders during a degraded window —
+    every sender that lost a message at t0 would retransmit at exactly
+    t0 + base, t0 + 2*base, ... in lock-step.  Set ``jitter=False`` for
+    the plain (still capped) exponential schedule.  The kernel
+    messaging layer and the serving engine's replays both back off
+    through :meth:`backoff`.
+    """
+
+    max_retries: int = 4
+    ack_timeout_s: float = 200e-6  # sender waits this long before resending
+    backoff_base_s: float = 100e-6  # first wait; grows per attempt
+    max_backoff_s: float = 5e-3  # cap on any single backoff wait
+    jitter: bool = True  # decorrelated jitter vs. plain exponential
+
+    def backoff(self, attempt: int, prev_backoff_s: float, u: float) -> float:
+        """The wait before retry ``attempt`` (0-based), from a uniform
+        draw ``u`` in [0, 1); ``u`` is read only when ``jitter`` is on."""
+        if self.jitter:
+            span = max(3.0 * prev_backoff_s - self.backoff_base_s, 0.0)
+            backoff = self.backoff_base_s + u * span
+        else:
+            backoff = self.backoff_base_s * (2 ** attempt)
+        return min(backoff, self.max_backoff_s)
 
 
 # ------------------------------------------------------------ builders

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.datacenter.job import JobSpec, job_duration
-from repro.kernel.testbed import machine_for_isa
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, machine_for_isa
 from repro.machine.mcpat import arm_finfet_power
 
 

@@ -41,8 +41,8 @@ from repro.datacenter.energy import RunResult
 from repro.datacenter.job import (
     DEFAULT_INTERCONNECT_BW, JobSpec, migration_penalty,
 )
-from repro.faults.inject import FaultSchedule
 from repro.faults.membership import Membership
+from repro.faults.models import FaultSchedule
 from repro.fleet.model import (
     FleetConfig,
     FleetNode,

@@ -15,53 +15,11 @@ Design points mirroring the paper's needs:
   a Python interpreter without interpreting billions of operations.
 """
 
-from repro.ir.instructions import (
-    AddrOf,
-    BinOp,
-    Br,
-    CBr,
-    Call,
-    Const,
-    InlineAsm,
-    Instr,
-    Load,
-    MigPoint,
-    Ret,
-    StackAlloc,
-    Store,
-    Syscall,
-    UnOp,
-    Work,
-)
-from repro.ir.function import BasicBlock, Function, GlobalVar, Module
-from repro.ir.builder import FunctionBuilder
-from repro.ir.validate import ValidationError, validate_module
-from repro.ir.analysis import call_graph, liveness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Instr",
-    "InlineAsm",
-    "Const",
-    "BinOp",
-    "UnOp",
-    "Load",
-    "Store",
-    "AddrOf",
-    "StackAlloc",
-    "Call",
-    "Ret",
-    "Br",
-    "CBr",
-    "Work",
-    "MigPoint",
-    "Syscall",
-    "BasicBlock",
-    "Function",
-    "GlobalVar",
-    "Module",
-    "FunctionBuilder",
-    "ValidationError",
-    "validate_module",
-    "liveness",
-    "call_graph",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".builder": "FunctionBuilder",
+    ".function": "GlobalVar Module",
+    ".instructions": "BinOp Br Call Const MigPoint Ret Syscall UnOp Work",
+    ".validate": "ValidationError validate_module",
+})

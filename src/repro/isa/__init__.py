@@ -8,11 +8,8 @@ the paper's evaluation platform: ARM64 (AArch64 / AAPCS64, the APM
 X-Gene 1 side) and x86-64 (SysV AMD64, the Xeon side).
 """
 
-from repro.isa.isa import Isa, InstrClass
-from repro.isa.registers import Register, RegisterFile, RegKind
-from repro.isa.abi import CallingConvention, FrameLayoutStyle
-from repro.isa.types import ValueType, type_size, type_align
 from repro.isa.arm64 import ARM64
+from repro.isa.isa import Isa
 from repro.isa.x86_64 import X86_64
 
 ALL_ISAS = {ARM64.name: ARM64, X86_64.name: X86_64}
@@ -25,20 +22,3 @@ def get_isa(name: str) -> Isa:
     except KeyError:
         raise KeyError(f"unknown ISA {name!r}; known: {sorted(ALL_ISAS)}") from None
 
-
-__all__ = [
-    "Isa",
-    "InstrClass",
-    "Register",
-    "RegisterFile",
-    "RegKind",
-    "CallingConvention",
-    "FrameLayoutStyle",
-    "ValueType",
-    "type_size",
-    "type_align",
-    "ARM64",
-    "X86_64",
-    "ALL_ISAS",
-    "get_isa",
-]

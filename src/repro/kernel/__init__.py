@@ -19,33 +19,9 @@ single-environment illusion to heterogeneous OS-containers:
   :mod:`repro.kernel.testbed` (boot helpers).
 """
 
-from repro.kernel.messages import Message, MessagingLayer
-from repro.kernel.process import Process, Thread, ThreadState
-from repro.kernel.namespaces import HeterogeneousContainer, Namespace
-from repro.kernel.filesystem import VirtualFileSystem
-from repro.kernel.dsm import DsmService, DsmStats
-from repro.kernel.loader import load_binary
-from repro.kernel.kernel import Kernel, PopcornSystem
-from repro.kernel.lifecycle import ProcessLifecycle
-from repro.kernel.recovery import CrashRecovery
-from repro.kernel.testbed import boot_single, boot_testbed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "MessagingLayer",
-    "Process",
-    "Thread",
-    "ThreadState",
-    "Namespace",
-    "HeterogeneousContainer",
-    "VirtualFileSystem",
-    "DsmService",
-    "DsmStats",
-    "load_binary",
-    "Kernel",
-    "PopcornSystem",
-    "ProcessLifecycle",
-    "CrashRecovery",
-    "boot_single",
-    "boot_testbed",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".kernel": "PopcornSystem",
+    ".testbed": "boot_testbed",
+})

@@ -11,11 +11,9 @@ the fleet simulator's nested-node sampler to measure real workload
 durations without paying for a full testbed per fleet node.
 """
 
-from typing import Optional
-
 from repro.kernel.kernel import PopcornSystem
 from repro.machine.interconnect import make_dolphin_pxh810
-from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
+from repro.machine.machine import machine_for_isa, make_xeon_e5_1650v2, make_xgene1
 from repro.sim.clock import Clock
 
 
@@ -35,20 +33,6 @@ def boot_testbed(tracer=None):
     arm = make_xgene1("arm-server", clock)
     x86 = make_xeon_e5_1650v2("x86-server", clock)
     return PopcornSystem([arm, x86], make_dolphin_pxh810(), clock, tracer=tracer)
-
-
-def machine_for_isa(isa: str, name: str, clock: Optional[Clock] = None) -> Machine:
-    """Build the reference machine model for an ISA name.
-
-    ``x86`` (or ``x86-64``) maps to the Xeon E5-1650 v2; ``arm`` (or
-    ``arm64``) to the X-Gene 1 — the two servers of the paper's testbed.
-    """
-    key = isa.lower()
-    if key in ("x86", "x86-64", "x86_64"):
-        return make_xeon_e5_1650v2(name, clock)
-    if key in ("arm", "arm64", "aarch64"):
-        return make_xgene1(name, clock)
-    raise ValueError(f"no reference machine for ISA {isa!r}")
 
 
 def boot_single(isa: str):

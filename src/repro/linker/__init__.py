@@ -17,22 +17,12 @@ reproduced here:
   heap and stacks.
 """
 
-from repro.linker.elf import IsaObject, Section, Symbol
-from repro.linker.layout import VirtualMemoryMap, DEFAULT_VM_MAP, PAGE_SIZE
-from repro.linker.alignment import AlignedLayout, align_symbols
-from repro.linker.linker_script import render_linker_script
-from repro.linker.tls import TlsLayout, build_tls_layout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Section",
-    "Symbol",
-    "IsaObject",
-    "VirtualMemoryMap",
-    "DEFAULT_VM_MAP",
-    "PAGE_SIZE",
-    "AlignedLayout",
-    "align_symbols",
-    "render_linker_script",
-    "TlsLayout",
-    "build_tls_layout",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".alignment": "align_symbols",
+    ".elf": "IsaObject Symbol",
+    ".layout": "DEFAULT_VM_MAP",
+    ".linker_script": "render_linker_script",
+    ".tls": "build_tls_layout",
+})

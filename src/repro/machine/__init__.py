@@ -8,24 +8,10 @@ on-package sensors and an external shunt-resistor model, both sampled
 at 100 Hz by :mod:`repro.telemetry`.
 """
 
-from repro.machine.cpu import CpuModel
-from repro.machine.cache import CacheModel
-from repro.machine.memory import MemoryModel
-from repro.machine.power import PowerModel, PowerSensors
-from repro.machine.machine import Machine, make_xgene1, make_xeon_e5_1650v2
-from repro.machine.interconnect import Interconnect, make_dolphin_pxh810
-from repro.machine.mcpat import project_finfet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CpuModel",
-    "CacheModel",
-    "MemoryModel",
-    "PowerModel",
-    "PowerSensors",
-    "Machine",
-    "make_xgene1",
-    "make_xeon_e5_1650v2",
-    "Interconnect",
-    "make_dolphin_pxh810",
-    "project_finfet",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".interconnect": "make_dolphin_pxh810",
+    ".machine": "make_xeon_e5_1650v2 make_xgene1",
+    ".mcpat": "project_finfet",
+})

@@ -133,3 +133,17 @@ def make_xeon_e5_1650v2(
         power=make_xeon_power(),
         clock=clock,
     )
+
+
+def machine_for_isa(isa: str, name: str, clock: Optional[Clock] = None) -> Machine:
+    """Build the reference machine model for an ISA name.
+
+    ``x86`` (or ``x86-64``) maps to the Xeon E5-1650 v2; ``arm`` (or
+    ``arm64``) to the X-Gene 1 — the two servers of the paper's testbed.
+    """
+    key = isa.lower()
+    if key in ("x86", "x86-64", "x86_64"):
+        return make_xeon_e5_1650v2(name, clock)
+    if key in ("arm", "arm64", "aarch64"):
+        return make_xgene1(name, clock)
+    raise ValueError(f"no reference machine for ISA {isa!r}")

@@ -9,17 +9,10 @@ speed — to reproduce the Figure 11 comparison (23 s Java vs 11 s
 native for NPB IS B serial).
 """
 
-from repro.managed.objects import ManagedArray, ManagedObject, ObjectGraph
-from repro.managed.serializer import ReflectionSerializer, SerializationResult
-from repro.managed.padmig import PadMigRuntime, PadMigPhase, PadMigRun
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ManagedObject",
-    "ManagedArray",
-    "ObjectGraph",
-    "ReflectionSerializer",
-    "SerializationResult",
-    "PadMigRuntime",
-    "PadMigPhase",
-    "PadMigRun",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".objects": "ManagedArray ManagedObject ObjectGraph",
+    ".padmig": "PadMigRuntime",
+    ".serializer": "ReflectionSerializer",
+})

@@ -6,34 +6,3 @@ This is the paper's modified musl + migration library layer: everything
 that runs in user mode, between the compiled multi-ISA binary and the
 replicated-kernel OS.
 """
-
-from repro.runtime.address_space import AddressSpace, Vma
-from repro.runtime.heap import HeapAllocator
-from repro.runtime.stack import Frame, UserStack
-from repro.runtime.regmap import map_registers
-from repro.runtime.transform import StackTransformer, TransformStats
-
-
-def __getattr__(name):
-    # The execution engine pulls in the kernel package (for syscalls and
-    # the migration service), which itself builds on the lower layers of
-    # repro.runtime — import it lazily to keep the layering acyclic.
-    if name in ("ExecutionEngine", "EngineHooks", "ProcessExit"):
-        from repro.runtime import execution
-
-        return getattr(execution, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AddressSpace",
-    "Vma",
-    "HeapAllocator",
-    "Frame",
-    "UserStack",
-    "map_registers",
-    "StackTransformer",
-    "TransformStats",
-    "ExecutionEngine",
-    "EngineHooks",
-    "ProcessExit",
-]

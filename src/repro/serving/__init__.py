@@ -13,82 +13,17 @@ between the ARM and x86 boxes; and SLO accounting
 p50/p99/p999 and violation numbers.  See ``docs/serving.md``.
 """
 
-from repro.serving.engine import (
-    EngineConfig,
-    Request,
-    ServingEngine,
-    ServingView,
-)
-from repro.serving.resilience import (
-    AdmissionController,
-    CircuitBreaker,
-    PriorityClass,
-    ResilienceConfig,
-    RetryBudget,
-    TokenBucket,
-    default_resilience,
-    next_backoff,
-    render_detector_rows,
-    render_resilience_rows,
-)
-from repro.serving.policies import (
-    Decision,
-    LatencyAwareServing,
-    QueueReactiveServing,
-    SERVING_POLICIES,
-    ServingPolicy,
-    StaticArmServing,
-    StaticX86Serving,
-    make_serving_policy,
-    predicted_tail_s,
-)
-from repro.serving.slo import (
-    DEFAULT_SLO_S,
-    render_slo_rows,
-    slo_report,
-)
-from repro.serving.traffic import (
-    ArrivalTrace,
-    TRAFFIC_SHAPES,
-    diurnal,
-    flash_crowd,
-    make_trace,
-    steady,
-    to_job_arrivals,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "ArrivalTrace",
-    "CircuitBreaker",
-    "DEFAULT_SLO_S",
-    "Decision",
-    "EngineConfig",
-    "PriorityClass",
-    "ResilienceConfig",
-    "RetryBudget",
-    "TokenBucket",
-    "default_resilience",
-    "next_backoff",
-    "render_detector_rows",
-    "render_resilience_rows",
-    "LatencyAwareServing",
-    "QueueReactiveServing",
-    "Request",
-    "SERVING_POLICIES",
-    "ServingEngine",
-    "ServingPolicy",
-    "ServingView",
-    "StaticArmServing",
-    "StaticX86Serving",
-    "TRAFFIC_SHAPES",
-    "diurnal",
-    "flash_crowd",
-    "make_serving_policy",
-    "make_trace",
-    "predicted_tail_s",
-    "render_slo_rows",
-    "slo_report",
-    "steady",
-    "to_job_arrivals",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".engine": "ServingEngine ServingView",
+    ".policies": "Decision LatencyAwareServing QueueReactiveServing SERVING_POLICIES "
+                 "StaticArmServing StaticX86Serving make_serving_policy "
+                 "predicted_tail_s",
+    ".resilience": "AdmissionController CircuitBreaker PriorityClass ResilienceConfig "
+                   "RetryBudget TokenBucket default_resilience render_detector_rows "
+                   "render_resilience_rows",
+    ".slo": "DEFAULT_SLO_S render_slo_rows slo_report",
+    ".traffic": "ArrivalTrace TRAFFIC_SHAPES diurnal flash_crowd make_trace steady "
+                "to_job_arrivals",
+})

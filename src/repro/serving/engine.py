@@ -19,7 +19,7 @@ a migration point, then PREPARE (stack transform) → TRANSFER (context
 request whose wait overlaps that window has the overlap attributed to
 migration in its latency breakdown (and, when tracing is on, as a
 ``serve.stall.migration`` child span on its critical path).  After
-COMMIT the next ``EngineConfig.dsm_warmup_requests`` requests pay the
+COMMIT the next ``DSM_WARMUP_REQUESTS`` requests pay the
 residual on-demand DSM pull, spread evenly.
 
 Energy follows the consolidation story of the paper's unbalanced
@@ -30,7 +30,7 @@ one-core-busy power from its measured model (ARM through the McPAT
 FinFET projection, as in the cluster simulator).
 
 **Failures.**  The engine optionally consumes a
-:class:`~repro.faults.inject.FaultSchedule` (node crashes/repairs,
+:class:`~repro.faults.models.FaultSchedule` (node crashes/repairs,
 link degradation, partitions) and the PR-4 heartbeat/lease
 :class:`~repro.faults.detector.FailureDetector`; who is up, fenced and
 heard lives in the :class:`~repro.faults.membership.Membership` view
@@ -65,8 +65,8 @@ from repro.datacenter.job import (
     TRANSFORM_S, JobSpec, job_duration,
 )
 from repro.faults.detector import FailureDetector
-from repro.faults.inject import FaultSchedule
 from repro.faults.membership import DEAD, FENCE, REJOIN, Membership
+from repro.faults.models import FaultSchedule
 from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
 from repro.machine.mcpat import arm_finfet_power
 from repro.serving.policies import ServingPolicy
@@ -79,7 +79,6 @@ from repro.serving.resilience import (
     CircuitBreaker,
     ResilienceConfig,
     RetryBudget,
-    next_backoff,
 )
 from repro.serving.slo import DEFAULT_SLO_S, ServingResult, slo_report
 from repro.serving.traffic import ArrivalTrace
@@ -150,31 +149,18 @@ class Request:
 DECISION_PERIOD_S = 0.05
 #: Trailing window for the arrival-rate estimate policies see.
 RATE_WINDOW_S = 0.5
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine-level tuning knobs (the hand-off itself is priced by the
-    migration price table in :mod:`repro.datacenter.job`).
-
-    Pass one to :class:`ServingEngine`; omitted, the defaults apply.
-    """
-
-    #: How many post-COMMIT requests share the residual DSM warm-up
-    #: surcharge after a hand-off.  The destination receives only the
-    #: ``HOT_FRACTION`` of the working set eagerly during TRANSFER; the
-    #: remaining cold pages are pulled on demand by the first requests
-    #: served there, so each of the next ``dsm_warmup_requests``
-    #: requests pays ``(1 - HOT_FRACTION) * footprint / bandwidth /
-    #: dsm_warmup_requests`` extra service time.  After a crash
-    #: *failover* (no TRANSFER happened — the source died with the hot
-    #: set) the same count of requests amortises the **full** footprint
-    #: instead.  See ``docs/serving.md``.
-    dsm_warmup_requests: int = 64
-
-    def __post_init__(self):
-        if self.dsm_warmup_requests < 1:
-            raise ValueError("dsm_warmup_requests must be >= 1")
+#: How many post-COMMIT requests share the residual DSM warm-up
+#: surcharge after a hand-off (the hand-off itself is priced by the
+#: migration price table in :mod:`repro.datacenter.job`).  The
+#: destination receives only the ``HOT_FRACTION`` of the working set
+#: eagerly during TRANSFER; the remaining cold pages are pulled on
+#: demand by the first requests served there, so each of the next
+#: ``DSM_WARMUP_REQUESTS`` requests pays ``(1 - HOT_FRACTION) *
+#: footprint / bandwidth / DSM_WARMUP_REQUESTS`` extra service time.
+#: After a crash *failover* (no TRANSFER happened — the source died
+#: with the hot set) the same count of requests amortises the **full**
+#: footprint instead.  See ``docs/serving.md``.
+DSM_WARMUP_REQUESTS = 64
 
 
 @dataclass(frozen=True)
@@ -236,7 +222,6 @@ class ServingEngine:
         slo_s: float = DEFAULT_SLO_S,
         tracer=None,
         start_machine: Optional[str] = None,
-        config: Optional[EngineConfig] = None,
         faults: Optional[FaultSchedule] = None,
         detector: Optional[FailureDetector] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -255,7 +240,6 @@ class ServingEngine:
         self.trace = trace
         self.spec = JobSpec(workload, cls, 1)
         self.slo_s = slo_s
-        self.config = config if config is not None else EngineConfig()
         if machines is None:
             machines = [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server")]
         if len(machines) < 2:
@@ -271,18 +255,17 @@ class ServingEngine:
         footprint = self.spec.profile().params(cls).footprint_bytes
         self._footprint = footprint
         bandwidth = DEFAULT_INTERCONNECT_BW
-        warmup = self.config.dsm_warmup_requests
         #: Drain-to-commit outage of an undegraded hand-off.
         self.blackout_estimate_s = (
             TRANSFORM_S + self._transfer_s(bandwidth) + PUBLISH_S + COMMIT_S
         )
         #: Per-request warm-up after a normal hand-off (cold fraction).
         self._warmup_normal = (
-            (1.0 - HOT_FRACTION) * footprint / bandwidth / warmup
+            (1.0 - HOT_FRACTION) * footprint / bandwidth / DSM_WARMUP_REQUESTS
         )
         #: Per-request warm-up after a cold failover (full footprint —
         #: the source died before TRANSFER could push the hot set).
-        self._warmup_cold = footprint / bandwidth / warmup
+        self._warmup_cold = footprint / bandwidth / DSM_WARMUP_REQUESTS
         self._warmup_extra = self._warmup_normal
 
         self.location = (
@@ -625,9 +608,8 @@ class ServingEngine:
             self._retry_budget.spend()
             self._retry_attempts += 1
             self._retried_indices.add(request.index)
-            backoff = next_backoff(
-                RETRY_BACKOFF, request.attempts,
-                request.last_backoff_s, self._retry_u(),
+            backoff = RETRY_BACKOFF.backoff(
+                request.attempts, request.last_backoff_s, self._retry_u(),
             )
             request.last_backoff_s = backoff
             self._retries.append((self.now + backoff, request))
@@ -986,7 +968,7 @@ class ServingEngine:
         else:
             self.location = handoff.dst
             self._last_commit = now
-            self._warmup_left = self.config.dsm_warmup_requests
+            self._warmup_left = DSM_WARMUP_REQUESTS
             self._warmup_extra = (
                 self._warmup_normal if handoff.warm else self._warmup_cold
             )
@@ -1054,7 +1036,7 @@ class ServingEngine:
     def _end_warmup(self) -> None:
         if self.tracer is not None and self._blackouts:
             b0, b1, cause = self._blackouts[-1]
-            attrs = {"requests": self.config.dsm_warmup_requests}
+            attrs = {"requests": DSM_WARMUP_REQUESTS}
             if cause is not None:
                 attrs["flow"] = cause
             self.tracer.complete(

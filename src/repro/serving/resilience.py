@@ -13,7 +13,7 @@ complementary mechanisms, all modelled here deterministically:
 * **retry budgets with decorrelated-jitter backoff** — a request whose
   service was killed by a node crash is replayed on a surviving node,
   after a backoff drawn with the same decorrelated-jitter schedule the
-  kernel messaging layer uses (:class:`~repro.faults.inject.RetryPolicy`,
+  kernel messaging layer uses (:class:`~repro.faults.models.RetryPolicy`,
   the PR-4 machinery).  A global budget caps retries to a fraction of
   offered load so a dying fleet cannot melt itself with retry storms.
 * **tail-latency hedging** — a request that has waited longer than the
@@ -41,7 +41,7 @@ chaos harness (:mod:`repro.faults.chaos`).  See ``docs/serving.md``.
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.faults.inject import RetryPolicy
+from repro.faults.models import RetryPolicy
 
 #: Circuit-breaker states (:class:`CircuitBreaker`).
 CLOSED = "closed"
@@ -102,7 +102,7 @@ class ResilienceConfig:
     admission gates — so constructing an engine with
     ``ResilienceConfig()`` changes nothing on a fault-free run.
     Retries only ever trigger on a node crash, so they too are inert
-    without a :class:`~repro.faults.inject.FaultSchedule`.
+    without a :class:`~repro.faults.models.FaultSchedule`.
     """
 
     #: End-to-end deadline; a request still *queued* past it fails
@@ -161,24 +161,6 @@ def default_resilience(slo_s: float = 0.010) -> ResilienceConfig:
             PriorityClass("std", 0.8, max_queue_depth=64),
         ),
     )
-
-
-def next_backoff(
-    policy: RetryPolicy, attempt: int, prev_backoff_s: float, u: float
-) -> float:
-    """One backoff wait of the PR-4 schedule, from a uniform draw ``u``.
-
-    Decorrelated jitter (``jitter=True``): uniform in
-    ``[base, 3 x previous wait]``; otherwise plain capped exponential.
-    Mirrors :class:`~repro.faults.inject.FaultyMessagingLayer` so the
-    serving and messaging layers back off identically.
-    """
-    if policy.jitter:
-        span = max(3.0 * prev_backoff_s - policy.backoff_base_s, 0.0)
-        backoff = policy.backoff_base_s + u * span
-    else:
-        backoff = policy.backoff_base_s * (2 ** attempt)
-    return min(backoff, policy.max_backoff_s)
 
 
 class TokenBucket:

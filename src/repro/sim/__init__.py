@@ -4,17 +4,11 @@ Everything in :mod:`repro` that advances simulated time does so through
 this package, so that experiments are fully reproducible run-to-run.
 """
 
-from repro.sim.clock import Clock
-from repro.sim.events import Event, EventQueue, Simulator
-from repro.sim.rng import DeterministicRng
-from repro.sim.trace import Sampler, TimeSeries
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "DeterministicRng",
-    "Sampler",
-    "TimeSeries",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".clock": "Clock",
+    ".events": "EventQueue Simulator",
+    ".rng": "DeterministicRng",
+    ".trace": "Sampler TimeSeries",
+})

@@ -26,7 +26,11 @@ flag, or programmatically via :func:`set_enabled`.
 import os
 from typing import Optional
 
-from repro.validate.errors import InvariantViolation
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".errors": "InvariantViolation",
+})
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -127,16 +131,3 @@ def make_fleet_checker():
         return FleetConservationChecker()
     return None
 
-
-__all__ = [
-    "InvariantViolation",
-    "enabled",
-    "set_enabled",
-    "roundtrip_enabled",
-    "set_roundtrip",
-    "make_dsm_service",
-    "make_stack_transformer",
-    "make_cluster_checker",
-    "make_fleet_checker",
-    "check_crash_consistency",
-]

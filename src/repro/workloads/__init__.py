@@ -9,19 +9,8 @@ bursts carry the full-size instruction counts and memory footprints of
 the original benchmark classes.
 """
 
-from repro.workloads.base import BenchProfile, ClassParams
-from repro.workloads.registry import (
-    REGISTRY,
-    build_workload,
-    profile_for,
-    workload_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchProfile",
-    "ClassParams",
-    "REGISTRY",
-    "build_workload",
-    "profile_for",
-    "workload_names",
-]
+__getattr__ = lazy_exports(__name__, {
+    ".registry": "REGISTRY build_workload profile_for workload_names",
+})

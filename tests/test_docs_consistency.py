@@ -54,7 +54,7 @@ class TestReferencedFilesExist:
     def test_design_mentions_every_package(self):
         text = _read("DESIGN.md")
         src = ROOT / "src" / "repro"
-        for pkg in sorted(p.name for p in src.iterdir() if p.is_dir()):
+        for pkg in sorted(p.parent.name for p in src.glob("*/__init__.py")):
             assert f"`{pkg}/`" in text or pkg in text, (
                 f"DESIGN.md does not mention package {pkg}"
             )
@@ -109,7 +109,7 @@ class TestObservabilityDocs:
     def test_architecture_maps_every_package(self):
         text = _read("docs/architecture.md")
         src = ROOT / "src" / "repro"
-        for pkg in sorted(p.name for p in src.iterdir() if p.is_dir()):
+        for pkg in sorted(p.parent.name for p in src.glob("*/__init__.py")):
             assert f"`{pkg}/`" in text, (
                 f"docs/architecture.md does not map package {pkg}"
             )
@@ -286,10 +286,13 @@ class TestWorkloadDocsMatchRegistry:
 # ------------------------------------------------------------ dead code
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: Where a name counts as used.  ROADMAP.md and CHANGES.md are left
-#: out: they name deleted helpers on purpose.
+#: Where a name counts as used.  Markdown is left out: a name that only
+#: prose mentions is dead code.
 USE_DIRS = ("src", "tests", "bench", "tools", "benchmarks", "examples")
-USE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
+USE_FILES = (".github/workflows/ci.yml",)
+#: ``from <package> import <names>``, the names up to the line's end or
+#: across a parenthesised list.
+FROM_IMPORT = re.compile(r"from\s+([\w.]+)\s+import\s+(\([^)]*\)|[^\n]*)")
 
 
 def _exempt(name: str) -> bool:
@@ -308,15 +311,31 @@ def _src_modules(root: pathlib.Path):
         yield path, path.relative_to(root), ast.parse(path.read_text())
 
 
+def _use_files(root: pathlib.Path) -> list:
+    files = [p for d in USE_DIRS for p in sorted((root / d).rglob("*.py"))]
+    return files + [root / name for name in USE_FILES if (root / name).exists()]
+
+
+def _package_of(root: pathlib.Path, path: pathlib.Path):
+    """The dotted package a ``src/`` ``__init__.py`` defines, else None."""
+    if path.name == "__init__.py" and root / "src" in path.parents:
+        return ".".join(path.parent.relative_to(root / "src").parts)
+    return None
+
+
+def _is_export_table(node) -> bool:
+    """``__getattr__ = lazy_exports(__name__, {...})``."""
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "id", None) == "__getattr__" for t in node.targets
+    )
+
+
 def _without_reexports(text: str) -> str:
-    """A package ``__init__.py`` minus its import statements and
-    ``__all__``: re-exporting a name does not use it."""
+    """A package ``__init__.py`` minus its import statements and its
+    export table: re-exporting a name does not use it."""
     lines = text.splitlines()
     for node in ast.parse(text).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, ast.Assign)
-            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        ):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_export_table(node):
             for index in range(node.lineno - 1, node.end_lineno):
                 lines[index] = ""
     return "\n".join(lines)
@@ -326,14 +345,11 @@ def unused_definitions(root: pathlib.Path) -> list:
     """``path:line name`` for every function or class in ``src/`` whose
     name appears once (its own definition) across the use set.  A
     ``src/`` package ``__init__.py`` counts only outside its imports
-    and ``__all__``."""
-    files = [p for d in USE_DIRS for p in sorted((root / d).rglob("*.py"))]
-    files += sorted((root / "docs").glob("*.md"))
-    files += [root / name for name in USE_DOCS if (root / name).exists()]
+    and export table."""
     counts = Counter()
-    for path in files:
+    for path in _use_files(root):
         text = path.read_text()
-        if path.name == "__init__.py" and root / "src" in path.parents:
+        if _package_of(root, path):
             text = _without_reexports(text)
         counts.update(IDENT.findall(text))
     return [
@@ -344,6 +360,41 @@ def unused_definitions(root: pathlib.Path) -> list:
         and not _exempt(node.name)
         and counts[node.name] < 2
     ]
+
+
+def dead_exports(root: pathlib.Path) -> list:
+    """``path:line name`` for every export-table entry that no file in
+    the use set but the package's own ``__init__.py`` imports through
+    the package, as ``from <package> import name`` or
+    ``<package>.name``."""
+    used = set()
+    for path in _use_files(root):
+        text = path.read_text()
+        mine = _package_of(root, path)
+        for package, names in FROM_IMPORT.findall(text):
+            if package != mine:
+                used.update((package, name) for name in IDENT.findall(names))
+        for dotted in re.findall(r"[\w.]+", text):
+            package, _, name = dotted.rpartition(".")
+            if package != mine:
+                used.add((package, name))
+    dead = []
+    for path, rel, tree in _src_modules(root):
+        package = _package_of(root, path)
+        if package is None:
+            continue
+        lines = path.read_text().splitlines()
+        for node in tree.body:
+            if not _is_export_table(node):
+                continue
+            for value in node.value.args[1].values:
+                for name in value.value.split():
+                    if (package, name) in used:
+                        continue
+                    line = next(i + 1 for i in range(value.lineno - 1, value.end_lineno)
+                                if name in IDENT.findall(lines[i]))
+                    dead.append(f"{rel}:{line} {name}")
+    return dead
 
 
 def unused_imports(root: pathlib.Path) -> list:
@@ -368,12 +419,17 @@ def unused_imports(root: pathlib.Path) -> list:
 
 
 class TestNothingUnused:
-    """Dead code cannot build up: a helper nothing names and an import
-    nothing reads both fail here, printed as ``path:line name``."""
+    """Dead code cannot build up: a helper nothing names, an export
+    nothing imports through its package and an import nothing reads
+    all fail here, printed as ``path:line name``."""
 
     def test_every_definition_is_named_elsewhere(self):
         dead = unused_definitions(ROOT)
         assert not dead, "named nowhere else:\n" + "\n".join(dead)
+
+    def test_every_export_is_imported_through_its_package(self):
+        dead = dead_exports(ROOT)
+        assert not dead, "exported, never imported from the package:\n" + "\n".join(dead)
 
     def test_no_unused_imports(self):
         dead = unused_imports(ROOT)
@@ -383,12 +439,12 @@ class TestNothingUnused:
         pkg = tmp_path / "src" / "pkg"
         pkg.mkdir(parents=True)
         (pkg / "__init__.py").write_text(
-            "from pkg.mod import (\n"
-            "    inner,\n"
-            "    reexported,\n"
-            "    used,\n"
-            ")\n\n"
-            "__all__ = [\"reexported\", \"used\", \"wrapper\"]\n\n\n"
+            "from pkg.lazy import lazy_exports\n"
+            "from pkg.mod import inner\n\n"
+            "__getattr__ = lazy_exports(__name__, {\n"
+            "    \".mod\": \"dotted used \"\n"
+            "            \"reexported\",\n"
+            "})\n\n\n"
             "def wrapper():\n"
             "    return inner()\n"
         )
@@ -404,14 +460,24 @@ class TestNothingUnused:
             "def reexported():\n"
             "    return 2\n\n\n"
             "def inner():\n"
-            "    return 3\n"
+            "    return 3\n\n\n"
+            "def dotted():\n"
+            "    return 4\n\n\n"
+            "class DocsOnly:\n"
+            "    pass\n"
         )
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "test_mod.py").write_text(
-            "from pkg import used, wrapper\n"
+            "import pkg\n"
+            "from pkg import used, wrapper\n\n"
+            "pkg.dotted()\n"
         )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "guide.md").write_text("Only prose names `DocsOnly`.\n")
         assert unused_definitions(tmp_path) == [
             "src/pkg/mod.py:9 dead_helper",
             "src/pkg/mod.py:17 reexported",
+            "src/pkg/mod.py:29 DocsOnly",
         ]
+        assert dead_exports(tmp_path) == ["src/pkg/__init__.py:6 reexported"]
         assert unused_imports(tmp_path) == ["src/pkg/mod.py:1 json"]

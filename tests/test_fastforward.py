@@ -10,7 +10,8 @@ transfer path).
 import pytest
 
 from repro.compiler import Toolchain
-from repro.faults.inject import FaultyMessagingLayer, RetryPolicy
+from repro.faults.inject import FaultyMessagingLayer
+from repro.faults.models import RetryPolicy
 from repro.ir import FunctionBuilder, Module
 from repro.ir.instructions import Call, Syscall
 from repro.ir.summary import block_summaries, invalidate_summaries

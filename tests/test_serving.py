@@ -42,7 +42,7 @@ from repro.serving import (
     steady,
     to_job_arrivals,
 )
-from repro.serving.engine import DECISION_PERIOD_S
+from repro.serving.engine import DECISION_PERIOD_S, DSM_WARMUP_REQUESTS
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.metrics import SampleHistogram, percentiles, quantile
 from repro.telemetry.spans import Tracer, check_causality
@@ -354,7 +354,7 @@ class TestServingEngine:
     def test_warmup_surcharge_after_commit(self):
         engine, result = _run(requests=8000)
         warmed = [r for r in engine.completed if r.warmup_extra_s > 0]
-        assert len(warmed) == engine.config.dsm_warmup_requests * result.migrations
+        assert len(warmed) == DSM_WARMUP_REQUESTS * result.migrations
 
     def test_run_keeps_its_slo_report(self):
         engine, result = _run()
@@ -458,8 +458,8 @@ class TestOnePriceTable:
         # surcharge times the requests that pay it, is the footprint
         # migration_penalty pulls.
         warm = [r.warmup_extra_s for r in engine.completed if r.warmup_extra_s]
-        assert len(warm) >= engine.config.dsm_warmup_requests
-        moved = (hot_push + warm[0] * engine.config.dsm_warmup_requests) * bw
+        assert len(warm) >= DSM_WARMUP_REQUESTS
+        moved = (hot_push + warm[0] * DSM_WARMUP_REQUESTS) * bw
         assert moved == pytest.approx(footprint, rel=1e-9)
         assert migration_penalty(spec, bw) == pytest.approx(
             RESPONSE_S + transform + HANDOFF_S * spec.threads + moved / bw,

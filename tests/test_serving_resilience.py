@@ -27,7 +27,6 @@ from repro.faults.chaos import COMPLETED, FAILED_LOUD
 from repro.serving import (
     AdmissionController,
     CircuitBreaker,
-    EngineConfig,
     PriorityClass,
     ResilienceConfig,
     RetryBudget,
@@ -37,7 +36,6 @@ from repro.serving import (
     default_resilience,
     make_serving_policy,
     make_trace,
-    next_backoff,
     render_detector_rows,
     render_resilience_rows,
 )
@@ -127,7 +125,7 @@ class TestResiliencePrimitives:
         prev = 0.0
         for attempt in range(1, 8):
             for u in (0.0, 0.5, 1.0):
-                backoff = next_backoff(policy, attempt, prev, u)
+                backoff = policy.backoff(attempt, prev, u)
                 assert 1e-3 - 1e-12 <= backoff <= 0.05 + 1e-12
             prev = backoff
 
@@ -136,8 +134,8 @@ class TestResiliencePrimitives:
             ack_timeout_s=0.0, backoff_base_s=1e-3, max_backoff_s=1.0,
             jitter=False,
         )
-        assert next_backoff(policy, 0, 0.0, 0.99) == pytest.approx(1e-3)
-        assert next_backoff(policy, 3, 0.0, 0.01) == pytest.approx(8e-3)
+        assert policy.backoff(0, 0.0, 0.99) == pytest.approx(1e-3)
+        assert policy.backoff(3, 0.0, 0.01) == pytest.approx(8e-3)
 
     def test_admission_queue_gate_sheds_by_class(self):
         config = ResilienceConfig(priority_classes=(
@@ -184,29 +182,6 @@ class TestResiliencePrimitives:
         with pytest.raises(ValueError, match=message):
             PriorityClass("std", **kwargs)
         PriorityClass("std", 1.0, max_queue_depth=1)
-
-
-# ------------------------------------------------------- engine config
-
-
-class TestEngineConfig:
-    def test_warmup_requests_is_configurable(self):
-        config = EngineConfig(dsm_warmup_requests=8)
-        engine = _engine(config=config)
-        assert engine.config.dsm_warmup_requests == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(dsm_warmup_requests=0)
-
-    def test_smaller_warmup_pays_larger_per_request_surcharge(self):
-        few = _engine(config=EngineConfig(dsm_warmup_requests=4))
-        many = _engine(config=EngineConfig(dsm_warmup_requests=256))
-        # Same cold set amortised over fewer requests = bigger slices.
-        assert few._warmup_normal > many._warmup_normal
-        assert few._warmup_normal * 4 == pytest.approx(
-            many._warmup_normal * 256
-        )
 
 
 # ------------------------------------------------- fault-free identity
