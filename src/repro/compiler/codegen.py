@@ -76,6 +76,10 @@ class MachineFunction:
     # site_id -> (block, index) of the site instruction, for resuming.
     site_positions: Dict[int, Tuple[str, int]]
     prologue_counts: Dict[InstrClass, float]
+    # Instructions the prologue retires, summed left to right: builtin
+    # sum() of floats is compensated from CPython 3.12 on, and both
+    # engines add this total to ``instret`` at every call.
+    prologue_instret: float
     code_size: int
     text_addr: int = 0  # assigned by the linker
 
@@ -189,10 +193,10 @@ def _expand(counts: Dict[InstrClass, float], isa: Isa) -> Dict[InstrClass, float
 
 def _static_size(
     mf_blocks: Dict[str, List[MachineInstr]],
-    prologue: Dict[InstrClass, float],
+    prologue_instret: float,
     isa: Isa,
 ) -> int:
-    static_instrs = sum(prologue.values())
+    static_instrs = prologue_instret
     for instrs in mf_blocks.values():
         for mi in instrs:
             if isinstance(mi.ir, Work):
@@ -262,6 +266,9 @@ def lower_function(fn: Function, isa: Isa) -> MachineFunction:
         },
         isa,
     )
+    prologue_instret = 0
+    for n in prologue.values():
+        prologue_instret += n
 
     return MachineFunction(
         fn=fn,
@@ -273,7 +280,8 @@ def lower_function(fn: Function, isa: Isa) -> MachineFunction:
         stackmaps=stackmaps,
         site_positions=site_positions,
         prologue_counts=prologue,
-        code_size=_static_size(blocks, prologue, isa),
+        prologue_instret=prologue_instret,
+        code_size=_static_size(blocks, prologue_instret, isa),
     )
 
 

@@ -408,7 +408,7 @@ class ExecutionEngine:
                 all_cycles = self._cycles(mf, cpu)
                 cycles_tab = all_cycles[block]
                 cycles += cpu.cycles_for(mf.prologue_counts)
-                instret += sum(mf.prologue_counts.values())
+                instret += mf.prologue_instret
             elif cls is Ret:
                 value = read(instr.value) if instr.value is not None else 0
                 epilogue = len(mf.frame.saved_reg_depths) + 2

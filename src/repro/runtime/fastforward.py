@@ -32,6 +32,20 @@ instruction.  The region:
 * inlines operand access (registers, frame slots), DSM residency
   pre-checks, and operator semantics from the shared
   :mod:`repro.ir.semantics` tables, with literal operands folded in;
+* runs a type pass per chunk.  A value an integer operator, a
+  comparison or an int literal produced inside the chunk is a Python
+  ``int`` and needs no ``int()``; any other value (a load, a register
+  at chunk entry, a float) is converted once, at its first integer use
+  — where the interpreter converts it, so the same values raise the
+  same errors — and the converted temp serves until its local is
+  reassigned.  Locals keep their unconverted values, which is what
+  region exit writes back to ``thread.regs``.  Truncating div/mod use
+  one ``//`` or ``%``;
+* folds a chain of int literals onto ``instret`` (``instret + 16``
+  instead of sixteen ``+ 1``) while a guard, tested at region entry and
+  after every ``Work`` burst, proves the accumulator an integral float
+  of magnitude below 2**52.  A fractional accumulator keeps the
+  term-by-term chain, whose rounding differs;
 * checks the remaining slice budget before every chunk and hands
   control back to the engine shell at calls, returns, migrations,
   syscalls, and when the budget cannot cover the next chunk.
@@ -43,7 +57,9 @@ budget cannot cover; the other is a slice that resumes inside a chunk,
 after a slice boundary or a migration.  A stepping variant is compiled
 the first time a slice boundary lands in its chunk, so a machine
 function never has more compiled objects per CPU model than its region
-plus one per chunk, however many resume positions a run visits.
+plus one per chunk, however many resume positions a run visits.  Its
+type facts last one instruction, since it can be entered at any of
+them; it never folds ``instret``.
 
 The scheduler, commit points, slice structure (256-instruction
 budget), syscall layer, migration path, and DSM are all inherited
@@ -56,7 +72,9 @@ engine after every chunk, and after each closed-form chunk or stepping
 segment the engine replays its instruction range against the *exact*
 interpreter's independently derived cycle tables, raising
 :class:`FastForwardDivergence` on the first cycles/instret mismatch —
-this is what catches a stale or corrupted block summary.
+this is what catches a stale or corrupted block summary, and an
+``instret`` fold the guard should have refused (the replay adds the
+terms one by one).  Validating builds fold exactly as plain ones do.
 """
 
 from bisect import bisect_right
@@ -118,20 +136,20 @@ _RESUME = 5  # a, b = next (block, index); continue fast-forwarding
 _STEP = 6  # a, b = chunk start the budget cannot cover; step it
 
 # Operator expression templates, mirroring repro.ir.semantics exactly.
-# ``{ai}``/``{bi}`` are the operands' ``int()`` and ``{same}`` tests
-# that their signs agree; all three are folded when an operand is a
-# literal (see ``_int_fields``).  div/mod expand C-style truncation
-# inline (same quotients/remainders and the same ZeroDivisionError as
-# ``semantics.truncdiv``, without a Python call per operation).
+# ``{ai}``/``{bi}`` are the operands as ints: an int literal, a local
+# the chunk's type pass proved an int, or the temp holding the one
+# ``int()`` conversion of any other value (``_RegionBuilder.as_int``).
+# ``{same}`` tests that their signs agree, folded against a literal (see
+# ``_RegionBuilder.int_fields``).  div/mod expand C-style truncation
+# inline with a single ``//`` or ``%`` (``{r}`` keeps the remainder):
+# the same quotients/remainders and the same ZeroDivisionError as
+# ``semantics.truncdiv``, without a Python call per operation.
 _INT_EXPR = {
     "add": "({a} + {b})",
     "sub": "({a} - {b})",
     "mul": "({a} * {b})",
     "div": "(({ai} // {bi}) if {same} else -(-{ai} // {bi}))",
-    "mod": (
-        "(({ai} % {bi}) if ({ai} % {bi}) == 0 or {same}"
-        " else ({ai} % {bi}) - {bi})"
-    ),
+    "mod": "({r} if ({r} := {ai} % {bi}) == 0 or {same} else {r} - {bi})",
     "and": "({ai} & {bi})",
     "or": "({ai} | {bi})",
     "xor": "({ai} ^ {bi})",
@@ -158,36 +176,39 @@ _UNOP_EXPR = {
     "neg": "(-{a})",
     "not": "(~{ai})",
     "i2f": "float({a})",
-    "f2i": "_f2i({a})",
+    "f2i": "{ai}",
     "sqrt": "(abs({a}) ** 0.5)",
     "abs": "abs({a})",
 }
 
+# The type pass, from ``repro.ir.semantics`` rather than the IR type
+# (an I64 local can hold a float).  These results are a Python ``int``
+# whatever the operands: ``semantics`` passes them through ``int()`` or
+# maps them to 1/0, as it does the int table's div/mod and the unary
+# ``not`` and ``f2i``.  add, sub, mul, min and max (either table), and
+# neg, abs and mov, give an int when every operand is one.  Anything
+# else — loads, stack slots, registers at chunk entry, ``AddrOf``, the
+# float table's div/mod — is not known to be an int.
+_INT_RESULT = frozenset(
+    ("and", "or", "xor", "shl", "shr", "eq", "ne", "lt", "le", "gt", "ge")
+)
+_INT_IF_INTS = frozenset(("add", "sub", "mul", "min", "max"))
+_UNOP_INT_IF_INT = frozenset(("mov", "neg", "abs"))
 
-def _as_int(op, text: str) -> str:
-    """``int(op)`` as an expression, folded when ``op`` is an int literal."""
-    if not isinstance(op, int):
-        return f"int({text})"
-    return repr(int(op)) if op >= 0 else f"({int(op)!r})"
-
-
-def _int_fields(a, b, ta: str, tb: str) -> Dict[str, str]:
-    """Template fields for operands ``a``/``b`` rendered as ``ta``/``tb``.
-
-    ``same`` is ``(int(a) < 0) == (int(b) < 0)``; against an int
-    literal it reduces to one sign test of the other operand, or to a
-    constant.
-    """
-    ai, bi = _as_int(a, ta), _as_int(b, tb)
-    lit_a, lit_b = isinstance(a, int), isinstance(b, int)
-    if lit_a and lit_b:
-        same = repr((int(a) < 0) == (int(b) < 0))
-    elif lit_a or lit_b:
-        var, negative = (bi, int(a) < 0) if lit_a else (ai, int(b) < 0)
-        same = f"({var} < 0)" if negative else f"({var} >= 0)"
-    else:
-        same = f"(({ai} < 0) == ({bi} < 0))"
-    return {"a": ta, "b": tb, "ai": ai, "bi": bi, "same": same}
+# Guard for folding a chain of int literals onto ``instret`` as one
+# addition.  On an integral float the two are bit-identical while every
+# partial sum is an integer of magnitude below 2**53; a bound of 2**52
+# leaves far more headroom than one region call adds between two
+# checks (its slice budget times the largest per-instruction term).  A
+# fractional accumulator rounds differently: after
+# ``(1.0 + 0.00037643534458182385) + 5``, 37 additions of 1 give
+# 43.00037643534458 and one addition of 37 gives 43.000376435344585.
+# Tested at region entry and after every addition of a non-int (a
+# ``Work`` burst).  ``instret`` is always a float: the shell seeds 0.0.
+_FOLD_GUARD = (
+    "-4503599627370496.0 < instret < 4503599627370496.0"
+    " and instret.is_integer()"
+)
 
 
 # Chunk exits: a chunk runs up to its first branch, call or return,
@@ -216,9 +237,9 @@ def _chunk_starts(mf) -> Dict[str, List[int]]:
     return starts
 
 
-# Region-local aliases, bound in a prologue only when the body mentions
-# them (a name inside a quoted block or function name only costs an
-# unused binding).
+# Region-local aliases and the fold guard, bound in a prologue only
+# when the body mentions them (a name inside a quoted block or function
+# name only costs an unused binding).
 _PROLOGUE = (
     ("cfa", "frame.cfa"),
     ("_dc", "self._dsm_charge"),
@@ -229,6 +250,7 @@ _PROLOGUE = (
     ("_mn", "thread.machine_name"),
     ("_c1", "cache[1]"),
     ("_c2", "cache[2]"),
+    ("_fold", _FOLD_GUARD),
 )
 
 # source text -> compiled code object, shared process-wide.
@@ -305,13 +327,19 @@ class _RegionBuilder:
         # never see the entry value.  A stepping variant is entered at
         # any index, so there every read loads.
         self.defined = set()
+        # Type facts, for one closed-form chunk or one instruction of a
+        # stepping variant: rendered operands known to hold a Python
+        # ``int``, and the temp holding ``int()`` of any other operand
+        # converted since its last assignment.
+        self.ints = set()
+        self.conv: Dict[str, str] = {}
         self.ns: Dict[str, object] = {"_f2i": _f2i, "_mf": mf}
         self.labels: Dict[Tuple[str, int], int] = {}
         self.stepping_mode = False
         self.lines: List[str] = []
         self.depth = 0  # indentation of emitted statements
         self.pend_c: List[str] = []  # pending cycle-constant chain terms
-        self.pend_i: List[str] = []  # pending instret-constant chain terms
+        self.pend_i: list = []  # pending instret chain terms (numbers)
         self._tmp = 0
 
     # --------------------------------------------------- emit helpers
@@ -333,13 +361,29 @@ class _RegionBuilder:
         # One chained statement == the same sequence of left-to-right
         # binary additions the interpreter performs; folding the
         # constants into one sum would reassociate and break
-        # bit-identity.
+        # bit-identity.  The one exception is a chain of int literals
+        # onto an ``instret`` the ``_fold`` guard proved integral.
         if self.pend_c:
             self.emit("cycles = cycles + " + " + ".join(self.pend_c))
             del self.pend_c[:]
-        if self.pend_i:
-            self.emit("instret = instret + " + " + ".join(self.pend_i))
-            del self.pend_i[:]
+        terms = self.pend_i
+        if terms:
+            chain = "instret + " + " + ".join(map(repr, terms))
+            if any(type(n) is not int for n in terms):
+                self.emit(f"instret = {chain}")
+                self.guard()
+            elif len(terms) > 1:
+                total = sum(terms)
+                self.emit(f"instret = instret + {total} if _fold else {chain}")
+            else:
+                self.emit(f"instret = {chain}")
+            del terms[:]
+
+    def guard(self) -> None:
+        """Re-test the fold guard after ``instret`` took a non-int term.
+        A stepping variant never folds (it flushes every instruction)."""
+        if not self.stepping_mode:
+            self.emit(f"_fold = {_FOLD_GUARD}")
 
     def local(self, reg: str) -> str:
         name = self.regmap.get(reg)
@@ -362,13 +406,69 @@ class _RegionBuilder:
         self.emit(f"{t} = _mg({t}a, 0)")
         return t
 
-    def write(self, name: str, expr: str) -> None:
+    def as_int(self, op, text: str, convert: str = "int") -> str:
+        """``op`` (rendered as ``text``) as an int expression.
+
+        An int literal folds; a local the type pass proved an int is
+        used as is.  Any other value is converted once, by
+        ``convert(text)`` into a temp emitted here at its first integer
+        use — exactly where ``semantics`` converts it, so ``int(nan)``
+        and ``int(inf)`` raise where the interpreter raises — and the
+        temp serves every later use until the local is reassigned.
+        """
+        if isinstance(op, int):
+            value = int(op)
+            return repr(value) if value >= 0 else f"({value!r})"
+        if text in self.ints:
+            return text
+        t = self.conv.get(text)
+        if t is None:
+            t = self.conv[text] = self.fresh()
+            self.emit(f"{t} = {convert}({text})")
+        return t
+
+    def is_int(self, op, text: str) -> bool:
+        """Whether the operand is known to hold a Python ``int``."""
+        return type(op) is int or text in self.ints
+
+    def int_fields(self, a, b, ta: str, tb: str) -> Dict[str, str]:
+        """Integer template fields for operands ``a``/``b`` rendered as
+        ``ta``/``tb``, converting ``a`` before ``b`` as ``semantics``
+        does.
+
+        ``same`` is ``(int(a) < 0) == (int(b) < 0)``; against an int
+        literal it reduces to one sign test of the other operand, or to
+        a constant.
+        """
+        ai, bi = self.as_int(a, ta), self.as_int(b, tb)
+        lit_a, lit_b = isinstance(a, int), isinstance(b, int)
+        if lit_a and lit_b:
+            same = repr((int(a) < 0) == (int(b) < 0))
+        elif lit_a or lit_b:
+            var, negative = (bi, int(a) < 0) if lit_a else (ai, int(b) < 0)
+            same = f"({var} < 0)" if negative else f"({var} >= 0)"
+        else:
+            same = f"(({ai} < 0) == ({bi} < 0))"
+        return {"a": ta, "b": tb, "ai": ai, "bi": bi, "same": same}
+
+    def write(self, name: str, expr: str, int_valued: bool = False) -> None:
+        """Store ``expr`` in variable ``name``; ``int_valued`` when the
+        type pass proved the value a Python ``int``."""
         where = self.loc[name]
         if where[0] == "r":
+            local = self.local(where[1])
             self.writes.add(where[1])
             if not self.stepping_mode:
                 self.defined.add(where[1])
-            self.emit(f"{self.local(where[1])} = {expr}")
+            self.emit(f"{local} = {expr}")
+            # Never rebind a register local to its ``int()``: region
+            # exit writes the local back, and the interpreter leaves
+            # the unconverted value in ``thread.regs``.
+            self.conv.pop(local, None)
+            if int_valued:
+                self.ints.add(local)
+            else:
+                self.ints.discard(local)
             return
         t = self.fresh()
         self.emit(f"{t} = {expr}")
@@ -397,7 +497,9 @@ class _RegionBuilder:
         chunk's exit (branch, call, return, or before a syscall).
 
         The closed form charges the chunk's static costs in chains
-        between state updates.  The stepping variant checks the budget
+        between state updates, and its type pass drops ``int()`` on
+        values it proved ints and converts any other value once (see
+        ``as_int``).  The stepping variant checks the budget
         and charges each instruction in its own statements, exactly
         like ``_interp_slice``, and guards each instruction but the
         exit with the entry index ``_at``, so one compiled chunk serves
@@ -413,8 +515,11 @@ class _RegionBuilder:
         instrs = mf.fn.blocks[block].instrs
         end = _chunk_end(instrs, start)
         emit, read, write = self.emit, self.read, self.write
+        as_int, is_int = self.as_int, self.is_int
         pend_c, pend_i = self.pend_c, self.pend_i
         self.defined.clear()
+        self.ints.clear()
+        self.conv.clear()
 
         if not stepping:
             # Budget gate: the whole chunk runs in closed form or its
@@ -437,6 +542,9 @@ class _RegionBuilder:
             n = k - start + (cls is not Syscall)
             left = "budget" if stepping else f"budget - {n}"
             if stepping:
+                # Entered at any ``_at``: no fact outlives its guard.
+                self.ints.clear()
+                self.conv.clear()
                 self.depth = 0
                 if k < end:
                     emit(f"if _at <= {k}:")
@@ -461,39 +569,56 @@ class _RegionBuilder:
             pend_c.append(repr(cyc[k]))
 
             if cls is BinOp:
+                op, a, b = instr.op, instr.a, instr.b
                 table = _FLOAT_EXPR if instr.vt.is_float else _INT_EXPR
-                fields = _int_fields(
-                    instr.a, instr.b, read(instr.a), read(instr.b)
-                )
-                write(instr.dst, table[instr.op].format(**fields))
-                pend_i.append("1")
+                template = table[op]
+                ta, tb = read(a), read(b)
+                if op in _INT_RESULT:
+                    result_int = True
+                elif op in _INT_IF_INTS:
+                    result_int = is_int(a, ta) and is_int(b, tb)
+                else:  # div, mod
+                    result_int = table is _INT_EXPR
+                if "{ai}" in template:
+                    fields = self.int_fields(a, b, ta, tb)
+                    if "{r}" in template:
+                        fields["r"] = self.fresh()
+                else:
+                    fields = {"a": ta, "b": tb}
+                write(instr.dst, template.format(**fields), result_int)
+                pend_i.append(1)
             elif cls is Load:
-                a = _as_int(instr.addr, read(instr.addr))
+                a = as_int(instr.addr, read(instr.addr))
                 t = self.fresh()
                 emit(f"{t} = {a} + {instr.offset}")
                 emit(f"if ({t} >> 12) not in _c1:")
                 emit(f"    extra = extra + _dc(thread, {t}, False)")
                 write(instr.dst, f"_mg({t}, 0)")
-                pend_i.append("1")
+                pend_i.append(1)
             elif cls is Store:
-                a = _as_int(instr.addr, read(instr.addr))
+                a = as_int(instr.addr, read(instr.addr))
                 t = self.fresh()
                 emit(f"{t} = {a} + {instr.offset}")
                 emit(f"if ({t} >> 12) not in _c2:")
                 emit(f"    extra = extra + _dc(thread, {t}, True)")
                 s = read(instr.src)
                 emit(f"mem[{t}] = {s}")
-                pend_i.append("1")
+                pend_i.append(1)
             elif cls is Const:
-                write(instr.dst, repr(instr.value))
-                pend_i.append("1")
+                write(instr.dst, repr(instr.value), type(instr.value) is int)
+                pend_i.append(1)
             elif cls is UnOp:
+                op = instr.op
                 a = read(instr.a)
-                write(
-                    instr.dst,
-                    _UNOP_EXPR[instr.op].format(a=a, ai=_as_int(instr.a, a)),
+                template = _UNOP_EXPR[op]
+                result_int = op == "not" or op == "f2i" or (
+                    op in _UNOP_INT_IF_INT and is_int(instr.a, a)
                 )
-                pend_i.append("1")
+                # ``_f2i`` raises the interpreter's ExecutionError where
+                # ``apply_unop`` cannot convert.
+                ai = as_int(instr.a, a, "_f2i") if "{ai}" in template else ""
+                write(instr.dst, template.format(a=a, ai=ai), result_int)
+                pend_i.append(1)
             elif cls is Work:
                 am = read(instr.amount)
                 wcls = InstrClass(instr.kind)
@@ -505,10 +630,11 @@ class _RegionBuilder:
                 self.flush()
                 emit(f"cycles = cycles + {t} * {cpi!r}")
                 emit(f"instret = instret + {t}")
+                self.guard()
                 if self.validating:
                     emit(f"dyn.append({am})")
                 if instr.pages is not None:
-                    p = _as_int(instr.pages, read(instr.pages))
+                    p = as_int(instr.pages, read(instr.pages))
                     iname = self.intern(instr)
                     emit(
                         f"extra = extra + self._touch_range"
@@ -516,7 +642,7 @@ class _RegionBuilder:
                     )
             elif cls is CBr:
                 c = read(instr.cond)
-                pend_i.append("2")
+                pend_i.append(2)
                 self.flush()
                 if not stepping:
                     emit(f"budget = budget - {n}")
@@ -524,13 +650,13 @@ class _RegionBuilder:
                 self.jump(instr.if_true, 1)
                 self.jump(instr.if_false, 0)
             elif cls is Br:
-                pend_i.append("1")
+                pend_i.append(1)
                 self.flush()
                 if not stepping:
                     emit(f"budget = budget - {n}")
                 self.jump(instr.target, 0)
             elif cls is MigPoint:
-                pend_i.append("5")
+                pend_i.append(5)
                 self.flush()
                 t = self.fresh()
                 emit(f"{t} = _rt(_tid)")
@@ -564,7 +690,7 @@ class _RegionBuilder:
                 pend_c.append(
                     repr(epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0))
                 )
-                pend_i.append(str(3 + epilogue))
+                pend_i.append(3 + epilogue)
                 self.flush()
                 emit(f"_rv = (4, {v}, 0, {left}, cycles, instret, extra)")
                 emit("break")
@@ -575,13 +701,13 @@ class _RegionBuilder:
                     f"(thread, _mf, frame, {instr.symbol!r})"
                 )
                 write(instr.dst, t)
-                pend_i.append("1")
+                pend_i.append(1)
             elif cls is StackAlloc:
                 depth = mf.frame.buffer_depths[instr.name][0]
                 write(instr.dst, f"cfa - {depth}")
-                pend_i.append("1")
+                pend_i.append(1)
             elif cls is InlineAsm:
-                pend_i.append(str(instr.instr_estimate))
+                pend_i.append(instr.instr_estimate)
             else:  # pragma: no cover
                 raise ExecutionError(
                     f"fast-forward: unknown instruction {cls.__name__}"
@@ -727,7 +853,7 @@ class FastExecutionEngine(ExecutionEngine):
                 code = self._function_code(mf, cpu)
                 block, idx = thread.pc
                 cycles += cpu.cycles_for(mf.prologue_counts)
-                instret += sum(mf.prologue_counts.values())
+                instret += mf.prologue_instret
             elif kind == _RET:
                 done = self._pop_frame(thread, a, mem, cpu)
                 if done:

@@ -1,8 +1,11 @@
 """Fast-forward engine tests: fast/exact equivalence over the workload
 registry (fault-free and under seeded message faults) and at slice
-budgets that end a slice at every instruction offset, the bound on
-compiled code per function, the ``REPRO_VALIDATE=1`` cross-validator,
-and the three hot-path accounting fixes that landed with the fast path
+budgets that end a slice at every instruction offset, the oracles for
+typed chunk code (floats in integer registers, values ``int()`` cannot
+convert, the ``instret`` fold on a fractional accumulator), the bound
+on compiled code per function, the ``REPRO_VALIDATE=1``
+cross-validator, the prologue's left-to-right ``instret`` total, and
+the three hot-path accounting fixes that landed with the fast path
 (barrier wake vtime, per-thread cache eviction, IO scoping to the DSM
 transfer path).
 """
@@ -19,7 +22,7 @@ from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import make_xeon_e5_1650v2, make_xgene1
-from repro.runtime.execution import EngineHooks, make_engine
+from repro.runtime.execution import EngineHooks, ExecutionError, make_engine
 from repro.runtime.fastforward import FastForwardDivergence
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRng
@@ -49,10 +52,12 @@ def _facts(system, process, engine):
     Output, exit code, per-thread virtual time / instruction counts,
     per-machine lifetime counters and clocks, DSM statistics and the
     engine's slice count: if the fast engine is bit-identical to the
-    interpreter, all of these match exactly — no tolerances.
+    interpreter, all of these match exactly — no tolerances.  Output
+    values compare by ``repr``: ``3 == 3.0``, and a value that turned
+    from an int into an equal float is a divergence.
     """
     return (
-        tuple(process.output),
+        tuple(repr(v) for v in process.output),
         process.exit_code,
         tuple(
             sorted(
@@ -148,10 +153,105 @@ class TestFastMatchesExact:
         fast, _, _, _ = _run(module, "fast")
         assert fast == exact
 
+    @pytest.mark.parametrize("batch", [44, 256])
+    def test_validating_mode_matches_fractional_instret(
+        self, monkeypatch, batch
+    ):
+        """Folding the 37 int terms after each ``Work`` burst onto the
+        burst's fractional ``instret`` would round differently.  The
+        facts absorb that error, so only the validator's term-by-term
+        replay sees it; at a budget of 44 slices start at the chunk."""
+        module = _fractional_instret_module()
+        monkeypatch.setenv("REPRO_VALIDATE", "0")
+        exact, _, _, _ = _run(module, "exact", batch=batch)
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        fast, _, _, _ = _run(module, "fast", batch=batch)
+        assert fast == exact
+
+
+def _fractional_instret_module(iterations: int = 40) -> Module:
+    """A loop whose chunk adds a fractional ``Work`` burst to ``instret``
+    and then 36 dependent integer adds and a branch, 37 int terms."""
+    m = Module("fractional-instret")
+    kernel = m.function("kernel", [], VT.I64)
+    fb = FunctionBuilder(kernel)
+    acc = fb.local("acc", VT.I64, init=0)
+    with fb.for_range("i", 0, iterations) as i:
+        fb.work(0.01807263799239375, "fp_alu")
+        for _ in range(36):
+            fb.binop_into(acc, "add", acc, i, VT.I64)
+    fb.ret(acc)
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("print", [fb.call("kernel", [], VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
 
 # ------------------------------------- fast == exact, at every offset
 
+
+def _float_i64_module(iterations: int = 24) -> Module:
+    """Floats in I64 registers reach every operator that converts with
+    ``int()``: div, mod (both operand signs), and/or/xor/shl/shr,
+    ``not``, and a ``Store``/``Load`` address.  They arrive as a float
+    argument, a float constant, and a float stored and loaded back.
+    ``v`` is reassigned between two integer uses in one chunk, so a
+    conversion reused past its local's assignment changes the output.
+    The type pass tracks register locals only, and the allocator gives
+    registers in order of first appearance: hence ``v``, ``y`` and
+    ``back`` come first.
+    """
+    m = Module("float-i64")
+    mix = m.function("mix", [("x", VT.I64)], VT.I64)
+    fb = FunctionBuilder(mix)
+    v = fb.local("v", VT.I64, init=0.25)
+    acc = fb.local("acc", VT.I64, init=2.5)
+    h = fb.local("h", VT.I64, init=0)
+    buf = fb.stack_alloc(64)
+
+    def mix_in(term):
+        fb.binop_into(h, "xor", h, term, VT.I64)
+
+    with fb.for_range("i", 0, iterations) as i:
+        # 20.25 down to -20.0 in steps of 1.75: both signs.
+        y = fb.binop("sub", "x", fb.binop("mul", i, 1.75, VT.I64), VT.I64)
+        fb.store(fb.binop("add", buf, 8.75, VT.I64), 0, y, VT.I64)
+        back = fb.load(fb.binop("add", buf, 8.5, VT.I64), 0, VT.I64)
+        mix_in(fb.binop("and", back, 0x7F, VT.I64))
+        fb.binop_into(acc, "add", acc, back, VT.I64)
+        fb.binop_into(v, "add", v, y, VT.I64)
+        a1 = fb.binop("and", v, 0xFFFF, VT.I64)
+        fb.binop_into(v, "mul", v, -0.5, VT.I64)
+        mix_in(fb.binop("xor", v, a1, VT.I64))
+        w = fb.binop("add", y, 64.5, VT.I64)
+        mix_in(fb.binop("div", y, 3, VT.I64))
+        mix_in(fb.binop("mod", y, 4, VT.I64))
+        mix_in(fb.binop("mod", y, -5, VT.I64))
+        mix_in(fb.binop("div", -1000, w, VT.I64))
+        mix_in(fb.binop("mod", acc, w, VT.I64))
+        b = fb.binop("and", y, 0xFF, VT.I64)
+        b = fb.binop("or", b, y, VT.I64)
+        b = fb.binop("xor", b, acc, VT.I64)
+        b = fb.binop("shl", b, 3, VT.I64)
+        mix_in(fb.binop("shr", b, 1, VT.I64))
+        mix_in(fb.unop("not", y, VT.I64))
+    fb.syscall("print", [acc])
+    fb.syscall("print", [v])
+    fb.ret(h)
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("print", [fb.call("mix", [20.25], VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
 _SLICE_PROGRAMS = {
+    "float_i64": _float_i64_module,
     "simple_sum": simple_sum_module,
     "call_chain": call_chain_module,
     "stack_pointer": stack_pointer_module,
@@ -206,6 +306,62 @@ class TestSliceBoundaries:
                     assert len(compiled) <= 1 + _chunk_count(mf), mf.name
                     stepped += len(code.steps)
         assert stepped > 0
+
+
+# ------------------------------------------- values int() cannot convert
+
+
+def _nonfinite_module(op: str) -> Module:
+    """``op`` applied to an infinity or a NaN built at run time.
+
+    ``semantics`` converts only where an operator needs an int, so the
+    error (or its absence) must surface at the same instruction in both
+    engines: never earlier, at a load or at chunk entry.
+    """
+    m = Module(f"nonfinite-{op}")
+    kernel = m.function("kernel", [("x", VT.I64)], VT.I64)
+    fb = FunctionBuilder(kernel)
+    buf = fb.stack_alloc(16)
+    inf = fb.binop("mul", "x", 10.0, VT.I64)
+    nan = fb.binop("sub", inf, inf, VT.I64)
+    fb.store(buf, 0, nan, VT.I64)
+    back = fb.load(buf, 0, VT.I64)
+    if op == "not_nan":
+        fb.ret(fb.unop("not", back, VT.I64))
+    elif op == "and_nan":
+        fb.ret(fb.binop("and", back, 1, VT.I64))
+    elif op == "and_inf":
+        fb.ret(fb.binop("and", inf, 1, VT.I64))
+    else:  # no integer use: the NaN only moves and compares
+        fb.ret(fb.binop("ne", back, back, VT.I64))
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("print", [fb.call("kernel", [1e308], VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+class TestConversionErrors:
+    @pytest.mark.parametrize("kind", ["exact", "fast"])
+    @pytest.mark.parametrize(
+        "op, error",
+        [
+            ("not_nan", ExecutionError),
+            ("and_nan", ValueError),
+            ("and_inf", OverflowError),
+        ],
+    )
+    def test_same_error_in_both_engines(self, op, error, kind):
+        with pytest.raises(error):
+            _run(_nonfinite_module(op), kind)
+
+    def test_no_integer_use_no_error(self):
+        exact, _, process, _ = _run(_nonfinite_module("none"), "exact")
+        fast, _, _, _ = _run(_nonfinite_module("none"), "fast")
+        assert fast == exact
+        assert process.output == [1]
 
 
 # ------------------------------------------ fast == exact, under faults
@@ -308,6 +464,21 @@ class TestCrossValidation:
         engine = make_engine(system, process, engine="fast")
         engine.run()
         assert _facts(system, process, engine) != clean
+
+
+# ------------------------------------------------ prologue instret
+
+
+class TestPrologueInstret:
+    def test_left_to_right_total(self):
+        """Both engines add ``prologue_instret`` at every call.  It is
+        the left-to-right total on every Python: builtin ``sum()`` of
+        these three floats gives 9.7 from CPython 3.12 on."""
+        module = build_workload("bzip2smp", GOLDEN_CLASS, 1, GOLDEN_SCALE)
+        binary = Toolchain().build(module)
+        mf = binary.machine_function("x86_64", "compress_block")
+        assert list(mf.prologue_counts.values()) == [7.0, 1.8, 0.9]
+        assert repr(mf.prologue_instret) == "9.700000000000001"
 
 
 # -------------------------------------------- S1: barrier wake vtime
