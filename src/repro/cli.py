@@ -763,22 +763,22 @@ def cmd_serve(args) -> int:
     }[args.traffic]
     slo_s = DEFAULT_SLO_S if args.slo_ms is None else args.slo_ms / 1e3
     tracer = Tracer()
-    faults = None
-    if args.faults:
-        from repro.faults import FaultSchedule, NodeCrash
-
-        crash_at, repair = _crash_times(args, args.horizon)
-        faults = FaultSchedule([
-            NodeCrash(
-                time=crash_at, node=_machine_name(args.crash),
-                permanent=args.permanent, repair_seconds=repair,
-            )
-        ])
     try:
         trace = make_trace(
             args.traffic, DeterministicRng(args.seed),
             requests=args.requests, horizon_s=args.horizon, **shape_kwargs,
         )
+        faults = None
+        if args.faults:
+            from repro.faults import FaultSchedule, NodeCrash
+
+            crash_at, repair = _crash_times(args, args.horizon)
+            faults = FaultSchedule([
+                NodeCrash(
+                    time=crash_at, node=_machine_name(args.crash),
+                    permanent=args.permanent, repair_seconds=repair,
+                )
+            ])
         engine = ServingEngine(
             make_serving_policy(args.policy), trace,
             workload=args.workload, cls=args.cls, slo_s=slo_s, tracer=tracer,

@@ -54,7 +54,7 @@ from repro.fleet.waves import WavePolicy, WaveReport, plan_counts
 from repro.serving.traffic import ArrivalTrace
 from repro.sim.events import Simulator
 from repro.sim.rng import DeterministicRng
-from repro.telemetry.metrics import percentiles
+from repro.telemetry.metrics import quantile
 
 #: Default service population mix: the serving-adjacent benchmarks.
 DEFAULT_SERVICE_MIX: Tuple[JobSpec, ...] = (
@@ -634,7 +634,16 @@ class FleetSimulator:
             template = self.templates[node.isa]
             energy_by_isa[node.isa] += template.energy_joules(uptime, busy)
             busy_by_isa[node.isa] += busy
-        p50, p99, p999 = percentiles(self._latencies)
+        # The run owns its latency list: sort it in place rather than
+        # have percentiles() copy it (8 bytes a job at the peak).
+        latencies = self._latencies
+        latencies.sort()
+        if latencies:
+            p50, p99, p999 = (
+                quantile(latencies, q) for q in (0.5, 0.99, 0.999)
+            )
+        else:
+            p50 = p99 = p999 = 0.0
         offered = c["offered"]
         return FleetRunResult(
             makespan=self._makespan,

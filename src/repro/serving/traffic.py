@@ -1,7 +1,8 @@
 """Deterministic open-loop arrival traces for the serving subsystem.
 
-A trace is a fixed, sorted tuple of request arrival times drawn from a
-named *shape* — the time-varying intensity profiles real KV fleets see:
+A trace is a fixed, sorted sequence of request arrival times drawn from
+a named *shape* — the time-varying intensity profiles real KV fleets
+see:
 
 * ``steady`` — homogeneous Poisson traffic (constant intensity);
 * ``diurnal`` — a sinusoid-modulated day/night cycle (troughs are when
@@ -16,14 +17,25 @@ of its cumulative intensity: one sorted batch of uniforms from a named
 shape only redistributes *when* the requests land) and the same seed
 reproduces the trace bit-for-bit.
 
+A trace stores its times as packed, read-only doubles (8 bytes per
+arrival, not the 32 of a tuple of floats), so the fleet's million-job
+day costs 8 MiB of trace.  Consumers use sequence operations only:
+``len``, indexing, slicing, iteration and :mod:`bisect`.  Each shape
+sorts one list of uniforms in place and streams its transform into the
+packed buffer, so no second list of floats is ever alive, and
+:meth:`ArrivalTrace.checksum` hashes the formatted times a chunk at a
+time instead of building one payload string.
+
 Traces compose with the batch layer: :func:`to_job_arrivals` subsamples
 a trace into ``(time, JobSpec)`` pairs drawn from the existing
 ``datacenter.arrivals`` job mixes, so any traffic shape can also drive
 ``ClusterSimulator.run_periodic`` as background batch load.
 """
 
+import bisect
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -32,13 +44,38 @@ from repro.datacenter.job import JobSpec
 from repro.sim.rng import DeterministicRng
 
 
+#: Arrivals formatted per SHA-256 update by :meth:`ArrivalTrace.checksum`.
+CHECKSUM_CHUNK = 4096
+
+
+def _check_horizon(horizon_s: float) -> None:
+    """Reject a horizon no trace can have: NaN passes ``<= 0``, and an
+    infinite one never ends a wave schedule."""
+    if not (math.isfinite(horizon_s) and horizon_s > 0):
+        raise ValueError(
+            f"horizon_s must be positive and finite, got {horizon_s}"
+        )
+
+
 @dataclass(frozen=True)
 class ArrivalTrace:
-    """One open-loop request trace: sorted arrival times over a horizon."""
+    """One open-loop request trace: sorted arrival times over a horizon.
+
+    ``times`` may be any iterable of floats; the trace keeps them as a
+    read-only ``memoryview`` of packed doubles.  It compares equal to a
+    trace of the same values, and it is not hashable.
+    """
 
     shape: str
     horizon_s: float
-    times: Tuple[float, ...]
+    times: Sequence[float]
+
+    def __post_init__(self) -> None:
+        # Every trace passes here, generated or built by hand, before
+        # anything loops on its horizon.
+        _check_horizon(self.horizon_s)
+        packed = memoryview(array("d", self.times)).toreadonly()
+        object.__setattr__(self, "times", packed)
 
     @property
     def requests(self) -> int:
@@ -47,18 +84,27 @@ class ArrivalTrace:
 
     def mean_rate(self) -> float:
         """Average arrival rate over the horizon (requests/second)."""
-        return self.requests / self.horizon_s if self.horizon_s > 0 else 0.0
+        return self.requests / self.horizon_s
 
     def checksum(self) -> str:
-        """A content digest of the trace (determinism tests, baselines)."""
-        payload = ",".join(f"{t:.9f}" for t in self.times)
-        digest = hashlib.sha256(f"{self.shape}:{payload}".encode())
+        """A content digest of the trace (determinism tests, baselines).
+
+        It hashes ``shape:`` and then the times with nine decimals,
+        joined by commas, fed :data:`CHECKSUM_CHUNK` times at a time:
+        the same bytes and digest as hashing one payload string, without
+        holding every formatted time at once.
+        """
+        digest = hashlib.sha256(f"{self.shape}:".encode())
+        times = self.times
+        for start in range(0, len(times), CHECKSUM_CHUNK):
+            if start:
+                digest.update(b",")
+            chunk = times[start:start + CHECKSUM_CHUNK]
+            digest.update(",".join([f"{t:.9f}" for t in chunk]).encode())
         return digest.hexdigest()[:16]
 
     def arrivals_between(self, t0: float, t1: float) -> int:
         """How many requests arrived in ``[t0, t1)`` (rate estimation)."""
-        import bisect
-
         return bisect.bisect_left(self.times, t1) - bisect.bisect_left(
             self.times, t0
         )
@@ -69,13 +115,14 @@ def _check_shape(requests: int, horizon_s: float) -> None:
     be non-negative and sorted."""
     if requests < 0:
         raise ValueError(f"requests must be >= 0, got {requests}")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    _check_horizon(horizon_s)
 
 
 def _sorted_uniforms(rng: DeterministicRng, count: int, stream: str) -> List[float]:
-    draw = rng.stream(stream)
-    return sorted(draw.random() for _ in range(count))
+    draw = rng.stream(stream).random
+    uniforms = [draw() for _ in range(count)]
+    uniforms.sort()
+    return uniforms
 
 
 def _invert_monotone(
@@ -107,7 +154,7 @@ def steady(
     statistics of uniforms — which is exactly what we draw.
     """
     _check_shape(requests, horizon_s)
-    times = tuple(u * horizon_s for u in _sorted_uniforms(rng, requests, stream))
+    times = (u * horizon_s for u in _sorted_uniforms(rng, requests, stream))
     return ArrivalTrace("steady", horizon_s, times)
 
 
@@ -136,7 +183,7 @@ def diurnal(
         return t + (amp / omega) * (math.cos(phase) - math.cos(omega * t + phase))
 
     total = cumulative(horizon_s)
-    times = tuple(
+    times = (
         _invert_monotone(cumulative, u * total, horizon_s)
         for u in _sorted_uniforms(rng, requests, stream)
     )
@@ -177,7 +224,7 @@ def flash_crowd(
             return start + (target - at_start) / surge_multiplier
         return start + duration + (target - at_end)
 
-    times = tuple(
+    times = (
         invert(u * total) for u in _sorted_uniforms(rng, requests, stream)
     )
     return ArrivalTrace("flash-crowd", horizon_s, times)

@@ -1,5 +1,7 @@
 """Shared program builders and run helpers for the test suite."""
 
+import gc
+import tracemalloc
 from typing import List, Optional, Tuple
 
 from repro.compiler import Toolchain
@@ -174,3 +176,17 @@ def run_to_completion(
     engine = ExecutionEngine(system, process, hooks, batch=batch)
     engine.run()
     return process.output, process.exit_code, system
+
+
+def traced_memory(fn):
+    """``(result, retained bytes, peak bytes)`` of ``fn()`` under
+    tracemalloc, both counted from the call's start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - base, peak - base

@@ -125,6 +125,9 @@ class TestCommands:
         ["fleet", "--slo-factor", "0"],
         ["fleet", "--regression-threshold", "-1"],
         ["fleet", "--crash", "1", "--crash-at", "inf"],
+        ["serve", "redis", "--horizon", "nan", "--requests", "50"],
+        ["serve", "redis", "--faults", "--horizon", "nan"],
+        ["fleet", "--jobs", "100", "--horizon", "nan"],
     ])
     def test_bad_traffic_or_slo_exit_2(self, argv, capsys):
         assert main(argv) == 2

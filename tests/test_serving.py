@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -43,11 +44,12 @@ from repro.serving import (
     to_job_arrivals,
 )
 from repro.serving.engine import DECISION_PERIOD_S, DSM_WARMUP_REQUESTS
+from repro.serving.traffic import CHECKSUM_CHUNK
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.metrics import SampleHistogram, percentiles, quantile
 from repro.telemetry.spans import Tracer, check_causality
 
-from tests.helpers import ARM, X86
+from tests.helpers import ARM, X86, traced_memory
 
 MACHINE_ISAS = {ARM: "arm64", X86: "x86_64"}
 #: Rough measured per-request service times (redis.A, seconds).
@@ -148,14 +150,76 @@ class TestTrafficShapes:
     @pytest.mark.parametrize("shape", sorted(TRAFFIC_SHAPES))
     @pytest.mark.parametrize("kwargs", [
         {"requests": -5}, {"horizon_s": 0.0}, {"horizon_s": -1.0},
+        {"horizon_s": math.nan}, {"horizon_s": math.inf},
+        {"horizon_s": -math.inf},
     ])
     def test_bad_count_or_horizon_rejected(self, shape, kwargs):
         with pytest.raises(ValueError):
             make_trace(shape, DeterministicRng(1), **kwargs)
 
+    @pytest.mark.parametrize("horizon_s", [math.nan, math.inf, 0.0])
+    def test_hand_built_trace_needs_finite_horizon(self, horizon_s):
+        """Nothing downstream (a fleet's wave schedule) can loop on it."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            ArrivalTrace("steady", horizon_s, ())
+
     @pytest.mark.parametrize("shape", sorted(TRAFFIC_SHAPES))
     def test_empty_trace_allowed(self, shape):
-        assert make_trace(shape, DeterministicRng(1), requests=0).times == ()
+        trace = make_trace(shape, DeterministicRng(1), requests=0)
+        assert len(trace.times) == 0
+
+
+def _one_shot_checksum(trace):
+    """The checksum as one payload string, the way it was first written."""
+    payload = ",".join(f"{t:.9f}" for t in trace.times)
+    return hashlib.sha256(f"{trace.shape}:{payload}".encode()).hexdigest()[:16]
+
+
+class TestStreamedChecksum:
+    @pytest.mark.parametrize("shape", sorted(TRAFFIC_SHAPES))
+    @pytest.mark.parametrize("requests", [
+        0, 1, CHECKSUM_CHUNK - 1, CHECKSUM_CHUNK, CHECKSUM_CHUNK + 1,
+        3 * CHECKSUM_CHUNK + 17,
+    ])
+    def test_matches_one_payload(self, shape, requests):
+        """No extra comma at a chunk boundary or after the last chunk;
+        an empty trace hashes ``shape:`` alone."""
+        trace = make_trace(shape, DeterministicRng(5), requests=requests)
+        assert trace.checksum() == _one_shot_checksum(trace)
+
+
+class TestTraceMemory:
+    """Bytes a trace costs, at 200k steady arrivals.  Packed doubles
+    hold 8 bytes an arrival (a tuple of floats holds 32), each shape
+    sorts one list of uniforms in place, and the checksum formats one
+    chunk of times at a time."""
+
+    N = 200_000
+
+    def test_make_trace_retains_packed_doubles(self):
+        """A tuple of floats retained 32.0 B/arrival; packed doubles
+        retain 8.5."""
+        _, retained, _ = traced_memory(
+            lambda: make_trace("steady", DeterministicRng(1), requests=self.N)
+        )
+        assert retained / self.N <= 10.0
+
+    def test_make_trace_peak(self):
+        """Building a tuple while ``sorted()``'s list was alive peaked
+        at 65.2 B/arrival; streaming the products from the sorted list
+        into the packed buffer peaks at 40.6 (the list plus the
+        doubles)."""
+        _, _, peak = traced_memory(
+            lambda: make_trace("steady", DeterministicRng(1), requests=self.N)
+        )
+        assert peak / self.N <= 48.0
+
+    def test_checksum_streams(self):
+        """One payload string took 15.5 MiB transiently; a chunk at a
+        time takes 0.3 MiB."""
+        trace = make_trace("steady", DeterministicRng(1), requests=self.N)
+        _, _, peak = traced_memory(trace.checksum)
+        assert peak <= 1 << 20
 
 
 class TestJobArrivalComposition:
