@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.render import Table
+from repro.sim.numeric import ordered_sum
 
 #: Phase-child names that count as kernel hand-off time.
 _HANDOFF_CHILDREN = (
@@ -90,12 +91,12 @@ def migration_critical_path(spans) -> List[MigrationSegments]:
 
 def total_transform_s(segments: List[MigrationSegments]) -> float:
     """Summed stack-transformation seconds across migrations."""
-    return sum(s.transform_s for s in segments)
+    return ordered_sum(s.transform_s for s in segments)
 
 
 def total_handoff_s(segments: List[MigrationSegments]) -> float:
     """Summed kernel hand-off seconds across migrations."""
-    return sum(s.handoff_s for s in segments)
+    return ordered_sum(s.handoff_s for s in segments)
 
 
 def render_critical_path(segments: List[MigrationSegments]) -> str:
@@ -127,9 +128,9 @@ def render_critical_path(segments: List[MigrationSegments]) -> str:
             "",
             f"{total_transform_s(segments) * 1e6:.1f}",
             f"{total_handoff_s(segments) * 1e6:.1f}",
-            f"{sum(s.total_s for s in segments) * 1e6:.1f}",
-            f"{sum(s.dsm_tail_s for s in segments) * 1e6:.1f}",
-            sum(s.dsm_tail_pages for s in segments),
+            f"{ordered_sum(s.total_s for s in segments) * 1e6:.1f}",
+            f"{ordered_sum(s.dsm_tail_s for s in segments) * 1e6:.1f}",
+            ordered_sum(s.dsm_tail_pages for s in segments),
             "",
         )
     return table.render()

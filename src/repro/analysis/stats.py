@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.sim.numeric import ordered_mean
 from repro.telemetry.metrics import quantile as _quantile
 
 
@@ -41,8 +42,4 @@ def geomean(values: Sequence[float]) -> float:
     data = [v for v in values if v > 0]
     if not data:
         return 0.0
-    return math.exp(sum(math.log(v) for v in data) / len(data))
-
-
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return math.exp(ordered_mean([math.log(v) for v in data]))

@@ -29,6 +29,7 @@ from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType
 from repro.linker.alignment import align_symbols
 from repro.linker.tls import build_tls_layout
+from repro.sim.numeric import ordered_sum
 
 WORD = 8
 
@@ -643,13 +644,13 @@ def _check_function_coverage(
         points = [
             i for i, mi in enumerate(instrs) if isinstance(mi.ir, MigPoint)
         ]
-        total[label] = sum(costs)
+        total[label] = ordered_sum(costs)
         has_point[label] = bool(points)
         has_work[label] = any(isinstance(mi.ir, Work) for mi in instrs)
         unbounded_work[label] = any(math.isinf(c) for c in costs)
         if points:
-            prefix[label] = sum(costs[: points[0]])
-            suffix[label] = sum(costs[points[-1] + 1:])
+            prefix[label] = ordered_sum(costs[: points[0]])
+            suffix[label] = ordered_sum(costs[points[-1] + 1:])
         else:
             prefix[label] = suffix[label] = total[label]
 
@@ -728,7 +729,7 @@ def _check_cycles(
                 continue
         if any(has_point[label] for label in members):
             continue
-        iteration_cost = sum(total[label] for label in members)
+        iteration_cost = ordered_sum(total[label] for label in members)
         looped_work = any(has_work[label] for label in members)
         where = ",".join(sorted(members))
         if any(unbounded_work[label] for label in members):

@@ -58,8 +58,8 @@ from repro.ir.instructions import (
     UnOp,
     Work,
 )
+from repro.linker.layout import PAGE_SIZE
 
-PAGE_SIZE = 4096
 INF = math.inf
 
 # Taint tokens: the string "tid" marks a value derived from the

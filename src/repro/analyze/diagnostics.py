@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.sim.numeric import ordered_sum
+
 
 class Severity(enum.Enum):
     """How bad a diagnostic is.
@@ -174,7 +176,7 @@ class LintReport:
         return {sev.value: counts.get(sev.value, 0) for sev in Severity}
 
     def total_checks(self) -> int:
-        return sum(self.pass_checks.values())
+        return ordered_sum(self.pass_checks.values())
 
     def apply_baseline(self, baseline) -> None:
         """Move baseline-suppressed diagnostics out of the active list."""

@@ -28,13 +28,9 @@ a RACE or SHR finding.
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analyze.concurrency import (
-    PAGE_SIZE,
-    Conflict,
-    Region,
-    get_model,
-)
+from repro.analyze.concurrency import Conflict, Region, get_model
 from repro.analyze.diagnostics import Severity
+from repro.linker.layout import PAGE_SIZE
 
 PASS_NAME = "sharing"
 

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
+from repro.sim.numeric import ordered_sum
 
 
 def _add_workload_args(parser, with_threads=True):
@@ -860,7 +861,7 @@ def cmd_chaos(args) -> int:
     for report in reports:
         print(report.render(verbose=args.verbose))
         violations += len(report.violations)
-    total = sum(len(r.cases) for r in reports)
+    total = ordered_sum(len(r.cases) for r in reports)
     plane = "serving chaos" if args.serving else "chaos"
     print(f"{plane} total: {total} armed runs, {violations} violations")
     return 1 if violations else 0
@@ -888,6 +889,10 @@ def cmd_fleet(args) -> int:
         nested = NestedNodeSampler()
     rng = DeterministicRng(args.seed)
     try:
+        # First: it checks the horizon that the crash time derives from.
+        trace = make_trace(
+            args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
+        )
         faults = None
         if args.crash is not None:
             from repro.faults import FaultSchedule, NodeCrash
@@ -918,9 +923,6 @@ def cmd_fleet(args) -> int:
         )
         # Inside the try: it rejects fault schedules naming unknown nodes.
         sim = FleetSimulator(config, policy, rng, faults=faults, nested=nested)
-        trace = make_trace(
-            args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
-        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

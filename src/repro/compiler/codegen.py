@@ -39,6 +39,7 @@ from repro.ir.instructions import (
     Work,
 )
 from repro.isa.isa import InstrClass, Isa
+from repro.sim.numeric import ordered_sum
 
 # Average static machine instructions a `work` burst loop compiles to,
 # regardless of its dynamic trip count.
@@ -59,7 +60,7 @@ class MachineInstr:
 
     @property
     def total(self) -> float:
-        return sum(self.counts.values())
+        return ordered_sum(self.counts.values())
 
 
 @dataclass
@@ -76,9 +77,9 @@ class MachineFunction:
     # site_id -> (block, index) of the site instruction, for resuming.
     site_positions: Dict[int, Tuple[str, int]]
     prologue_counts: Dict[InstrClass, float]
-    # Instructions the prologue retires, summed left to right: builtin
-    # sum() of floats is compensated from CPython 3.12 on, and both
-    # engines add this total to ``instret`` at every call.
+    # Instructions the prologue retires, the ``ordered_sum`` of
+    # ``prologue_counts``: both engines add it to ``instret`` at
+    # every call.
     prologue_instret: float
     code_size: int
     text_addr: int = 0  # assigned by the linker
@@ -266,9 +267,7 @@ def lower_function(fn: Function, isa: Isa) -> MachineFunction:
         },
         isa,
     )
-    prologue_instret = 0
-    for n in prologue.values():
-        prologue_instret += n
+    prologue_instret = ordered_sum(prologue.values())
 
     return MachineFunction(
         fn=fn,

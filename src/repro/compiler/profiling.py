@@ -11,6 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.sim.numeric import ordered_mean
+
 HISTOGRAM_DECADES = 11  # 10^0 .. 10^10, as in the figures
 
 
@@ -29,7 +31,7 @@ class GapProfile:
 
     def site_means(self) -> Dict[Tuple[str, int], float]:
         return {
-            site: sum(gaps) / len(gaps)
+            site: ordered_mean(gaps)
             for site, gaps in self.gaps_by_site.items()
             if gaps
         }

@@ -44,6 +44,7 @@ from repro.linker.layout import PAGE_SIZE
 from repro.machine.machine import Machine
 from repro.machine.mcpat import arm_finfet_power
 from repro.sim.events import Simulator
+from repro.sim.numeric import ordered_mean, ordered_sum
 from repro.telemetry.faultlog import FaultLog
 from repro.telemetry.metrics import percentiles
 
@@ -87,7 +88,7 @@ class MachineNode:
 
     @property
     def threads_in_use(self) -> int:
-        return sum(j.threads for j in self.jobs)
+        return ordered_sum(j.threads for j in self.jobs)
 
     @property
     def busy_cores(self) -> float:
@@ -868,9 +869,7 @@ class ClusterSimulator:
             p99_latency_s=p99,
             p999_latency_s=p999,
             policy=self.policy.name,
-            mean_response=(
-                sum(responses) / len(responses) if responses else 0.0
-            ),
+            mean_response=ordered_mean(responses),
             fault_events=self.fault_events,
             jobs_evacuated=self.jobs_evacuated,
             jobs_restarted=self.jobs_restarted,

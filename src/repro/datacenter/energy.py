@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.sim.numeric import ordered_mean, ordered_sum
+
 
 @dataclass
 class RunResult:
@@ -31,7 +33,7 @@ class RunResult:
 
     @property
     def total_energy(self) -> float:
-        return sum(self.energy_by_machine.values())
+        return ordered_sum(self.energy_by_machine.values())
 
     @property
     def edp(self) -> float:
@@ -117,15 +119,14 @@ def summarize_runs(
         ]
         ratios = [r.makespan_ratio_vs(b) for r, b in zip(runs, baselines)]
         edp_reds = [r.edp_reduction_vs(b) for r, b in zip(runs, baselines)]
-        n = len(runs)
         summaries[policy] = PolicySummary(
             policy=policy,
-            mean_energy=sum(r.total_energy for r in runs) / n,
-            mean_makespan=sum(r.makespan for r in runs) / n,
-            mean_edp=sum(r.edp for r in runs) / n,
-            mean_energy_reduction=sum(reductions) / n,
+            mean_energy=ordered_mean(r.total_energy for r in runs),
+            mean_makespan=ordered_mean(r.makespan for r in runs),
+            mean_edp=ordered_mean(r.edp for r in runs),
+            mean_energy_reduction=ordered_mean(reductions),
             max_energy_reduction=max(reductions),
-            mean_makespan_ratio=sum(ratios) / n,
-            mean_edp_reduction=sum(edp_reds) / n,
+            mean_makespan_ratio=ordered_mean(ratios),
+            mean_edp_reduction=ordered_mean(edp_reds),
         )
     return summaries

@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import validate
 from repro.kernel import boot_testbed
 from repro.runtime.execution import EngineHooks, ExecutionEngine
+from repro.sim.numeric import ordered_sum
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
 
@@ -352,7 +353,7 @@ def _audit(system, process) -> Optional[str]:
         validate.check_crash_consistency(system, [process])
     except InvariantViolation as exc:
         return f"{exc.invariant}: {exc}"
-    wire = sum(system.messaging.bytes_by_kind.values())
+    wire = ordered_sum(system.messaging.bytes_by_kind.values())
     recorded = system.interconnect.bytes_sent
     if wire != recorded:
         return (

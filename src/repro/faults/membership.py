@@ -43,6 +43,7 @@ from typing import (
 )
 
 from repro.faults.detector import CONFIRM, DEGRADATION_MISS_FACTOR, FailureDetector
+from repro.sim.numeric import ordered_mean
 
 #: Verdict events, beside the detector's SUSPECT / UNSUSPECT.  A
 #: confirm is reported as DEAD (a real crash) or FENCE (a live node).
@@ -53,10 +54,6 @@ REJOIN = "rejoin"
 
 #: A node id: any hashable value (a machine name, a fleet index).
 Node = Hashable
-
-
-def _mean(samples: List[float]) -> float:
-    return sum(samples) / len(samples) if samples else 0.0
 
 
 class Membership:
@@ -124,12 +121,12 @@ class Membership:
     @property
     def mttd(self) -> float:
         """Mean crash-to-confirm latency (0.0 before any confirm)."""
-        return _mean(self.mttd_samples)
+        return ordered_mean(self.mttd_samples)
 
     @property
     def mttr(self) -> float:
         """Mean crash-to-repair time (0.0 before any repair)."""
-        return _mean(self.mttr_samples)
+        return ordered_mean(self.mttr_samples)
 
     def _observer_cell(self) -> Optional[FrozenSet[Node]]:
         """The nodes the observer can reach (``None``: everyone)."""

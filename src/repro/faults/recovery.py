@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, TYPE_CHECKING
 
 from repro.datacenter.job import Job, JobState
-from repro.kernel.checkpoint import CrossIsaRestoreError
+from repro.kernel.checkpoint import THREAD_CONTEXT_BYTES, CrossIsaRestoreError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.cluster import ClusterSimulator, MachineNode
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # page-table rebuild); mirrors PER_PAGE_OVERHEAD_S-style bookkeeping in
 # the kernel-level checkpoint model.
 RESTORE_FIXED_S = 0.05
-CHECKPOINT_CONTEXT_BYTES = 4096  # per-thread register/TLS context
 
 
 class RecoveryPolicy:
@@ -233,7 +232,7 @@ class CheckpointRestart(RecoveryPolicy):
         on-demand pull (cf. checkpoint_transfer_seconds)."""
         image_bytes = (
             job.spec.profile().params(job.spec.cls).footprint_bytes
-            + CHECKPOINT_CONTEXT_BYTES * job.spec.threads
+            + THREAD_CONTEXT_BYTES * job.spec.threads
         )
         return self.restore_fixed_s + image_bytes / sim.effective_bandwidth()
 

@@ -5,6 +5,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.instructions import Instr
 from repro.isa.types import ValueType, type_size
+from repro.sim.numeric import ordered_sum
 
 
 @dataclass
@@ -127,7 +128,7 @@ class Function:
                 yield label, i, instr
 
     def __repr__(self) -> str:
-        n = sum(len(b.instrs) for b in self.blocks.values())
+        n = ordered_sum(len(b.instrs) for b in self.blocks.values())
         return f"Function({self.name}, {len(self.blocks)} blocks, {n} instrs)"
 
 

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.process import Barrier, CondVar, KernelThreadState, Mutex, Process, Thread, ThreadState
+from repro.linker.layout import PAGE_SIZE, page_of
 from repro.runtime.stack import Frame, UserStack
+from repro.sim.numeric import ordered_sum
 
 PER_PAGE_OVERHEAD_S = 0.4e-6  # freeze/dump bookkeeping per page
-THREAD_CONTEXT_BYTES = 4096
+THREAD_CONTEXT_BYTES = 4096  # one thread's register/TLS context
 
 
 class CheckpointError(Exception):
@@ -79,15 +81,15 @@ class Checkpoint:
         resident pages whether or not they hold interesting values),
         plus touched non-heap words and per-thread contexts."""
         return (
-            sum(self.heap_allocated.values())
+            ordered_sum(self.heap_allocated.values())
             + 8 * len(self.memory)
             + THREAD_CONTEXT_BYTES * len(self.threads)
         )
 
     @property
     def pages(self) -> int:
-        heap_pages = sum(size for size in self.heap_allocated.values()) // 4096
-        return heap_pages + len({addr >> 12 for addr in self.memory})
+        heap_pages = ordered_sum(self.heap_allocated.values()) // PAGE_SIZE
+        return heap_pages + len({page_of(addr) for addr in self.memory})
 
 
 def checkpoint_process(process: Process, system) -> Checkpoint:

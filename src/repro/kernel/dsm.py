@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.linker.layout import PAGE_SIZE, page_of
 from repro.runtime.address_space import AddressSpace
+from repro.sim.numeric import ordered_sum
 
 # One extent's coherence state: (owner, sharers, dirtied, backup
 # holder).  Sharers always include the owner; ``dirtied`` records a
@@ -559,8 +560,8 @@ class DsmService:
     # ------------------------------------------------------- inspection
 
     def resident_pages(self, kernel: str) -> int:
-        return sum(hi - lo for lo, hi, state in self._dir.runs()
-                   if kernel in state[1])
+        return ordered_sum(hi - lo for lo, hi, state in self._dir.runs()
+                           if kernel in state[1])
 
     def owner_of(self, addr: int) -> Optional[str]:
         state = self._dir.get(page_of(addr))

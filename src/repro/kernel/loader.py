@@ -15,7 +15,7 @@ from repro.compiler.toolchain import MultiIsaBinary
 from repro.isa.types import type_size
 from repro.kernel.process import Process
 from repro.kernel.vdso import VdsoPage
-from repro.linker.layout import align_up
+from repro.linker.layout import PAGE_SIZE, align_up
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.heap import HeapAllocator
 
@@ -66,7 +66,7 @@ def _map_sections(space: AddressSpace, binary: MultiIsaBinary) -> None:
         start = vm.section_base(section)
         end = max(s.end for s in placed)
         space.map_region(
-            start, align_up(end - start, 4096), section, aliased=aliased,
+            start, align_up(end - start, PAGE_SIZE), section, aliased=aliased,
             writable=writable,
         )
     # TLS template + per-thread TLS blocks share one region.
@@ -75,7 +75,7 @@ def _map_sections(space: AddressSpace, binary: MultiIsaBinary) -> None:
     )
     space.map_region(
         vm.tls_template_base,
-        align_up(tls_region_size, 4096),
+        align_up(tls_region_size, PAGE_SIZE),
         "tls",
     )
     # Stacks: one region covering all thread stacks.

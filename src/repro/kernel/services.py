@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.sim.numeric import ordered_sum
+
 
 class Consistency(enum.Enum):
     """How quickly a replica must observe an update."""
@@ -202,8 +204,8 @@ class ServiceRegistry:
         return [self.proctable, self.creds, self.sysinfo]
 
     def forget_process(self, pid: int) -> int:
-        return sum(svc.forget_process(pid) for svc in self.all())
+        return ordered_sum(svc.forget_process(pid) for svc in self.all())
 
     def scrub_kernel(self, dead: str) -> int:
         """Drop a dead kernel from every replicated service."""
-        return sum(svc.scrub_kernel(dead) for svc in self.all())
+        return ordered_sum(svc.scrub_kernel(dead) for svc in self.all())

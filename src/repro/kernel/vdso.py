@@ -9,10 +9,10 @@ migration-point check is a single memory read.
 
 from typing import Optional
 
+from repro.linker.layout import PAGE_SIZE
 from repro.runtime.address_space import AddressSpace
 
-VDSO_PAGE_BYTES = 4096
-MAX_SLOTS = VDSO_PAGE_BYTES // 8
+MAX_SLOTS = PAGE_SIZE // 8
 
 
 class VdsoPage:
@@ -22,7 +22,7 @@ class VdsoPage:
         self.space = space
         self.base = space.vm_map.vdso_base
         self.machine_order = list(machine_order)
-        space.map_region(self.base, VDSO_PAGE_BYTES, "[vdso]", aliased=True)
+        space.map_region(self.base, PAGE_SIZE, "[vdso]", aliased=True)
 
     def _slot(self, tid: int) -> int:
         return self.base + (tid % MAX_SLOTS) * 8

@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from repro.linker.elf import IsaObject, LOADABLE_SECTIONS
 from repro.linker.layout import VirtualMemoryMap, align_up
+from repro.sim.numeric import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class AlignedLayout:
         return sorted(placed, key=lambda s: s.address)
 
     def total_padding(self, isa_name: str, section: str = ".text") -> int:
-        return sum(
+        return ordered_sum(
             s.padded_size - s.sizes.get(isa_name, s.padded_size)
             for s in self.in_section(section)
         )
@@ -62,8 +63,8 @@ class AlignedLayout:
         alignment; unpadded is the natural per-ISA footprint.
         """
         if padded:
-            return sum(s.padded_size for s in self.in_section(section))
-        return sum(
+            return ordered_sum(s.padded_size for s in self.in_section(section))
+        return ordered_sum(
             s.sizes.get(isa_name, s.padded_size) for s in self.in_section(section)
         )
 

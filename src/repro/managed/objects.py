@@ -8,6 +8,8 @@ walk (cycles included) with realistic byte counts.
 import itertools
 from typing import Dict, Iterator, List, Optional, Set
 
+from repro.sim.numeric import ordered_sum
+
 PRIMITIVE_BYTES = {"int": 4, "long": 8, "float": 4, "double": 8, "boolean": 1}
 OBJECT_HEADER_BYTES = 16
 ARRAY_HEADER_BYTES = 24
@@ -35,7 +37,7 @@ class ManagedObject:
 
     @property
     def shallow_bytes(self) -> int:
-        prim = sum(PRIMITIVE_BYTES[t] for t, _ in self.fields.values())
+        prim = ordered_sum(PRIMITIVE_BYTES[t] for t, _ in self.fields.values())
         return OBJECT_HEADER_BYTES + prim + REFERENCE_BYTES * len(self.refs)
 
     def __repr__(self) -> str:
@@ -82,4 +84,4 @@ class ObjectGraph:
         return sum(1 for _ in self.reachable())
 
     def total_bytes(self) -> int:
-        return sum(obj.shallow_bytes for obj in self.reachable())
+        return ordered_sum(obj.shallow_bytes for obj in self.reachable())

@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from repro.managed.objects import ObjectGraph
 from repro.managed.serializer import ReflectionSerializer
+from repro.sim.numeric import ordered_sum
 
 DEFAULT_JAVA_SLOWDOWN = 2.0
 
@@ -45,7 +46,7 @@ class PadMigRun:
 
     def migration_blackout_seconds(self) -> float:
         """Time the application makes no progress (serialise->deserialise)."""
-        return sum(
+        return ordered_sum(
             p.seconds
             for p in self.phases
             if p.name in ("serialize", "transfer", "deserialize")

@@ -100,6 +100,7 @@ from repro.ir.instructions import (
 from repro.ir.summary import block_summaries
 from repro.isa.isa import InstrClass
 from repro.runtime.execution import ExecutionEngine, ExecutionError
+from repro.sim.numeric import ordered_sum
 from repro.validate import enabled as _validate_enabled
 from repro.validate.errors import InvariantViolation
 
@@ -373,7 +374,7 @@ class _RegionBuilder:
                 self.emit(f"instret = {chain}")
                 self.guard()
             elif len(terms) > 1:
-                total = sum(terms)
+                total = ordered_sum(terms)
                 self.emit(f"instret = instret + {total} if _fold else {chain}")
             else:
                 self.emit(f"instret = {chain}")

@@ -10,6 +10,7 @@ from typing import Dict, List, Tuple
 
 from repro.linker.layout import align_up
 from repro.runtime.address_space import AddressSpace
+from repro.sim.numeric import ordered_sum
 
 
 class OutOfMemoryError(Exception):
@@ -36,7 +37,7 @@ class HeapAllocator:
         return self._brk
 
     def allocated_bytes(self) -> int:
-        return sum(self._allocated.values())
+        return ordered_sum(self._allocated.values())
 
     def allocations(self) -> Dict[int, int]:
         """Live allocations as ``{start_address: size}`` (a copy).

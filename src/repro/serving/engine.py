@@ -82,6 +82,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.slo import DEFAULT_SLO_S, ServingResult, slo_report
 from repro.serving.traffic import ArrivalTrace
+from repro.sim.numeric import ordered_sum
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
 
@@ -1456,9 +1457,8 @@ class ServingEngine:
                 )
 
     def _result(self, admitted: int) -> ServingResult:
-        # Summed left to right from the int 0, as sum() did on 3.11:
-        # sum() is compensated from CPython 3.12 on, which would move
-        # the last digits.
+        # One pass builds the latencies and adds the stall in
+        # ``ordered_sum``'s order (see repro.sim.numeric).
         latencies = []
         stall = 0
         for r in self.completed:
@@ -1500,7 +1500,7 @@ class ServingEngine:
             requests_hedged=self._hedged_count,
             retry_attempts=self._retry_attempts,
             failovers=self.failovers,
-            breaker_opens=sum(b.opens for b in self._breakers.values()),
+            breaker_opens=ordered_sum(b.opens for b in self._breakers.values()),
             goodput_rps=in_slo / self.now if self.now > 0 else 0.0,
             slo_attainment=in_slo / admitted if admitted else 0.0,
             metrics=(

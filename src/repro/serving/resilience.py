@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.models import RetryPolicy
+from repro.sim.numeric import ordered_sum
 
 #: Circuit-breaker states (:class:`CircuitBreaker`).
 CLOSED = "closed"
@@ -276,7 +277,7 @@ class AdmissionController:
             if config.admit_rate is not None
             else None
         )
-        total = sum(c.weight for c in config.priority_classes)
+        total = ordered_sum(c.weight for c in config.priority_classes)
         #: Cumulative class weights for the deterministic priority draw.
         self.cumulative: List[Tuple[float, PriorityClass]] = []
         acc = 0.0

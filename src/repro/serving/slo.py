@@ -63,11 +63,11 @@ def slo_report(latencies: Sequence[float], target_s: float) -> Dict[str, float]:
     """Summarise per-request latencies against a latency target.
 
     Returns the :class:`ServingResult` fields the summary fills, keyed
-    by field name.  One pass over the samples.  The mean and the
-    violation excess are summed left to right: builtin ``sum()`` is
-    compensated from CPython 3.12 on, so it would make the last digits
-    depend on the interpreter.  The excess starts from the int 0, as
-    ``sum()`` did, so a run with no violation still reports ``0`` (the
+    by field name.  One pass over the samples adds the total behind
+    the mean and the violation excess in
+    :func:`~repro.sim.numeric.ordered_sum`'s order and counts the
+    violations.  The excess starts from the int 0, as ``ordered_sum``
+    does, so a run with no violation still reports ``0`` (the
     committed baselines hold that value).
     """
     if target_s <= 0:

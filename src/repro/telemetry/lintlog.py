@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.render import counter_digest
+from repro.sim.numeric import ordered_sum
 
 
 @dataclass
@@ -53,7 +54,7 @@ class LintLog:
 
     def total_checks(self) -> int:
         """Total pass executions across all recorded reports."""
-        return sum(self.pass_checks.values())
+        return ordered_sum(self.pass_checks.values())
 
     def counts_by_family(self) -> Dict[str, int]:
         """Diagnostic counts rolled up by code family (MIG/RACE/SHR).

@@ -8,6 +8,7 @@ per-machine :class:`MachineTraces` plus energy integration helpers.
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.sim.numeric import ordered_sum
 from repro.sim.trace import Sampler, TimeSeries
 
 
@@ -50,11 +51,11 @@ class PowerRecorder:
 
     def total_cpu_energy(self) -> float:
         """Summed CPU energy over every machine."""
-        return sum(t.cpu_energy() for t in self.traces.values())
+        return ordered_sum(t.cpu_energy() for t in self.traces.values())
 
     def total_system_energy(self) -> float:
         """Summed wall-socket energy over every machine."""
-        return sum(t.system_energy() for t in self.traces.values())
+        return ordered_sum(t.system_energy() for t in self.traces.values())
 
     def machine(self, name: str) -> MachineTraces:
         """The recorded traces for machine ``name``."""

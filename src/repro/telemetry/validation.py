@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.sim.numeric import ordered_sum
+
 
 @dataclass
 class ViolationRecord:
@@ -46,7 +48,7 @@ class ValidationLog:
 
     def total_checks(self) -> int:
         """Total invariant checks executed across all checkers."""
-        return sum(self.checks.values())
+        return ordered_sum(self.checks.values())
 
     def summary(self) -> str:
         """One-line check/violation digest for the run report."""

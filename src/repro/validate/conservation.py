@@ -16,6 +16,7 @@ loses work or energy out of thin air:
 
 from typing import Dict, List, Optional
 
+from repro.sim.numeric import ordered_sum
 from repro.telemetry.validation import ValidationLog, default_log
 from repro.validate.errors import InvariantViolation
 
@@ -70,13 +71,13 @@ class ClusterConservationChecker:
             self._check_goodput(sim)
 
     def _check_jobs(self, sim, outstanding: int) -> None:
-        running = sum(len(node.jobs) for node in sim.nodes)
+        running = ordered_sum(len(node.jobs) for node in sim.nodes)
         # Two-phase hand-offs hold jobs in flight, and a failure
         # detector keeps a crashed node's jobs in limbo until the death
         # is confirmed — both are legitimate "exactly one copy, nowhere
         # resident" states the conservation sum must include.
         in_flight = len(getattr(sim, "_in_flight", ()))
-        undetected = sum(
+        undetected = ordered_sum(
             len(v) for v in getattr(sim, "_undetected", {}).values()
         )
         accounted = (
@@ -280,14 +281,14 @@ class FleetConservationChecker:
 
     def _check_counters(self, sim, where: str) -> None:
         c = sim._counters
-        done = sum(sim._jobs_done)
+        done = ordered_sum(sim._jobs_done)
         if done != c["completed"]:
             self._fail(
                 sim, "counter-conservation",
                 f"[{where}] sum(jobs_done) {done} != completed "
                 f"{c['completed']}",
             )
-        in_slo = sum(sim._jobs_in_slo)
+        in_slo = ordered_sum(sim._jobs_in_slo)
         if in_slo != c["in_slo"]:
             self._fail(
                 sim, "counter-conservation",
@@ -300,15 +301,15 @@ class FleetConservationChecker:
                 f"[{where}] in_slo {c['in_slo']} + violations "
                 f"{c['violations']} != completed {c['completed']}",
             )
-        stall = sum(inst.stall_seconds for inst in sim.services)
+        stall = ordered_sum(inst.stall_seconds for inst in sim.services)
         if abs(stall - sim._stall_seconds) > _EPS * max(1.0, stall):
             self._fail(
                 sim, "counter-conservation",
                 f"[{where}] sum(stall) {stall} != recorded "
                 f"{sim._stall_seconds}",
             )
-        by_service = sum(sim._service_busy)
-        by_node = sum(sim._node_busy)
+        by_service = ordered_sum(sim._service_busy)
+        by_node = ordered_sum(sim._node_busy)
         if abs(by_service - by_node) > _EPS * max(1.0, by_node):
             self._fail(
                 sim, "busy-conservation",

@@ -25,6 +25,7 @@ from typing import Dict, Optional, Set
 
 from repro.kernel.dsm import DsmService, DsmStats
 from repro.linker.layout import PAGE_SIZE, page_of
+from repro.sim.numeric import ordered_sum
 from repro.telemetry.validation import ValidationLog, default_log
 from repro.validate.errors import InvariantViolation
 
@@ -349,7 +350,7 @@ class ValidatedDsmService(DsmService):
 
     def _check_byte_conservation(self, op: str) -> None:
         recorded = self.messaging.interconnect.bytes_sent
-        charged = sum(self.messaging.bytes_by_kind.values())
+        charged = ordered_sum(self.messaging.bytes_by_kind.values())
         if recorded != charged:
             self._fail(
                 "interconnect-byte-conservation",

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.linker.layout import PAGE_SIZE, page_of
+from repro.sim.numeric import ordered_mean, ordered_sum
 
 __all__ = [
     "SharingObserver",
@@ -142,11 +143,10 @@ def spearman(xs: List[float], ys: List[float]) -> Optional[float]:
     if len(xs) != len(ys) or len(xs) < 2:
         return None
     rx, ry = _ranks(list(xs)), _ranks(list(ys))
-    n = len(rx)
-    mx, my = sum(rx) / n, sum(ry) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
+    mx, my = ordered_mean(rx), ordered_mean(ry)
+    cov = ordered_sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = ordered_sum((a - mx) ** 2 for a in rx)
+    vy = ordered_sum((b - my) ** 2 for b in ry)
     if vx == 0.0 or vy == 0.0:
         return None
     return cov / math.sqrt(vx * vy)
@@ -338,7 +338,7 @@ def check_module(
     shadow = getattr(process.dsm, "shadow", None)
     if shadow is not None:
         traffic: Counter = Counter(shadow.page_faults)
-        report.shadow_faults = sum(traffic.values())
+        report.shadow_faults = ordered_sum(traffic.values())
     else:
         traffic = observer.page_cost
     observed: Dict[str, float] = {}

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
+from repro.sim.numeric import ordered_sum
 
 BARRIER_ID = 1
 LCG_A = 1103515245
@@ -60,12 +61,7 @@ class BenchProfile:
 
 
 def mix_normalised(mix: Dict[InstrClass, float]) -> Dict[InstrClass, float]:
-    # Added left to right, not with sum(): CPython 3.12 made sum() of
-    # floats compensated, which moved these fractions, and every
-    # duration derived from them, by an ulp between interpreters.
-    total = 0.0
-    for share in mix.values():
-        total += share
+    total = ordered_sum(mix.values())
     return {k: v / total for k, v in mix.items()}
 
 

@@ -128,12 +128,16 @@ class TestCommands:
         ["serve", "redis", "--horizon", "nan", "--requests", "50"],
         ["serve", "redis", "--faults", "--horizon", "nan"],
         ["fleet", "--jobs", "100", "--horizon", "nan"],
+        ["fleet", "--crash", "1", "--jobs", "100", "--horizon", "nan"],
     ])
     def test_bad_traffic_or_slo_exit_2(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        if dict(zip(argv, argv[1:])).get("--horizon") == "nan":
+            # Names the value the user passed, not one derived from it.
+            assert "horizon_s" in captured.err
 
 
 class TestLint:

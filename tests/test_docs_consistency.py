@@ -1,5 +1,6 @@
 """Documentation lint: the docs reference real files and real APIs,
-and ``src/`` holds nothing that nothing uses."""
+``src/`` holds nothing that nothing uses, and it adds every total in
+one order."""
 
 import ast
 import pathlib
@@ -481,3 +482,57 @@ class TestNothingUnused:
         ]
         assert dead_exports(tmp_path) == ["src/pkg/__init__.py:6 reexported"]
         assert unused_imports(tmp_path) == ["src/pkg/mod.py:1 json"]
+
+
+# ---------------------------------------------------------- ordered sums
+
+
+def _is_count(call) -> bool:
+    """``sum(1 for ...)``: an int count, the same on every Python."""
+    if len(call.args) != 1 or call.keywords:
+        return False
+    arg = call.args[0]
+    return (
+        isinstance(arg, ast.GeneratorExp)
+        and isinstance(arg.elt, ast.Constant)
+        and type(arg.elt.value) is int and arg.elt.value == 1
+    )
+
+
+def builtin_sums(root: pathlib.Path) -> list:
+    """``path:line`` for every builtin ``sum()`` call in ``src/`` that
+    does more than count."""
+    return [
+        f"{rel}:{node.lineno}"
+        for path, rel, tree in _src_modules(root)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "sum"
+        and not _is_count(node)
+    ]
+
+
+class TestOrderedSums:
+    """Every total in ``src/`` is added by ``repro.sim.numeric.ordered_sum``
+    (its module docstring says why); only a count, ``sum(1 for ...)``,
+    may call the builtin.  Each call found prints as ``path:line``."""
+
+    def test_src_sums_only_to_count(self):
+        found = builtin_sums(ROOT)
+        assert not found, "builtin sum(), use ordered_sum:\n" + "\n".join(found)
+
+    def test_scanner_catches_planted_sums(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text(
+            "from repro.sim.numeric import ordered_sum\n\n\n"
+            "def totals(xs):\n"
+            "    count = sum(1 for x in xs if x)\n"
+            "    floats = sum(xs)\n"
+            "    ints = sum(len(x) for x in xs)\n"
+            "    started = sum((1 for x in xs), 0.5)\n"
+            "    flags = sum(True for x in xs)\n"
+            "    return count, floats, ints, started, flags, ordered_sum(xs)\n"
+        )
+        assert builtin_sums(tmp_path) == [
+            "src/mod.py:6", "src/mod.py:7", "src/mod.py:8", "src/mod.py:9",
+        ]
