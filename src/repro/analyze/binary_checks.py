@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analyze.diagnostics import LintReport, Severity
 from repro.analyze.ir_checks import unmigratable_reason
 from repro.compiler.codegen import MachineFunction
-from repro.ir.analysis import liveness
+from repro.ir.analysis import liveness, strongly_connected
 from repro.ir.instructions import Call, MigPoint, Syscall, Work
 from repro.isa.abi import FrameLayoutStyle
 from repro.isa.isa import InstrClass
@@ -665,63 +665,11 @@ def _check_function_coverage(
     )
 
 
-def _sccs(order: List[str], succs: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan strongly-connected components over the block graph."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    out: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        # Iterative Tarjan (workload CFGs can be deep).
-        work = [(v, iter(succs.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succs.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                out.append(component)
-
-    for v in order:
-        if v not in index:
-            strongconnect(v)
-    return out
-
-
 def _check_cycles(
     isa_name, mf, succs, has_point, has_work, unbounded_work, total,
     target, report,
 ) -> None:
-    for component in _sccs(list(mf.fn.block_order), succs):
+    for component in strongly_connected(mf.fn.block_order, succs):
         members = set(component)
         if len(component) == 1:
             label = component[0]

@@ -14,10 +14,11 @@ simply contributes no edges (the sound direction — this pass only ever
 *adds* findings, never suppresses the races pass).
 """
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.analyze.concurrency import get_model
 from repro.analyze.diagnostics import Severity
+from repro.ir.analysis import strongly_connected
 from repro.ir.instructions import Syscall
 
 PASS_NAME = "locks"
@@ -26,54 +27,6 @@ _LOCK_SYSCALLS = {
     "mutex_init", "mutex_lock", "mutex_unlock",
     "cond_init", "cond_wait", "cond_signal", "cond_broadcast",
 }
-
-
-def _sccs(graph: Dict[int, Set[int]]) -> List[List[int]]:
-    """Tarjan strongly-connected components, iterative."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    out: List[List[int]] = []
-    counter = [0]
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph.get(root, ()))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, succs = work[-1]
-            advanced = False
-            for nxt in succs:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(graph.get(nxt, ())))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    out.append(sorted(scc))
-    return out
 
 
 def run_locks(ctx, report) -> None:
@@ -96,7 +49,8 @@ def run_locks(ctx, report) -> None:
         graph.setdefault(edge.second, set())
 
     cyclic: Set[int] = set()
-    for scc in _sccs(graph):
+    ordered = {lock: sorted(nxt) for lock, nxt in graph.items()}
+    for scc in map(sorted, strongly_connected(sorted(graph), ordered)):
         if len(scc) > 1 or (len(scc) == 1 and scc[0] in graph.get(scc[0], ())):
             cyclic.update(scc)
             # Anchor the finding at the first edge inside the cycle.

@@ -408,12 +408,6 @@ def cmd_run(args) -> int:
     for name in system.machine_order:
         traces = recorder.machine(name)
         table.add_row(f"{name} energy (J)", f"{traces.cpu_energy():.2f}")
-    from repro import validate
-
-    if validate.enabled():
-        from repro.telemetry.validation import default_log
-
-        table.add_row("invariant checks", default_log().summary())
     if args.lint:
         from repro.telemetry.lintlog import default_lint_log
 
@@ -928,20 +922,14 @@ def cmd_fleet(args) -> int:
         return 2
     result = sim.run(trace)
     print(render_result(result))
-    from repro import validate
-
-    if validate.enabled():
-        from repro.telemetry.validation import default_log
-
-        print(f"\ninvariant checks: {default_log().summary()}")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.validate or args.validate_roundtrip:
-        from repro import validate
+    from repro import validate
 
+    if args.validate or args.validate_roundtrip:
         validate.set_enabled(True)
         if args.validate_roundtrip:
             validate.set_roundtrip(True)
@@ -960,10 +948,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": cmd_chaos,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if validate.enabled():
+        from repro.telemetry.validation import default_log
+
+        # stderr, so that stdout stays what the command prints (JSON
+        # included).
+        print(f"invariant checks: {default_log().summary()}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ Two passes, mirroring the paper's workflow:
 """
 
 import re
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.ir.analysis import strongly_connected
 from repro.ir.function import Function, Module
 from repro.ir.instructions import BinOp, Br, CBr, Const, MigPoint, Ret, UnOp, Work
 from repro.isa.types import ValueType
@@ -145,7 +146,7 @@ def _point_work_cycles(fn: Function) -> int:
     """
     inserted = 0
     succs = {label: fn.blocks[label].successors() for label in fn.block_order}
-    for component in _sccs(fn.block_order, succs):
+    for component in strongly_connected(fn.block_order, succs):
         if len(component) == 1 and component[0] not in succs[component[0]]:
             continue  # trivial SCC, no self-loop: not a cycle
         has_work = has_point = False
@@ -171,57 +172,6 @@ def _point_work_cycles(fn: Function) -> int:
                 continue
             break
     return inserted
-
-
-def _sccs(order, succs) -> List[List[str]]:
-    """Iterative Tarjan over the CFG (workload CFGs can be deep)."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack = set()
-    stack: List[str] = []
-    out: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(succs.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succs.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                out.append(component)
-
-    for v in order:
-        if v not in index:
-            strongconnect(v)
-    return out
 
 
 def _strip_mine(fn: Function, label: str, index: int, chunk: int) -> None:

@@ -179,6 +179,7 @@ class ClusterSimulator:
         self.recovery.reset()
         self.fault_log = FaultLog()
         if faults is not None:
+            faults.check_nodes(self._node_index)
             for event in faults:
                 self._push_event(event.time, event.kind, event)
         self.parked: List[Tuple[Job, Optional[str]]] = []
@@ -470,9 +471,7 @@ class ClusterSimulator:
             raise ValueError(f"unknown fault event kind {kind!r}")
 
     def _apply_crash(self, event) -> None:
-        node = self._node_index.get(event.node)
-        if node is None:
-            raise KeyError(f"fault schedule names unknown node {event.node!r}")
+        node = self._node_index[event.node]
         fenced = not self._up[node.name]
         if not self.membership.crash(node.name, self.now):
             self.fault_log.record(
@@ -778,6 +777,11 @@ class ClusterSimulator:
                 in_flight -= self._abandon_parked()
                 if in_flight > 0:
                     raise RuntimeError("jobs in flight but none progressing")
+                # Nothing can ever run again: the jobs never admitted
+                # are lost as the parked ones are.
+                for job in pending:
+                    self.lose_job(job)
+                pending = []
                 break
             dt = min(candidates)
             self._advance(dt)
@@ -848,15 +852,13 @@ class ClusterSimulator:
         return self._result(total, outstanding=total - idx)
 
     def _result(self, offered: int, outstanding: int = 0) -> ClusterResult:
-        if self._checker is not None:
-            self._checker.check(self, outstanding=outstanding, final=True)
         useful = max(
             self.busy_seconds - self.lost_work_seconds - self.overhead_seconds,
             0.0,
         )
         responses = [j.response_time() for j in self.finished]
         p50, p99, p999 = percentiles(responses)
-        return ClusterResult(
+        result = ClusterResult(
             makespan=self.now,
             energy_by_machine={n.name: n.energy_joules for n in self.nodes},
             requests=offered,
@@ -895,3 +897,6 @@ class ClusterSimulator:
                 else {}
             ),
         )
+        if self._checker is not None:
+            self._checker.finish(self, outstanding, result)
+        return result

@@ -57,7 +57,8 @@ from repro.kernel import boot_testbed
 from repro.runtime.execution import EngineHooks, ExecutionEngine
 from repro.sim.numeric import ordered_sum
 from repro.sim.rng import DeterministicRng
-from repro.validate.errors import InvariantViolation
+from repro.telemetry.validation import default_log
+from repro.validate.errors import InvariantViolation, fail
 
 COMPLETED = "completed"
 FAILED_LOUD = "failed-loud"
@@ -194,8 +195,9 @@ class ChaosHarness:
         reference = self.reference()
         result, injector = self._run()
         recorded = self.scenario.signature(result)
+        default_log().note_check("chaos")
         if recorded != reference:
-            raise InvariantViolation(
+            fail(
                 "chaos", "recording-run-deterministic",
                 f"unarmed chaos run of {self.scenario.name} diverged from "
                 f"the reference (the announcement hook must be inert)",

@@ -134,6 +134,24 @@ class FaultSchedule:
     def merged(self, other: "FaultSchedule") -> "FaultSchedule":
         return FaultSchedule(self.events + other.events)
 
+    def check_nodes(self, names: Iterable[str]) -> None:
+        """Raise ``ValueError`` if a crash, a repair or a partition
+        island names a node outside ``names``."""
+        known = set(names)
+        for event in self.events:
+            if event.kind in ("crash", "repair"):
+                named = (event.node,)
+            elif event.kind == "partition":
+                named = event.island
+            else:
+                continue
+            unknown = sorted(set(named) - known)
+            if unknown:
+                raise ValueError(
+                    f"fault schedule: {event.kind} at {event.time:g}s names "
+                    f"unknown node(s) {unknown}; nodes are {sorted(known)}"
+                )
+
     def __len__(self) -> int:
         return len(self.events)
 

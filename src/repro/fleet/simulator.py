@@ -616,9 +616,10 @@ class FleetSimulator:
         end = max(trace.horizon_s, self._makespan)
         if end > clock.now:
             clock.advance_to(end)
+        result = self._finish(trace, end)
         if self._checker is not None:
-            self._checker.check(self, "end")
-        return self._finish(trace, end)
+            self._checker.finish(self, result)
+        return result
 
     def _finish(self, trace: ArrivalTrace, end: float) -> FleetRunResult:
         c = self._counters

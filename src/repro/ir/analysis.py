@@ -1,12 +1,17 @@
-"""Dataflow analyses over IR functions.
+"""Dataflow and graph analyses over IR functions.
 
 ``liveness`` is the analysis the paper's stackmap emitter depends on:
 the set of locals whose values must survive each call site is exactly
 what the stack transformation runtime copies between ABIs.
+``strongly_connected`` finds the cycles of any graph: CFG loops for
+migration-point insertion and the coverage lint, lock-order cycles for
+the locks lint.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple,
+)
 
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Call, MigPoint, Syscall
@@ -121,3 +126,56 @@ def max_call_depth(module: Module, root: str = "") -> int:
         return 1 + best
 
     return depth(root)
+
+
+def strongly_connected(
+    roots: Iterable[Hashable], succs: Mapping[Hashable, Iterable[Hashable]]
+) -> List[List[Hashable]]:
+    """Tarjan's strongly connected components, iterative (workload CFGs
+    can be deep).
+
+    Depth-first searches start from ``roots`` in their order and follow
+    ``succs[node]`` in its order; a node missing from ``succs`` has no
+    successors.  Components come out in the order Tarjan completes them,
+    each listed in the order its members leave the stack.
+    """
+    index: Dict[Hashable, int] = {}
+    low: Dict[Hashable, int] = {}
+    on_stack: Set[Hashable] = set()
+    stack: List[Hashable] = []
+    out: List[List[Hashable]] = []
+    work: List[Tuple[Hashable, Iterable[Hashable]]] = []
+
+    def visit(node: Hashable) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succs.get(node, ()))))
+
+    for root in roots:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    visit(nxt)
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    out.append(component)
+    return out

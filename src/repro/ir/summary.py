@@ -14,8 +14,8 @@ instruction, never reassociated — so a summary that matches the IR
 reproduces the interpreter's floating-point arithmetic bit for bit.  A
 summary that does *not* match the IR (stale, corrupted) is detectable:
 under ``REPRO_VALIDATE=1`` the fast engine replays every segment
-against the interpreter's own cycle tables and raises
-``FastForwardDivergence`` on the first mismatch.
+against the interpreter's own cycle tables and fails the
+``fastforward`` check (``segment-accounting``) on the first mismatch.
 """
 
 from dataclasses import dataclass, field

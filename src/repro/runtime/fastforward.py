@@ -70,8 +70,9 @@ the inherited ``_interp_slice``.
 Cross-validation (``REPRO_VALIDATE=1``): the region returns to the
 engine after every chunk, and after each closed-form chunk or stepping
 segment the engine replays its instruction range against the *exact*
-interpreter's independently derived cycle tables, raising
-:class:`FastForwardDivergence` on the first cycles/instret mismatch —
+interpreter's independently derived cycle tables, failing the
+``fastforward`` check (:func:`repro.validate.errors.fail`,
+``segment-accounting``) on the first cycles/instret mismatch —
 this is what catches a stale or corrupted block summary, and an
 ``instret`` fold the guard should have refused (the replay adds the
 terms one by one).  Validating builds fold exactly as plain ones do.
@@ -101,22 +102,9 @@ from repro.ir.summary import block_summaries
 from repro.isa.isa import InstrClass
 from repro.runtime.execution import ExecutionEngine, ExecutionError
 from repro.sim.numeric import ordered_sum
+from repro.telemetry.validation import default_log
 from repro.validate import enabled as _validate_enabled
-from repro.validate.errors import InvariantViolation
-
-
-
-class FastForwardDivergence(InvariantViolation):
-    """The fast path disagreed with the exact interpreter's accounting.
-
-    Raised only under ``REPRO_VALIDATE=1``, where every compiled
-    segment is replayed lock-step against the exact engine's cycle
-    tables.  In practice this means a block summary no longer matches
-    the IR it claims to summarize.
-    """
-
-    def __init__(self, detail: str, state=None):
-        super().__init__("fastforward", "segment-accounting", detail, state)
+from repro.validate.errors import fail
 
 
 def _f2i(a):
@@ -950,8 +938,10 @@ class FastExecutionEngine(ExecutionEngine):
                 ins += 3 + epilogue
             else:
                 ins += 1
+        default_log().note_check("fastforward")
         if cyc != cycles1 or ins != instret1:
-            raise FastForwardDivergence(
+            fail(
+                "fastforward", "segment-accounting",
                 f"segment {mf.name}:{block}@{start} (+{consumed} instrs) "
                 f"on {cpu.name}: fast path reported cycles={cycles1!r} "
                 f"instret={instret1!r}, exact replay gives cycles={cyc!r} "

@@ -84,7 +84,6 @@ from repro.serving.slo import DEFAULT_SLO_S, ServingResult, slo_report
 from repro.serving.traffic import ArrivalTrace
 from repro.sim.numeric import ordered_sum
 from repro.sim.rng import DeterministicRng
-from repro.validate.errors import InvariantViolation
 
 
 #: The ``(time, rank)`` of "no event": it orders after every real one.
@@ -362,20 +361,13 @@ class ServingEngine:
         """
         if faults is None:
             return []
+        faults.check_nodes(self.machines)
         events: List[Tuple[float, int, str, object]] = []
         for ev in faults:
             kind = getattr(ev, "kind", None)
             if kind == "crash":
-                if ev.node not in self.machines:
-                    raise ValueError(
-                        f"fault schedule crashes unknown machine {ev.node!r}"
-                    )
                 events.append((ev.time, 0, "crash", ev))
             elif kind == "repair":
-                if ev.node not in self.machines:
-                    raise ValueError(
-                        f"fault schedule repairs unknown machine {ev.node!r}"
-                    )
                 events.append((ev.time, 1, "repair", ev.node))
             elif kind == "degrade":
                 events.append((ev.time, 2, "degrade-on", ev))
@@ -1168,9 +1160,12 @@ class ServingEngine:
                 self._run_epoch()
                 next_epoch = self.now + DECISION_PERIOD_S
 
+        result = self._result(n)
         if validate.enabled():
-            self._check_conservation(n)
-        return self._result(n)
+            from repro.validate.conservation import check_serving
+
+            check_serving(self, n, result)
+        return result
 
     def _static_event(self, n: int, next_epoch: float) -> Tuple[float, int]:
         """The earliest sparse event that arrivals and departures cannot
@@ -1393,68 +1388,6 @@ class ServingEngine:
             self.membership.islands.append(tuple(payload.island))
         elif action == "part-off":
             self.membership.islands.remove(tuple(payload.island))
-
-    def _check_conservation(self, offered: int) -> None:
-        """REPRO_VALIDATE: every request in exactly one outcome bucket,
-        per-request timelines sane."""
-        completed = {r.index for r in self.completed}
-        shed = {r.index for r in self.shed}
-        failed = {r.index for r in self.failed}
-        if (
-            len(completed) != len(self.completed)
-            or len(shed) != len(self.shed)
-            or len(failed) != len(self.failed)
-        ):
-            raise InvariantViolation(
-                "serving", "request-exactly-once",
-                "a request appears twice in one outcome bucket",
-                state={
-                    "completed": len(self.completed),
-                    "distinct": len(completed),
-                },
-            )
-        overlap = (completed & shed) | (completed & failed) | (shed & failed)
-        if overlap:
-            raise InvariantViolation(
-                "serving", "request-exactly-once",
-                f"requests in more than one outcome bucket: "
-                f"{sorted(overlap)[:8]}",
-                state={"overlap": len(overlap)},
-            )
-        union = completed | shed | failed
-        if len(union) != offered or (union and max(union) >= offered):
-            missing = sorted(set(range(offered)) - union)[:8]
-            raise InvariantViolation(
-                "serving", "requests-conserved",
-                f"offered {offered}, completed {len(completed)} "
-                f"+ shed {len(shed)} + failed {len(failed)} "
-                f"= {len(union)} (missing e.g. {missing})",
-                state={"queue_depth": self._queue_depth()},
-            )
-        for request in self.completed:
-            if not (
-                request.arrival_s - 1e-9
-                <= request.start_s
-                <= request.finish_s + 1e-9
-            ):
-                raise InvariantViolation(
-                    "serving", "request-timeline",
-                    f"request {request.index} timestamps out of order",
-                    state={
-                        "arrival": request.arrival_s,
-                        "start": request.start_s,
-                        "finish": request.finish_s,
-                    },
-                )
-            if request.migration_stall_s > request.queue_wait_s + 1e-9:
-                raise InvariantViolation(
-                    "serving", "stall-within-wait",
-                    f"request {request.index} stall exceeds its queue wait",
-                    state={
-                        "stall": request.migration_stall_s,
-                        "wait": request.queue_wait_s,
-                    },
-                )
 
     def _result(self, admitted: int) -> ServingResult:
         # One pass builds the latencies and adds the stall in

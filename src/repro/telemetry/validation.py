@@ -1,10 +1,10 @@
 """Telemetry for the invariant-checking layer (:mod:`repro.validate`).
 
 Checkers are silent when everything holds; this log is the evidence
-that they actually ran.  It counts checks per checker and keeps a
-structured record of every violation observed (normally the violation
-is also raised, so the list has at most one entry unless a caller
-deliberately continues past failures).
+that they actually ran.  Every check counts here under its checker's
+name, and :func:`repro.validate.errors.fail` records each violation
+before it raises it (so the list has at most one entry unless a
+caller deliberately continues past failures).
 """
 
 from collections import Counter
@@ -65,7 +65,7 @@ _DEFAULT = ValidationLog()
 
 
 def default_log() -> ValidationLog:
-    """The process-wide log the wrapper factories report into."""
+    """The process-wide log every checker reports into."""
     return _DEFAULT
 
 

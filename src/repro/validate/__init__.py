@@ -2,25 +2,42 @@
 
 The simulator's correctness rests on two delicate mechanisms — hDSM
 page coherence and frame-by-frame stack transformation — plus the
-cluster simulator's work/energy bookkeeping.  This package wraps each
-of them with a checker that re-derives what *must* hold and raises a
-structured :class:`InvariantViolation` (with a dump of the offending
-state) the moment reality diverges:
+bookkeeping of the cluster, fleet and serving simulators.  This package
+wraps each of them with a checker that re-derives what *must* hold.
+Every checker fails the same way, through
+:func:`~repro.validate.errors.fail`, which records the violation in
+:func:`~repro.telemetry.validation.default_log` and raises a structured
+:class:`InvariantViolation` (with a dump of the offending state) the
+moment reality diverges; every check counts in that log under its
+checker's name:
 
-* :class:`~repro.validate.dsm_checker.ValidatedDsmService` — MSI
-  structural invariants plus a lock-step shadow reference model of the
-  coherence protocol and its traffic counters;
-* :class:`~repro.validate.stack_checker.ValidatedStackTransformer` —
+* ``dsm`` — :class:`~repro.validate.dsm_checker.ValidatedDsmService`:
+  MSI structural invariants plus a lock-step shadow reference model of
+  the coherence protocol and its traffic counters;
+* ``stack`` —
+  :class:`~repro.validate.stack_checker.ValidatedStackTransformer`:
   destination stack layout, bit-exact value/buffer preservation,
   pointer containment, and an optional A->B->A round-trip check
   (``REPRO_VALIDATE_ROUNDTRIP=1``);
-* :class:`~repro.validate.conservation.ClusterConservationChecker` —
-  job, time and energy conservation in the datacenter simulator.
+* ``fastforward`` — the fast engine replays every compiled segment
+  against the exact interpreter's cycle tables
+  (:mod:`repro.runtime.fastforward`);
+* ``cluster``, ``fleet`` and ``serving`` —
+  :mod:`repro.validate.conservation`: job, time and energy
+  conservation in the cluster, slot, placement and counter
+  conservation in the fleet, the serving engine's request-by-request
+  audit, and ``check_result_core``, which reads the result fields all
+  three share;
+* ``system`` and ``chaos`` — the chaos harness's crash-consistency
+  checks (:mod:`repro.validate.system_checker`) and its check that an
+  unarmed run reproduces the reference; it runs both whatever the
+  enable flag says.
 
 Checking is **off by default** and costs nothing when disabled: the
 factories below return the plain implementations.  Enable it with the
 ``REPRO_VALIDATE=1`` environment variable, the CLI's ``--validate``
-flag, or programmatically via :func:`set_enabled`.
+flag, or programmatically via :func:`set_enabled`.  The CLI prints the
+log's summary to stderr after any command run with checking on.
 """
 
 import os

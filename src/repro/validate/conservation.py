@@ -1,6 +1,7 @@
-"""Conservation checker for the cluster simulator.
+"""Conservation checkers for the cluster, fleet and serving simulators.
 
-Asserts, after every simulation step and at result time, that the
+:class:`ClusterConservationChecker` asserts, after every simulation
+step and at result time, that the
 :class:`~repro.datacenter.cluster.ClusterSimulator` never creates or
 loses work or energy out of thin air:
 
@@ -12,15 +13,59 @@ loses work or energy out of thin air:
   and overhead only ever grow, and simulated time never runs backwards;
 * goodput decomposition — lost work and overhead never exceed the busy
   seconds they are carved out of (once any work has accrued).
+
+:class:`FleetConservationChecker` audits the fleet simulator at every
+sparse event, :func:`check_serving` audits a finished
+:class:`~repro.serving.engine.ServingEngine` request by request, and
+:func:`check_result_core` reads the
+:class:`~repro.datacenter.energy.RunResult` fields all three share.
 """
 
+import math
 from typing import Dict, List, Optional
 
 from repro.sim.numeric import ordered_sum
-from repro.telemetry.validation import ValidationLog, default_log
-from repro.validate.errors import InvariantViolation
+from repro.telemetry.validation import default_log
+from repro.validate.errors import fail
 
 _EPS = 1e-6
+
+def check_result_core(result, checker: str) -> None:
+    """Audit the :class:`~repro.datacenter.energy.RunResult` fields of
+    any simulator's result, counted under ``checker``: every offered
+    request ends in exactly one outcome, the latency percentiles are
+    ordered, and the migration stall and energy are finite and >= 0."""
+    default_log().note_check(checker)
+    counts = {
+        name: getattr(result, name)
+        for name in ("requests", "requests_completed", "requests_shed",
+                     "requests_failed")
+    }
+    requests, completed, shed, failed = counts.values()
+    if min(counts.values()) < 0 or requests != completed + shed + failed:
+        fail(
+            checker, "result-requests-conserved",
+            f"requests {requests} != completed {completed} + shed {shed} "
+            f"+ failed {failed}, or a count is negative",
+            counts,
+        )
+    p50, p99, p999 = (
+        result.p50_latency_s, result.p99_latency_s, result.p999_latency_s
+    )
+    if not p50 <= p99 <= p999:
+        fail(
+            checker, "result-latency-order",
+            f"p50 {p50!r} <= p99 {p99!r} <= p999 {p999!r} does not hold",
+        )
+    values = {f"energy[{name}]": joules
+              for name, joules in result.energy_by_machine.items()}
+    values["migration_stall_seconds"] = result.migration_stall_seconds
+    bad = {name: v for name, v in values.items() if not 0.0 <= v < math.inf}
+    if bad:
+        fail(
+            checker, "result-finite-non-negative",
+            f"negative or non-finite result values: {sorted(bad)}", bad,
+        )
 
 
 class ClusterConservationChecker:
@@ -28,8 +73,7 @@ class ClusterConservationChecker:
 
     CHECKER = "cluster"
 
-    def __init__(self, log: Optional[ValidationLog] = None):
-        self.log = log if log is not None else default_log()
+    def __init__(self):
         self.submitted: Optional[int] = None
         self._last_now = 0.0
         self._last_busy = 0.0
@@ -57,18 +101,21 @@ class ClusterConservationChecker:
         }
         if extra:
             state.update(extra)
-        violation = InvariantViolation(self.CHECKER, invariant, detail, state)
-        self.log.note_violation(violation)
-        raise violation
+        fail(self.CHECKER, invariant, detail, state)
 
-    def check(self, sim, outstanding: int = 0, final: bool = False) -> None:
+    def check(self, sim, outstanding: int = 0) -> None:
         """Audit ``sim``; ``outstanding`` = submitted jobs not yet admitted."""
-        self.log.note_check(self.CHECKER)
+        default_log().note_check(self.CHECKER)
         self._check_jobs(sim, outstanding)
         self._check_monotonicity(sim)
         self._check_energy(sim)
-        if final:
-            self._check_goodput(sim)
+
+    def finish(self, sim, outstanding: int, result) -> None:
+        """The audit at result time: :meth:`check`, the goodput
+        decomposition and the run's ``result`` core."""
+        self.check(sim, outstanding)
+        self._check_goodput(sim)
+        check_result_core(result, self.CHECKER)
 
     def _check_jobs(self, sim, outstanding: int) -> None:
         running = ordered_sum(len(node.jobs) for node in sim.nodes)
@@ -197,8 +244,7 @@ class FleetConservationChecker:
 
     CHECKER = "fleet"
 
-    def __init__(self, log: Optional[ValidationLog] = None):
-        self.log = log if log is not None else default_log()
+    def __init__(self):
         self._last_free_at: List[float] = []
         self._last_completed = 0
 
@@ -210,17 +256,21 @@ class FleetConservationChecker:
             "counters": dict(sim._counters),
             "stranded": list(sim._stranded),
         }
-        violation = InvariantViolation(self.CHECKER, invariant, detail, state)
-        self.log.note_violation(violation)
-        raise violation
+        fail(self.CHECKER, invariant, detail, state)
 
     def check(self, sim, where: str) -> None:
         """Audit ``sim`` at event ``where``."""
-        self.log.note_check(self.CHECKER)
+        default_log().note_check(self.CHECKER)
         self._check_slots(sim, where)
         self._check_placement(sim, where)
         self._check_counters(sim, where)
         self._check_monotonicity(sim, where)
+
+    def finish(self, sim, result) -> None:
+        """The audit at result time: :meth:`check` and the run's
+        ``result`` core."""
+        self.check(sim, "end")
+        check_result_core(result, self.CHECKER)
 
     def _check_slots(self, sim, where: str) -> None:
         spn = sim.config.slots_per_node
@@ -335,3 +385,67 @@ class FleetConservationChecker:
                     f"{free_at} < {last}",
                 )
         self._last_free_at = list(sim._free_at)
+
+
+def check_serving(engine, offered: int, result) -> None:
+    """Audit a finished :class:`~repro.serving.engine.ServingEngine`:
+    each of the ``offered`` requests sits in exactly one outcome bucket,
+    every completed request's timeline is sane, and the run's
+    ``result`` core holds."""
+    default_log().note_check("serving")
+    completed = {r.index for r in engine.completed}
+    shed = {r.index for r in engine.shed}
+    failed = {r.index for r in engine.failed}
+    if (
+        len(completed) != len(engine.completed)
+        or len(shed) != len(engine.shed)
+        or len(failed) != len(engine.failed)
+    ):
+        fail(
+            "serving", "request-exactly-once",
+            "a request appears twice in one outcome bucket",
+            {"completed": len(engine.completed), "distinct": len(completed)},
+        )
+    overlap = (completed & shed) | (completed & failed) | (shed & failed)
+    if overlap:
+        fail(
+            "serving", "request-exactly-once",
+            f"requests in more than one outcome bucket: "
+            f"{sorted(overlap)[:8]}",
+            {"overlap": len(overlap)},
+        )
+    union = completed | shed | failed
+    if len(union) != offered or (union and max(union) >= offered):
+        missing = sorted(set(range(offered)) - union)[:8]
+        fail(
+            "serving", "requests-conserved",
+            f"offered {offered}, completed {len(completed)} "
+            f"+ shed {len(shed)} + failed {len(failed)} "
+            f"= {len(union)} (missing e.g. {missing})",
+            {"queue_depth": engine._queue_depth()},
+        )
+    for request in engine.completed:
+        if not (
+            request.arrival_s - 1e-9
+            <= request.start_s
+            <= request.finish_s + 1e-9
+        ):
+            fail(
+                "serving", "request-timeline",
+                f"request {request.index} timestamps out of order",
+                {
+                    "arrival": request.arrival_s,
+                    "start": request.start_s,
+                    "finish": request.finish_s,
+                },
+            )
+        if request.migration_stall_s > request.queue_wait_s + 1e-9:
+            fail(
+                "serving", "stall-within-wait",
+                f"request {request.index} stall exceeds its queue wait",
+                {
+                    "stall": request.migration_stall_s,
+                    "wait": request.queue_wait_s,
+                },
+            )
+    check_result_core(result, "serving")

@@ -21,13 +21,13 @@ the lock-step comparison it asserts the structural invariants directly:
 """
 
 from collections import Counter
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.kernel.dsm import DsmService, DsmStats
 from repro.linker.layout import PAGE_SIZE, page_of
 from repro.sim.numeric import ordered_sum
-from repro.telemetry.validation import ValidationLog, default_log
-from repro.validate.errors import InvariantViolation
+from repro.telemetry.validation import default_log
+from repro.validate.errors import fail
 
 
 class ShadowDsm:
@@ -170,7 +170,6 @@ class ValidatedDsmService(DsmService):
         home_kernel: str,
         machines=None,
         backup: bool = False,
-        log: Optional[ValidationLog] = None,
     ):
         super().__init__(
             space, messaging, home_kernel, machines=machines, backup=backup
@@ -180,7 +179,6 @@ class ValidatedDsmService(DsmService):
         )
         self._aliased_ranges = [vma.pages for vma in space.vmas()
                                 if vma.aliased]
-        self.log = log if log is not None else default_log()
 
     # ------------------------------------------------------ operations
 
@@ -232,12 +230,10 @@ class ValidatedDsmService(DsmService):
         }
         if extra:
             state.update(extra)
-        violation = InvariantViolation(self.CHECKER, invariant, detail, state)
-        self.log.note_violation(violation)
-        raise violation
+        fail(self.CHECKER, invariant, detail, state)
 
     def _check(self, op: str) -> None:
-        self.log.note_check(self.CHECKER)
+        default_log().note_check(self.CHECKER)
         self._check_structure(op)
         self._check_shadow(op)
         self._check_byte_conservation(op)

@@ -1,15 +1,17 @@
-"""Structured invariant-violation errors.
+"""Structured invariant-violation errors, and the one way to raise them.
 
-Every checker in :mod:`repro.validate` raises
-:class:`InvariantViolation` when a runtime invariant breaks.  The
-exception carries the checker name, the invariant identifier, and a
-dump of the offending state, so a violation deep inside a workload run
-pinpoints the broken mechanism instead of surfacing as a wrong number
-three layers later.
+Every runtime invariant check fails through :func:`fail`: it records
+the violation in :func:`~repro.telemetry.validation.default_log` and
+raises :class:`InvariantViolation`.  The exception carries the checker
+name, the invariant identifier, and a dump of the offending state, so
+a violation deep inside a workload run pinpoints the broken mechanism
+instead of surfacing as a wrong number three layers later.
 """
 
 import pprint
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NoReturn, Optional
+
+from repro.telemetry.validation import default_log
 
 _STATE_DUMP_LIMIT = 2400
 
@@ -18,7 +20,7 @@ class InvariantViolation(Exception):
     """A runtime invariant of the simulator was violated.
 
     Attributes:
-        checker:   which checker fired ("dsm", "stack", "cluster").
+        checker:   which checker fired ("dsm", "stack", "cluster", ...).
         invariant: short identifier of the broken invariant.
         detail:    human-readable description of the mismatch.
         state:     dump of the offending state at violation time.
@@ -44,3 +46,15 @@ class InvariantViolation(Exception):
                 dump = dump[:_STATE_DUMP_LIMIT] + "\n... (state dump truncated)"
             message += "\n--- offending state ---\n" + dump
         super().__init__(message)
+
+
+def fail(
+    checker: str,
+    invariant: str,
+    detail: str,
+    state: Optional[Dict[str, Any]] = None,
+) -> NoReturn:
+    """Record the violation in the default log, then raise it."""
+    violation = InvariantViolation(checker, invariant, detail, state)
+    default_log().note_violation(violation)
+    raise violation

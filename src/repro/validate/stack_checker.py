@@ -22,8 +22,8 @@ paper's Section 5.3 machinery promises:
 from typing import Dict, List, Optional
 
 from repro.runtime.transform import StackTransformer, TransformError
-from repro.telemetry.validation import ValidationLog, default_log
-from repro.validate.errors import InvariantViolation
+from repro.telemetry.validation import default_log
+from repro.validate.errors import fail
 
 
 class _StackSnapshot:
@@ -49,11 +49,9 @@ class ValidatedStackTransformer(StackTransformer):
 
     CHECKER = "stack"
 
-    def __init__(self, binary, space, roundtrip: bool = False,
-                 log: Optional[ValidationLog] = None):
+    def __init__(self, binary, space, roundtrip: bool = False):
         super().__init__(binary, space)
         self.roundtrip = roundtrip
-        self.log = log if log is not None else default_log()
 
     # ------------------------------------------------------------ entry
 
@@ -62,7 +60,7 @@ class ValidatedStackTransformer(StackTransformer):
         stats = StackTransformer.transform(
             self, thread, dst_isa_name, migpoint_site
         )
-        self.log.note_check(self.CHECKER)
+        default_log().note_check(self.CHECKER)
         self._check_layout(thread, src, dst_isa_name)
         self._check_buffers(thread, src, migpoint_site)
         self._check_values(thread, src, migpoint_site)
@@ -139,9 +137,7 @@ class ValidatedStackTransformer(StackTransformer):
         }
         if extra:
             state.update(extra)
-        violation = InvariantViolation(self.CHECKER, invariant, detail, state)
-        self.log.note_violation(violation)
-        raise violation
+        fail(self.CHECKER, invariant, detail, state)
 
     def _check_layout(self, thread, src: _StackSnapshot, dst_isa_name) -> None:
         frames = thread.frames

@@ -8,7 +8,7 @@ from repro.compiler import Toolchain
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.isa.types import ValueType as VT
 from repro.kernel import boot_testbed
-from repro.runtime.execution import EngineHooks, ExecutionEngine
+from repro.runtime.execution import EngineHooks, make_engine
 
 X86 = "x86-server"
 ARM = "arm-server"
@@ -157,9 +157,11 @@ def run_to_completion(
     migrate_at: Optional[int] = None,
     toolchain: Optional[Toolchain] = None,
     batch: int = 256,
+    engine: str = "exact",
 ) -> Tuple[List[float], Optional[int], object]:
-    """Build + run a module; optionally migrate at the Nth migration
-    point hit.  Returns (output, exit_code, system)."""
+    """Build + run a module on the ``engine`` kind of
+    :func:`~repro.runtime.execution.make_engine`; optionally migrate at
+    the Nth migration point hit.  Returns (output, exit_code, system)."""
     binary = (toolchain or Toolchain()).build(module)
     system = boot_testbed()
     process = system.exec_process(binary, start)
@@ -173,8 +175,7 @@ def run_to_completion(
             system.request_migration(process, others[0])
 
     hooks.on_migration_point = on_point
-    engine = ExecutionEngine(system, process, hooks, batch=batch)
-    engine.run()
+    make_engine(system, process, hooks, batch=batch, engine=engine).run()
     return process.output, process.exit_code, system
 
 

@@ -1,5 +1,7 @@
 """CLI tests (python -m repro ...)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -61,6 +63,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "static-x86(2)" in out
         assert "dynamic-balanced" in out
+
+    def test_validate_prints_check_counts_to_stderr(self, capsys, monkeypatch):
+        from repro import validate
+        from repro.telemetry.validation import reset_default_log
+
+        monkeypatch.setattr(validate, "_forced", validate._forced)  # restored
+        reset_default_log()
+        assert main(["--validate", "serve", "redis", "--requests", "300",
+                     "--horizon", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "invariant checks" not in captured.out
+        assert re.search(r"^invariant checks: .*\bserving:[1-9]", captured.err,
+                         re.MULTILINE)
 
     def test_faults(self, capsys):
         assert main(["faults", "--jobs", "12", "--trace"]) == 0

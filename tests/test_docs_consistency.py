@@ -536,3 +536,52 @@ class TestOrderedSums:
         assert builtin_sums(tmp_path) == [
             "src/mod.py:6", "src/mod.py:7", "src/mod.py:8", "src/mod.py:9",
         ]
+
+
+def violation_calls(root: pathlib.Path) -> list:
+    """``path:line`` for every ``InvariantViolation(...)`` call, and every
+    subclass of it, in ``src/`` outside ``validate/errors.py``."""
+    home = pathlib.Path("src", "repro", "validate", "errors.py")
+
+    def named(node) -> bool:
+        return "InvariantViolation" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None))
+
+    return [
+        f"{rel}:{node.lineno}"
+        for path, rel, tree in _src_modules(root)
+        if rel != home
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and named(node.func))
+        or (isinstance(node, ast.ClassDef) and any(map(named, node.bases)))
+    ]
+
+
+class TestOneViolationPath:
+    """Every runtime invariant check fails through
+    ``repro.validate.errors.fail``, which logs the violation before it
+    raises; only that module builds an ``InvariantViolation``.  Each
+    call found prints as ``path:line``."""
+
+    def test_src_fails_only_through_fail(self):
+        found = violation_calls(ROOT)
+        assert not found, "InvariantViolation built, use fail():\n" + "\n".join(found)
+
+    def test_scanner_catches_planted_violations(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text(
+            "from repro.validate import errors\n"
+            "from repro.validate.errors import InvariantViolation, fail\n\n\n"
+            "class Divergence(InvariantViolation):\n"
+            "    pass\n\n\n"
+            "def check(ok):\n"
+            "    try:\n"
+            "        fail('x', 'y', 'logged')\n"
+            "    except InvariantViolation:\n"
+            "        pass\n"
+            "    raise InvariantViolation('x', 'y', 'unlogged')\n"
+            "    raise errors.InvariantViolation('x', 'y', 'unlogged')\n"
+        )
+        assert violation_calls(tmp_path) == [
+            "src/mod.py:5", "src/mod.py:14", "src/mod.py:15",
+        ]

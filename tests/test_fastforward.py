@@ -23,9 +23,9 @@ from repro.kernel import PopcornSystem, boot_testbed
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.runtime.execution import EngineHooks, ExecutionError, make_engine
-from repro.runtime.fastforward import FastForwardDivergence
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRng
+from repro.validate.errors import InvariantViolation
 from repro.workloads import build_workload, workload_names
 from repro.workloads.golden import (
     GOLDEN_CHECKSUMS,
@@ -435,8 +435,10 @@ class TestCrossValidation:
             system = boot_testbed()
             process = system.exec_process(binary, X86)
             engine = make_engine(system, process, engine="fast", batch=batch)
-            with pytest.raises(FastForwardDivergence):
+            with pytest.raises(InvariantViolation) as exc:
                 engine.run()
+            assert exc.value.checker == "fastforward"
+            assert exc.value.invariant == "segment-accounting"
 
     def test_corruption_unnoticed_without_validation(self, monkeypatch):
         """Sanity check on the test above: without the validator the

@@ -50,6 +50,38 @@ def sustained_run(machines, seed=11, jobs=20, conc=4, **sim_kwargs):
     return sim.run_sustained(specs, concurrency)
 
 
+def _build_cluster(faults):
+    return ClusterSimulator(
+        het_machines(), make_policy("dynamic-balanced"), faults=faults
+    )
+
+
+def _build_serving(faults):
+    from repro.serving import ServingEngine, make_serving_policy, make_trace
+
+    trace = make_trace("steady", DeterministicRng(1), requests=10, horizon_s=1.0)
+    return ServingEngine(
+        make_serving_policy("latency-aware"), trace,
+        machines=het_machines(), faults=faults,
+    )
+
+
+class TestUnknownFaultNodes:
+    """A schedule naming a node the simulator lacks fails when the
+    simulator is built, not mid-run (or never, for a partition)."""
+
+    @pytest.mark.parametrize("build", [_build_cluster, _build_serving],
+                             ids=["cluster", "serving"])
+    @pytest.mark.parametrize("event", [
+        NodeCrash(10.0, "nope"),
+        NodeRepair(10.0, "nope"),
+        NetworkPartition(10.0, 50.0, ("arm", "nope")),
+    ], ids=["crash", "repair", "partition"])
+    def test_rejected_at_build(self, build, event):
+        with pytest.raises(ValueError, match=r"\['nope'\]"):
+            build(FaultSchedule([event]))
+
+
 class TestFaultSchedule:
     def test_sorted_and_immutable(self):
         sched = FaultSchedule(
@@ -369,6 +401,13 @@ class TestFailStop:
         # instead of hanging the event loop.
         assert result.requests_failed > 0
         assert "lost" in {e.kind for e in result.fault_trace}
+        # The jobs never admitted are lost with them, not dropped.
+        assert result.requests == 20
+        assert result.requests == (
+            result.requests_completed
+            + result.requests_shed
+            + result.requests_failed
+        )
 
 
 class TestDegradationAndPartition:

@@ -401,16 +401,15 @@ class TestValidatedRun:
         faults = FaultSchedule([
             NodeCrash(time=2000.0, node=node_name(3), repair_seconds=900.0),
         ])
-        from repro.telemetry.validation import ValidationLog
+        from repro.telemetry.validation import reset_default_log
 
-        log = ValidationLog()
+        log = reset_default_log()
         validate.set_enabled(True)
         try:
             sim = FleetSimulator(
                 config, policy, DeterministicRng(11), faults=faults
             )
             assert sim._checker is not None
-            sim._checker.log = log
             trace = make_trace(
                 "steady", DeterministicRng(11),
                 requests=50_000, horizon_s=86_400.0,

@@ -21,6 +21,8 @@ from repro.serving import (
     ServingEngine, make_serving_policy, make_trace, to_job_arrivals,
 )
 from repro.sim.rng import DeterministicRng
+from repro.validate.conservation import check_result_core
+from repro.validate.errors import InvariantViolation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 7
@@ -113,6 +115,19 @@ def test_the_crash_shows_in_the_core(simulator):
     faulted = core(run(True))
     assert faulted != core(run(False))
     assert (faulted.requests_failed > 0) == (simulator != "fleet")
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+def test_check_result_core_fires_on_a_miscount(simulator, delta):
+    result = SIMULATORS[simulator](False)
+    check_result_core(result, simulator)
+    broken = dataclasses.replace(result, requests=result.requests + delta)
+    with pytest.raises(InvariantViolation) as exc:
+        check_result_core(broken, simulator)
+    assert (exc.value.checker, exc.value.invariant) == (
+        simulator, "result-requests-conserved"
+    )
 
 
 def test_fleet_aliases_read_the_core():

@@ -42,6 +42,7 @@ from repro.serving import (
 from repro.serving.policies import node_available
 from repro.serving.resilience import RetryPolicy
 from repro.sim.rng import DeterministicRng
+from repro.validate.conservation import check_serving
 from repro.validate.errors import InvariantViolation
 
 from tests.helpers import ARM, X86
@@ -369,18 +370,18 @@ class TestSheddingAndHedging:
 class TestConservationAudit:
     def test_silent_drop_is_detected(self):
         engine = _engine(trace=_trace(requests=300, horizon_s=1.0))
-        engine.run()
+        result = engine.run()
         engine.completed.pop()  # simulate a silently lost request
         with pytest.raises(InvariantViolation) as exc:
-            engine._check_conservation(300)
+            check_serving(engine, 300, result)
         assert exc.value.invariant == "requests-conserved"
 
     def test_duplicate_completion_is_detected(self):
         engine = _engine(trace=_trace(requests=300, horizon_s=1.0))
-        engine.run()
+        result = engine.run()
         engine.failed.append(engine.completed[0])  # double-bucketed
         with pytest.raises(InvariantViolation) as exc:
-            engine._check_conservation(300)
+            check_serving(engine, 300, result)
         assert exc.value.invariant == "request-exactly-once"
 
     def test_validated_faulted_run_passes_the_audit(self):

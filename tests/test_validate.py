@@ -1,7 +1,7 @@
 """The invariant-checking subsystem (repro.validate) and the bugs it
 catches.
 
-Three groups of tests:
+Four groups of tests:
 
 * regressions for the satellite bugfixes — hDSM S->M upgrades and
   owner-with-stale-sharers writes move no page payload, bulk
@@ -13,8 +13,12 @@ Three groups of tests:
   runs;
 * checker-fires tests — re-introducing each bug (or injecting a
   corruption) makes the matching checker raise
-  :class:`InvariantViolation`.
+  :class:`InvariantViolation`;
+* one log — every checker fails through ``fail`` and counts its checks
+  in the default validation log, and none takes a log of its own.
 """
+
+import inspect
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.datacenter import (
 )
 from repro.datacenter.job import JobState
 from repro.faults import EvacuateLive, FailStop, single_crash
+from repro.fleet import FleetConfig, FleetSimulator, WavePolicy
 from repro.ir import FunctionBuilder, Module
 from repro.isa.types import ValueType as VT
 from repro.kernel import boot_testbed
@@ -39,10 +44,17 @@ from repro.machine.interconnect import make_dolphin_pxh810
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.execution import EngineHooks, ExecutionEngine
 from repro.runtime.transform import StackTransformer
+from repro.serving import ServingEngine, make_serving_policy, make_trace
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.validation import default_log, reset_default_log
 from repro.validate import InvariantViolation
+from repro.validate.conservation import (
+    ClusterConservationChecker,
+    FleetConservationChecker,
+)
 from repro.validate.dsm_checker import ValidatedDsmService
+from repro.validate.errors import fail
+from repro.validate.stack_checker import ValidatedStackTransformer
 
 from tests.helpers import (
     ARM,
@@ -507,6 +519,54 @@ class TestClusterCheckerFires:
         with pytest.raises(InvariantViolation) as exc:
             sim._checker.check(sim)
         assert exc.value.invariant == "energy-monotone"
+
+
+# --------------------------------------------------------------------
+# One way to fail, one log.
+# --------------------------------------------------------------------
+
+class TestOneLog:
+    def test_fail_records_then_raises(self, validation_on):
+        with pytest.raises(InvariantViolation) as exc:
+            fail("demo", "planted", "on purpose", {"x": 1})
+        assert (exc.value.checker, exc.value.invariant) == ("demo", "planted")
+        [record] = validation_on.violations
+        assert (record.checker, record.invariant, record.state) == (
+            "demo", "planted", {"x": 1}
+        )
+
+    def test_every_checker_counts_in_the_default_log(self, validation_on):
+        """One validated run each of a migrating workload on the fast
+        engine, a cluster, a fleet and a serving engine."""
+        run_to_completion(call_chain_module(), migrate_at=2, engine="fast")
+        specs, conc = sustained_backfill(DeterministicRng(11), 8, 4)
+        ClusterSimulator(
+            [make_xgene1("arm"), make_xeon_e5_1650v2("x86")],
+            make_policy("dynamic-balanced"),
+        ).run_sustained(specs, conc)
+        FleetSimulator(
+            FleetConfig(nodes={"x86-64": 2, "arm64": 2}, slots_per_node=2,
+                        services=4),
+            WavePolicy(canary_fraction=0.25, ramp=(0.5, 1.0),
+                       wave_interval_s=5.0, bake_s=5.0),
+            DeterministicRng(7),
+        ).run(make_trace("steady", DeterministicRng(7), requests=200,
+                         horizon_s=30.0))
+        ServingEngine(
+            make_serving_policy("latency-aware"),
+            make_trace("steady", DeterministicRng(7), requests=300,
+                       horizon_s=1.0),
+        ).run()
+        checks = validation_on.checks
+        for checker in ("cluster", "fleet", "serving", "dsm", "stack",
+                        "fastforward"):
+            assert checks[checker] > 0, (checker, dict(checks))
+        assert validation_on.violations == []
+
+    def test_no_checker_takes_a_log(self):
+        for cls in (ValidatedDsmService, ValidatedStackTransformer,
+                    ClusterConservationChecker, FleetConservationChecker):
+            assert "log" not in inspect.signature(cls).parameters, cls
 
 
 # --------------------------------------------------------------------
