@@ -11,7 +11,6 @@
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 from repro.datacenter import ClusterSimulator, make_policy, sustained_backfill
@@ -19,6 +18,7 @@ from repro.kernel import boot_testbed
 from repro.linker.layout import PAGE_SIZE
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.machine.interconnect import make_10gbe, make_dolphin_pxh810
+from repro.render import Table
 from repro.runtime.execution import EngineHooks, ExecutionEngine
 from repro.sim.rng import DeterministicRng
 from repro.workloads import build_workload

@@ -10,7 +10,6 @@ workload.
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 from repro.kernel import PopcornSystem, boot_testbed
@@ -22,6 +21,7 @@ from repro.kernel.checkpoint import (
 )
 from repro.machine import make_xeon_e5_1650v2
 from repro.machine.interconnect import make_dolphin_pxh810
+from repro.render import Table
 from repro.runtime.execution import EngineHooks, ExecutionEngine
 from repro.workloads import build_workload
 

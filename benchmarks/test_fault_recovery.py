@@ -16,7 +16,6 @@ across the ISA boundary and keeps running.
 import pytest
 
 from conftest import run_once
-from repro.analysis import Table
 from repro.datacenter import (
     ClusterSimulator,
     make_policy,
@@ -30,6 +29,7 @@ from repro.faults import (
     single_crash,
 )
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.sim.rng import DeterministicRng
 
 SETS = 3

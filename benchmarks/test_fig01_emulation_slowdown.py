@@ -8,11 +8,12 @@ Plus the Redis datapoints quoted in the text (2.6x / 34x).
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table, format_series, geomean
+from repro.analysis import geomean
 from repro.compiler import Toolchain
 from repro.emulation import make_emulated_machine
 from repro.kernel import PopcornSystem
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table, format_series
 from repro.runtime.execution import ExecutionEngine
 from repro.workloads import build_workload
 

@@ -8,11 +8,11 @@ reports overheads mostly below 5%, shrinking as class size grows.
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 from repro.kernel import PopcornSystem
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.runtime.execution import ExecutionEngine
 from repro.workloads import build_workload
 

@@ -11,10 +11,11 @@ under ~400 us for the majority of cases, ARM needs ~2x as long, and FT
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table, five_number_summary
+from repro.analysis import five_number_summary
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 from repro.kernel import boot_testbed
+from repro.render import Table
 from repro.runtime.execution import EngineHooks, ExecutionEngine
 from repro.workloads import build_workload
 

@@ -11,11 +11,11 @@ burst visible on the power rails.
 import pytest
 
 from conftest import WORK_SCALE, run_once
-from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.compiler.migration_points import DEFAULT_TARGET_GAP
 from repro.kernel import boot_testbed
 from repro.managed import ManagedArray, ManagedObject, ObjectGraph, PadMigRuntime
+from repro.render import Table
 from repro.runtime.execution import ExecutionEngine
 from repro.telemetry import PowerRecorder
 from repro.workloads.npb_is import PROFILE, build_serial

@@ -10,7 +10,6 @@ static heterogeneous policies are strictly worse than the dynamic ones.
 import pytest
 
 from conftest import run_once
-from repro.analysis import Table
 from repro.datacenter import (
     ClusterSimulator,
     POLICIES,
@@ -19,6 +18,7 @@ from repro.datacenter import (
     sustained_backfill,
 )
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.sim.rng import DeterministicRng
 
 SETS = 10

@@ -11,7 +11,6 @@ is omitted from the figure for that reason).
 import pytest
 
 from conftest import run_once
-from repro.analysis import Table
 from repro.datacenter import (
     ClusterSimulator,
     make_policy,
@@ -20,6 +19,7 @@ from repro.datacenter import (
 )
 from repro.datacenter.job import JobSpec
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.sim.rng import DeterministicRng
 
 SETS = 10

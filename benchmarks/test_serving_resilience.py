@@ -27,13 +27,13 @@ Claims checked:
 """
 
 from conftest import run_once
-from repro.analysis import Table
 from repro.faults import (
     DetectorConfig,
     FailureDetector,
     FaultSchedule,
     NodeCrash,
 )
+from repro.render import Table
 from repro.serving import (
     ServingEngine,
     default_resilience,

@@ -24,7 +24,7 @@ Claims checked:
 import pytest
 
 from conftest import run_once
-from repro.analysis import Table
+from repro.render import Table
 from repro.serving import ServingEngine, make_serving_policy, make_trace
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.spans import Tracer, check_causality

@@ -10,9 +10,9 @@ the timing delta, and < 0.001% change in L1D misses.
 import pytest
 
 from conftest import run_once
-from repro.analysis import Table
 from repro.compiler import Toolchain
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.workloads import build_workload
 
 BENCHES = ("is", "cg")

@@ -13,7 +13,6 @@ Figure 12/13 machinery through the public API).
 Run:  python examples/energy_aware_consolidation.py
 """
 
-from repro.analysis import Table
 from repro.datacenter import (
     ClusterSimulator,
     POLICIES,
@@ -22,6 +21,7 @@ from repro.datacenter import (
     sustained_backfill,
 )
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.render import Table
 from repro.sim.rng import DeterministicRng
 
 BASELINE = "static-x86(2)"

@@ -16,18 +16,24 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
-from repro.analysis import Table
 from repro.compiler import Toolchain
-from repro.compiler.migration_points import DEFAULT_TARGET_GAP
+from repro.compiler.migration_points import scaled_target_gap
+from repro.render import Table
 from repro.sim.numeric import ordered_sum
 
 
 def _add_workload_args(parser, with_threads=True):
     parser.add_argument("workload", help="benchmark name (see `repro list`)")
+    _add_size_args(parser, with_threads)
+
+
+def _add_size_args(parser, with_threads=True):
+    """``--cls``, ``--threads`` and ``--scale``: the size of every
+    registry workload a command builds."""
     parser.add_argument("--cls", default="A", choices=("A", "B", "C"),
                         help="NPB problem class")
     if with_threads:
-        parser.add_argument("--threads", type=int, default=2)
+        parser.add_argument("--threads", type=_at_least(1), default=2)
     parser.add_argument("--scale", type=_positive, default=0.01,
                         help="instruction-budget scale (1.0 = full size)")
 
@@ -175,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="benchmark name, or use --all")
     lint.add_argument("--all", action="store_true",
                       help="lint every registered workload")
-    lint.add_argument("--cls", default="A", choices=("A", "B", "C"))
-    lint.add_argument("--threads", type=int, default=2)
-    lint.add_argument("--scale", type=_positive, default=0.01)
+    _add_size_args(lint)
     lint.add_argument("--format", default="text", choices=("text", "json"))
     lint.add_argument("--verbose", action="store_true",
                       help="include info-severity notes in text output")
@@ -312,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "two-phase migration and hDSM recovery protocols")
     chaos.add_argument("--workloads", default="is,ep", metavar="A,B,...",
                        help="comma-separated registry workloads")
-    chaos.add_argument("--cls", default="A", choices=("A", "B", "C"))
-    chaos.add_argument("--threads", type=int, default=2)
-    chaos.add_argument("--scale", type=_positive, default=0.01)
+    _add_size_args(chaos)
     chaos.add_argument("--migrate-at", type=int, default=2, metavar="N",
                        help="migrate the process at the Nth migration point "
                        "(the hand-off protocol is what chaos crashes into)")
@@ -365,7 +367,7 @@ def cmd_run(args) -> int:
     from repro.workloads import build_workload
 
     toolchain = Toolchain(
-        target_gap=max(int(DEFAULT_TARGET_GAP * args.scale), 1000),
+        target_gap=scaled_target_gap(args.scale),
         lint=args.lint,
     )
     binary = toolchain.build(
@@ -437,7 +439,7 @@ def cmd_trace(args) -> int:
     from repro.workloads import build_workload
 
     toolchain = Toolchain(
-        target_gap=max(int(DEFAULT_TARGET_GAP * args.scale), 1000),
+        target_gap=scaled_target_gap(args.scale),
         lint=args.lint,
     )
     binary = toolchain.build(
@@ -527,7 +529,7 @@ def cmd_gaps(args) -> int:
     from repro.runtime.execution import EngineHooks, ExecutionEngine
     from repro.workloads import build_workload
 
-    target = max(int(DEFAULT_TARGET_GAP * args.scale), 1000)
+    target = scaled_target_gap(args.scale)
     for mode in ("boundary", "profiled"):
         toolchain = Toolchain(
             migration_points=mode, target_gap=target, lint=args.lint
@@ -571,7 +573,7 @@ def cmd_lint(args) -> int:
     # Lint is a reporting tool: build even modules the strict toolchain
     # would refuse, so the coverage pass can flag them instead.
     toolchain = Toolchain(
-        target_gap=max(int(DEFAULT_TARGET_GAP * args.scale), 1000),
+        target_gap=scaled_target_gap(args.scale),
         allow_unmigratable=True,
     )
     log = default_lint_log()
@@ -929,6 +931,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro import validate
 
+    forced, forced_roundtrip = validate._forced, validate._forced_roundtrip
     if args.validate or args.validate_roundtrip:
         validate.set_enabled(True)
         if args.validate_roundtrip:
@@ -951,13 +954,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = handler(args)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if validate.enabled():
-        from repro.telemetry.validation import default_log
+        status = 2
+    else:
+        if validate.enabled():
+            from repro.telemetry.validation import default_log
 
-        # stderr, so that stdout stays what the command prints (JSON
-        # included).
-        print(f"invariant checks: {default_log().summary()}", file=sys.stderr)
+            # stderr, so that stdout stays what the command prints
+            # (JSON included).
+            print(f"invariant checks: {default_log().summary()}",
+                  file=sys.stderr)
+    finally:
+        # An in-process caller gets checking back as it was.
+        validate.set_enabled(forced)
+        validate.set_roundtrip(forced_roundtrip)
     return status
 
 

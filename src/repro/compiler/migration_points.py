@@ -28,6 +28,12 @@ DEFAULT_TARGET_GAP = 50_000_000  # one scheduling quantum, per the paper
 _CHUNK_BODY = re.compile(r"\.wb\d+$")
 
 
+def scaled_target_gap(scale: float) -> int:
+    """The target gap of a workload built at ``scale``: the default gap
+    shrunk with the instruction budget, never below 1000 instructions."""
+    return max(int(DEFAULT_TARGET_GAP * scale), 1000)
+
+
 def _next_point_id(fn: Function) -> int:
     highest = -1
     for _, _, instr in fn.instructions():

@@ -46,14 +46,12 @@ class NestedNodeSampler:
 
     def _measure(self, spec: JobSpec, isa: str) -> float:
         from repro.compiler import Toolchain
-        from repro.compiler.migration_points import DEFAULT_TARGET_GAP
+        from repro.compiler.migration_points import scaled_target_gap
         from repro.kernel.testbed import boot_single
         from repro.runtime.execution import make_engine
         from repro.workloads import build_workload
 
-        toolchain = Toolchain(
-            target_gap=max(int(DEFAULT_TARGET_GAP * SCALE), 1000)
-        )
+        toolchain = Toolchain(target_gap=scaled_target_gap(SCALE))
         binary = toolchain.build(
             build_workload(spec.bench, spec.cls, spec.threads, SCALE)
         )

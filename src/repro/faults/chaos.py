@@ -375,13 +375,11 @@ def registry_scenario(
 ) -> ChaosScenario:
     """A scenario over a registry workload at a small, CI-sized scale."""
     from repro.compiler import Toolchain
-    from repro.compiler.migration_points import DEFAULT_TARGET_GAP
+    from repro.compiler.migration_points import scaled_target_gap
     from repro.workloads import build_workload
 
     def factory():
-        toolchain = Toolchain(
-            target_gap=max(int(DEFAULT_TARGET_GAP * scale), 1000)
-        )
+        toolchain = Toolchain(target_gap=scaled_target_gap(scale))
         return toolchain.build(build_workload(workload, cls, threads, scale))
 
     return ChaosScenario(

@@ -9,8 +9,8 @@ standard table format, plus the raw fault timeline for debugging a run.
 
 from typing import Dict, List
 
-from repro.analysis import Table
 from repro.datacenter.energy import ClusterResult
+from repro.render import Table
 
 
 def render_recovery_comparison(

@@ -12,11 +12,10 @@ single-environment illusion to heterogeneous OS-containers:
 * :mod:`repro.kernel.namespaces` — heterogeneous OS-containers;
 * :mod:`repro.kernel.filesystem` — the replicated VFS namespace;
 * :mod:`repro.kernel.syscall` — the narrow syscall interface;
-* :mod:`repro.kernel.kernel` — the per-machine kernel and the
-  :class:`~repro.kernel.kernel.PopcornSystem` testbed facade, which
-  delegates to :mod:`repro.kernel.lifecycle` (process/thread
-  lifecycle), :mod:`repro.kernel.recovery` (crash handling), and
-  :mod:`repro.kernel.testbed` (boot helpers).
+* :mod:`repro.kernel.kernel` — the per-machine kernel and
+  :class:`~repro.kernel.kernel.PopcornSystem`, the system of kernels
+  that owns process lifecycle and crash recovery;
+* :mod:`repro.kernel.testbed` — boot helpers.
 """
 
 from repro._lazy import lazy_exports

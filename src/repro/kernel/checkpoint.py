@@ -233,5 +233,5 @@ def restore_process(system, binary, ckpt: Checkpoint, machine_name: str) -> Proc
 
     system.processes[ckpt.pid] = process
     tids = [t.tid for t in process.threads.values()]
-    system.lifecycle.reserve_ids(ckpt.pid + 1, max(tids, default=0) + 1)
+    system.reserve_ids(ckpt.pid + 1, max(tids, default=0) + 1)
     return process

@@ -155,7 +155,7 @@ class MigrationService:
         self.resumed_migrations = 0
         self._active: Dict[str, MigrationTxn] = {}
         self._next_token = 1
-        system.recovery.register_migration_service(self)
+        system.migration_services.append(self)
 
     # ------------------------------------------------- crash-recovery API
 

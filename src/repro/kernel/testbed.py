@@ -1,9 +1,6 @@
-"""Testbed construction for replicated-kernel systems.
-
-One of the three components the old ``PopcornSystem`` god object was
-split into (see also :mod:`repro.kernel.lifecycle` and
-:mod:`repro.kernel.recovery`).  This module owns *boot*: assembling
-machines, interconnect and clock into a runnable system.
+"""Testbed construction for replicated-kernel systems: assembling
+machines, interconnect and clock into a runnable
+:class:`~repro.kernel.kernel.PopcornSystem`.
 
 :func:`boot_testbed` builds the paper's dual-server setup;
 :func:`boot_single` boots a one-machine system for a given ISA, used by

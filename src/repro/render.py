@@ -4,8 +4,7 @@ Tables, ASCII bar series, counter digests and timeline lines used to
 be re-implemented ad hoc in the analysis package and each ``telemetry``
 log; they live here now so every benchmark table, lint summary,
 validation digest and fault timeline prints through one consistent,
-diffable formatter.  ``repro.analysis`` re-exports the table and
-series helpers for existing callers.
+diffable formatter.
 """
 
 import math

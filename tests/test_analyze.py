@@ -21,7 +21,7 @@ from repro.analyze import (
     run_lint,
 )
 from repro.compiler import Toolchain
-from repro.compiler.migration_points import DEFAULT_TARGET_GAP
+from repro.compiler.migration_points import scaled_target_gap
 from repro.compiler.stackmaps import StackMap, StackMapEntry, join_stackmaps
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.ir.instructions import Br, MigPoint
@@ -47,7 +47,7 @@ class TestCleanWorkloads:
         """Zero error-severity diagnostics for every registered
         workload, on both ISAs (the checked-in baseline stays empty)."""
         toolchain = Toolchain(
-            target_gap=max(int(DEFAULT_TARGET_GAP * 0.002), 1000),
+            target_gap=scaled_target_gap(0.002),
             allow_unmigratable=True,
         )
         binary = toolchain.build(build_workload(name, "A", 1, 0.002))

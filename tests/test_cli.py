@@ -64,11 +64,9 @@ class TestCommands:
         assert "static-x86(2)" in out
         assert "dynamic-balanced" in out
 
-    def test_validate_prints_check_counts_to_stderr(self, capsys, monkeypatch):
-        from repro import validate
+    def test_validate_prints_check_counts_to_stderr(self, capsys):
         from repro.telemetry.validation import reset_default_log
 
-        monkeypatch.setattr(validate, "_forced", validate._forced)  # restored
         reset_default_log()
         assert main(["--validate", "serve", "redis", "--requests", "300",
                      "--horizon", "1"]) == 0
@@ -76,6 +74,18 @@ class TestCommands:
         assert "invariant checks" not in captured.out
         assert re.search(r"^invariant checks: .*\bserving:[1-9]", captured.err,
                          re.MULTILINE)
+
+    def test_validate_flags_end_with_the_command(self, capsys, monkeypatch):
+        """``main`` puts both checking switches back as it found them,
+        so an in-process caller does not validate every later run."""
+        from repro import validate
+
+        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+        monkeypatch.delenv("REPRO_VALIDATE_ROUNDTRIP", raising=False)
+        assert main(["--validate-roundtrip", "list"]) == 0
+        assert "invariant checks" in capsys.readouterr().err
+        assert not validate.enabled()
+        assert not validate.roundtrip_enabled()
 
     def test_faults(self, capsys):
         assert main(["faults", "--jobs", "12", "--trace"]) == 0
@@ -123,6 +133,12 @@ class TestCommands:
         (["trace", "is"], ["--scale", "0"]),
         (["chaos"], ["--scale", "0"]),
         (["chaos", "--serving"], ["--soak", "-1"]),
+        (["run", "is"], ["--threads", "0"]),
+        (["run", "is"], ["--threads", "-2"]),
+        (["trace", "is"], ["--threads", "0"]),
+        (["dump", "is"], ["--threads", "0"]),
+        (["lint", "is"], ["--threads", "0"]),
+        (["chaos", "--workloads", "is"], ["--threads", "0"]),
     ])
     def test_invalid_counts_and_timings_exit_2(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:

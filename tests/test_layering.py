@@ -5,6 +5,7 @@ Each import runs in a fresh interpreter, so nothing an earlier test
 imported can hide an edge.
 """
 
+import ast
 import json
 import os
 import re
@@ -76,3 +77,28 @@ def test_unknown_name_raises_attribute_error():
     from repro.serving import engine  # not exported: the submodule
 
     assert engine.__name__ == "repro.serving.engine"
+
+
+def _export_tables():
+    """``(package, module key)`` per entry of every ``lazy_exports`` table."""
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        for node in ast.walk(ast.parse(init.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "lazy_exports"):
+                for key in node.args[1].keys:
+                    yield package, key.value
+
+
+def test_export_tables_name_their_own_modules():
+    """No package serves another package's names: every key of a
+    ``lazy_exports`` table is a module inside the package."""
+    entries = list(_export_tables())
+    assert len(entries) > len(PACKAGES)
+    bad = []
+    for package, key in entries:
+        path = SRC.joinpath(*package.split("."), *key.lstrip(".").split("."))
+        inside = key.startswith(".") and not key.startswith("..")
+        if not inside or not path.with_suffix(".py").is_file():
+            bad.append(f"{package}: {key!r}")
+    assert not bad, bad

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis import Table, bar, five_number_summary, format_series, geomean
+from repro.analysis import five_number_summary, geomean
 from repro.compiler import Toolchain
 from repro.kernel import boot_testbed
+from repro.render import Table, bar, format_series
 from repro.runtime.execution import ExecutionEngine
 from repro.telemetry import PowerRecorder
 
