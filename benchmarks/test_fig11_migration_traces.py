@@ -18,7 +18,8 @@ from repro.managed import ManagedArray, ManagedObject, ObjectGraph, PadMigRuntim
 from repro.render import Table
 from repro.runtime.execution import ExecutionEngine
 from repro.telemetry import PowerRecorder
-from repro.workloads.npb_is import PROFILE, build_serial
+from repro.workloads.npb_is import build_serial
+from repro.workloads.profiles import PROFILES
 
 ARM, X86 = "arm-server", "x86-server"
 # IS class B keys: 2^25 4-byte Java ints (the serialised heap),
@@ -57,7 +58,7 @@ def _padmig_run():
     runtime = PadMigRuntime(system)
     # Native phase durations from the engine's own model of IS B serial
     # (75% ranking before the migration, 25% verification after).
-    params = PROFILE.params("B")
+    params = PROFILES["is"].params("B")
     x86 = system.machines[X86]
     arm = system.machines[ARM]
     from repro.datacenter.job import JobSpec, job_duration

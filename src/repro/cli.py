@@ -13,6 +13,7 @@ Usage (also available as ``python -m repro``)::
 """
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Tuple
 
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(run)
     run.add_argument("--start", default="x86", choices=("x86", "arm"),
                      help="machine the process starts on")
-    run.add_argument("--migrate-at", type=int, default=None, metavar="N",
+    run.add_argument("--migrate-at", type=_at_least(1), default=None, metavar="N",
                      help="migrate the whole process at the Nth migration point")
     run.add_argument("--engine", default="exact", choices=("exact", "fast"),
                      help="execution engine: 'exact' steps every "
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(trace)
     trace.add_argument("--start", default="x86", choices=("x86", "arm"),
                        help="machine the process starts on")
-    trace.add_argument("--migrate-at", type=int, default=2, metavar="N",
+    trace.add_argument("--migrate-at", type=_at_least(1), default=2, metavar="N",
                        help="migrate the whole process at the Nth migration "
                        "point (default: 2, the Fig. 11 scenario)")
     trace.add_argument("--out", default="trace.json", metavar="PATH",
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workloads", default="is,ep", metavar="A,B,...",
                        help="comma-separated registry workloads")
     _add_size_args(chaos)
-    chaos.add_argument("--migrate-at", type=int, default=2, metavar="N",
+    chaos.add_argument("--migrate-at", type=_at_least(1), default=2, metavar="N",
                        help="migrate the process at the Nth migration point "
                        "(the hand-off protocol is what chaos crashes into)")
     chaos.add_argument("--dsm-backup", action="store_true",
@@ -931,11 +932,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro import validate
 
-    forced, forced_roundtrip = validate._forced, validate._forced_roundtrip
-    if args.validate or args.validate_roundtrip:
-        validate.set_enabled(True)
-        if args.validate_roundtrip:
-            validate.set_roundtrip(True)
     handler = {
         "list": cmd_list,
         "run": cmd_run,
@@ -950,12 +946,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fleet": cmd_fleet,
         "chaos": cmd_chaos,
     }[args.command]
-    try:
-        status = handler(args)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 2
-    else:
+    # An in-process caller gets checking back as it was.
+    override = (
+        validate.forced(True, roundtrip=args.validate_roundtrip or None)
+        if args.validate or args.validate_roundtrip
+        else contextlib.nullcontext()
+    )
+    with override:
+        try:
+            status = handler(args)
+        except KeyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if validate.enabled():
             from repro.telemetry.validation import default_log
 
@@ -963,10 +965,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             # (JSON included).
             print(f"invariant checks: {default_log().summary()}",
                   file=sys.stderr)
-    finally:
-        # An in-process caller gets checking back as it was.
-        validate.set_enabled(forced)
-        validate.set_roundtrip(forced_roundtrip)
     return status
 
 

@@ -14,8 +14,7 @@ from typing import Optional
 
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import Machine
-from repro.workloads import profile_for
-from repro.workloads.base import BenchProfile
+from repro.workloads.profiles import BenchProfile, profile_for
 
 
 @dataclass(frozen=True)

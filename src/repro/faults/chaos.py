@@ -212,16 +212,13 @@ class ChaosHarness:
         def case(outcome: str, detail: str = "") -> ChaosCase:
             return ChaosCase(self.scenario.name, site, victim, outcome, detail)
 
-        forced_before = validate._forced
-        validate.set_enabled(True)
         try:
-            result, injector = self._run(armed=(site.seq, victim))
+            with validate.forced(True):
+                result, injector = self._run(armed=(site.seq, victim))
         except InvariantViolation as exc:
             return case(VIOLATION, f"{exc.invariant}: {exc}")
         except Exception as exc:  # noqa: BLE001 — anything loose is a bug
             return case(VIOLATION, f"unexpected {type(exc).__name__}: {exc}")
-        finally:
-            validate.set_enabled(forced_before)
 
         if injector.fired is None:
             return case(

@@ -12,10 +12,10 @@ Two strategies reproduce the paper's head-to-head framing:
   (:mod:`repro.kernel.checkpoint`): periodic checkpoints at a fixed
   interval, work since the last checkpoint is lost, restore downtime
   ships the whole image up front — and the image is ISA-specific, so a
-  restore on a different-ISA node raises
-  :class:`~repro.kernel.checkpoint.CrossIsaRestoreError` and the job is
-  re-queued until a same-ISA node is available.  That is the paper's
-  motivating limitation, made measurable.
+  restore on a different-ISA node is denied (a ``cross-isa-denied``
+  fault-log entry) and the job is re-queued until a same-ISA node is
+  available.  That is the paper's motivating limitation, made
+  measurable.
 
 :class:`FailStop` (no recovery, jobs die) is the pessimal baseline.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, TYPE_CHECKING
 
 from repro.datacenter.job import Job, JobState
-from repro.kernel.checkpoint import THREAD_CONTEXT_BYTES, CrossIsaRestoreError
+from repro.linker.layout import THREAD_CONTEXT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.cluster import ClusterSimulator, MachineNode
@@ -127,11 +127,10 @@ class CheckpointRestart(RecoveryPolicy):
 
     name = "checkpoint-restart"
 
-    def __init__(self, interval_s: float = 60.0, restore_fixed_s: float = RESTORE_FIXED_S):
+    def __init__(self, interval_s: float = 60.0):
         if interval_s <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.interval_s = interval_s
-        self.restore_fixed_s = restore_fixed_s
         self._checkpoints: Dict[int, _CheckpointRecord] = {}
         self._next_due: Dict[int, float] = {}
 
@@ -191,25 +190,17 @@ class CheckpointRestart(RecoveryPolicy):
         if live:
             # The image cannot cross the ISA boundary — exactly the
             # limitation that motivates multi-ISA binaries.
-            try:
-                self._cross_isa_restore(job, image_isa, live[0])
-            except CrossIsaRestoreError as exc:
-                sim.fault_log.record(
-                    sim.now, "cross-isa-denied", node=live[0].name,
-                    detail=str(exc),
-                )
-                sim.park(job, image_isa, reason="awaiting same-ISA node")
+            node = live[0]
+            sim.fault_log.record(
+                sim.now, "cross-isa-denied", node=node.name,
+                detail=f"checkpoint of {job.spec} is {image_isa} machine "
+                f"state; cannot restore on {node.name} ({node.isa_name}) — "
+                f"register files, stack frames and code addresses do not "
+                f"translate",
+            )
+            sim.park(job, image_isa, reason="awaiting same-ISA node")
             return
         sim.park(job, image_isa, reason="no node up")
-
-    def _cross_isa_restore(
-        self, job: Job, image_isa: str, node: "MachineNode"
-    ) -> None:
-        raise CrossIsaRestoreError(
-            f"checkpoint of {job.spec} is {image_isa} machine state; cannot "
-            f"restore on {node.name} ({node.isa_name}) — register files, "
-            f"stack frames and code addresses do not translate"
-        )
 
     def place_recovered(self, sim, job, targets):
         dst = sim.policy.place(job, targets)
@@ -234,7 +225,7 @@ class CheckpointRestart(RecoveryPolicy):
             job.spec.profile().params(job.spec.cls).footprint_bytes
             + THREAD_CONTEXT_BYTES * job.spec.threads
         )
-        return self.restore_fixed_s + image_bytes / sim.effective_bandwidth()
+        return RESTORE_FIXED_S + image_bytes / sim.effective_bandwidth()
 
 
 RECOVERY_POLICIES = {

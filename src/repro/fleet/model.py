@@ -8,9 +8,7 @@ that ISA; each :class:`FleetNode` and :class:`ServiceInstance` is a
 ``__slots__`` struct holding only what sparse events (waves, crashes,
 repairs) change.  What every job changes — backlogs, job counts, busy
 core-seconds — and the routing tables jobs read live in the simulator's
-flat per-service and per-node lists.  This mirrors the
-:class:`~repro.kernel.kernel.PopcornSystem` split: the facade's
-components carry the shared machinery so per-node state is cheap to
+flat per-service and per-node lists, so per-node state is cheap to
 instantiate by the thousand.
 """
 

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.process import Barrier, CondVar, KernelThreadState, Mutex, Process, Thread, ThreadState
-from repro.linker.layout import PAGE_SIZE, page_of
+from repro.linker.layout import PAGE_SIZE, THREAD_CONTEXT_BYTES, page_of
 from repro.runtime.stack import Frame, UserStack
 from repro.sim.numeric import ordered_sum
 
 PER_PAGE_OVERHEAD_S = 0.4e-6  # freeze/dump bookkeeping per page
-THREAD_CONTEXT_BYTES = 4096  # one thread's register/TLS context
 
 
 class CheckpointError(Exception):

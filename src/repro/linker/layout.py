@@ -8,6 +8,7 @@ per-process state (P^IA = P^IB in the paper's model).
 from dataclasses import dataclass
 
 PAGE_SIZE = 4096
+THREAD_CONTEXT_BYTES = 4096  # a checkpointed thread's register/TLS context
 WORD = 8
 
 

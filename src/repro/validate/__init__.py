@@ -36,12 +36,14 @@ checker's name:
 Checking is **off by default** and costs nothing when disabled: the
 factories below return the plain implementations.  Enable it with the
 ``REPRO_VALIDATE=1`` environment variable, the CLI's ``--validate``
-flag, or programmatically via :func:`set_enabled`.  The CLI prints the
-log's summary to stderr after any command run with checking on.
+flag, or programmatically via :func:`set_enabled` (for one block,
+:func:`forced`).  The CLI prints the log's summary to stderr after any
+command run with checking on.
 """
 
 import os
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro._lazy import lazy_exports
 
@@ -82,6 +84,22 @@ def roundtrip_enabled() -> bool:
 def set_roundtrip(value: Optional[bool]) -> None:
     global _forced_roundtrip
     _forced_roundtrip = value
+
+
+@contextmanager
+def forced(value: bool, roundtrip: Optional[bool] = None) -> Iterator[None]:
+    """Override checking (and the round-trip check, when ``roundtrip``
+    is given) for the ``with`` block; both previous overrides come back
+    on exit, also when the block raises."""
+    global _forced, _forced_roundtrip
+    before = _forced, _forced_roundtrip
+    _forced = value
+    if roundtrip is not None:
+        _forced_roundtrip = roundtrip
+    try:
+        yield
+    finally:
+        _forced, _forced_roundtrip = before
 
 
 # ------------------------------------------------------------ factories

@@ -12,5 +12,6 @@ the original benchmark classes.
 from repro._lazy import lazy_exports
 
 __getattr__ = lazy_exports(__name__, {
-    ".registry": "REGISTRY build_workload profile_for workload_names",
+    ".profiles": "profile_for",
+    ".registry": "REGISTRY build_workload workload_names",
 })

@@ -7,62 +7,21 @@ prints ``(checksum, verified)``.  Workers synchronise with a barrier
 per iteration, exactly like the OpenMP loops of the originals (the
 paper runs them through Popcorn's POMP).
 
-Each benchmark also exports a :class:`BenchProfile` — per-class total
-instruction counts, instruction-class mix, and memory footprint — used
-by the analytic job model of the datacenter experiments and by the
-emulation study.
+Each benchmark sizes its work bursts from its entry in
+:data:`repro.workloads.profiles.PROFILES` — per-class total instruction
+counts, instruction-class mix and memory footprint — the table the
+analytic job model of the datacenter experiments also prices from.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
-from repro.sim.numeric import ordered_sum
 
 BARRIER_ID = 1
 LCG_A = 1103515245
 LCG_C = 12345
 LCG_MASK = (1 << 31) - 1
-
-
-@dataclass(frozen=True)
-class ClassParams:
-    """One NPB problem class of one benchmark."""
-
-    total_instructions: float  # full-size dynamic instruction count
-    footprint_bytes: int  # resident working set
-    iterations: int  # outer (timed) iterations
-    elements: int  # size of the *real* (verified) computation
-
-
-@dataclass(frozen=True)
-class BenchProfile:
-    """Analytic description used by the scheduler/emulation studies."""
-
-    name: str
-    classes: Dict[str, ClassParams]
-    # Fractions of dynamic instructions by class; must sum to ~1.
-    mix: Dict[InstrClass, float]
-    parallel_fraction: float = 0.95  # Amdahl cap for thread scaling
-
-    def params(self, cls: str) -> ClassParams:
-        try:
-            return self.classes[cls]
-        except KeyError:
-            raise KeyError(
-                f"{self.name} has no class {cls!r}; have {sorted(self.classes)}"
-            ) from None
-
-    def instructions_by_class(self, cls: str) -> Dict[InstrClass, float]:
-        total = self.params(cls).total_instructions
-        return {icls: total * frac for icls, frac in self.mix.items()}
-
-
-def mix_normalised(mix: Dict[InstrClass, float]) -> Dict[InstrClass, float]:
-    total = ordered_sum(mix.values())
-    return {k: v / total for k, v in mix.items()}
 
 
 # --------------------------------------------------------------- helpers

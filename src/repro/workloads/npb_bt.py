@@ -1,35 +1,12 @@
 """NPB BT — block tridiagonal solver (the heaviest NPB kernel)."""
 
 from repro.ir import Module
-from repro.isa.isa import InstrClass
-from repro.workloads.base import BenchProfile, ClassParams, mix_normalised
 from repro.workloads.stencil import build_stencil
-
-PROFILE = BenchProfile(
-    name="bt",
-    classes={
-        "A": ClassParams(170e9, 300 << 20, 60, 96),
-        "B": ClassParams(700e9, 1200 << 20, 60, 96),
-        "C": ClassParams(2800e9, 1600 << 20, 60, 96),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.48,
-            InstrClass.LOAD: 0.24,
-            InstrClass.STORE: 0.12,
-            InstrClass.INT_ALU: 0.10,
-            InstrClass.BRANCH: 0.04,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.97,
-)
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
     return build_stencil(
         "bt",
-        PROFILE,
         cls,
         threads,
         scale,

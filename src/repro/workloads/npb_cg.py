@@ -9,39 +9,16 @@ transformation multi-frame work with FP live values.
 """
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_lcg_next,
     emit_publish_array,
     emit_read_array,
-    mix_normalised,
 )
-
-PROFILE = BenchProfile(
-    name="cg",
-    classes={
-        "A": ClassParams(1.5e9, 55 << 20, 15, 96),
-        "B": ClassParams(55e9, 400 << 20, 75, 96),
-        "C": ClassParams(143e9, 900 << 20, 75, 96),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.34,
-            InstrClass.LOAD: 0.34,
-            InstrClass.STORE: 0.08,
-            InstrClass.INT_ALU: 0.14,
-            InstrClass.BRANCH: 0.08,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.94,
-)
+from repro.workloads.profiles import PROFILES
 
 _CG_SOLVE_ITERS = 15
 
@@ -154,7 +131,7 @@ def _emit_conj_grad(module: Module, n: int, flops_per_iter: int, footprint: int)
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
-    params = PROFILE.params(cls)
+    params = PROFILES["cg"].params(cls)
     n = params.elements
     module = Module(f"cg.{cls}.{threads}")
     declare_shared_arrays(

@@ -7,41 +7,19 @@ work bursts carry the class-sized Gaussian-pair flop counts.
 """
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_lcg_next,
     emit_publish_array,
     emit_read_array,
-    mix_normalised,
 )
+from repro.workloads.profiles import PROFILES
 
 N_BINS = 10
 
-PROFILE = BenchProfile(
-    name="ep",
-    classes={
-        "A": ClassParams(26.7e9, 8 << 20, 1, 4096),
-        "B": ClassParams(107e9, 8 << 20, 1, 4096),
-        "C": ClassParams(430e9, 8 << 20, 1, 4096),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.62,
-            InstrClass.INT_ALU: 0.20,
-            InstrClass.LOAD: 0.06,
-            InstrClass.STORE: 0.04,
-            InstrClass.BRANCH: 0.06,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.995,
-)
 
 
 def _emit_gen_pairs(module: Module, pairs_per_thread: int, flops: int) -> None:
@@ -90,7 +68,7 @@ def _emit_gen_pairs(module: Module, pairs_per_thread: int, flops: int) -> None:
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
-    params = PROFILE.params(cls)
+    params = PROFILES["ep"].params(cls)
     module = Module(f"ep.{cls}.{threads}")
     declare_shared_arrays(module, ["g_counts", "g_big"])
     module.add_global(GlobalVar("g_checksum", VT.I64))

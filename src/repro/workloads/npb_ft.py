@@ -8,38 +8,15 @@ small spectrum, single-threaded for a reduction-order-free checksum.
 """
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_publish_array,
     emit_read_array,
-    mix_normalised,
 )
-
-PROFILE = BenchProfile(
-    name="ft",
-    classes={
-        "A": ClassParams(7.1e9, 320 << 20, 6, 128),
-        "B": ClassParams(92e9, 900 << 20, 20, 128),
-        "C": ClassParams(390e9, 1600 << 20, 20, 128),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.52,
-            InstrClass.LOAD: 0.22,
-            InstrClass.STORE: 0.12,
-            InstrClass.INT_ALU: 0.08,
-            InstrClass.BRANCH: 0.04,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.96,
-)
+from repro.workloads.profiles import PROFILES
 
 # Rotation applied per evolve step: (c, s) ~ unit phasor.
 _COS = 0.9998
@@ -111,7 +88,7 @@ def _emit_chain(module: Module, n: int) -> None:
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
-    params = PROFILE.params(cls)
+    params = PROFILES["ft"].params(cls)
     n = params.elements
     module = Module(f"ft.{cls}.{threads}")
     declare_shared_arrays(module, ["g_re", "g_im", "g_big"])

@@ -9,43 +9,22 @@ counts (integer/memory heavy) over the class-sized footprint.
 from typing import Optional
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     emit_barrier,
     emit_lcg_next,
     emit_publish_array,
     emit_read_array,
     build_parallel_scaffold,
     declare_shared_arrays,
-    mix_normalised,
 )
+from repro.workloads.profiles import PROFILES
 
 MAX_KEY = 1024
 CHECK_MASK = (1 << 48) - 1
 # Span the verify pass touches; set per-build before emitting full_verify.
 _VERIFY_SPAN = [0]
 
-PROFILE = BenchProfile(
-    name="is",
-    classes={
-        "A": ClassParams(0.9e9, 32 << 20, 10, 2048),
-        "B": ClassParams(3.6e9, 128 << 20, 10, 2048),
-        "C": ClassParams(14.4e9, 512 << 20, 10, 2048),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.INT_ALU: 0.38,
-            InstrClass.LOAD: 0.30,
-            InstrClass.STORE: 0.18,
-            InstrClass.BRANCH: 0.12,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.92,
-)
 
 
 def _emit_create_seq(module: Module, elements: int) -> None:
@@ -119,7 +98,7 @@ def _emit_full_verify_real(module: Module, elements: int, verify_instr: int) -> 
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
-    params = PROFILE.params(cls)
+    params = PROFILES["is"].params(cls)
     module = Module(f"is.{cls}.{threads}")
     declare_shared_arrays(module, ["g_keys", "g_big"])
     module.add_global(GlobalVar("g_checksum", VT.I64))
@@ -167,7 +146,7 @@ def build_serial(
 ) -> Module:
     """The Figure 11 variant: serial IS, optionally migrating
     ``full_verify`` to the machine with the given index."""
-    params = PROFILE.params(cls)
+    params = PROFILES["is"].params(cls)
     module = Module(f"is.{cls}.serial")
     declare_shared_arrays(module, ["g_keys", "g_big"])
     module.add_global(GlobalVar("g_checksum", VT.I64))

@@ -6,35 +6,12 @@ parallel fraction of the CFD trio.
 """
 
 from repro.ir import Module
-from repro.isa.isa import InstrClass
-from repro.workloads.base import BenchProfile, ClassParams, mix_normalised
 from repro.workloads.stencil import build_stencil
-
-PROFILE = BenchProfile(
-    name="lu",
-    classes={
-        "A": ClassParams(120e9, 300 << 20, 60, 104),
-        "B": ClassParams(480e9, 1200 << 20, 60, 104),
-        "C": ClassParams(1900e9, 1600 << 20, 60, 104),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.46,
-            InstrClass.LOAD: 0.26,
-            InstrClass.STORE: 0.12,
-            InstrClass.INT_ALU: 0.10,
-            InstrClass.BRANCH: 0.04,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.90,  # wavefront dependences limit scaling
-)
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
     return build_stencil(
         "lu",
-        PROFILE,
         cls,
         threads,
         scale,

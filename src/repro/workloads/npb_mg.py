@@ -1,35 +1,12 @@
 """NPB MG — multigrid V-cycle (memory-bandwidth bound)."""
 
 from repro.ir import Module
-from repro.isa.isa import InstrClass
-from repro.workloads.base import BenchProfile, ClassParams, mix_normalised
 from repro.workloads.stencil import build_stencil
-
-PROFILE = BenchProfile(
-    name="mg",
-    classes={
-        "A": ClassParams(3.9e9, 450 << 20, 4, 96),
-        "B": ClassParams(19e9, 450 << 20, 20, 96),
-        "C": ClassParams(155e9, 1700 << 20, 20, 96),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.LOAD: 0.38,
-            InstrClass.STORE: 0.18,
-            InstrClass.FP_ALU: 0.28,
-            InstrClass.INT_ALU: 0.10,
-            InstrClass.BRANCH: 0.04,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.93,
-)
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
     return build_stencil(
         "mg",
-        PROFILE,
         cls,
         threads,
         scale,

@@ -1,35 +1,12 @@
 """NPB SP — scalar pentadiagonal solver."""
 
 from repro.ir import Module
-from repro.isa.isa import InstrClass
-from repro.workloads.base import BenchProfile, ClassParams, mix_normalised
 from repro.workloads.stencil import build_stencil
-
-PROFILE = BenchProfile(
-    name="sp",
-    classes={
-        "A": ClassParams(100e9, 300 << 20, 60, 88),
-        "B": ClassParams(410e9, 1200 << 20, 60, 88),
-        "C": ClassParams(1600e9, 1600 << 20, 60, 88),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.FP_ALU: 0.42,
-            InstrClass.LOAD: 0.28,
-            InstrClass.STORE: 0.14,
-            InstrClass.INT_ALU: 0.10,
-            InstrClass.BRANCH: 0.04,
-            InstrClass.MOV: 0.02,
-        }
-    ),
-    parallel_fraction=0.96,
-)
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
     return build_stencil(
         "sp",
-        PROFILE,
         cls,
         threads,
         scale,

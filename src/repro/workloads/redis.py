@@ -9,41 +9,19 @@ stateful C application that motivates native-code migration.
 """
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_lcg_next,
     emit_publish_array,
     emit_read_array,
-    mix_normalised,
 )
+from repro.workloads.profiles import PROFILES
 
 TABLE_SLOTS = 2048
 
-PROFILE = BenchProfile(
-    name="redis",
-    classes={
-        "A": ClassParams(1.2e9, 96 << 20, 1, 6000),
-        "B": ClassParams(4.8e9, 192 << 20, 1, 24000),
-        "C": ClassParams(19e9, 384 << 20, 1, 96000),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.LOAD: 0.34,
-            InstrClass.STORE: 0.14,
-            InstrClass.INT_ALU: 0.26,
-            InstrClass.BRANCH: 0.18,
-            InstrClass.MOV: 0.06,
-            InstrClass.SYSCALL: 0.02,
-        }
-    ),
-    parallel_fraction=0.05,  # single-threaded event loop
-)
 
 
 def _emit_serve(module: Module, requests: int, instr: int, footprint: int) -> None:
@@ -89,7 +67,7 @@ def _emit_serve(module: Module, requests: int, instr: int, footprint: int) -> No
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
     """Redis is single-threaded; ``threads`` > 1 adds idle workers only
     (kept for interface uniformity with the other workloads)."""
-    params = PROFILE.params(cls)
+    params = PROFILES["redis"].params(cls)
     module = Module(f"redis.{cls}.{threads}")
     declare_shared_arrays(module, ["g_table", "g_big"])
     module.add_global(GlobalVar("g_checksum", VT.I64))

@@ -6,28 +6,26 @@ from repro.ir import Module
 from repro.workloads import bzip2, npb_bt, npb_cg, npb_ep, npb_ft, npb_is, npb_lu, npb_mg, npb_sp
 from repro.workloads import redis as redis_mod
 from repro.workloads import verus as verus_mod
-from repro.workloads.base import BenchProfile
 
 
 class _Entry:
-    def __init__(self, build: Callable, profile: BenchProfile, description: str):
+    def __init__(self, build: Callable, description: str):
         self.build = build
-        self.profile = profile
         self.description = description
 
 
 REGISTRY: Dict[str, _Entry] = {
-    "is": _Entry(npb_is.build, npb_is.PROFILE, "NPB integer sort"),
-    "cg": _Entry(npb_cg.build, npb_cg.PROFILE, "NPB conjugate gradient"),
-    "ft": _Entry(npb_ft.build, npb_ft.PROFILE, "NPB 3-D FFT"),
-    "lu": _Entry(npb_lu.build, npb_lu.PROFILE, "NPB LU Gauss-Seidel solver"),
-    "ep": _Entry(npb_ep.build, npb_ep.PROFILE, "NPB embarrassingly parallel"),
-    "bt": _Entry(npb_bt.build, npb_bt.PROFILE, "NPB block tridiagonal"),
-    "sp": _Entry(npb_sp.build, npb_sp.PROFILE, "NPB scalar pentadiagonal"),
-    "mg": _Entry(npb_mg.build, npb_mg.PROFILE, "NPB multigrid"),
-    "bzip2smp": _Entry(bzip2.build, bzip2.PROFILE, "SMP bzip2 compression"),
-    "verus": _Entry(verus_mod.build, verus_mod.PROFILE, "Verus model checker"),
-    "redis": _Entry(redis_mod.build, redis_mod.PROFILE, "Redis-like KV store"),
+    "is": _Entry(npb_is.build, "NPB integer sort"),
+    "cg": _Entry(npb_cg.build, "NPB conjugate gradient"),
+    "ft": _Entry(npb_ft.build, "NPB 3-D FFT"),
+    "lu": _Entry(npb_lu.build, "NPB LU Gauss-Seidel solver"),
+    "ep": _Entry(npb_ep.build, "NPB embarrassingly parallel"),
+    "bt": _Entry(npb_bt.build, "NPB block tridiagonal"),
+    "sp": _Entry(npb_sp.build, "NPB scalar pentadiagonal"),
+    "mg": _Entry(npb_mg.build, "NPB multigrid"),
+    "bzip2smp": _Entry(bzip2.build, "SMP bzip2 compression"),
+    "verus": _Entry(verus_mod.build, "Verus model checker"),
+    "redis": _Entry(redis_mod.build, "Redis-like KV store"),
 }
 
 
@@ -44,10 +42,3 @@ def build_workload(
     except KeyError:
         raise KeyError(f"unknown workload {name!r}; have {workload_names()}") from None
     return entry.build(cls=cls, threads=threads, scale=scale)
-
-
-def profile_for(name: str) -> BenchProfile:
-    try:
-        return REGISTRY[name].profile
-    except KeyError:
-        raise KeyError(f"unknown workload {name!r}; have {workload_names()}") from None

@@ -17,13 +17,13 @@ from typing import List
 from repro.ir import FunctionBuilder, GlobalVar, Module
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_publish_array,
     emit_read_array,
 )
+from repro.workloads.profiles import PROFILES
 
 
 def _emit_sweep(module: Module, n: int) -> None:
@@ -61,7 +61,6 @@ def _emit_solve_phase(
 
 def build_stencil(
     bench: str,
-    profile: BenchProfile,
     cls: str,
     threads: int,
     scale: float,
@@ -69,7 +68,7 @@ def build_stencil(
     phase_kind: str,
 ) -> Module:
     """Build one grid-solver workload."""
-    params = profile.params(cls)
+    params = PROFILES[bench].params(cls)
     n = params.elements
     module = Module(f"{bench}.{cls}.{threads}")
     declare_shared_arrays(module, ["g_u", "g_f", "g_big"])

@@ -8,40 +8,19 @@ runs Verus with variable input sizes, mapped to classes here.
 """
 
 from repro.ir import FunctionBuilder, GlobalVar, Module
-from repro.isa.isa import InstrClass
 from repro.isa.types import ValueType as VT
 from repro.workloads.base import (
-    BenchProfile,
-    ClassParams,
     build_parallel_scaffold,
     declare_shared_arrays,
     emit_barrier,
     emit_lcg_next,
     emit_publish_array,
     emit_read_array,
-    mix_normalised,
 )
+from repro.workloads.profiles import PROFILES
 
 STATE_SPACE = 4096  # bitset slots for the real exploration
 
-PROFILE = BenchProfile(
-    name="verus",
-    classes={
-        "A": ClassParams(2.2e9, 48 << 20, 1, 3000),
-        "B": ClassParams(9e9, 96 << 20, 1, 3000),
-        "C": ClassParams(36e9, 192 << 20, 1, 3000),
-    },
-    mix=mix_normalised(
-        {
-            InstrClass.BRANCH: 0.30,
-            InstrClass.INT_ALU: 0.30,
-            InstrClass.LOAD: 0.28,
-            InstrClass.STORE: 0.08,
-            InstrClass.MOV: 0.04,
-        }
-    ),
-    parallel_fraction=0.75,  # model checking parallelises poorly
-)
 
 
 def _emit_explore(module: Module, steps: int, instr: int, footprint: int) -> None:
@@ -67,7 +46,7 @@ def _emit_explore(module: Module, steps: int, instr: int, footprint: int) -> Non
 
 
 def build(cls: str = "A", threads: int = 1, scale: float = 1.0) -> Module:
-    params = PROFILE.params(cls)
+    params = PROFILES["verus"].params(cls)
     module = Module(f"verus.{cls}.{threads}")
     declare_shared_arrays(module, ["g_visited", "g_big", "g_fresh"])
     module.add_global(GlobalVar("g_checksum", VT.I64))

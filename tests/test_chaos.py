@@ -497,9 +497,7 @@ class TestSplitBrain:
         return job
 
     def test_source_side_partitioned_mid_handoff(self):
-        forced = validate._forced
-        validate.set_enabled(True)
-        try:
+        with validate.forced(True):
             sim = self._sim(island=("arm",))
             checker = validate.make_cluster_checker()
             checker.begin(1)
@@ -515,13 +513,9 @@ class TestSplitBrain:
             kinds = {e.kind for e in sim.fault_log}
             assert "fence" in kinds and "rejoin" in kinds
             assert sim.detector.stats.false_confirms >= 1
-        finally:
-            validate.set_enabled(forced)
 
     def test_destination_side_partitioned_mid_handoff(self):
-        forced = validate._forced
-        validate.set_enabled(True)
-        try:
+        with validate.forced(True):
             sim = self._sim(island=("x86-1",))
             checker = validate.make_cluster_checker()
             checker.begin(1)
@@ -534,8 +528,6 @@ class TestSplitBrain:
             assert job.machine in ("arm", "x86-2")
             assert sim.handoffs_aborted >= 1
             assert "handoff-abort" in {e.kind for e in sim.fault_log}
-        finally:
-            validate.set_enabled(forced)
 
 
 # ----------------------------------------------- engine-level recovery

@@ -139,6 +139,12 @@ class TestCommands:
         (["dump", "is"], ["--threads", "0"]),
         (["lint", "is"], ["--threads", "0"]),
         (["chaos", "--workloads", "is"], ["--threads", "0"]),
+        (["run", "is"], ["--migrate-at", "0"]),
+        (["run", "is"], ["--migrate-at", "-3"]),
+        (["trace", "is"], ["--migrate-at", "0"]),
+        (["trace", "is"], ["--migrate-at", "-3"]),
+        (["chaos", "--workloads", "is"], ["--migrate-at", "0"]),
+        (["chaos", "--workloads", "is"], ["--migrate-at", "-3"]),
     ])
     def test_invalid_counts_and_timings_exit_2(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,6 @@ from repro.faults import (
     random_crash_schedule,
     single_crash,
 )
-from repro.kernel.checkpoint import CrossIsaRestoreError
 from repro.kernel.messages import MessagingLayer
 from repro.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.machine.interconnect import make_dolphin_pxh810
@@ -355,13 +354,15 @@ class TestCheckpointRestart:
         assert {"cross-isa-denied", "park", "repair", "restart"} <= kinds
         assert result.jobs_restarted > 0
         assert result.requests_failed == 0
-
-    def test_cross_isa_restore_raises(self):
-        sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
-        policy = CheckpointRestart(10.0)
-        job = Job(JobSpec("is", "A", 2), 0.0)
-        with pytest.raises(CrossIsaRestoreError):
-            policy._cross_isa_restore(job, "x86_64", sim.nodes[0])
+        # The x86 image is denied on the one live node, the ARM board,
+        # and the entry says why.
+        denied = next(e for e in result.fault_trace if e.kind == "cross-isa-denied")
+        assert denied.node == "arm"
+        assert denied.detail == (
+            "checkpoint of ft.Bx4 is x86_64 machine state; cannot restore "
+            "on arm (arm64) — register files, stack frames and code "
+            "addresses do not translate"
+        )
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):

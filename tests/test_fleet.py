@@ -404,8 +404,7 @@ class TestValidatedRun:
         from repro.telemetry.validation import reset_default_log
 
         log = reset_default_log()
-        validate.set_enabled(True)
-        try:
+        with validate.forced(True):
             sim = FleetSimulator(
                 config, policy, DeterministicRng(11), faults=faults
             )
@@ -415,20 +414,15 @@ class TestValidatedRun:
                 requests=50_000, horizon_s=86_400.0,
             )
             result = sim.run(trace)
-        finally:
-            validate.set_enabled(None)
         assert log.checks["fleet"] > 0 and not log.violations
         assert result.requests_completed + result.requests_shed == 50_000
         assert result.services_migrated == 1500
 
     def test_checker_off_when_disabled(self):
-        validate.set_enabled(False)
-        try:
+        with validate.forced(False):
             sim = FleetSimulator(
                 small_config(), quick_policy(), DeterministicRng(1)
             )
-        finally:
-            validate.set_enabled(None)
         assert sim._checker is None
 
 

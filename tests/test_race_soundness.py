@@ -26,9 +26,8 @@ from repro.workloads.racey import racey_counter_module, racey_publish_module
 @pytest.fixture
 def validated():
     """Force the MSI shadow model on for the duration of one test."""
-    validate.set_enabled(True)
-    yield
-    validate.set_enabled(None)
+    with validate.forced(True):
+        yield
 
 
 # ------------------------------------------------------------ unit level

@@ -385,14 +385,10 @@ class TestConservationAudit:
         assert exc.value.invariant == "request-exactly-once"
 
     def test_validated_faulted_run_passes_the_audit(self):
-        before = validate._forced
-        validate.set_enabled(True)
-        try:
+        with validate.forced(True):
             result = _engine(
                 faults=_crash(), resilience=default_resilience()
             ).run()
-        finally:
-            validate.set_enabled(before)
         assert result.requests == (
             result.requests_completed
             + result.requests_shed

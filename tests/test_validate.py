@@ -609,6 +609,32 @@ class TestEnablePlumbing:
         finally:
             validate.set_roundtrip(None)
 
+    def test_forced_restores_both_overrides(self, monkeypatch):
+        # The environment says on; the overrides below say otherwise.
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        monkeypatch.setenv("REPRO_VALIDATE_ROUNDTRIP", "1")
+        validate.set_enabled(None)
+        validate.set_roundtrip(False)
+        try:
+            with pytest.raises(RuntimeError):
+                with validate.forced(False, roundtrip=True):
+                    assert not validate.enabled()
+                    assert validate.roundtrip_enabled()
+                    raise RuntimeError("inside the block")
+            # Checking defers to the environment again; the round-trip
+            # override is False again, not the environment's True.
+            assert validate.enabled() and not validate.roundtrip_enabled()
+            with validate.forced(False):
+                with validate.forced(True, roundtrip=True):
+                    assert validate.enabled() and validate.roundtrip_enabled()
+                # Without ``roundtrip`` the round-trip override stays.
+                assert not validate.enabled()
+                assert not validate.roundtrip_enabled()
+            assert validate.enabled() and not validate.roundtrip_enabled()
+        finally:
+            validate.set_enabled(None)
+            validate.set_roundtrip(None)
+
     def test_validation_log_summary(self, validation_on):
         run_to_completion(call_chain_module(), migrate_at=2)
         log = validation_on

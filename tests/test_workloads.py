@@ -8,6 +8,7 @@ from repro.ir.validate import validate_module
 from repro.isa.isa import InstrClass
 from repro.workloads import REGISTRY, build_workload, profile_for, workload_names
 from repro.workloads.npb_is import build_serial
+from repro.workloads.profiles import PROFILES
 
 from tests.helpers import ARM, X86, run_to_completion
 
@@ -20,6 +21,11 @@ class TestRegistry:
             "is", "cg", "ft", "ep", "bt", "sp", "mg", "lu",
             "bzip2smp", "verus", "redis",
         }
+
+    def test_one_profile_per_workload(self):
+        assert len(PROFILES) == 11 and set(PROFILES) == set(REGISTRY)
+        for name, profile in PROFILES.items():
+            assert profile.name == name
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
