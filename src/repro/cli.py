@@ -17,8 +17,6 @@ import contextlib
 import sys
 from typing import List, Optional, Tuple
 
-from repro.compiler import Toolchain
-from repro.compiler.migration_points import scaled_target_gap
 from repro.render import Table
 from repro.sim.numeric import ordered_sum
 
@@ -362,6 +360,8 @@ def _machine_name(short: str) -> str:
 
 
 def cmd_run(args) -> int:
+    from repro.compiler import Toolchain
+    from repro.compiler.migration_points import scaled_target_gap
     from repro.kernel import boot_testbed
     from repro.runtime.execution import EngineHooks, make_engine
     from repro.telemetry import PowerRecorder
@@ -434,6 +434,8 @@ def cmd_trace(args) -> int:
         spans_to_jsonl,
         validate_chrome_trace,
     )
+    from repro.compiler import Toolchain
+    from repro.compiler.migration_points import scaled_target_gap
     from repro.kernel import boot_testbed
     from repro.runtime.execution import EngineHooks, ExecutionEngine
     from repro.telemetry.spans import Tracer, check_causality
@@ -496,6 +498,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_layout(args) -> int:
+    from repro.compiler import Toolchain
     from repro.workloads import build_workload
 
     binary = Toolchain(lint=args.lint).build(
@@ -525,6 +528,8 @@ def cmd_layout(args) -> int:
 
 
 def cmd_gaps(args) -> int:
+    from repro.compiler import Toolchain
+    from repro.compiler.migration_points import scaled_target_gap
     from repro.compiler.profiling import GapProfile, GapRecorder
     from repro.kernel import boot_testbed
     from repro.runtime.execution import EngineHooks, ExecutionEngine
@@ -558,6 +563,8 @@ def cmd_gaps(args) -> int:
 
 def cmd_lint(args) -> int:
     from repro.analyze import Baseline, render_json, render_text, run_lint
+    from repro.compiler import Toolchain
+    from repro.compiler.migration_points import scaled_target_gap
     from repro.telemetry.lintlog import default_lint_log
     from repro.workloads import build_workload, workload_names
 

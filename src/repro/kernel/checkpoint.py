@@ -41,6 +41,7 @@ class CrossIsaRestoreError(CheckpointError):
 @dataclass
 class ThreadImage:
     tid: int
+    slot: int
     thread_pointer: int
     stack_low: int
     stack_high: int
@@ -102,6 +103,7 @@ def checkpoint_process(process: Process, system) -> Checkpoint:
         images.append(
             ThreadImage(
                 tid=thread.tid,
+                slot=thread.slot,
                 thread_pointer=thread.thread_pointer,
                 stack_low=thread.stack.low,
                 stack_high=thread.stack.high,
@@ -194,7 +196,10 @@ def restore_process(system, binary, ckpt: Checkpoint, machine_name: str) -> Proc
     for image in ckpt.threads:
         stack = UserStack(image.stack_low, image.stack_high)
         stack.half = image.stack_half
-        thread = Thread(image.tid, process, machine_name, stack, image.thread_pointer)
+        thread = Thread(
+            image.tid, process, machine_name, stack, image.thread_pointer,
+            image.slot,
+        )
         thread.regs = dict(image.regs)
         thread.frames = [
             Frame(mf=mfs[name], cfa=cfa, resume=resume, call_site_id=site)

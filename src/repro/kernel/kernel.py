@@ -3,10 +3,12 @@
 A :class:`Kernel` is one natively-compiled OS instance on one machine.
 :class:`PopcornSystem` is the testbed driver experiments interact with:
 the set of kernels, the interconnect between them, the shared simulated
-clock, and the services that span kernels.  It owns the process
-lifecycle (pid/tid allocation, exec, thread spawn, migration requests,
-reaping) and crash recovery (fencing a dead kernel, failing its
-threads, scrubbing hDSM directories and replicated services).
+clock, and the services that span kernels (messaging, the replicated
+services, the VFS and the one thread-migration service every engine
+on the system uses).  It owns the process lifecycle (pid/tid
+allocation, exec, thread spawn, migration requests, reaping) and
+crash recovery (fencing a dead kernel, failing its threads, scrubbing
+hDSM directories and replicated services).
 :mod:`repro.kernel.testbed` boots systems (:func:`boot_testbed` and
 ``boot_single``).
 """
@@ -17,6 +19,7 @@ from repro.compiler.toolchain import MultiIsaBinary
 from repro.kernel.filesystem import VirtualFileSystem
 from repro.kernel.loader import init_thread_tls, load_binary, thread_pointer_for
 from repro.kernel.messages import MessagingLayer
+from repro.kernel.migration import MigrationService
 from repro.kernel.namespaces import HeterogeneousContainer
 from repro.kernel.process import Process, Thread, ThreadState
 from repro.kernel.services import ServiceRegistry
@@ -100,13 +103,11 @@ class PopcornSystem:
         self.kernels: Dict[str, Kernel] = {m.name: Kernel(m) for m in machines}
         self.vfs = VirtualFileSystem(self.messaging, self.machine_order[0])
         self.services = ServiceRegistry(self.messaging, self.machine_order)
+        # Every engine on this system migrates threads through it.
+        self.migration = MigrationService(self)
         self.processes: Dict[int, Process] = {}
         self._next_pid = 1
         self._next_tid = 1
-        # Migration services consulted during crash recovery: a thread
-        # whose context already shipped to a live destination survives
-        # its source kernel's death via the resume token.
-        self.migration_services: List = []
         # Opt-in dirty-page backup replication for new processes.
         self.dsm_backup = False
 
@@ -185,7 +186,7 @@ class PopcornSystem:
         tp = thread_pointer_for(binary, stack_index)
         init_thread_tls(process.space, binary, tp)
 
-        thread = Thread(tid, process, machine_name, stack, tp)
+        thread = Thread(tid, process, machine_name, stack, tp, stack_index)
         thread.start_function = function
         thread.start_args = list(args)
         isa_name = self.isa_of(machine_name)
@@ -230,13 +231,15 @@ class PopcornSystem:
         if machine_name not in self.machines:
             raise KeyError(f"unknown machine {machine_name}")
         for thread in process.alive_threads:
-            process.vdso.request_migration(thread.tid, machine_name)
+            process.vdso.request_migration(thread.slot, machine_name)
 
     def request_thread_migration(
         self, thread: Thread, machine_name: str
     ) -> None:
         """Set the vDSO migration flag for one thread."""
-        thread.process.vdso.request_migration(thread.tid, machine_name)
+        if machine_name not in self.machines:
+            raise KeyError(f"unknown machine {machine_name}")
+        thread.process.vdso.request_migration(thread.slot, machine_name)
 
     # ----------------------------------------------------- crash recovery
 
@@ -264,9 +267,7 @@ class PopcornSystem:
                 "kernel.crash", "fault", track=name, kernel=name
             )
             self.tracer.metrics.counter("fault.kernel_crashes").inc()
-        saved: set = set()
-        for service in self.migration_services:
-            saved |= service.threads_with_surviving_copy(name)
+        saved = self.migration.threads_with_surviving_copy(name)
         for thread in list(kernel.threads.values()):
             if thread.tid in saved or thread.state == ThreadState.DONE:
                 continue

@@ -20,6 +20,10 @@ Homogeneous-ISA migration (the dynamic policies may also move work
 between identical x86 boxes) skips the transformation but pays the
 kernel-level hand-off.
 
+Each system owns one migration service (``PopcornSystem.migration``),
+built at boot beside the messaging layer, the replicated services and
+the VFS; every execution engine on the system migrates through it.
+
 Crash consistency.  The hand-off is a two-phase protocol:
 
     PREPARE   stack transformed + claimed at the source; nothing has
@@ -34,11 +38,15 @@ Crash consistency.  The hand-off is a two-phase protocol:
     COMMIT    the thread is rebound to the destination kernel; the
               source copy is dead.
 
-Every step announces itself through ``MessagingLayer.chaos_step`` so
-the chaos harness can enumerate and trigger crashes at each one.  After
-each step the service re-checks both endpoints and either proceeds,
-aborts back to the source, or promotes the destination copy — so a
-crash at any step leaves exactly one live copy of the thread.
+One :class:`MigrationTxn` record holds the whole hand-off: the thread,
+both ISAs, the migration-point site, the transform's stats and cost,
+the hand-off cost so far, the phase and whether the process table
+already names the destination.  Every step announces itself through
+``MessagingLayer.chaos_step`` so the chaos harness can enumerate and
+trigger crashes at each one.  After each step the service re-checks
+both endpoints and, reading only the record, either proceeds, aborts
+back to the source, or promotes the destination copy — so a crash at
+any step leaves exactly one live copy of the thread.
 """
 
 import enum
@@ -55,6 +63,8 @@ NAMESPACE_REPLICA_BYTES = 512
 
 
 class TxnPhase(enum.Enum):
+    """How far a hand-off got; crash recovery is a function of it."""
+
     PREPARING = "preparing"
     PREPARED = "prepared"
     TRANSFERRED = "transferred"
@@ -63,21 +73,28 @@ class TxnPhase(enum.Enum):
 
 
 @dataclass
-class MigrationTxn:
-    """One in-flight migration hand-off (the resume token's record)."""
+class MigrationOutcome:
+    """What one migration cost and produced."""
 
-    token: str
-    pid: int
-    tid: int
-    src: str
-    dst: str
-    site: int
-    phase: TxnPhase = TxnPhase.PREPARING
-    # Whether the process table already names the destination.
-    published: bool = False
-    thread: Optional[Thread] = None
-    # Span bookkeeping for this hand-off; None when tracing is off.
-    trace: Optional["_HandoffTrace"] = None
+    src_machine: str
+    dst_machine: str
+    cross_isa: bool
+    transform: Optional[TransformStats]
+    transform_seconds: float
+    handoff_seconds: float
+    #: True if the hand-off rolled back and the thread stayed at the source.
+    aborted: bool = False
+    #: True if the destination promoted its resume token after the
+    #: source died mid-hand-off.
+    resumed_from_token: bool = False
+    #: The root ``migrate`` span when tracing is on (else None); the
+    #: engine uses its id to flow-link the post-migration page pulls.
+    span: Optional[object] = None
+
+    @property
+    def total_seconds(self) -> float:
+        """Transform plus hand-off: what the thread is charged."""
+        return self.transform_seconds + self.handoff_seconds
 
 
 class _HandoffTrace:
@@ -121,31 +138,45 @@ class _HandoffTrace:
 
 
 @dataclass
-class MigrationOutcome:
-    """What one migration cost and produced."""
+class MigrationTxn:
+    """One in-flight migration hand-off (the resume token's record)."""
 
-    src_machine: str
-    dst_machine: str
-    cross_isa: bool
-    transform: Optional[TransformStats]
-    transform_seconds: float
-    handoff_seconds: float
-    #: True if the hand-off rolled back and the thread stayed at the source.
-    aborted: bool = False
-    #: True if the destination promoted its resume token after the
-    #: source died mid-hand-off.
-    resumed_from_token: bool = False
-    #: The root ``migrate`` span when tracing is on (else None); the
-    #: engine uses its id to flow-link the post-migration page pulls.
-    span: Optional[object] = None
+    token: str
+    thread: Thread
+    src: str
+    dst: str
+    src_isa: str
+    dst_isa: str
+    # The migration point's site: the stack is transformed there, and
+    # transformed back there on an abort.
+    site: int
+    transform: Optional[TransformStats] = None
+    transform_seconds: float = 0.0
+    # Context RPC, namespace replication, publish, continuation setup
+    # and an abort's proc-table revert, added in that order.
+    handoff_seconds: float = 0.0
+    phase: TxnPhase = TxnPhase.PREPARING
+    # Whether the process table already names the destination.
+    published: bool = False
+    # Span bookkeeping for this hand-off; None when tracing is off.
+    trace: Optional[_HandoffTrace] = None
 
     @property
-    def total_seconds(self) -> float:
-        return self.transform_seconds + self.handoff_seconds
+    def cross_isa(self) -> bool:
+        """Whether the hand-off transforms the stack to another ISA."""
+        return self.src_isa != self.dst_isa
+
+    def outcome(self, aborted=False, resumed=False) -> MigrationOutcome:
+        """The hand-off's outcome as the record stands now."""
+        return MigrationOutcome(
+            self.src, self.dst, self.cross_isa, self.transform,
+            self.transform_seconds, self.handoff_seconds,
+            aborted=aborted, resumed_from_token=resumed,
+        )
 
 
 class MigrationService:
-    """Kernel-level half of execution migration."""
+    """Kernel-level half of execution migration, one per system."""
 
     def __init__(self, system):
         self.system = system
@@ -155,7 +186,6 @@ class MigrationService:
         self.resumed_migrations = 0
         self._active: Dict[str, MigrationTxn] = {}
         self._next_token = 1
-        system.migration_services.append(self)
 
     # ------------------------------------------------- crash-recovery API
 
@@ -166,15 +196,13 @@ class MigrationService:
         *not* killed with their source kernel — the in-flight hand-off
         promotes the destination copy instead (the resume token).
         """
-        saved: Set[int] = set()
-        for txn in self._active.values():
-            if (
-                txn.phase is TxnPhase.TRANSFERRED
-                and txn.src == dead_kernel
-                and self.system.kernels[txn.dst].alive
-            ):
-                saved.add(txn.tid)
-        return saved
+        return {
+            txn.thread.tid
+            for txn in self._active.values()
+            if txn.phase is TxnPhase.TRANSFERRED
+            and txn.src == dead_kernel
+            and self.system.kernels[txn.dst].alive
+        }
 
     # ---------------------------------------------------------- migrate
 
@@ -193,15 +221,14 @@ class MigrationService:
             raise ValueError("migration to the current machine")
         src_isa = system.isa_of(src_machine)
         dst_isa = system.isa_of(dst_machine)
-        process = thread.process
-        cross = src_isa != dst_isa
 
         tracer = system.messaging.tracer
         if not system.kernels[dst_machine].alive:
             # Destination already confirmed dead: refuse before doing
-            # any work — the thread keeps running at the source.
+            # any work (and before drawing a token) — the thread keeps
+            # running at the source.
             self.aborted_migrations += 1
-            process.vdso.clear(thread.tid)
+            thread.process.vdso.clear(thread.slot)
             if tracer is not None:
                 tracer.instant(
                     "migrate.refused", "migrate", ts=thread.vtime,
@@ -209,31 +236,25 @@ class MigrationService:
                 )
                 tracer.metrics.counter("migrate.refused").inc()
             return MigrationOutcome(
-                src_machine, dst_machine, cross, None, 0.0, 0.0, aborted=True
+                src_machine, dst_machine, src_isa != dst_isa, None, 0.0, 0.0,
+                aborted=True,
             )
 
         txn = MigrationTxn(
-            token=f"mig-{self._next_token}",
-            pid=process.pid,
-            tid=thread.tid,
-            src=src_machine,
-            dst=dst_machine,
-            site=migpoint_site,
-            thread=thread,
+            f"mig-{self._next_token}", thread, src_machine, dst_machine,
+            src_isa, dst_isa, migpoint_site,
         )
         self._next_token += 1
         self._active[txn.token] = txn
         if tracer is not None:
             txn.trace = _HandoffTrace(
                 tracer, thread.vtime, src_machine,
-                token=txn.token, pid=process.pid, tid=thread.tid,
-                src=src_machine, dst=dst_machine, cross_isa=cross,
+                token=txn.token, pid=thread.process.pid, tid=thread.tid,
+                src=src_machine, dst=dst_machine, cross_isa=txn.cross_isa,
                 site=migpoint_site,
             )
         try:
-            outcome = self._run_protocol(
-                txn, thread, process, src_isa, dst_isa, migpoint_site
-            )
+            outcome = self._run_protocol(txn)
         finally:
             if txn.trace is not None:
                 txn.trace.abandon(crashed=True)
@@ -242,7 +263,7 @@ class MigrationService:
             outcome.span = txn.trace.root
             metrics = tracer.metrics
             metrics.counter("migrate.count").inc()
-            if cross:
+            if txn.cross_isa:
                 metrics.counter("migrate.cross_isa").inc()
             if outcome.aborted:
                 metrics.counter("migrate.aborted").inc()
@@ -259,270 +280,182 @@ class MigrationService:
             )
         return outcome
 
-    def _run_protocol(
-        self, txn, thread, process, src_isa, dst_isa, migpoint_site
-    ) -> MigrationOutcome:
+    def _run_protocol(self, txn) -> MigrationOutcome:
         system = self.system
-        src_machine, dst_machine = txn.src, txn.dst
-        cross = src_isa != dst_isa
+        thread = txn.thread
+        process = thread.process
+        trace = txn.trace
 
         # ---- PREPARE: user-space state transformation (cross-ISA only).
-        transform_stats = None
-        transform_seconds = 0.0
         claim_pages = 0
-        if cross:
-            transformer = validate.make_stack_transformer(
+        if txn.cross_isa:
+            txn.transform = validate.make_stack_transformer(
                 process.binary, process.space
-            )
-            transform_stats = transformer.transform(
-                thread, dst_isa, migpoint_site
-            )
-            transform_seconds = transform_stats.latency_seconds(src_isa)
+            ).transform(thread, txn.dst_isa, txn.site)
+            txn.transform_seconds = txn.transform.latency_seconds(txn.src_isa)
             # The rewritten stack was produced on the *source* machine:
             # claim its pages for the source kernel so the destination
             # faults them over on demand (no stop-the-world, Fig. 11).
             innermost = thread.frames[-1]
             low = innermost.cfa - innermost.mf.frame.frame_size
             _, claim_pages = process.dsm.ensure_range(
-                src_machine, low, thread.stack.top - low, write=True
+                txn.src, low, thread.stack.top - low, write=True
             )
         txn.phase = TxnPhase.PREPARED
-        trace = txn.trace
         if trace is not None:
             trace.child(
-                "migrate.transform", trace.t0 + transform_seconds,
-                cross_isa=cross,
+                "migrate.transform", trace.t0 + txn.transform_seconds,
+                cross_isa=txn.cross_isa,
             )
             # The stack claim costs no hand-off latency (served locally
             # at the source), so its child is an instant in the tiling.
             trace.child(
-                "migrate.dsm", trace.t0 + transform_seconds,
+                "migrate.dsm", trace.t0 + txn.transform_seconds,
                 claim_pages=claim_pages,
             )
-        if system.messaging.chaos_step(
-            "migrate.prepare", src=src_machine, dst=dst_machine
-        ):
-            outcome = self._after_crash(
-                txn, thread, process, transform_stats, transform_seconds, 0.0,
-                src_isa, dst_isa, migpoint_site,
-            )
-            if outcome is not None:
-                return outcome
+        outcome = self._step(txn, "migrate.prepare")
+        if outcome is not None:
+            return outcome
 
         # ---- TRANSFER: the context (resume token) ships to the target.
-        handoff = system.messaging.rpc(
-            "migrate.thread",
-            src_machine,
-            dst_machine,
-            request_bytes=THREAD_CONTEXT_BYTES,
-            reply_bytes=64,
+        txn.handoff_seconds += system.messaging.rpc(
+            "migrate.thread", txn.src, txn.dst,
+            request_bytes=THREAD_CONTEXT_BYTES, reply_bytes=64,
         )
         txn.phase = TxnPhase.TRANSFERRED
         if trace is not None:
             trace.child(
                 "migrate.transfer",
-                trace.t0 + transform_seconds + handoff,
+                trace.t0 + txn.transform_seconds + txn.handoff_seconds,
                 context_bytes=THREAD_CONTEXT_BYTES,
             )
-        if system.messaging.chaos_step(
-            "migrate.transfer", src=src_machine, dst=dst_machine
-        ):
-            outcome = self._after_crash(
-                txn, thread, process, transform_stats, transform_seconds,
-                handoff, src_isa, dst_isa, migpoint_site,
-            )
-            if outcome is not None:
-                return outcome
+        outcome = self._step(txn, "migrate.transfer")
+        if outcome is not None:
+            return outcome
 
         # Container namespaces span to the destination kernel.
-        created = process.container.span_to(dst_machine)
+        created = process.container.span_to(txn.dst)
         if created:
-            handoff += system.messaging.rpc(
-                "ns.replicate",
-                src_machine,
-                dst_machine,
+            txn.handoff_seconds += system.messaging.rpc(
+                "ns.replicate", txn.src, txn.dst,
                 request_bytes=created * NAMESPACE_REPLICA_BYTES,
                 reply_bytes=64,
             )
 
         # ---- PUBLISH: the replicated process table observes the move,
         # so every kernel can still route signals/joins to the thread.
-        handoff += system.services.proctable.note_migration(
-            src_machine, process.pid, thread.tid, dst_machine
+        txn.handoff_seconds += system.services.proctable.note_migration(
+            txn.src, process.pid, thread.tid, txn.dst
         )
         txn.published = True
         if trace is not None:
             trace.child(
                 "migrate.publish",
-                trace.t0 + transform_seconds + handoff,
+                trace.t0 + txn.transform_seconds + txn.handoff_seconds,
                 namespaces=created,
             )
-        if system.messaging.chaos_step(
-            "migrate.publish", src=src_machine, dst=dst_machine
-        ):
-            outcome = self._after_crash(
-                txn, thread, process, transform_stats, transform_seconds,
-                handoff, src_isa, dst_isa, migpoint_site,
-            )
-            if outcome is not None:
-                return outcome
+        outcome = self._step(txn, "migrate.publish")
+        if outcome is not None:
+            return outcome
 
-        # Heterogeneous continuation on the destination kernel.
-        if dst_machine not in thread.kernel_state:
-            thread.kernel_state[dst_machine] = KernelThreadState(
-                dst_machine, created_at=system.clock.now
-            )
-            handoff += CONTINUATION_SETUP_S
-
-        # ---- COMMIT: rebind the thread.
-        src_kernel = system.kernels[src_machine]
-        dst_kernel = system.kernels[dst_machine]
-        src_kernel.release_thread(thread)
-        thread.machine_name = dst_machine
-        dst_kernel.adopt_thread(thread)
-
-        process.vdso.clear(thread.tid)
-        thread.migrations += 1
-        self.migrations += 1
-        if cross:
-            self.cross_isa_migrations += 1
-        txn.phase = TxnPhase.COMMITTED
-        if system.messaging.chaos_step(
-            "migrate.commit", src=src_machine, dst=dst_machine
-        ):
-            outcome = self._after_crash(
-                txn, thread, process, transform_stats, transform_seconds,
-                handoff, src_isa, dst_isa, migpoint_site,
-            )
-            if outcome is not None:
-                return outcome
+        # ---- COMMIT: rebind the thread.  A crash from here on either
+        # takes the thread with the destination or no longer matters.
+        self._rebind(txn)
+        self._step(txn, "migrate.commit")
 
         # The transfer shows up on both machines' I/O power rails.
-        duration = transform_seconds + handoff
-        if trace is not None:
-            trace.child("migrate.commit", trace.t0 + duration)
-            trace.close(duration)
-        system.machines[src_machine].note_io_activity(duration)
-        system.machines[dst_machine].note_io_activity(duration)
-
         # Source pages become residual state, pulled over on demand.
-        return MigrationOutcome(
-            src_machine=src_machine,
-            dst_machine=dst_machine,
-            cross_isa=cross,
-            transform=transform_stats,
-            transform_seconds=transform_seconds,
-            handoff_seconds=handoff,
-        )
+        outcome = txn.outcome()
+        if trace is not None:
+            trace.child("migrate.commit", trace.t0 + outcome.total_seconds)
+            trace.close(outcome.total_seconds)
+        system.machines[txn.src].note_io_activity(outcome.total_seconds)
+        system.machines[txn.dst].note_io_activity(outcome.total_seconds)
+        return outcome
+
+    def _rebind(self, txn) -> None:
+        """Commit: continue the thread on the destination kernel."""
+        system = self.system
+        thread = txn.thread
+        # Heterogeneous continuation on the destination kernel.
+        if txn.dst not in thread.kernel_state:
+            thread.kernel_state[txn.dst] = KernelThreadState(
+                txn.dst, created_at=system.clock.now
+            )
+            txn.handoff_seconds += CONTINUATION_SETUP_S
+        system.kernels[txn.src].release_thread(thread)
+        thread.machine_name = txn.dst
+        system.kernels[txn.dst].adopt_thread(thread)
+        thread.process.vdso.clear(thread.slot)
+        thread.migrations += 1
+        self.migrations += 1
+        if txn.cross_isa:
+            self.cross_isa_migrations += 1
+        txn.phase = TxnPhase.COMMITTED
 
     # -------------------------------------------------- crash handling
 
-    def _after_crash(
-        self,
-        txn,
-        thread,
-        process,
-        transform_stats,
-        transform_seconds,
-        handoff,
-        src_isa,
-        dst_isa,
-        migpoint_site,
-    ) -> Optional[MigrationOutcome]:
-        """Decide the fate of the hand-off after a crash fired.
+    def _step(self, txn, step: str) -> Optional[MigrationOutcome]:
+        """Announce ``step`` to the chaos hook; settle a crash it fired.
 
         Returns an outcome (abort / promote) or None to proceed —
         raises ``KernelCrashed`` when the thread itself died with its
         kernel (crash recovery already marked it DONE).
         """
+        system = self.system
+        if not system.messaging.chaos_step(step, src=txn.src, dst=txn.dst):
+            return None
         from repro.kernel.kernel import KernelCrashed
 
-        system = self.system
-        if thread.state is ThreadState.DONE:
+        if txn.thread.state is ThreadState.DONE:
             # The thread's only copy died with its kernel: before
             # TRANSFER nothing left the source; after COMMIT the source
             # copy was already gone.  Exactly zero-survivor cases are
             # real deaths, recorded loudly by crash_kernel.
-            raise KernelCrashed(thread.machine_name)
-
-        dst_alive = system.kernels[txn.dst].alive
-        src_alive = system.kernels[txn.src].alive
+            raise KernelCrashed(txn.thread.machine_name)
         if txn.phase is TxnPhase.COMMITTED:
             # Already committed; the source's death is irrelevant now.
             return None
-        if not dst_alive:
-            return self._abort(
-                txn, thread, process, transform_stats, transform_seconds,
-                handoff, src_isa, dst_isa, migpoint_site,
-            )
-        if not src_alive:
-            return self._promote(
-                txn, thread, process, transform_stats, transform_seconds,
-                handoff, src_isa,
-            )
+        if not system.kernels[txn.dst].alive:
+            return self._abort(txn)
+        if not system.kernels[txn.src].alive:
+            return self._promote(txn)
         # Some third kernel died; the hand-off itself is unaffected.
         return None
 
-    def _abort(
-        self,
-        txn,
-        thread,
-        process,
-        transform_stats,
-        transform_seconds,
-        handoff,
-        src_isa,
-        dst_isa,
-        migpoint_site,
-    ) -> MigrationOutcome:
+    def _abort(self, txn) -> MigrationOutcome:
         """Destination died mid-hand-off: roll back to the source."""
         system = self.system
-        cross = src_isa != dst_isa
-        if cross and transform_stats is not None:
+        thread = txn.thread
+        process = thread.process
+        if txn.transform is not None:
             # The stack was rewritten for the destination ISA; rewrite
             # it back so the thread can resume at the source.
-            transformer = validate.make_stack_transformer(
+            back = validate.make_stack_transformer(
                 process.binary, process.space
-            )
-            back = transformer.transform(thread, src_isa, migpoint_site)
-            transform_seconds += back.latency_seconds(src_isa)
+            ).transform(thread, txn.src_isa, txn.site)
+            txn.transform_seconds += back.latency_seconds(txn.src_isa)
         if txn.published:
             # Revert the process table to name the source again.  The
             # dead destination was already scrubbed from the broadcast
             # set by crash recovery.
-            handoff += system.services.proctable.note_migration(
+            txn.handoff_seconds += system.services.proctable.note_migration(
                 txn.src, process.pid, thread.tid, txn.src
             )
-        process.vdso.clear(thread.tid)
+        process.vdso.clear(thread.slot)
         txn.phase = TxnPhase.ABORTED
         self.aborted_migrations += 1
-        duration = transform_seconds + handoff
+        outcome = txn.outcome(aborted=True)
         if txn.trace is not None:
             txn.trace.child(
-                "migrate.abort", txn.trace.t0 + duration, dst_dead=True
+                "migrate.abort", txn.trace.t0 + outcome.total_seconds,
+                dst_dead=True,
             )
-            txn.trace.close(duration, aborted=True)
-        system.machines[txn.src].note_io_activity(duration)
-        return MigrationOutcome(
-            src_machine=txn.src,
-            dst_machine=txn.dst,
-            cross_isa=cross,
-            transform=transform_stats,
-            transform_seconds=transform_seconds,
-            handoff_seconds=handoff,
-            aborted=True,
-        )
+            txn.trace.close(outcome.total_seconds, aborted=True)
+        system.machines[txn.src].note_io_activity(outcome.total_seconds)
+        return outcome
 
-    def _promote(
-        self,
-        txn,
-        thread,
-        process,
-        transform_stats,
-        transform_seconds,
-        handoff,
-        src_isa,
-    ) -> MigrationOutcome:
+    def _promote(self, txn) -> MigrationOutcome:
         """Source died after TRANSFER: the destination applies its token.
 
         Idempotent by construction — the token is consumed here and the
@@ -530,45 +463,25 @@ class MigrationService:
         source copy is fenced and can never run again.
         """
         system = self.system
-        dst_isa = system.isa_of(txn.dst)
-        cross = src_isa != dst_isa
+        thread = txn.thread
+        process = thread.process
         # Namespaces span locally (their config is re-derivable from the
         # replicated services; the dead source cannot ship a replica).
         process.container.span_to(txn.dst)
         if not txn.published:
             # The destination publishes the move itself, as origin.
-            handoff += system.services.proctable.note_migration(
+            txn.handoff_seconds += system.services.proctable.note_migration(
                 txn.dst, process.pid, thread.tid, txn.dst
             )
             txn.published = True
-        if txn.dst not in thread.kernel_state:
-            thread.kernel_state[txn.dst] = KernelThreadState(
-                txn.dst, created_at=system.clock.now
-            )
-            handoff += CONTINUATION_SETUP_S
-        system.kernels[txn.src].release_thread(thread)
-        thread.machine_name = txn.dst
-        system.kernels[txn.dst].adopt_thread(thread)
-        process.vdso.clear(thread.tid)
-        thread.migrations += 1
-        self.migrations += 1
-        if cross:
-            self.cross_isa_migrations += 1
+        self._rebind(txn)
         self.resumed_migrations += 1
-        txn.phase = TxnPhase.COMMITTED
-        duration = transform_seconds + handoff
+        outcome = txn.outcome(resumed=True)
         if txn.trace is not None:
             txn.trace.child(
-                "migrate.promote", txn.trace.t0 + duration, src_dead=True
+                "migrate.promote", txn.trace.t0 + outcome.total_seconds,
+                src_dead=True,
             )
-            txn.trace.close(duration, resumed=True)
-        system.machines[txn.dst].note_io_activity(duration)
-        return MigrationOutcome(
-            src_machine=txn.src,
-            dst_machine=txn.dst,
-            cross_isa=cross,
-            transform=transform_stats,
-            transform_seconds=transform_seconds,
-            handoff_seconds=handoff,
-            resumed_from_token=True,
-        )
+            txn.trace.close(outcome.total_seconds, resumed=True)
+        system.machines[txn.dst].note_io_activity(outcome.total_seconds)
+        return outcome

@@ -82,8 +82,12 @@ class Thread:
         machine_name: str,
         stack: UserStack,
         thread_pointer: int,
+        slot: int,
     ):
         self.tid = tid
+        # Per-process index, unique among the process's threads: it
+        # picks the stack region, the TLS block and the vDSO flag word.
+        self.slot = slot
         self.process = process
         self.machine_name = machine_name
         self.stack = stack
@@ -95,8 +99,6 @@ class Thread:
         self.frames: List[Frame] = []
         # Program counter: (block label, instruction index) in frames[-1].
         self.pc: Tuple[str, int] = ("", 0)
-        # vDSO migration flag: target machine name, or None.
-        self.migrate_target: Optional[str] = None
         # Why we are blocked: ('join', tid) or ('barrier', id).
         self.blocked_on: Optional[Tuple[str, int]] = None
         # Heterogeneous continuations, one per kernel visited.

@@ -77,7 +77,7 @@ class SyscallHandler:
         index = int(args[0])
         target = self.system.machine_order[index]
         if target != thread.machine_name:
-            thread.process.vdso.request_migration(thread.tid, target)
+            thread.process.vdso.request_migration(thread.slot, target)
         return SyscallResult()
 
     # ----------------------------------------------------------- memory

@@ -4,15 +4,17 @@
 memory page between user- and kernel-space (vDSO).  When the scheduler
 wants threads to migrate, it sets a flag on the page."  One word per
 thread slot holds 0 (stay) or 1 + machine-index (migrate there); the
-migration-point check is a single memory read.
+migration-point check is a single memory read.  A thread's slot is its
+per-process index (``Thread.slot``), which also picks its stack region
+and TLS block, so no two threads of a process share a flag whatever
+their tids; ``VirtualMemoryMap.max_threads`` (512) caps it at one page
+of 8-byte words.
 """
 
 from typing import Optional
 
 from repro.linker.layout import PAGE_SIZE
 from repro.runtime.address_space import AddressSpace
-
-MAX_SLOTS = PAGE_SIZE // 8
 
 
 class VdsoPage:
@@ -24,19 +26,18 @@ class VdsoPage:
         self.machine_order = list(machine_order)
         space.map_region(self.base, PAGE_SIZE, "[vdso]", aliased=True)
 
-    def _slot(self, tid: int) -> int:
-        return self.base + (tid % MAX_SLOTS) * 8
-
-    def request_migration(self, tid: int, machine_name: str) -> None:
+    def request_migration(self, slot: int, machine_name: str) -> None:
+        """Flag the thread in ``slot`` to migrate to ``machine_name``."""
         index = self.machine_order.index(machine_name)
-        self.space.write(self._slot(tid), 1 + index)
+        self.space.write(self.base + slot * 8, 1 + index)
 
-    def clear(self, tid: int) -> None:
-        self.space.write(self._slot(tid), 0)
+    def clear(self, slot: int) -> None:
+        """Lower the flag of the thread in ``slot``."""
+        self.space.write(self.base + slot * 8, 0)
 
-    def read_target(self, tid: int) -> Optional[str]:
+    def read_target(self, slot: int) -> Optional[str]:
         """The migration-point flag check (one memory read)."""
-        raw = int(self.space.read(self._slot(tid)))
+        raw = int(self.space.read(self.base + slot * 8))
         if raw == 0:
             return None
         return self.machine_order[raw - 1]

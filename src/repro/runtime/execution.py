@@ -37,7 +37,6 @@ from repro.ir.instructions import (
 from repro.isa.isa import InstrClass
 from repro.kernel.dsm import LostPageError
 from repro.kernel.kernel import KernelCrashed
-from repro.kernel.migration import MigrationService
 from repro.kernel.process import Process, Thread, ThreadState
 from repro.kernel.syscall import SyscallHandler
 
@@ -82,7 +81,7 @@ class ExecutionEngine:
         self.sampler = sampler
         self.batch = batch
         self.syscalls = SyscallHandler(system)
-        self.migration = MigrationService(system)
+        self.migration = system.migration
         # Per-thread DSM residency caches: tid -> (epoch, readable, writable)
         self._page_cache: Dict[int, list] = {}
         # Work-range residency cache: (tid, id(instr)) -> (epoch, base)
@@ -381,7 +380,7 @@ class ExecutionEngine:
                 instret += 1
             elif cls is MigPoint:
                 instret += 5
-                target = process.vdso.read_target(thread.tid)
+                target = process.vdso.read_target(thread.slot)
                 if self.hooks.on_migration_point is not None:
                     self.hooks.on_migration_point(
                         thread, mf.name, instr.point_id,

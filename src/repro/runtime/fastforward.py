@@ -235,7 +235,7 @@ _PROLOGUE = (
     ("_mg", "mem.get"),
     ("_rt", "self.process.vdso.read_target"),
     ("_hk", "self.hooks.on_migration_point"),
-    ("_tid", "thread.tid"),
+    ("_slot", "thread.slot"),
     ("_mn", "thread.machine_name"),
     ("_c1", "cache[1]"),
     ("_c2", "cache[2]"),
@@ -648,7 +648,7 @@ class _RegionBuilder:
                 pend_i.append(5)
                 self.flush()
                 t = self.fresh()
-                emit(f"{t} = _rt(_tid)")
+                emit(f"{t} = _rt(_slot)")
                 emit("if _hk is not None:")
                 emit(
                     f"    _hk(thread, {mf.name!r}, {instr.point_id}, "

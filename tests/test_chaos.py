@@ -6,6 +6,8 @@ directory scrub (reown, refetchable, lost, backup-home recovery), the
 deterministic chaos harness, and the cluster-level split-brain cases.
 """
 
+import hashlib
+
 import pytest
 
 from repro import validate
@@ -23,7 +25,7 @@ from repro.faults import (
     NodeCrash,
     RetryPolicy,
 )
-from repro.faults.chaos import COMPLETED, FAILED_LOUD
+from repro.faults.chaos import COMPLETED, FAILED_LOUD, registry_scenario
 from repro.kernel import boot_testbed
 from repro.kernel.dsm import DsmService, LostPageError
 from repro.kernel.kernel import KernelCrashed
@@ -392,6 +394,73 @@ class TestChaosHarness:
         )
         report = ChaosHarness(scenario).enumerate()
         assert report.violations == []
+
+
+def _crash_path_fingerprint(scenario):
+    """(armed runs, digest) over what every enumerated crash path cost.
+
+    The chaos oracle compares only output and exit code, so an abort
+    that forgot the back-transform or a promotion that skipped the
+    continuation setup would still classify the same.  This digest
+    covers the migration counters, the clock, every thread's virtual
+    time, migrations and machine, and the bytes of every message kind,
+    of one armed run per enumerated (site, victim) pair.
+    """
+    binary = scenario.prepare()
+    _, recorder = scenario.run(binary, True, None)
+    digest = hashlib.sha256()
+    runs = 0
+    seen = set()
+    for site in recorder.sites:
+        if site.key in seen:
+            continue
+        seen.add(site.key)
+        for victim in site.victims:
+            (system, process), _ = scenario.run(
+                binary, True, (site.seq, victim)
+            )
+            service = system.migration
+            digest.update(repr((
+                service.migrations, service.cross_isa_migrations,
+                service.aborted_migrations, service.resumed_migrations,
+                repr(system.clock.now),
+                [
+                    (repr(t.vtime), t.migrations, t.machine_name)
+                    for _, t in sorted(process.threads.items())
+                ],
+                sorted(system.messaging.bytes_by_kind.items()),
+                list(process.output), process.exit_code, process.failure,
+            )).encode())
+            runs += 1
+    return runs, digest.hexdigest()[:16]
+
+
+_CRASH_PATH_PINS = {
+    "chain": (9, "6cd7d409bba86401"),
+    "is": (12, "b549ccab17966dd5"),
+    "ep": (15, "518979973171dbab"),
+}
+
+
+class TestCrashPathCosts:
+    """Pins the cost of every crash path of the two-phase hand-off.
+
+    The digests were recorded before the hand-off's state moved into
+    its transaction record; they must not move with a refactor.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_CRASH_PATH_PINS))
+    def test_every_crash_path_costs_what_it_did(self, name):
+        if name == "chain":
+            scenario = ChaosScenario(
+                name="chain",
+                binary_factory=lambda: Toolchain().build(call_chain_module()),
+                start=X86,
+                migrate_at=2,
+            )
+        else:
+            scenario = registry_scenario(name)
+        assert _crash_path_fingerprint(scenario) == _CRASH_PATH_PINS[name]
 
 
 # --------------------------------------------------- cluster detection

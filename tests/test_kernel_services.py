@@ -4,6 +4,8 @@ vDSO, loader."""
 import pytest
 
 from repro.compiler import Toolchain
+from repro.kernel import boot_testbed
+from repro.kernel.checkpoint import checkpoint_process, restore_process
 from repro.kernel.dsm import DsmService
 from repro.kernel.filesystem import VirtualFileSystem
 from repro.kernel.loader import load_binary, thread_pointer_for
@@ -13,8 +15,9 @@ from repro.kernel.vdso import VdsoPage
 from repro.linker.layout import PAGE_SIZE
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.runtime.address_space import AddressSpace
+from repro.runtime.execution import ExecutionEngine
 
-from tests.helpers import simple_sum_module, tls_module
+from tests.helpers import ARM, X86, simple_sum_module, tls_module
 
 A, B, C = "kernel-a", "kernel-b", "kernel-c"
 
@@ -269,6 +272,42 @@ class TestVdso:
         vdso = VdsoPage(AddressSpace(), ["m0", "m1"])
         vdso.request_migration(1, "m0")
         assert vdso.read_target(2) is None
+
+    @staticmethod
+    def _tids_512_apart():
+        """A process whose main thread and a second thread have tids
+        512 apart: tids come from one counter for the whole system,
+        and checkpoint restore moves it forward."""
+        system = boot_testbed()
+        binary = Toolchain().build(tls_module())
+        process = system.exec_process(binary, X86)
+        main = process.threads[min(process.threads)]
+        system.reserve_ids(1, main.tid + 512)
+        other = system.spawn_thread(process, X86, "bump", [3])
+        assert other.tid == main.tid + 512
+        return system, binary, process, main, other
+
+    def test_threads_512_tids_apart_keep_their_own_flags(self):
+        system, _, process, main, other = self._tids_512_apart()
+        system.request_thread_migration(other, ARM)
+        ExecutionEngine(system, process).run()
+        assert process.failure is None
+        assert other.migrations == 1
+        assert main.migrations == 0
+        assert main.machine_name == X86
+
+    def test_restored_threads_keep_their_slots(self):
+        system, binary, process, _, _ = self._tids_512_apart()
+        slots = {t.tid: t.slot for t in process.threads.values()}
+        assert sorted(slots.values()) == [0, 1]
+        ckpt = checkpoint_process(process, system)
+        restored = restore_process(boot_testbed(), binary, ckpt, X86)
+        assert {t.tid: t.slot for t in restored.threads.values()} == slots
+
+    def test_thread_migration_to_unknown_machine_names_it(self):
+        system, _, _, main, _ = self._tids_512_apart()
+        with pytest.raises(KeyError, match="nowhere"):
+            system.request_thread_migration(main, "nowhere")
 
 
 class TestLoader:

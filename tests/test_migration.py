@@ -147,8 +147,8 @@ class TestMigrationMechanics:
 
     def test_vdso_flag_cleared(self):
         process, _, _ = self._migrated_process()
-        thread_id = min(process.threads)
-        assert process.vdso.read_target(thread_id) is None
+        thread = process.threads[min(process.threads)]
+        assert process.vdso.read_target(thread.slot) is None
 
     def test_migration_to_same_machine_rejected(self):
         module = simple_sum_module()
