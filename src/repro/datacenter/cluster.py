@@ -20,7 +20,13 @@ ARM board.  A crashed node draws no power until repaired.
 Since the DES unification the simulator runs on the shared
 :mod:`repro.sim` substrate — a :class:`~repro.sim.clock.Clock` plus a
 :class:`~repro.sim.events.EventQueue` — the same primitives the kernel
-testbed charges time to.  Sampled nodes can nest a real
+testbed charges time to; the queue holds fault, heartbeat and
+hand-off-deadline events.  One event loop serves both patterns: a
+closed system (Fig. 12, ``run_sustained``, which rejects
+``concurrency < 1``) releases a job whenever fewer than
+``concurrency`` are in the system, an open system (Fig. 13,
+``run_periodic``) each job at its arrival; the events due at an
+instant fire before its releases.  Sampled nodes can nest a real
 :class:`~repro.kernel.kernel.PopcornSystem` (see
 :mod:`repro.datacenter.nested`): they measure job durations by
 actually executing the workload's binary on a one-machine
@@ -63,10 +69,8 @@ class Handoff:
     job: Job
     src: str
     dst: str
-    kind: str  # "evacuate" | "rebalance"
     prepared_at: float
     due_at: float
-    penalty: float
 
 
 class MachineNode:
@@ -141,9 +145,6 @@ class ClusterSimulator:
         }
         if len(self._node_index) != len(self.nodes):
             raise ValueError("machine names must be unique")
-        # Live-node list, rebuilt only on up/down transitions so the
-        # per-event admission/rebalance path allocates nothing.
-        self._live_cache: Optional[List[MachineNode]] = None
         self.policy = policy
         self.interconnect_bw = interconnect_bw
         # The unified DES substrate: simulated time lives in a
@@ -240,15 +241,8 @@ class ClusterSimulator:
         return node
 
     def live_nodes(self) -> List[MachineNode]:
-        """The up nodes, in declaration order (cached between
-        up/down transitions; callers must not mutate the list)."""
-        if self._live_cache is None:
-            self._live_cache = [n for n in self.nodes if self._up[n.name]]
-        return self._live_cache
-
-    def _node_up_changed(self) -> None:
-        """Invalidate the live-node cache (a node came up / went down)."""
-        self._live_cache = None
+        """The up nodes, in declaration order."""
+        return [n for n in self.nodes if self._up[n.name]]
 
     def reachable(self, a: str, b: str) -> bool:
         """Can kernels on ``a`` and ``b`` exchange messages right now?"""
@@ -494,7 +488,6 @@ class ClusterSimulator:
             )
         if fenced:
             return
-        self._node_up_changed()
         victims = node.jobs
         node.jobs = []
         if victims:
@@ -509,7 +502,6 @@ class ClusterSimulator:
         node = self._node_index[name]
         if not self.membership.repair(name, self.now):
             return
-        self._node_up_changed()
         self.fault_log.record(self.now, "repair", node=name)
         victims = self._undetected.pop(name, None)
         if victims:
@@ -552,7 +544,6 @@ class ClusterSimulator:
             # False confirm: a live node's lease expired.  Fencing makes
             # the verdict safe — the node stops acting until it rejoins —
             # at the price of treating its jobs as crashed.
-            self._node_up_changed()
             victims = node.jobs
             node.jobs = []
             if self.tracer is not None:
@@ -575,7 +566,6 @@ class ClusterSimulator:
 
     def _rejoin(self, name: str) -> None:
         """A falsely fenced node was heard again and is unfenced."""
-        self._node_up_changed()
         if self.tracer is not None:
             self.tracer.instant(
                 "fault.rejoin", "fault", ts=self.now, track=name
@@ -603,11 +593,10 @@ class ClusterSimulator:
             and not detector.is_fenced(n.name)
         ]
 
-    def begin_handoff(
-        self, job: Job, src_name: str, dst: MachineNode, kind: str = "evacuate"
-    ) -> Handoff:
-        """PREPARE a job hand-off; COMMIT happens when the transfer is
-        due and the destination is still alive, else it aborts."""
+    def begin_handoff(self, job: Job, src_name: str, dst: MachineNode) -> Handoff:
+        """PREPARE an evacuation hand-off; COMMIT happens when the
+        transfer is due and the destination is still alive, else it
+        aborts."""
         penalty = migration_penalty(job.spec, self.effective_bandwidth())
         job.state = JobState.PENDING
         job.machine = None
@@ -615,17 +604,15 @@ class ClusterSimulator:
             job=job,
             src=src_name,
             dst=dst.name,
-            kind=kind,
             prepared_at=self.now,
             due_at=self.now + penalty,
-            penalty=penalty,
         )
         self._in_flight.append(handoff)
         self._push_event(handoff.due_at, "handoff", handoff)
         self.handoffs += 1
         self.fault_log.record(
             self.now, "handoff-begin", node=dst.name,
-            detail=f"{job.spec} {src_name}->{dst.name} ({kind}, "
+            detail=f"{job.spec} {src_name}->{dst.name} (evacuate, "
             f"{penalty * 1e3:.1f} ms in flight)",
         )
         return handoff
@@ -657,15 +644,14 @@ class ClusterSimulator:
             self.tracer.complete(
                 "sched.handoff", "sched", handoff.prepared_at, in_flight,
                 track=handoff.dst, job=str(job.spec), src=handoff.src,
-                dst=handoff.dst, kind=handoff.kind, committed=True,
+                dst=handoff.dst, kind="evacuate", committed=True,
             )
             self.tracer.metrics.counter("sched.handoffs").inc()
             self.tracer.metrics.histogram(
                 "sched.handoff_s"
             ).observe(in_flight)
-        if handoff.kind == "evacuate":
-            job.evacuations += 1
-            self.jobs_evacuated += 1
+        job.evacuations += 1
+        self.jobs_evacuated += 1
         self.fault_log.record(
             self.now, "handoff-commit", node=dst_node.name,
             detail=f"{job.spec} resumed after "
@@ -682,7 +668,7 @@ class ClusterSimulator:
                 "sched.handoff", "sched", handoff.prepared_at,
                 self.now - handoff.prepared_at, track=handoff.dst,
                 job=str(job.spec), src=handoff.src, dst=handoff.dst,
-                kind=handoff.kind, committed=False,
+                kind="evacuate", committed=False,
             )
             self.tracer.metrics.counter("sched.handoffs_aborted").inc()
         self.fault_log.record(
@@ -696,7 +682,7 @@ class ClusterSimulator:
             self.park(job, None, reason="hand-off aborted, no live target")
             return
         dst = self.policy.place(job, targets)
-        self.begin_handoff(job, handoff.src, dst, handoff.kind)
+        self.begin_handoff(job, handoff.src, dst)
 
     def park(self, job: Job, required_isa: Optional[str], reason: str = "") -> None:
         """Queue a job until a node satisfying ``required_isa`` is up."""
@@ -742,110 +728,86 @@ class ClusterSimulator:
             self.tracer.metrics.counter("sched.jobs_lost").inc()
         self.fault_log.record(self.now, "lost", detail=f"{job.spec}")
 
-    def _abandon_parked(self) -> int:
+    def _abandon_parked(self) -> None:
         """No event can ever free a parked job: count it lost."""
-        lost = len(self.parked)
         for job, _ in self.parked:
             self.lose_job(job)
         self.parked = []
-        return lost
 
     # ------------------------------------------------------ experiment
 
     def run_sustained(self, specs: List[JobSpec], concurrency: int) -> ClusterResult:
         """Closed system: keep ``concurrency`` jobs in flight (Fig. 12)."""
-        queue = [Job(s, arrival=0.0) for s in specs]
-        pending = list(queue)
-        if self._checker is not None:
-            self._checker.begin(len(queue))
-        in_flight = 0
-        for _ in range(min(concurrency, len(pending))):
-            job = pending.pop(0)
-            self._admit(job)
-            in_flight += 1
-        self._apply_policy_migrations()
-
-        while in_flight > 0:
-            candidates = []
-            dt_done = self._next_completion_dt()
-            if dt_done is not None:
-                candidates.append(dt_done)
-            dt_fault = self._next_fault_dt()
-            if dt_fault is not None:
-                candidates.append(dt_fault)
-            if not candidates:
-                in_flight -= self._abandon_parked()
-                if in_flight > 0:
-                    raise RuntimeError("jobs in flight but none progressing")
-                # Nothing can ever run again: the jobs never admitted
-                # are lost as the parked ones are.
-                for job in pending:
-                    self.lose_job(job)
-                pending = []
-                break
-            dt = min(candidates)
-            self._advance(dt)
-            self.recovery.note_progress(self)
-            done = self._collect_finished()
-            in_flight -= len(done)
-            lost_before = self.jobs_lost
-            faulted = self._apply_due_faults()
-            lost = self.jobs_lost - lost_before
-            in_flight -= lost  # fail-stopped jobs leave the system too
-            for _ in range(len(done) + lost):
-                if pending:
-                    job = pending.pop(0)
-                    job.arrival = self.now
-                    self._admit(job)
-                    in_flight += 1
-            if done or faulted:
-                self._apply_policy_migrations()
-            if self._checker is not None:
-                self._checker.check(self, outstanding=len(pending))
-        return self._result(len(queue), outstanding=len(pending))
+        if concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, got {concurrency}")
+        return self._run([Job(s, arrival=0.0) for s in specs], concurrency)
 
     def run_periodic(self, arrivals: List[Tuple[float, JobSpec]]) -> ClusterResult:
         """Open system with timed arrivals (Fig. 13)."""
-        schedule = sorted(
-            (Job(spec, arrival=t) for t, spec in arrivals),
-            key=lambda j: (j.arrival, j.job_id),
+        jobs = [Job(spec, arrival=t) for t, spec in arrivals]
+        return self._run(sorted(jobs, key=lambda j: (j.arrival, j.job_id)), None)
+
+    def _held(self) -> int:
+        """Released jobs not yet finished or lost: running, parked, in a
+        hand-off, or on a node whose crash is still undetected."""
+        return (
+            ordered_sum(len(n.jobs) for n in self.nodes) + len(self.parked)
+            + len(self._in_flight)
+            + ordered_sum(len(v) for v in self._undetected.values())
         )
-        idx = 0
-        total = len(schedule)
+
+    def _release(self, jobs: List[Job], idx: int, concurrency: Optional[int]) -> int:
+        """Admit ``jobs[idx:]`` while they are due; return the index of
+        the first job still unreleased.  A closed system releases while
+        fewer than ``concurrency`` jobs are held and stamps each arrival
+        now; an open system releases each job at its arrival time."""
+        while idx < len(jobs):
+            job = jobs[idx]
+            if concurrency is None:
+                if job.arrival > self.now + 1e-9:
+                    break
+            elif self._held() >= concurrency:
+                break
+            else:
+                job.arrival = self.now
+            self._admit(job)
+            idx += 1
+        return idx
+
+    def _run(self, jobs: List[Job], concurrency: Optional[int]) -> ClusterResult:
+        """The one event loop of both systems.  Each step advances to
+        the next release (open systems), completion or queued event,
+        collects completions, fires the due events, then releases jobs,
+        so the faults due at an instant fire before its arrivals."""
+        total = len(jobs)
         if self._checker is not None:
             self._checker.begin(total)
-        while (
-            idx < total
-            or any(n.jobs for n in self.nodes)
-            or self.parked
-            or self._in_flight
-            or self._undetected
-        ):
-            next_arrival = schedule[idx].arrival if idx < total else None
-            dt_done = self._next_completion_dt()
-            candidates = []
-            if next_arrival is not None:
-                candidates.append(next_arrival - self.now)
-            if dt_done is not None:
-                candidates.append(dt_done)
-            dt_fault = self._next_fault_dt()
-            if dt_fault is not None:
-                candidates.append(dt_fault)
-            if not candidates:
+        idx = 0
+        if concurrency is not None:
+            idx = self._release(jobs, idx, concurrency)
+            self._apply_policy_migrations()
+        while idx < total or self._held():
+            waits = [self._next_completion_dt(), self._next_fault_dt()]
+            if concurrency is None and idx < total:
+                waits.append(jobs[idx].arrival - self.now)
+            waits = [w for w in waits if w is not None]
+            if not waits:
                 self._abandon_parked()
+                if self._held():
+                    raise RuntimeError("jobs in flight but none progressing")
+                # Nothing can ever run again: the jobs never released
+                # are lost as the parked ones are.
+                for job in jobs[idx:]:
+                    self.lose_job(job)
+                idx = total
                 break
-            dt = max(min(candidates), 0.0)
-            self._advance(dt)
+            self._advance(max(min(waits), 0.0))
             self.recovery.note_progress(self)
-            changed = bool(self._collect_finished())
-            if self._apply_due_faults():
-                changed = True
-            while idx < total and schedule[idx].arrival <= self.now + 1e-9:
-                job = schedule[idx]
-                idx += 1
-                self._admit(job)
-                changed = True
-            if changed:
+            done = self._collect_finished()
+            faulted = self._apply_due_faults()
+            before = idx
+            idx = self._release(jobs, idx, concurrency)
+            if done or faulted or idx > before:
                 self._apply_policy_migrations()
             if self._checker is not None:
                 self._checker.check(self, outstanding=total - idx)

@@ -77,15 +77,8 @@ class DetectorStats:
 class FailureDetector:
     """Deterministic heartbeat/lease failure detector for one cluster."""
 
-    def __init__(
-        self,
-        config: Optional[DetectorConfig] = None,
-        messaging=None,
-    ):
+    def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config if config is not None else DetectorConfig()
-        # Optional kernel-level MessagingLayer: when present, heartbeat
-        # wire traffic is charged through it ("hb" kind).
-        self.messaging = messaging
         # Optional span tracer; set by ClusterSimulator when tracing.
         self.tracer = None
         self.stats = DetectorStats()
@@ -149,10 +142,6 @@ class FailureDetector:
                 continue  # verdict already rendered; rejoin is explicit
             if heard.get(node, False):
                 self.stats.heartbeats += 1
-                if self.messaging is not None:
-                    for other in self._nodes:
-                        if other != node:
-                            self.messaging.send("hb", node, other, 32)
                 self._last_heard[node] = now
                 if node in self._suspected_at:
                     del self._suspected_at[node]

@@ -101,7 +101,7 @@ class EvacuateLive(RecoveryPolicy):
                 # once the transfer lands on a still-alive destination
                 # (the simulator aborts and re-places on a mid-flight
                 # destination death).
-                sim.begin_handoff(job, node.name, dst, "evacuate")
+                sim.begin_handoff(job, node.name, dst)
                 continue
             penalty = sim.migrate(job, dst)
             job.evacuations += 1

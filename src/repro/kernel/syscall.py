@@ -75,7 +75,13 @@ class SyscallHandler:
         """Application-directed migration (used to place one function on
         the other machine, as in the Figure 11 experiment)."""
         index = int(args[0])
-        target = self.system.machine_order[index]
+        order = self.system.machine_order
+        if not 0 <= index < len(order):
+            raise SyscallError(
+                f"migrate_hint to machine {index}; valid indexes are "
+                f"0..{len(order) - 1}"
+            )
+        target = order[index]
         if target != thread.machine_name:
             thread.process.vdso.request_migration(thread.slot, target)
         return SyscallResult()

@@ -123,10 +123,8 @@ class ClusterConservationChecker:
         # detector keeps a crashed node's jobs in limbo until the death
         # is confirmed — both are legitimate "exactly one copy, nowhere
         # resident" states the conservation sum must include.
-        in_flight = len(getattr(sim, "_in_flight", ()))
-        undetected = ordered_sum(
-            len(v) for v in getattr(sim, "_undetected", {}).values()
-        )
+        in_flight = len(sim._in_flight)
+        undetected = ordered_sum(len(v) for v in sim._undetected.values())
         accounted = (
             len(sim.finished) + sim.jobs_lost + len(sim.parked)
             + running + outstanding + in_flight + undetected

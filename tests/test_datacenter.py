@@ -1,5 +1,8 @@
 """Datacenter scheduling tests: job model, policies, cluster DES."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.datacenter import (
@@ -153,6 +156,14 @@ class TestClusterSimulator:
         assert dyn.energy_reduction_vs(base) > 0
         assert dyn.makespan_ratio_vs(base) > 1.0  # slower, as in the paper
 
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_sustained_rejects_concurrency_below_one(self, concurrency):
+        """A closed system of no slots never releases a job."""
+        specs, _ = sustained_backfill(DeterministicRng(11), 5, 4)
+        sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
+        with pytest.raises(ValueError, match="concurrency must be at least 1"):
+            sim.run_sustained(specs, concurrency)
+
     def test_periodic_run(self):
         rng = DeterministicRng(3)
         arrivals = periodic_waves(rng)
@@ -289,6 +300,94 @@ class TestUnificationGolden:
         assert result.fault_events == 2
         assert result.migration_stall_seconds == 0.2697740799999999
         assert result.requests_completed == 16
+
+
+def _tie_fingerprint(result):
+    """Digest over every result field's ``repr`` and each formatted
+    fault-log line."""
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(result):
+        digest.update(f"{f.name}={getattr(result, f.name)!r};".encode())
+    for entry in result.fault_trace:
+        digest.update(entry.format().encode() + b"\n")
+    return digest.hexdigest()[:16]
+
+
+def _faulted(recovery, *crashes):
+    from repro.faults import FaultSchedule
+
+    return ClusterSimulator(
+        het_machines(), make_policy("dynamic-balanced"),
+        faults=FaultSchedule(list(crashes)), recovery=recovery,
+    )
+
+
+class TestSameInstantTies:
+    """A fault and a job release at the same instant.
+
+    Each step fires the due fault events before it admits that
+    instant's arrivals, and a closed system places its first window
+    before the first step, so a fault at t=0 fires after those jobs
+    land.  Recorded before the two event loops became one.  Admitting
+    an open system's due arrivals before the due events would move the
+    crash at t=0 to 26 migrations and 7 evacuations, and the crash at
+    the second wave to 24 migrations and 7 restarts.
+    """
+
+    def test_open_arrivals_after_crash_at_zero(self):
+        from repro.faults import EvacuateLive, NodeCrash
+
+        result = _faulted(
+            EvacuateLive(), NodeCrash(0.0, "x86", repair_seconds=30.0)
+        ).run_periodic(periodic_waves(DeterministicRng(3)))
+        assert result.makespan == 767.262801443518
+        assert result.total_energy == 27257.70643261307
+        assert result.migrations == 19
+        assert result.jobs_evacuated == 0
+        assert result.mean_response == 9.548780516057034
+        assert _tie_fingerprint(result) == "b6dc9286f8178493"
+
+    def test_open_arrivals_after_crash_at_second_wave(self):
+        from repro.faults import CheckpointRestart, NodeCrash
+
+        arrivals = periodic_waves(DeterministicRng(3))
+        second_wave = sorted({t for t, _ in arrivals})[1]
+        result = _faulted(
+            CheckpointRestart(20.0),
+            NodeCrash(second_wave, "arm", repair_seconds=30.0),
+        ).run_periodic(arrivals)
+        assert result.total_energy == 28475.74366510569
+        assert result.migrations == 21
+        assert result.jobs_restarted == 0
+        assert result.mean_response == 6.335228455610315
+        assert _tie_fingerprint(result) == "c34282bcad371c12"
+
+    def test_closed_first_window_before_crash_at_zero(self):
+        from repro.faults import EvacuateLive, NodeCrash
+
+        result = _faulted(
+            EvacuateLive(), NodeCrash(0.0, "x86", repair_seconds=3.0)
+        ).run_sustained(*sustained_backfill(DeterministicRng(11), 20, 4))
+        assert result.makespan == 56.36228884704941
+        assert result.total_energy == 3339.3328897452243
+        assert result.migrations == 4
+        assert result.jobs_evacuated == 2
+        assert result.mean_response == 6.527279592523469
+        assert _tie_fingerprint(result) == "a96514588201e6c4"
+
+    def test_open_dead_end_loses_every_unreleased_job(self):
+        from repro.faults import EvacuateLive, NodeCrash
+
+        result = _faulted(
+            EvacuateLive(),
+            NodeCrash(100.0, "x86", permanent=True),
+            NodeCrash(101.0, "arm", permanent=True),
+        ).run_periodic(periodic_waves(DeterministicRng(3)))
+        assert result.requests == 62
+        assert result.requests_completed == 14
+        assert result.requests_failed == 48
+        assert len(result.fault_trace) == 98
+        assert _tie_fingerprint(result) == "eab1edd66bdd25ca"
 
 
 class TestNestedNodes:

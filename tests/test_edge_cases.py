@@ -8,9 +8,11 @@ from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
 from repro.kernel.syscall import SyscallError
 from repro.machine import make_xeon_e5_1650v2
-from repro.runtime.execution import ExecutionEngine, ExecutionError
+from repro.runtime.execution import (
+    ENGINE_KINDS, ExecutionEngine, ExecutionError, make_engine,
+)
 
-from tests.helpers import X86, simple_sum_module
+from tests.helpers import ARM, X86, simple_sum_module
 
 
 class TestEngineFailurePaths:
@@ -120,6 +122,41 @@ class TestMigrationRequestEdges:
         engine.run()
         assert engine.migration.migrations == 0
         assert process.exit_code is not None
+
+    def _hint(self, index, engine):
+        """Start on arm-server, hint machine ``index`` of the testbed's
+        ``machine_order``, then work past a migration point."""
+        m = Module("hint")
+        fb = FunctionBuilder(m.function("main", [], VT.I64))
+        fb.syscall("migrate_hint", [index])
+        fb.work(60_000_000, "int_alu")
+        fb.ret(0)
+        m.entry = "main"
+        system = boot_testbed()
+        process = system.exec_process(Toolchain().build(m), ARM)
+        runner = make_engine(system, process, engine=engine)
+        runner.run()
+        return process, runner
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_hint_out_of_range_rejected(self, index, engine):
+        with pytest.raises(
+            SyscallError,
+            match=rf"migrate_hint to machine {index}; valid indexes are 0\.\.1",
+        ):
+            self._hint(index, engine)
+
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    @pytest.mark.parametrize(
+        "index, machine, migrations", [(0, ARM, 0), (1, X86, 1)]
+    )
+    def test_hint_in_range_moves_there(self, index, machine, migrations,
+                                       engine):
+        process, runner = self._hint(index, engine)
+        assert process.exit_code == 0
+        assert [t.machine_name for t in process.threads.values()] == [machine]
+        assert runner.migration.migrations == migrations
 
     def test_single_machine_system_cannot_migrate(self):
         binary = Toolchain().build(simple_sum_module())
