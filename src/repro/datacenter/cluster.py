@@ -152,6 +152,7 @@ class ClusterSimulator:
         # the primitives nested kernel testbeds tick on too.  ``now``
         # is a read-only view of the clock.
         self._sim = Simulator()
+        self._ran = False
         self.migrations = 0
         #: Migration penalties plus committed hand-off in-flight time,
         #: summed in event order.
@@ -778,7 +779,15 @@ class ClusterSimulator:
         """The one event loop of both systems.  Each step advances to
         the next release (open systems), completion or queued event,
         collects completions, fires the due events, then releases jobs,
-        so the faults due at an instant fire before its arrivals."""
+        so the faults due at an instant fire before its arrivals.
+
+        A simulator runs once: its clock, counters and finished jobs
+        would carry into a second run's result."""
+        if self._ran:
+            raise RuntimeError(
+                "a ClusterSimulator runs once; build a new one for another run"
+            )
+        self._ran = True
         total = len(jobs)
         if self._checker is not None:
             self._checker.begin(total)

@@ -237,6 +237,7 @@ class FleetSimulator:
 
         # ---- run state ----
         self._sim = Simulator()
+        self._ran = False
         self._migrate_cursor = 0  # next sid to migrate (sid order)
         self._migrated_count = 0
         self._ramp_step = 0
@@ -592,8 +593,14 @@ class FleetSimulator:
         arrival with ``time <= next event`` is priced analytically in
         one pass (:meth:`_drain`), then the event fires.  Same seed,
         same config ⇒ bit-identical result (the checksum test relies on
-        this).
+        this).  A simulator runs once: its clock and counters would
+        carry into a second run's result.
         """
+        if self._ran:
+            raise RuntimeError(
+                "a FleetSimulator runs once; build a new one for another run"
+            )
+        self._ran = True
         self._schedule(trace.horizon_s)
         times = trace.times  # sorted
         arrivals = iter(times)

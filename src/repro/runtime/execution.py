@@ -42,7 +42,9 @@ from repro.kernel.syscall import SyscallHandler
 
 
 class ExecutionError(Exception):
-    pass
+    """The program cannot go on: an unknown instruction or symbol, a
+    value ``not`` or ``f2i`` cannot convert, a stack overflow, a
+    deadlock or a runaway slice count."""
 
 
 class ProcessExit(Exception):
@@ -264,26 +266,17 @@ class ExecutionEngine:
         return system.machines[thread.machine_name]
 
     def _run_slice(self, thread: Thread) -> None:
-        machine = self._slice_preamble(thread)
-        self._interp_slice(thread, machine, self.batch, 0.0, 0.0, 0.0)
+        self._interp_slice(thread, self._slice_preamble(thread))
 
-    def _interp_slice(
-        self,
-        thread: Thread,
-        machine,
-        budget: int,
-        cycles: float,
-        instret: float,
-        extra: float,
-    ) -> None:
-        """Interpret up to ``budget`` instructions, one at a time.
-
-        ``cycles``/``instret``/``extra`` seed the slice accumulators so
-        the fast engine can hand over a partially executed slice (its
-        trampoline stops at a syscall and this loop executes it and
-        finishes the slice exactly).
-        """
-        system = self.system
+    def _interp_slice(self, thread: Thread, machine) -> None:
+        """Interpret one slice of ``self.batch`` instructions, one at a
+        time.  The fast engine never calls this: it runs syscalls
+        through the same :meth:`_syscall` step and returns to compiled
+        code after them."""
+        budget = self.batch
+        cycles = 0.0
+        instret = 0.0
+        extra = 0.0
         process = self.process
         space = process.space
         mem = space._mem  # hot path: direct store access
@@ -406,7 +399,7 @@ class ExecutionEngine:
                 instrs = mf.fn.blocks[block].instrs
                 all_cycles = self._cycles(mf, cpu)
                 cycles_tab = all_cycles[block]
-                cycles += cpu.cycles_for(mf.prologue_counts)
+                cycles += self._prologue_cycles(mf, cpu)
                 instret += mf.prologue_instret
             elif cls is Ret:
                 value = read(instr.value) if instr.value is not None else 0
@@ -439,26 +432,13 @@ class ExecutionEngine:
                 idx += 1
             elif cls is Syscall:
                 args = [read(a) for a in instr.args]
-                cycles += cpu.syscall_cycles
-                instret += 2
-                result = self.syscalls.handle(thread, instr.name, args)
-                extra += result.seconds
-                if result.wake:
-                    cycles, instret, extra = self._release_wakes(
-                        thread, machine, result, cycles, instret, extra
-                    )
-                if result.action == "exit_process":
-                    thread.pc = (block, idx)
-                    self._commit(thread, machine, cycles, instret, extra)
-                    self._exit_process(thread)
+                accs = self._syscall(
+                    thread, machine, frame, cache, instr, args, (block, idx),
+                    cycles, instret, extra,
+                )
+                if accs is None:
                     return
-                if result.action == "block":
-                    thread.pc = (block, idx)  # resume AT the syscall
-                    self._commit(thread, machine, cycles, instret, extra)
-                    machine.thread_stopped()
-                    return
-                if instr.dst:
-                    write_var(instr.dst, result.value)
+                cycles, instret, extra = accs
                 idx += 1
             else:  # pragma: no cover
                 raise ExecutionError(f"unknown instruction {cls.__name__}")
@@ -493,6 +473,58 @@ class ExecutionEngine:
         machine.charge_execution(instret, seconds)
         if count_step:
             self.steps += 1
+
+    def _syscall(
+        self,
+        thread: Thread,
+        machine,
+        frame,
+        cache: list,
+        instr: Syscall,
+        args: list,
+        pc: Tuple[str, int],
+        cycles: float,
+        instret: float,
+        extra: float,
+    ) -> Optional[Tuple[float, float, float]]:
+        """Run the syscall ``instr`` at ``pc``: the one syscall step of
+        both engines.
+
+        The caller has charged the instruction's static cycles and read
+        ``args``, so their DSM charges are in ``extra``.  The step adds
+        the kernel entry (``syscall_cycles``, two instructions), runs
+        the handler, wakes the threads it releases, and ends the slice
+        if the process exits (raising :class:`ProcessExit`) or the
+        thread blocks, with ``pc`` left at the syscall.  Otherwise it
+        writes the result (a stack slot through ``cache`` and the DSM)
+        and returns the slice accumulators to go on with at the next
+        instruction; ``None`` means the slice is over.
+        """
+        cycles += machine.cpu.syscall_cycles
+        instret += 2
+        result = self.syscalls.handle(thread, instr.name, args)
+        extra += result.seconds
+        if result.wake:
+            cycles, instret, extra = self._release_wakes(
+                thread, machine, result, cycles, instret, extra
+            )
+        if result.action == "exit_process" or result.action == "block":
+            thread.pc = pc  # a woken thread completes the syscall
+            self._commit(thread, machine, cycles, instret, extra)
+            if result.action == "exit_process":
+                self._exit_process(thread)  # raises ProcessExit
+            machine.thread_stopped()
+            return None
+        if instr.dst:
+            where = self._locations(frame.mf)[instr.dst]
+            if where[0] == "r":
+                thread.regs[where[1]] = result.value
+            else:
+                addr = frame.cfa - where[1]
+                if (addr >> 12) not in cache[2]:
+                    extra += self._dsm_charge(thread, addr, True)
+                self.process.space._mem[addr] = result.value
+        return cycles, instret, extra
 
     def _release_wakes(
         self,
@@ -553,6 +585,18 @@ class ExecutionEngine:
             }
             caches[cpu.name] = table
         return table
+
+    def _prologue_cycles(self, mf, cpu) -> float:
+        """Cycles of ``mf``'s prologue on ``cpu``, which both engines add
+        at every call; computed once per (function, CPU model), like
+        the block tables of :meth:`_cycles`."""
+        caches = getattr(mf, "_prologue_cycles_cache", None)
+        if caches is None:
+            caches = mf._prologue_cycles_cache = {}
+        cycles = caches.get(cpu.name)
+        if cycles is None:
+            cycles = caches[cpu.name] = cpu.cycles_for(mf.prologue_counts)
+        return cycles
 
     def _touch_range(self, thread: Thread, instr: Work, base: int) -> float:
         dsm = self.process.dsm

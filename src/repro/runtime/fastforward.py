@@ -11,7 +11,7 @@ dispatch *is* the wall.
 :class:`FastExecutionEngine` removes it.  Code is generated per
 *chunk*: the instructions from a block start, or from a return site
 (the instruction after a ``Call`` or a ``Syscall``), up to the chunk's
-exit — its branch, call or return, or the syscall it stops before.
+exit — its branch, call, return or syscall.
 For every machine function a thread executes the engine compiles —
 once per CPU model, from the :mod:`repro.ir.summary` block summaries —
 a *region*: all the function's chunks in closed form, rendered as one
@@ -48,24 +48,35 @@ instruction.  The region:
   term-by-term chain, whose rounding differs;
 * checks the remaining slice budget before every chunk and hands
   control back to the engine shell at calls, returns, migrations,
-  syscalls, and when the budget cannot cover the next chunk.
+  syscalls, and when the budget cannot cover the next chunk;
+* leaves through one epilogue: an exit sets the index of its entry in
+  the object's exit table and breaks out of the loop, and the epilogue
+  writes the registers back and returns that entry with the exit's
+  value;
+* drops a page check that repeats the chunk's last check on the same
+  address, and reuses the value a stack slot was just given, which
+  keeps the source ``compile()`` has to read small.
 
 Two cases run a chunk's *stepping variant* instead: the same
-instructions one at a time, with the budget checked before each, and
-entered at any instruction index.  One is a chunk the remaining slice
-budget cannot cover; the other is a slice that resumes inside a chunk,
-after a slice boundary or a migration.  A stepping variant is compiled
-the first time a slice boundary lands in its chunk, so a machine
-function never has more compiled objects per CPU model than its region
-plus one per chunk, however many resume positions a run visits.  Its
-type facts last one instruction, since it can be entered at any of
-them; it never folds ``instret``.
+instructions one at a time, each guarded by the entry index and the
+index where the budget runs out, and entered at any instruction index.
+One is a chunk the remaining slice budget cannot cover; the other is a
+slice that resumes inside a chunk, after a slice boundary or a
+migration.  A stepping variant is compiled the first time a slice
+boundary lands in its chunk, so a machine function never has more
+compiled objects per CPU model than its region plus one per chunk,
+however many resume positions a run visits.  Its type facts last one
+instruction, since it can be entered at any of them; it never folds
+``instret`` and never drops a page check.
 
 The scheduler, commit points, slice structure (256-instruction
 budget), syscall layer, migration path, and DSM are all inherited
 unchanged, which is why every ``RunResult`` fact and golden checksum
-is reproduced bit for bit.  A syscall hands the rest of its slice to
-the inherited ``_interp_slice``.
+is reproduced bit for bit.  At a syscall the compiled code charges its
+cycles and evaluates its arguments, if the budget covers it; the shell
+runs the syscall step the exact engine runs (``_syscall``), uses one
+unit of budget and resumes in compiled code at the return site, so a
+slice never falls back to the interpreter.
 
 Cross-validation (``REPRO_VALIDATE=1``): the region returns to the
 engine after every chunk, and after each closed-form chunk or stepping
@@ -78,6 +89,7 @@ this is what catches a stale or corrupted block summary, and an
 terms one by one).  Validating builds fold exactly as plain ones do.
 """
 
+import re
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
@@ -115,14 +127,17 @@ def _f2i(a):
         raise ExecutionError(str(exc)) from None
 
 
-# Region exit kinds (first element of the return tuple).
-_DONE = 0  # slice budget exhausted while stepping; pc already set
-_SHELL = 1  # pc parked at a syscall; finish the slice exactly
-_MIGRATE = 2  # a = target machine, b = site_id
-_CALL = 3  # a = Call instr, b = evaluated args
-_RET = 4  # a = return value
-_RESUME = 5  # a, b = next (block, index); continue fast-forwarding
-_STEP = 6  # a, b = chunk start the budget cannot cover; step it
+# Region exit kinds, the first field of an exit-table entry
+# ``(kind, pc, payload, used)``.  A compiled object leaves through one
+# epilogue that writes its registers back and returns the entry with
+# the exit's value ``_v``; ``used`` is budget the shell still charges.
+_DONE = 0  # slice budget ran out inside a chunk; value = pc index
+_SHELL = 1  # at the syscall at pc; value = its arguments
+_MIGRATE = 2  # value = target machine, payload = site id; pc after it
+_CALL = 3  # at the Call payload at pc; value = its arguments
+_RET = 4  # value = the return value
+_RESUME = 5  # continue fast-forwarding at pc
+_STEP = 6  # pc is a chunk start the budget cannot cover; step it
 
 # Operator expression templates, mirroring repro.ir.semantics exactly.
 # ``{ai}``/``{bi}`` are the operands as ints: an int literal, a local
@@ -200,8 +215,12 @@ _FOLD_GUARD = (
 )
 
 
-# Chunk exits: a chunk runs up to its first branch, call or return,
-# or stops before its first syscall.
+# A rendered operand that evaluates without side effects or errors: a
+# local, a temp or a number literal.
+_OPERAND = re.compile(r"-?[\w.]+")
+
+# Chunk exits: a chunk runs up to its first branch, call, return or
+# syscall.
 _EXITS = (Br, CBr, Call, Ret, Syscall)
 
 
@@ -292,6 +311,11 @@ class _RegionBuilder:
     call to describe one linear instruction range, which an in-region
     loop (even a self-loop) would break.  A stepping variant renders
     one chunk instruction by instruction and returns at its exit.
+
+    Every exit is an index into the object's exit table (``_X`` in its
+    namespace), so the source of an exit is ``_e = <index>`` and
+    ``break``: block names, pcs and call sites live in the table, and
+    one epilogue writes the registers back and returns.
     """
 
     def __init__(self, engine, mf, cpu, validating: bool):
@@ -322,6 +346,10 @@ class _RegionBuilder:
         # converted since its last assignment.
         self.ints = set()
         self.conv: Dict[str, str] = {}
+        # The last page check of the current closed-form chunk:
+        # (address key, write, address, value); see ``address``.
+        self.checked = None
+        self.exits: List[tuple] = []
         self.ns: Dict[str, object] = {"_f2i": _f2i, "_mf": mf}
         self.labels: Dict[Tuple[str, int], int] = {}
         self.stepping_mode = False
@@ -334,9 +362,11 @@ class _RegionBuilder:
     # --------------------------------------------------- emit helpers
 
     def emit(self, line: str, depth: int = 0) -> None:
+        """Append one statement at the current indentation plus ``depth``."""
         self.lines.append("    " * (self.depth + depth) + line)
 
     def fresh(self) -> str:
+        """A new temp name; a temp is assigned once."""
         self._tmp += 1
         return f"t{self._tmp}"
 
@@ -347,11 +377,14 @@ class _RegionBuilder:
         return name
 
     def flush(self) -> None:
-        # One chained statement == the same sequence of left-to-right
-        # binary additions the interpreter performs; folding the
-        # constants into one sum would reassociate and break
-        # bit-identity.  The one exception is a chain of int literals
-        # onto an ``instret`` the ``_fold`` guard proved integral.
+        """Emit the pending ``cycles`` and ``instret`` chains.
+
+        One chained statement == the same sequence of left-to-right
+        binary additions the interpreter performs; folding the
+        constants into one sum would reassociate and break
+        bit-identity.  The one exception is a chain of int literals
+        onto an ``instret`` the ``_fold`` guard proved integral.
+        """
         if self.pend_c:
             self.emit("cycles = cycles + " + " + ".join(self.pend_c))
             del self.pend_c[:]
@@ -375,12 +408,15 @@ class _RegionBuilder:
             self.emit(f"_fold = {_FOLD_GUARD}")
 
     def local(self, reg: str) -> str:
+        """The region-local variable holding physical register ``reg``."""
         name = self.regmap.get(reg)
         if name is None:
             name = self.regmap[reg] = f"_g{len(self.regmap)}"
         return name
 
     def read(self, op) -> str:
+        """Render operand ``op`` as an expression: a literal, a register
+        local, or a temp loaded from its stack slot."""
         if not isinstance(op, str):
             return repr(op)
         where = self.loc[op]
@@ -388,12 +424,61 @@ class _RegionBuilder:
             if where[1] not in self.defined:
                 self.loads.add(where[1])
             return self.local(where[1])
+        key = ("cfa", where[1])
+        last = self.checked
+        if last is not None and last[0] == key and last[3] is not None:
+            return last[3]  # the slot still holds what was last moved
+        addr = self.address(key, f"cfa - {where[1]}", False)
         t = self.fresh()
-        self.emit(f"{t}a = cfa - {where[1]}")
-        self.emit(f"if ({t}a >> 12) not in _c1:")
-        self.emit(f"    extra = extra + _dc(thread, {t}a, False)")
-        self.emit(f"{t} = _mg({t}a, 0)")
+        self.emit(f"{t} = _mg({addr}, 0)")
+        self.moved(t)
         return t
+
+    def address(self, key, expr, write: bool) -> str:
+        """An address after its residency check: a page-cache test that
+        calls ``_dc`` on a miss.
+
+        ``expr`` computes the address into a temp, or is ``None`` when
+        ``key[0]``, an int, already is it.  ``key`` names the value:
+        ``("cfa", depth)`` for a stack slot, ``(base, offset)`` for a
+        load or store.  A check that repeats the last one of the chunk
+        on the same key is dropped when that one was a write check or
+        this is a read: that check left the page in the read set (and
+        in the write set too, if it was a write), and only ``_dc``
+        removes pages from the sets.  Every ``_dc`` call site is a
+        newer check, and the key's base is forgotten when its local is
+        reassigned (``write``).  A stepping variant never drops one: it
+        can be entered after the earlier check.
+        """
+        last = self.checked
+        if last is not None and last[0] == key:
+            addr = last[2]
+            if last[1] or not write:
+                return addr
+        elif expr is None:
+            addr = key[0]
+        else:
+            addr = self.fresh()
+            self.emit(f"{addr} = {expr}")
+        cache = "_c2" if write else "_c1"
+        self.emit(
+            f"if {addr} >> 12 not in {cache}: "
+            f"extra += _dc(thread, {addr}, {write})"
+        )
+        if not self.stepping_mode:
+            self.checked = (key, write, addr, None)
+        return addr
+
+    def moved(self, value: str) -> None:
+        """Note that the stack slot just checked now holds ``value``.
+
+        Until the next check or the reassignment of ``value``'s local,
+        a read of that slot is ``value`` itself: every store emits a
+        check, so none can have written the slot in between.
+        """
+        last = self.checked
+        if last is not None:
+            self.checked = last[:3] + (value,)
 
     def as_int(self, op, text: str, convert: str = "int") -> str:
         """``op`` (rendered as ``text``) as an int expression.
@@ -458,23 +543,53 @@ class _RegionBuilder:
                 self.ints.add(local)
             else:
                 self.ints.discard(local)
+            last = self.checked
+            if last is not None:
+                if last[0][0] == local:
+                    self.checked = None
+                elif last[3] == local:
+                    self.checked = last[:3] + (None,)
             return
-        t = self.fresh()
-        self.emit(f"{t} = {expr}")
-        self.emit(f"{t}a = cfa - {where[1]}")
-        self.emit(f"if ({t}a >> 12) not in _c2:")
-        self.emit(f"    extra = extra + _dc(thread, {t}a, True)")
-        self.emit(f"mem[{t}a] = {t}")
+        # The value is computed before the check, as the interpreter
+        # computes it before its DSM charge, unless it is a plain name
+        # or literal, which cannot raise.
+        if _OPERAND.fullmatch(expr):
+            t = expr
+        else:
+            t = self.fresh()
+            self.emit(f"{t} = {expr}")
+        addr = self.address(("cfa", where[1]), f"cfa - {where[1]}", True)
+        self.emit(f"mem[{addr}] = {t}")
+        self.moved(t)
+
+    def leave(
+        self, kind: int, pc=None, payload=None, used: int = 0,
+        value: str = None, depth: int = 0,
+    ) -> None:
+        """Leave for the epilogue through a new exit-table entry, with
+        ``value`` as the exit's value."""
+        if value is not None:
+            self.emit(f"_v = {value}", depth)
+        self.emit(f"_e = {len(self.exits)}", depth)
+        self.emit("break", depth)
+        self.exits.append((kind, pc, payload, used))
+
+    def spend(self, k: int, used: int, depth: int = 0) -> int:
+        """Charge the budget through instruction ``k``: a stepping
+        variant sets ``budget`` from ``_end`` and returns 0; a
+        closed-form chunk returns the ``used`` units its exit-table
+        entry (or its branch) still has to charge."""
+        if self.stepping_mode:
+            self.emit(f"budget = _end - {k + 1}", depth)
+            return 0
+        return used
 
     def jump(self, block: str, depth: int) -> None:
         """Transfer to ``(block, 0)``: in the region's loop, or back to
-        the trampoline from a stepping variant or a validating build."""
+        the trampoline from a stepping variant or a validating build.
+        The caller has charged the budget."""
         if self.stepping_mode or self.validating:
-            self.emit(
-                f"_rv = (5, {block!r}, 0, budget, cycles, instret, extra)",
-                depth,
-            )
-            self.emit("break", depth)
+            self.leave(_RESUME, (block, 0), depth=depth)
             return
         self.emit(f"_L = {self.labels[(block, 0)]}", depth)
         self.emit("continue", depth)
@@ -483,19 +598,21 @@ class _RegionBuilder:
 
     def gen(self, block: str, start: int) -> None:
         """Generate one chunk: instructions from ``start`` to the
-        chunk's exit (branch, call, return, or before a syscall).
+        chunk's exit (branch, call, return or syscall).
 
         The closed form charges the chunk's static costs in chains
         between state updates, and its type pass drops ``int()`` on
         values it proved ints and converts any other value once (see
-        ``as_int``).  The stepping variant checks the budget
-        and charges each instruction in its own statements, exactly
-        like ``_interp_slice``, and guards each instruction but the
-        exit with the entry index ``_at``, so one compiled chunk serves
-        every resume position.  Either way the generated statements
-        perform the same state updates and the same per-accumulator
-        float additions, in the same order, as the interpreter stepping
-        the same instructions.
+        ``as_int``).  The region's budget gate has already checked that
+        the budget covers the whole chunk.  The stepping variant
+        guards each instruction but the exit with ``_at <= k`` and
+        ``_end > k`` (``_end`` is the entry index plus the budget, one
+        past the last instruction it covers) and charges it in
+        its own statements, exactly like ``_interp_slice``, so one
+        compiled chunk serves every resume position.  Either way the
+        generated statements perform the same state updates and the
+        same per-accumulator float additions, in the same order, as the
+        interpreter stepping the same instructions.
         """
         mf = self.mf
         cpu = self.cpu
@@ -509,51 +626,25 @@ class _RegionBuilder:
         self.defined.clear()
         self.ints.clear()
         self.conv.clear()
-
-        if not stepping:
-            # Budget gate: the whole chunk runs in closed form or its
-            # stepping variant runs it, which preserves the
-            # 256-instruction slice structure bit for bit.
-            consume = end - start + (instrs[end].__class__ is not Syscall)
-            if consume:
-                emit(f"if budget < {consume}:")
-                emit(
-                    f"    _rv = (6, {block!r}, {start}, budget, "
-                    "cycles, instret, extra)"
-                )
-                emit("    break")
+        self.checked = None
 
         for k in range(start, end + 1):
             instr = instrs[k]
             cls = instr.__class__
-            # Budget the chunk has consumed, and the budget left, if it
-            # exits at this instruction (a syscall is not consumed).
-            n = k - start + (cls is not Syscall)
-            left = "budget" if stepping else f"budget - {n}"
+            # Budget the closed-form chunk has used once ``k`` runs.
+            used = k - start + 1
             if stepping:
                 # Entered at any ``_at``: no fact outlives its guard.
                 self.ints.clear()
                 self.conv.clear()
                 self.depth = 0
                 if k < end:
-                    emit(f"if _at <= {k}:")
+                    emit(f"if _at <= {k} and _end > {k}:")
                     self.depth = 1
-                if cls is not Syscall:
-                    emit("if budget == 0:")
-                    emit(f"    thread.pc = ({block!r}, {k})")
-                    emit("    _rv = (0, 0, 0, 0, cycles, instret, extra)")
-                    emit("    break")
-                    emit("budget = budget - 1")
-
-            if cls is Syscall:
-                # Stop *before* the syscall: the exact interpreter
-                # handles it (blocking, wakes, process exit) and
-                # charges its budget/cycles itself.
-                self.flush()
-                emit(f"thread.pc = ({block!r}, {k})")
-                emit(f"_rv = (1, 0, 0, {left}, cycles, instret, extra)")
-                emit("break")
-                break
+                else:
+                    emit(f"if _end <= {k}:")
+                    emit("    budget = 0")
+                    self.leave(_DONE, value="_end", depth=1)
 
             pend_c.append(repr(cyc[k]))
 
@@ -578,20 +669,17 @@ class _RegionBuilder:
                 pend_i.append(1)
             elif cls is Load:
                 a = as_int(instr.addr, read(instr.addr))
-                t = self.fresh()
-                emit(f"{t} = {a} + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c1:")
-                emit(f"    extra = extra + _dc(thread, {t}, False)")
-                write(instr.dst, f"_mg({t}, 0)")
+                off = instr.offset
+                addr = self.address((a, off), f"{a} + {off}" if off else None, False)
+                write(instr.dst, f"_mg({addr}, 0)")
                 pend_i.append(1)
             elif cls is Store:
                 a = as_int(instr.addr, read(instr.addr))
-                t = self.fresh()
-                emit(f"{t} = {a} + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c2:")
-                emit(f"    extra = extra + _dc(thread, {t}, True)")
+                off = instr.offset
+                addr = self.address((a, off), f"{a} + {off}" if off else None, True)
                 s = read(instr.src)
-                emit(f"mem[{t}] = {s}")
+                emit(f"mem[{addr}] = {s}")
+                self.moved(None)  # the store may alias a checked slot
                 pend_i.append(1)
             elif cls is Const:
                 write(instr.dst, repr(instr.value), type(instr.value) is int)
@@ -633,46 +721,41 @@ class _RegionBuilder:
                 c = read(instr.cond)
                 pend_i.append(2)
                 self.flush()
-                if not stepping:
-                    emit(f"budget = budget - {n}")
+                if self.spend(k, used):
+                    emit(f"budget = budget - {used}")
                 emit(f"if {c}:")
                 self.jump(instr.if_true, 1)
                 self.jump(instr.if_false, 0)
             elif cls is Br:
                 pend_i.append(1)
                 self.flush()
-                if not stepping:
-                    emit(f"budget = budget - {n}")
+                if self.spend(k, used):
+                    emit(f"budget = budget - {used}")
                 self.jump(instr.target, 0)
             elif cls is MigPoint:
                 pend_i.append(5)
                 self.flush()
-                t = self.fresh()
-                emit(f"{t} = _rt(_slot)")
+                emit("_v = _rt(_slot)")
                 emit("if _hk is not None:")
                 emit(
                     f"    _hk(thread, {mf.name!r}, {instr.point_id}, "
                     "thread.instructions + instret)"
                 )
-                emit(f"if {t} is not None and {t} != _mn:")
-                emit(f"    thread.pc = ({block!r}, {k + 1})")
-                emit(
-                    f"    _rv = (2, {t}, {instr.site_id}, {left}, "
-                    "cycles, instret, extra)"
+                emit("if _v is not None and _v != _mn:")
+                self.leave(
+                    _MIGRATE, (block, k + 1), instr.site_id,
+                    self.spend(k, used, 1), depth=1,
                 )
-                emit("    break")
-            elif cls is Call:
+                self.checked = None  # the hook runs outside the region
+            elif cls is Call or cls is Syscall:
+                # The shell pushes the callee frame, or runs the syscall
+                # step and resumes at the return site's label.
                 self.flush()
-                args = [read(a) for a in instr.args]
-                emit(f"frame.resume = ({block!r}, {k})")
-                emit(f"frame.call_site_id = {instr.site_id}")
-                emit(f"thread.pc = ({block!r}, {k})")
-                iname = self.intern(instr)
-                emit(
-                    f"_rv = (3, {iname}, [{', '.join(args)}], "
-                    f"{left}, cycles, instret, extra)"
+                args = ", ".join([read(a) for a in instr.args])
+                self.leave(
+                    _CALL if cls is Call else _SHELL, (block, k), instr,
+                    self.spend(k, used), f"[{args}]",
                 )
-                emit("break")
             elif cls is Ret:
                 v = read(instr.value) if instr.value is not None else "0"
                 epilogue = len(mf.frame.saved_reg_depths) + 2
@@ -681,15 +764,12 @@ class _RegionBuilder:
                 )
                 pend_i.append(3 + epilogue)
                 self.flush()
-                emit(f"_rv = (4, {v}, 0, {left}, cycles, instret, extra)")
-                emit("break")
+                self.leave(_RET, None, None, self.spend(k, used), v)
             elif cls is AddrOf:
-                t = self.fresh()
-                emit(
-                    f"{t} = self._resolve_symbol"
-                    f"(thread, _mf, frame, {instr.symbol!r})"
+                write(
+                    instr.dst,
+                    f"self._resolve_symbol(thread, _mf, frame, {instr.symbol!r})",
                 )
-                write(instr.dst, t)
                 pend_i.append(1)
             elif cls is StackAlloc:
                 depth = mf.frame.buffer_depths[instr.name][0]
@@ -708,15 +788,28 @@ class _RegionBuilder:
     # ----------------------------------------------------------- build
 
     def region(self, labels: Dict[Tuple[str, int], int]):
-        """Compile every chunk in closed form behind its entry label."""
+        """Compile every chunk in closed form behind its entry label.
+
+        A chunk's dispatch test is also its budget gate: a label whose
+        chunk the budget cannot cover matches no branch and falls to
+        the last, which leaves through exit ``_L``.  The first exits are
+        the chunk starts, for the stepping variants.
+        """
         self.labels = labels
+        blocks = self.mf.fn.blocks
+        self.exits = [(_STEP, key, None, 0) for key in labels]
         body = []
         for (block, start), label in labels.items():
             self.lines = []
             self.gen(block, start)
             assert not self.pend_c and not self.pend_i
-            body.append(f"{'if' if label == 0 else 'elif'} _L == {label}:")
+            need = _chunk_end(blocks[block].instrs, start) - start + 1
+            body.append(
+                f"{'if' if label == 0 else 'elif'} _L == {label} "
+                f"and budget >= {need}:"
+            )
             body.extend("    " + line for line in self.lines)
+        body += ["else:", "    _e = _L", "    break"]
         return self.assemble(
             body, "_L", f"<fastforward {self.mf.name}:{self.cpu.name}>"
         )
@@ -747,11 +840,18 @@ class _RegionBuilder:
         # written here": the epilogue skips those so the dict's key set
         # — visible to checkpoint images and migration — is exactly
         # what per-instruction interpretation leaves behind.
+        unset = ["_v"]
+        for reg, local in self.regmap.items():
+            if reg not in self.loads:
+                unset.append(local)
+        out.append(f"    {' = '.join(unset)} = None")
         if self.loads:
             out.append("    _rg = regs.get")
         for reg, local in self.regmap.items():
-            load = f"_rg({reg!r})" if reg in self.loads else "None"
-            out.append(f"    {local} = {load}")
+            if reg in self.loads:
+                out.append(f"    {local} = _rg({reg!r})")
+        if self.stepping_mode:
+            out.append("    _end = _at + budget")
         out.append("    while True:")
         out.extend("        " + line for line in body)
         for reg, local in self.regmap.items():
@@ -759,7 +859,7 @@ class _RegionBuilder:
                 out.append(
                     f"    if {local} is not None: regs[{reg!r}] = {local}"
                 )
-        out.append("    return _rv")
+        out.append("    return _X[_e], _v, budget, cycles, instret, extra")
         source = "\n".join(out) + "\n"
         # Code objects are pure functions of the source text; identical
         # rebuilds (same workload run again, tests, benchmarks) reuse
@@ -768,6 +868,7 @@ class _RegionBuilder:
         if code is None:
             code = compile(source, filename, "exec")
             _CODE_CACHE[source] = code
+        self.ns["_X"] = tuple(self.exits)
         exec(code, self.ns)
         return self.ns["_region"]
 
@@ -778,6 +879,7 @@ class FastExecutionEngine(ExecutionEngine):
     _validating = False
 
     def run(self, max_slices: int = 50_000_000):
+        """Run like the exact engine; reads ``REPRO_VALIDATE`` once."""
         # Read once per run: the flag is an environment lookup.
         self._validating = _validate_enabled()
         return super().run(max_slices)
@@ -812,55 +914,64 @@ class FastExecutionEngine(ExecutionEngine):
             step = False
             if validating:
                 dyn: List[float] = []
-                kind, a, b, nbudget, ncycles, ninstret, extra = fn(
+                out, value, nbudget, ncycles, ninstret, extra = fn(
                     self, thread, frame, regs, mem, cache,
                     budget, cycles, instret, extra, at, dyn,
                 )
+                kind, pc, payload, used = out
+                nbudget -= used
                 self._validate_segment(
                     mf, cpu, block, idx, budget - nbudget, dyn,
                     cycles, instret, ncycles, ninstret,
                 )
                 budget, cycles, instret = nbudget, ncycles, ninstret
             else:
-                kind, a, b, budget, cycles, instret, extra = fn(
+                out, value, budget, cycles, instret, extra = fn(
                     self, thread, frame, regs, mem, cache,
                     budget, cycles, instret, extra, at,
                 )
+                kind, pc, payload, used = out
+                budget -= used
             if kind == _RESUME:
-                block, idx = a, b
+                block, idx = pc
             elif kind == _STEP:
-                block, idx = a, b
+                block, idx = pc
                 step = True
             elif kind == _DONE:
-                # Slice exhausted while stepping; pc already stored.
-                self._commit(thread, machine, cycles, instret, extra)
-                return
+                idx = value  # budget is 0: the slice ends here
+            elif kind == _SHELL:
+                accs = self._syscall(
+                    thread, machine, frame, cache, payload, value, pc,
+                    cycles, instret, extra,
+                )
+                if accs is None:
+                    return
+                cycles, instret, extra = accs
+                block, idx = pc[0], pc[1] + 1
             elif kind == _CALL:
-                callee = self._push_frame(thread, mf, frame, a, b, mem)
+                frame.resume = thread.pc = pc
+                frame.call_site_id = payload.site_id
+                callee = self._push_frame(thread, mf, frame, payload, value, mem)
                 frame = thread.frames[-1]
                 mf = callee
                 code = self._function_code(mf, cpu)
                 block, idx = thread.pc
-                cycles += cpu.cycles_for(mf.prologue_counts)
+                cycles += self._prologue_cycles(mf, cpu)
                 instret += mf.prologue_instret
             elif kind == _RET:
-                done = self._pop_frame(thread, a, mem, cpu)
+                done = self._pop_frame(thread, value, mem, cpu)
                 if done:
                     self._commit(thread, machine, cycles, instret, extra)
-                    self._thread_finished(thread, a)
+                    self._thread_finished(thread, value)
                     return
                 frame = thread.frames[-1]
                 mf = frame.mf
                 code = self._function_code(mf, cpu)
                 block, idx = thread.pc
-            elif kind == _SHELL:
-                # Parked at a syscall: the exact interpreter executes
-                # it (and the rest of the slice) with shared state.
-                self._interp_slice(thread, machine, budget, cycles, instret, extra)
-                return
-            else:  # _MIGRATE — pc already advanced past the point
+            else:  # _MIGRATE at the point; resume after it
+                thread.pc = pc
                 self._commit(thread, machine, cycles, instret, extra)
-                self._do_migration(thread, a, b)
+                self._do_migration(thread, value, payload)
                 return
 
         thread.pc = (block, idx)
@@ -930,8 +1041,8 @@ class FastExecutionEngine(ExecutionEngine):
                 ins += 5
             elif cls is InlineAsm:
                 ins += instr.instr_estimate
-            elif cls is Call:
-                pass  # the shell charges the callee prologue
+            elif cls is Call or cls is Syscall:
+                pass  # the shell charges the callee prologue or syscall
             elif cls is Ret:
                 epilogue = len(mf.frame.saved_reg_depths) + 2
                 cyc += epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0)

@@ -164,6 +164,17 @@ class TestClusterSimulator:
         with pytest.raises(ValueError, match="concurrency must be at least 1"):
             sim.run_sustained(specs, concurrency)
 
+    def test_second_run_refused(self):
+        """A second run would report the first run's jobs and clock as
+        its own (40 completions of 20 jobs): it must fail loudly."""
+        specs, concurrency = sustained_backfill(DeterministicRng(11), 20, 4)
+        sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
+        assert sim.run_sustained(specs, concurrency).requests_completed == 20
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run_sustained(specs, concurrency)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run_periodic([(0.0, specs[0])])
+
     def test_periodic_run(self):
         rng = DeterministicRng(3)
         arrivals = periodic_waves(rng)

@@ -1,9 +1,11 @@
 """Fast-forward engine tests: fast/exact equivalence over the workload
 registry (fault-free and under seeded message faults) and at slice
-budgets that end a slice at every instruction offset, the oracles for
+budgets that end a slice at every instruction offset, including slices
+that resume in compiled code right after a syscall, the oracles for
 typed chunk code (floats in integer registers, values ``int()`` cannot
 convert, the ``instret`` fold on a fractional accumulator), the bound
-on compiled code per function, the ``REPRO_VALIDATE=1``
+on compiled code per function, the ceiling on generated source, the
+check that the fast engine never interprets, the ``REPRO_VALIDATE=1``
 cross-validator, the prologue's left-to-right ``instret`` total, and
 the three hot-path accounting fixes that landed with the fast path
 (barrier wake vtime, per-thread cache eviction, IO scoping to the DSM
@@ -22,7 +24,13 @@ from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import make_xeon_e5_1650v2, make_xgene1
-from repro.runtime.execution import EngineHooks, ExecutionError, make_engine
+from repro.runtime import fastforward
+from repro.runtime.execution import (
+    EngineHooks,
+    ExecutionEngine,
+    ExecutionError,
+    make_engine,
+)
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
@@ -250,6 +258,79 @@ def _float_i64_module(iterations: int = 24) -> Module:
     return m
 
 
+_BARRIER = 3
+
+
+def _barrier_loop_module(threads: int, rounds: int = 5) -> Module:
+    """``threads`` workers each run ``rounds`` of compute, a
+    ``barrier_wait`` and more compute, as the registry's kernels do.
+    The wait's result (1 for the releasing thread, 0 for a woken one)
+    feeds the sum, so a result written to the wrong place shows."""
+    m = Module(f"barrier-loop{threads}")
+    w = m.function("worker", [("idx", VT.I64)], VT.I64)
+    fb = FunctionBuilder(w)
+    acc = fb.local("acc", VT.I64, init=0)
+    with fb.for_range("r", 0, rounds) as r:
+        fb.binop_into(acc, "add", acc, fb.binop("mul", r, "idx", VT.I64), VT.I64)
+        fb.work(fb.binop("add", fb.binop("mul", "idx", 700, VT.I64), 900, VT.I64))
+        got = fb.syscall("barrier_wait", [_BARRIER], VT.I64)
+        fb.binop_into(acc, "add", acc, fb.binop("mul", got, 5, VT.I64), VT.I64)
+        fb.binop_into(acc, "xor", acc, r, VT.I64)
+    fb.ret(acc)
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("barrier_init", [_BARRIER, threads])
+    waddr = fb.addr_of("worker")
+    tids = fb.stack_alloc(8 * threads, "tids")
+    with fb.for_range("s", 0, threads) as i:
+        t = fb.syscall("spawn", [waddr, i], VT.I64)
+        fb.store(fb.binop("add", tids, fb.binop("mul", i, 8, VT.I64), VT.I64), 0, t, VT.I64)
+    total = fb.local("total", VT.I64, init=0)
+    with fb.for_range("j", 0, threads) as j:
+        t = fb.load(fb.binop("add", tids, fb.binop("mul", j, 8, VT.I64), VT.I64), 0, VT.I64)
+        fb.binop_into(total, "add", total, fb.syscall("join", [t], VT.I64), VT.I64)
+    fb.syscall("print", [total])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+def _syscall_spill_module(iterations: int = 9) -> Module:
+    """A loop whose non-blocking ``sbrk`` reads its size from a frame
+    slot and writes the address to one, with compute on both sides.
+
+    F64 locals live across a syscall are spilled on x86, which has no
+    callee-saved FP registers (``TestSyscallResume`` checks that they
+    are).  After a migration at the explicit point, a slice of budget 5
+    ends exactly before the syscall; its argument read is the first
+    touch of the stack page on the new machine, and ``time_ns`` reads
+    the committed time in the next slice, so a DSM charge made in the
+    wrong slice changes the output.
+    """
+    m = Module("syscall-spill")
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    size = fb.local("size", VT.F64, init=16.0)
+    total = fb.local("total", VT.F64, init=0.0)
+    with fb.for_range("i", 0, iterations) as i:
+        fb.binop_into(size, "add", size, fb.unop("i2f", i, VT.F64), VT.F64)
+        fb.binop_into(size, "mul", size, 1.5, VT.F64)
+        fb.migration_point()
+        k = fb.binop("mul", i, 3, VT.I64)
+        for op, b in (("add", 1), ("xor", 5), ("and", 7), ("add", i)):
+            k = fb.binop(op, k, b, VT.I64)
+        got = fb.syscall("sbrk", [size], VT.F64)
+        now = fb.syscall("time_ns", [], VT.F64)
+        fb.syscall("print", [k])
+        fb.binop_into(total, "add", total, got, VT.F64)
+        fb.binop_into(total, "add", total, now, VT.F64)
+    fb.syscall("print", [total])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
 _SLICE_PROGRAMS = {
     "float_i64": _float_i64_module,
     "simple_sum": simple_sum_module,
@@ -258,6 +339,9 @@ _SLICE_PROGRAMS = {
     "locked_counter": lambda: _locked_counter_module(2, 15),
     "queue": lambda: _queue_module(20, 2),
     "interp_stress": lambda: interp_stress_module(300),
+    "barrier_loop_t1": lambda: _barrier_loop_module(1),
+    "barrier_loop_t4": lambda: _barrier_loop_module(4),
+    "syscall_spill": _syscall_spill_module,
 }
 
 
@@ -274,7 +358,8 @@ class TestSliceBoundaries:
     """Small slice budgets end slices at every instruction offset of
     every chunk, so every entry of every stepping variant runs: after a
     slice boundary, after a migration, and where the budget cannot
-    cover a chunk's closed form."""
+    cover a chunk's closed form.  The barrier and syscall programs put
+    slice boundaries right before and right after syscalls."""
 
     @pytest.mark.parametrize("migrate_every", [None, 3])
     @pytest.mark.parametrize("batch", [1, 2, 3, 5, 7, 13, 64])
@@ -306,6 +391,60 @@ class TestSliceBoundaries:
                     assert len(compiled) <= 1 + _chunk_count(mf), mf.name
                     stepped += len(code.steps)
         assert stepped > 0
+
+
+class TestSyscallResume:
+    """After a syscall the fast engine runs the interpreter's syscall
+    step and resumes in compiled code at the return site's label; it
+    never hands the rest of a slice to ``_interp_slice``."""
+
+    def test_spilled_operands(self):
+        """The syscall program really reads its argument from, and
+        writes its result to, a frame slot on x86."""
+        binary = Toolchain().build(_syscall_spill_module())
+        mf = binary.machine_function("x86_64", "main")
+        sbrk = next(
+            instr
+            for block in mf.fn.blocks.values()
+            for instr in block.instrs
+            if isinstance(instr, Syscall) and instr.name == "sbrk"
+        )
+        spilled = set(mf.frame.slot_depths)
+        assert sbrk.args[0] in spilled and sbrk.dst in spilled
+
+    @pytest.mark.parametrize("validate", ["0", "1"])
+    def test_fast_engine_never_interprets(self, monkeypatch, validate):
+        def refuse(self, thread, machine):
+            raise AssertionError("a slice went to the interpreter")
+
+        monkeypatch.setattr(ExecutionEngine, "_interp_slice", refuse)
+        monkeypatch.setenv("REPRO_VALIDATE", validate)
+        for program in sorted(_SLICE_PROGRAMS):
+            for batch in (5, 256):
+                _, _, process, _ = _run(
+                    _SLICE_PROGRAMS[program](), "fast", batch=batch,
+                    migrate_every=3,
+                )
+                assert process.exit_code is not None, program
+
+
+# Generated characters of sp/t4 and cg/t1 (distinct sources, validation
+# off) when this ceiling was set, plus 2%.  Character counts are
+# deterministic: a code-generation change that grows the source again
+# fails here, where a compile-time check would only be noisy.
+_SOURCE_CHARS = 145_493
+_SOURCE_CEILING = int(_SOURCE_CHARS * 1.02)
+
+
+class TestGeneratedSource:
+    def test_source_ceiling(self, monkeypatch):
+        monkeypatch.setattr(fastforward, "_CODE_CACHE", {})
+        monkeypatch.setenv("REPRO_VALIDATE", "0")
+        for bench, threads in (("sp", 4), ("cg", 1)):
+            module = build_workload(bench, GOLDEN_CLASS, threads, GOLDEN_SCALE)
+            _run(module, "fast")
+        chars = sum(len(source) for source in fastforward._CODE_CACHE)
+        assert chars <= _SOURCE_CEILING, chars
 
 
 # ------------------------------------------- values int() cannot convert

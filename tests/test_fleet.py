@@ -217,6 +217,19 @@ class TestDeterminism:
             w.describe() for w in b.waves
         ]
 
+    def test_second_run_refused(self):
+        """The clock and counters of the first run would carry over."""
+        sim = FleetSimulator(
+            small_config(), quick_policy(), DeterministicRng(42),
+            service_mix=FAST_MIX,
+        )
+        trace = make_trace(
+            "steady", DeterministicRng(42), requests=200, horizon_s=600.0
+        )
+        sim.run(trace)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run(trace)
+
     def test_different_seed_differs(self):
         a = run_fleet(seed=42)
         b = run_fleet(seed=43)
