@@ -11,7 +11,14 @@ Threads are interleaved by a min-virtual-time scheduler: the runnable
 thread with the smallest accumulated time executes the next slice, so
 the interleaving converges to what parallel hardware would produce.
 When a machine has more runnable threads than cores, compute time is
-stretched by the oversubscription factor.
+stretched by the oversubscription factor.  A slice is the accounting
+unit: it ends in one ``_commit``, and the step between two slices
+advances the shared clock to the thread about to run and samples
+(``_advance_clock``).  The scheduler acts on a boundary only when it
+picks another thread, pauses or runs out of slices.  The exact engine
+returns to ``run()`` after every slice; the fast engine keeps running
+a thread in place, one slice after another, while ``run()`` would pick
+it again (``_picks_again``).
 """
 
 from dataclasses import dataclass
@@ -96,6 +103,8 @@ class ExecutionEngine:
         self._pause_requested = False
         self.paused = False
         self.steps = 0
+        # Slices the current run() may still start (see run()).
+        self._slices_left = 0
         # Optional dynamic-sharing observer (repro.validate.race_checker).
         # Notified only on DSM miss paths, so attaching one perturbs
         # neither timing nor the per-thread residency caches.
@@ -113,10 +122,17 @@ class ExecutionEngine:
     # ------------------------------------------------------------ driver
 
     def run(self, max_slices: int = 50_000_000) -> Process:
-        """Run until the process exits or every thread is done."""
+        """Run until the process exits or every thread is done.
+
+        ``max_slices`` bounds the slices this call runs.  Both engines
+        count every slice, also one the fast engine runs in place, so
+        the runaway guard fires at the same slice in both, and only when
+        one more slice would have to run.
+        """
         process = self.process
         self.paused = False
-        for _ in range(max_slices):
+        self._slices_left = max_slices
+        while True:
             if process.exit_code is not None:
                 self._finalize_clock()
                 self.system.reap_process(process)
@@ -159,24 +175,66 @@ class ExecutionEngine:
                 self.paused = True
                 # Flush pending blocking-syscall completions so every
                 # thread's state is self-contained for a checkpoint.
+                # No slice follows, so each result write's DSM cost is
+                # committed here.
                 for tid, value in list(self._wake_values.items()):
                     del self._wake_values[tid]
-                    self._complete_blocking_syscall(
-                        process.threads[tid], value
+                    thread = process.threads[tid]
+                    extra = self._complete_blocking_syscall(thread, value)
+                    machine = self.system.machines[thread.machine_name]
+                    self._commit(
+                        thread, machine, 0.0, 0.0, extra, count_step=False
                     )
                 return process
+            if self._slices_left <= 0:
+                raise ExecutionError("slice budget exhausted (runaway program?)")
             thread = min(runnable, key=lambda t: (t.vtime, t.tid))
-            if thread.vtime > self.system.clock.now:
-                self.system.clock.advance_to(thread.vtime)
-                if self.sampler is not None:
-                    self.sampler.sample_until(self.system.clock.now)
+            self._advance_clock(thread)
+            self._slices_left -= 1
             try:
-                self._run_slice(thread)
+                self._run_slice(thread, self._rival(thread))
             except ProcessExit:
                 pass
             except (KernelCrashed, LostPageError) as exc:
                 self._fail_thread(thread, exc)
-        raise ExecutionError("slice budget exhausted (runaway program?)")
+
+    def _rival(self, thread: Thread) -> Optional[Tuple[float, int]]:
+        """The least ``(vtime, tid)`` of the process's other runnable
+        threads, or ``None``: ``run()`` picks ``thread`` again only
+        while its own key is below this one."""
+        return min(
+            [
+                (t.vtime, t.tid)
+                for t in self.process.threads.values()
+                if t.state == ThreadState.RUNNABLE and t is not thread
+            ],
+            default=None,
+        )
+
+    def _picks_again(self, thread: Thread, rival) -> bool:
+        """Whether ``run()``, after a slice of ``thread`` that ended on
+        its budget, would do nothing but pick ``thread`` again: slices
+        are left, no pause is requested, ``thread`` is still runnable
+        and its key is below ``rival``.  No thread of the process may
+        have failed either: a crash during the slice can wake a joiner
+        that ``rival`` predates.  The exit code needs no test, since the
+        slice that sets it ends there."""
+        return (
+            self._slices_left > 0
+            and not self._pause_requested
+            and not self.process.failed_threads
+            and thread.state == ThreadState.RUNNABLE
+            and (rival is None or (thread.vtime, thread.tid) < rival)
+        )
+
+    def _advance_clock(self, thread: Thread) -> None:
+        """The step between two slices: the shared clock catches up with
+        the thread about to run, then the sampler samples up to it."""
+        clock = self.system.clock
+        if thread.vtime > clock.now:
+            clock.advance_to(thread.vtime)
+            if self.sampler is not None:
+                self.sampler.sample_until(clock.now)
 
     def _finalize_clock(self) -> None:
         """Advance the shared clock to the end of the process's work.
@@ -246,7 +304,8 @@ class ExecutionEngine:
     def _slice_preamble(self, thread: Thread):
         """Per-slice setup shared by every engine: tracer context and
         completion of the blocking syscall the thread woke from.
-        Returns the machine the slice runs on."""
+        Returns the machine the slice runs on and the slice's opening
+        ``extra``: the DSM cost of that completion's result write."""
         system = self.system
         tracer = system.messaging.tracer
         if tracer is not None:
@@ -259,24 +318,27 @@ class ExecutionEngine:
                 flow=self._mig_flow.get(thread.tid),
             )
 
+        extra = 0.0
         pending = self._wake_values.pop(thread.tid, None)
         if pending is not None:
-            self._complete_blocking_syscall(thread, pending)
+            extra = self._complete_blocking_syscall(thread, pending)
 
-        return system.machines[thread.machine_name]
+        return system.machines[thread.machine_name], extra
 
-    def _run_slice(self, thread: Thread) -> None:
-        self._interp_slice(thread, self._slice_preamble(thread))
+    def _run_slice(self, thread: Thread, rival) -> None:
+        """Run one slice of ``thread``; ``rival`` is ``_rival(thread)``
+        at the pick, which only the fast engine's in-place slices
+        read."""
+        self._interp_slice(thread, *self._slice_preamble(thread))
 
-    def _interp_slice(self, thread: Thread, machine) -> None:
+    def _interp_slice(self, thread: Thread, machine, extra: float) -> None:
         """Interpret one slice of ``self.batch`` instructions, one at a
-        time.  The fast engine never calls this: it runs syscalls
-        through the same :meth:`_syscall` step and returns to compiled
-        code after them."""
+        time, starting from ``extra`` seconds of DSM cost.  The fast
+        engine never calls this: it runs syscalls through the same
+        :meth:`_syscall` step and returns to compiled code after them."""
         budget = self.batch
         cycles = 0.0
         instret = 0.0
-        extra = 0.0
         process = self.process
         space = process.space
         mem = space._mem  # hot path: direct store access
@@ -516,15 +578,27 @@ class ExecutionEngine:
             machine.thread_stopped()
             return None
         if instr.dst:
-            where = self._locations(frame.mf)[instr.dst]
-            if where[0] == "r":
-                thread.regs[where[1]] = result.value
-            else:
-                addr = frame.cfa - where[1]
-                if (addr >> 12) not in cache[2]:
-                    extra += self._dsm_charge(thread, addr, True)
-                self.process.space._mem[addr] = result.value
+            extra += self._write_result(
+                thread, frame, cache, instr.dst, result.value
+            )
         return cycles, instret, extra
+
+    def _write_result(
+        self, thread: Thread, frame, cache: list, dst: str, value
+    ) -> float:
+        """Write a syscall's result to ``dst`` of ``frame``: a register,
+        or a stack slot after the hDSM write check (the page cache, then
+        ``_dsm_charge`` on a miss).  Returns the DSM cost."""
+        where = self._locations(frame.mf)[dst]
+        if where[0] == "r":
+            thread.regs[where[1]] = value
+            return 0.0
+        addr = frame.cfa - where[1]
+        cost = 0.0
+        if (addr >> 12) not in cache[2]:
+            cost = self._dsm_charge(thread, addr, True)
+        self.process.space._mem[addr] = value
+        return cost
 
     def _release_wakes(
         self,
@@ -744,20 +818,21 @@ class ExecutionEngine:
         self.system.machines[thread.machine_name].thread_started()
         self._wake_values[thread.tid] = value
 
-    def _complete_blocking_syscall(self, thread: Thread, value) -> None:
-        """Finish the syscall the thread blocked in (pc is still at it)."""
+    def _complete_blocking_syscall(self, thread: Thread, value) -> float:
+        """Finish the syscall the thread blocked in (pc is still at it):
+        write ``value`` as :meth:`_syscall` writes a result.  Returns the
+        write's DSM cost, which the caller charges to the thread."""
         frame = thread.frames[-1]
         block, idx = thread.pc
         instr = frame.mf.fn.blocks[block].instrs[idx]
         if not isinstance(instr, Syscall):
             raise ExecutionError("woken thread not parked at a syscall")
+        extra = 0.0
         if instr.dst:
-            loc = self._locations(frame.mf)[instr.dst]
-            if loc[0] == "r":
-                thread.regs[loc[1]] = value
-            else:
-                self.process.space._mem[frame.cfa - loc[1]] = value
+            cache = self._cache_for(thread.tid, self.process.dsm.epoch)
+            extra = self._write_result(thread, frame, cache, instr.dst, value)
         thread.pc = (block, idx + 1)
+        return extra
 
     def _exit_process(self, thread: Thread) -> None:
         self.system.reap_process(self.process)

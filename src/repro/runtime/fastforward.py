@@ -69,14 +69,24 @@ however many resume positions a run visits.  Its type facts last one
 instruction, since it can be entered at any of them; it never folds
 ``instret`` and never drops a page check.
 
-The scheduler, commit points, slice structure (256-instruction
-budget), syscall layer, migration path, and DSM are all inherited
-unchanged, which is why every ``RunResult`` fact and golden checksum
-is reproduced bit for bit.  At a syscall the compiled code charges its
-cycles and evaluates its arguments, if the budget covers it; the shell
-runs the syscall step the exact engine runs (``_syscall``), uses one
-unit of budget and resumes in compiled code at the return site, so a
-slice never falls back to the interpreter.
+The scheduler's decisions, commit points, slice structure
+(256-instruction budget), syscall layer, migration path, and DSM are
+all inherited unchanged, which is why every ``RunResult`` fact and
+golden checksum is reproduced bit for bit.  At a syscall the compiled
+code charges its cycles and evaluates its arguments, if the budget
+covers it; the shell runs the syscall step the exact engine runs
+(``_syscall``), uses one unit of budget and resumes in compiled code at
+the return site, so a slice never falls back to the interpreter.
+
+What the shell does not inherit is the round trip to the scheduler at
+every slice boundary.  A slice that ends on its budget commits, and
+while ``run()`` would pick the same thread again
+(``ExecutionEngine._picks_again``: runnable, no pause, slices left, no
+failed thread, and a ``(vtime, tid)`` below the rival key ``run()``
+hands in, re-read after each syscall step) the shell runs the step
+between slices (``_advance_clock``) and starts the next slice in place,
+keeping the frame, the page cache and the compiled code.  A
+single-threaded program enters ``_run_slice`` once.
 
 Cross-validation (``REPRO_VALIDATE=1``): the region returns to the
 engine after every chunk, and after each closed-form chunk or stepping
@@ -886,96 +896,115 @@ class FastExecutionEngine(ExecutionEngine):
 
     # ------------------------------------------------------------ slice
 
-    def _run_slice(self, thread) -> None:
-        machine = self._slice_preamble(thread)
+    def _run_slice(self, thread, rival) -> None:
+        """Run ``thread`` from its pc, one slice after another.
+
+        A slice that ends on its budget commits, and while ``run()``
+        would do nothing but pick the thread again (``_picks_again``)
+        the next slice starts here, after the step between slices, with
+        a fresh budget; the frame, page cache and compiled code carry
+        over.  The preamble is not repeated: the thread, its machine
+        and its migration flow are those it set up, and a running
+        thread has no wake value pending.  ``rival`` is re-read after
+        each syscall step, the shell event that can wake or spawn a
+        thread.
+        """
+        machine, extra = self._slice_preamble(thread)
         process = self.process
+        dsm = process.dsm
         mem = process.space._mem
         cpu = machine.cpu
         regs = thread.regs
-        budget = self.batch
-        cycles = 0.0
-        instret = 0.0
-        extra = 0.0
-        cache = self._cache_for(thread.tid, process.dsm.epoch)
         frame = thread.frames[-1]
         mf = frame.mf
         block, idx = thread.pc
         validating = self._validating
         code = self._function_code(mf, cpu)
-        step = False
 
-        while budget > 0:
-            label = None if step else code.labels.get((block, idx))
-            if label is None:
-                # Inside a chunk, or a chunk the budget cannot cover.
-                fn, at = code.stepper(self, block, idx), idx
-            else:
-                fn, at = code.region, label
+        while True:
+            budget = self.batch
+            cycles = 0.0
+            instret = 0.0
+            cache = self._cache_for(thread.tid, dsm.epoch)
             step = False
-            if validating:
-                dyn: List[float] = []
-                out, value, nbudget, ncycles, ninstret, extra = fn(
-                    self, thread, frame, regs, mem, cache,
-                    budget, cycles, instret, extra, at, dyn,
-                )
-                kind, pc, payload, used = out
-                nbudget -= used
-                self._validate_segment(
-                    mf, cpu, block, idx, budget - nbudget, dyn,
-                    cycles, instret, ncycles, ninstret,
-                )
-                budget, cycles, instret = nbudget, ncycles, ninstret
-            else:
-                out, value, budget, cycles, instret, extra = fn(
-                    self, thread, frame, regs, mem, cache,
-                    budget, cycles, instret, extra, at,
-                )
-                kind, pc, payload, used = out
-                budget -= used
-            if kind == _RESUME:
-                block, idx = pc
-            elif kind == _STEP:
-                block, idx = pc
-                step = True
-            elif kind == _DONE:
-                idx = value  # budget is 0: the slice ends here
-            elif kind == _SHELL:
-                accs = self._syscall(
-                    thread, machine, frame, cache, payload, value, pc,
-                    cycles, instret, extra,
-                )
-                if accs is None:
-                    return
-                cycles, instret, extra = accs
-                block, idx = pc[0], pc[1] + 1
-            elif kind == _CALL:
-                frame.resume = thread.pc = pc
-                frame.call_site_id = payload.site_id
-                callee = self._push_frame(thread, mf, frame, payload, value, mem)
-                frame = thread.frames[-1]
-                mf = callee
-                code = self._function_code(mf, cpu)
-                block, idx = thread.pc
-                cycles += self._prologue_cycles(mf, cpu)
-                instret += mf.prologue_instret
-            elif kind == _RET:
-                done = self._pop_frame(thread, value, mem, cpu)
-                if done:
+            while budget > 0:
+                label = None if step else code.labels.get((block, idx))
+                if label is None:
+                    # Inside a chunk, or a chunk the budget cannot cover.
+                    fn, at = code.stepper(self, block, idx), idx
+                else:
+                    fn, at = code.region, label
+                step = False
+                if validating:
+                    dyn: List[float] = []
+                    out, value, nbudget, ncycles, ninstret, extra = fn(
+                        self, thread, frame, regs, mem, cache,
+                        budget, cycles, instret, extra, at, dyn,
+                    )
+                    kind, pc, payload, used = out
+                    nbudget -= used
+                    self._validate_segment(
+                        mf, cpu, block, idx, budget - nbudget, dyn,
+                        cycles, instret, ncycles, ninstret,
+                    )
+                    budget, cycles, instret = nbudget, ncycles, ninstret
+                else:
+                    out, value, budget, cycles, instret, extra = fn(
+                        self, thread, frame, regs, mem, cache,
+                        budget, cycles, instret, extra, at,
+                    )
+                    kind, pc, payload, used = out
+                    budget -= used
+                if kind == _RESUME:
+                    block, idx = pc
+                elif kind == _STEP:
+                    block, idx = pc
+                    step = True
+                elif kind == _DONE:
+                    idx = value  # budget is 0: the slice ends here
+                elif kind == _SHELL:
+                    accs = self._syscall(
+                        thread, machine, frame, cache, payload, value, pc,
+                        cycles, instret, extra,
+                    )
+                    if accs is None:
+                        return
+                    cycles, instret, extra = accs
+                    block, idx = pc[0], pc[1] + 1
+                    rival = self._rival(thread)
+                elif kind == _CALL:
+                    frame.resume = thread.pc = pc
+                    frame.call_site_id = payload.site_id
+                    callee = self._push_frame(thread, mf, frame, payload, value, mem)
+                    frame = thread.frames[-1]
+                    mf = callee
+                    code = self._function_code(mf, cpu)
+                    block, idx = thread.pc
+                    cycles += self._prologue_cycles(mf, cpu)
+                    instret += mf.prologue_instret
+                elif kind == _RET:
+                    done = self._pop_frame(thread, value, mem, cpu)
+                    if done:
+                        self._commit(thread, machine, cycles, instret, extra)
+                        self._thread_finished(thread, value)
+                        return
+                    frame = thread.frames[-1]
+                    mf = frame.mf
+                    code = self._function_code(mf, cpu)
+                    block, idx = thread.pc
+                else:  # _MIGRATE at the point; resume after it
+                    thread.pc = pc
                     self._commit(thread, machine, cycles, instret, extra)
-                    self._thread_finished(thread, value)
+                    self._do_migration(thread, value, payload)
                     return
-                frame = thread.frames[-1]
-                mf = frame.mf
-                code = self._function_code(mf, cpu)
-                block, idx = thread.pc
-            else:  # _MIGRATE at the point; resume after it
-                thread.pc = pc
-                self._commit(thread, machine, cycles, instret, extra)
-                self._do_migration(thread, value, payload)
-                return
 
-        thread.pc = (block, idx)
-        self._commit(thread, machine, cycles, instret, extra)
+            thread.pc = (block, idx)
+            self._commit(thread, machine, cycles, instret, extra)
+            if not self._picks_again(thread, rival):
+                return
+            self._advance_clock(thread)
+            self._slices_left -= 1
+            extra = 0.0
 
     # ---------------------------------------------------------- tables
 

@@ -1,10 +1,14 @@
 """Dispatch-bound interpreter stress kernel (not a registry workload).
 
-The registry benchmarks are deliberately memory-realistic: at golden
-scale most of their wall time is DSM first-touch and page accounting,
-which the exact interpreter and the fast-forward engine share.  That
-makes them the right *correctness* corpus but a poor probe of the cost
-the fast engine removes — per-instruction dispatch.
+The registry benchmarks are the *correctness* corpus: memory-realistic
+programs with threads, calls, syscalls, ``Work`` bursts and migration
+points.  Their host time mixes dispatch with everything else the
+engine does (building and compiling regions, calls, syscalls, thread
+switches), so they are a poor probe of the one cost the fast engine
+removes — per-instruction dispatch.  Nor is their time hDSM work: in a
+traced registry pass ``kernel.dsm.*`` is 0.3% of the wall time,
+``runtime.self_s`` about three quarters and ``compiler.build_s`` about
+an eighth.
 
 This module is the opposite: a long interpreted loop of register-only
 scalar ALU work (integer and floating point, including the truncating

@@ -6,22 +6,28 @@ typed chunk code (floats in integer registers, values ``int()`` cannot
 convert, the ``instret`` fold on a fractional accumulator), the bound
 on compiled code per function, the ceiling on generated source, the
 check that the fast engine never interprets, the ``REPRO_VALIDATE=1``
-cross-validator, the prologue's left-to-right ``instret`` total, and
-the three hot-path accounting fixes that landed with the fast path
-(barrier wake vtime, per-thread cache eviction, IO scoping to the DSM
-transfer path).
+cross-validator, the prologue's left-to-right ``instret`` total, the
+slices the fast engine runs in place (the runaway guard, a pause, the
+power sampler, a crash that wakes a joiner), the hDSM check on a woken
+thread's result write, and the three hot-path accounting fixes that
+landed with the fast path (barrier wake vtime, per-thread cache
+eviction, IO scoping to the DSM transfer path).
 """
 
 import pytest
 
 from repro.compiler import Toolchain
+from repro.compiler.migration_points import scaled_target_gap
+from repro.faults.chaos import CrashInjector
 from repro.faults.inject import FaultyMessagingLayer
 from repro.faults.models import RetryPolicy
 from repro.ir import FunctionBuilder, Module
+from repro.ir.function import GlobalVar
 from repro.ir.instructions import Call, Syscall
 from repro.ir.summary import block_summaries, invalidate_summaries
 from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
+from repro.kernel.checkpoint import checkpoint_process, restore_process
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.runtime import fastforward
@@ -33,6 +39,7 @@ from repro.runtime.execution import (
 )
 from repro.sim.clock import Clock
 from repro.sim.rng import DeterministicRng
+from repro.telemetry import PowerRecorder
 from repro.validate.errors import InvariantViolation
 from repro.workloads import build_workload, workload_names
 from repro.workloads.golden import (
@@ -414,7 +421,7 @@ class TestSyscallResume:
 
     @pytest.mark.parametrize("validate", ["0", "1"])
     def test_fast_engine_never_interprets(self, monkeypatch, validate):
-        def refuse(self, thread, machine):
+        def refuse(self, thread, machine, extra):
             raise AssertionError("a slice went to the interpreter")
 
         monkeypatch.setattr(ExecutionEngine, "_interp_slice", refuse)
@@ -445,6 +452,329 @@ class TestGeneratedSource:
             _run(module, "fast")
         chars = sum(len(source) for source in fastforward._CODE_CACHE)
         assert chars <= _SOURCE_CEILING, chars
+
+
+# ------------------------------------------------- slices run in place
+
+
+class TestSlicesInPlace:
+    """A fast slice that ends on its budget starts the next one in place
+    while ``run()`` would pick the same thread again; everything
+    ``run()`` does between two slices must still happen at the same
+    slice as in the exact engine."""
+
+    def test_one_thread_enters_the_slice_runner_once(self, monkeypatch):
+        entries = []
+        inner = fastforward.FastExecutionEngine._run_slice
+
+        def counted(self, thread, rival):
+            entries.append(thread.tid)
+            return inner(self, thread, rival)
+
+        monkeypatch.setattr(
+            fastforward.FastExecutionEngine, "_run_slice", counted
+        )
+        module = interp_stress_module(2_000)
+        exact, _, _, _ = _run(module, "exact")
+        fast, _, _, _ = _run(module, "fast")
+        assert fast == exact
+        assert len(entries) == 1
+        assert exact[-1] > 50  # slices
+
+    def test_runaway_guard_fires_at_the_same_slice(self):
+        """``max_slices`` counts slices, not picks.  The kernel needs
+        141 slices, so a loop that ran past the limit would finish it
+        instead of raising, rather than run on for hours."""
+        seen = []
+        binary = Toolchain().build(interp_stress_module(2_000))
+        for kind in ("exact", "fast"):
+            system = boot_testbed()
+            process = system.exec_process(binary, X86)
+            engine = make_engine(system, process, engine=kind)
+            with pytest.raises(ExecutionError, match="slice budget exhausted"):
+                engine.run(max_slices=25)
+            assert engine.steps == 25, kind
+            seen.append(
+                (
+                    repr(system.clock.now),
+                    [repr(t.vtime) for t in process.threads.values()],
+                )
+            )
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("kind", ["exact", "fast"])
+    def test_a_run_of_exactly_max_slices_completes(self, kind):
+        """The guard fires only when one more slice would have to run: a
+        run that needs exactly ``max_slices`` slices ends normally."""
+        binary = Toolchain().build(interp_stress_module(2_000))
+        runs = []
+        for max_slices in (50_000_000, None):
+            system = boot_testbed()
+            process = system.exec_process(binary, X86)
+            engine = make_engine(system, process, engine=kind)
+            engine.run(max_slices or runs[0][-1])
+            runs.append(_facts(system, process, engine))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "program, pause_at",
+        [("call_chain", 3), ("barrier_loop_t2", 6)],
+    )
+    def test_pause_lands_on_the_same_slice(self, program, pause_at):
+        """``request_pause()`` from a migration-point hook stops both
+        engines at the same slice boundary; the paused process then
+        checkpoints and restores on the other Xeon and finishes with an
+        unpaused run's output.  At a budget of 4 the barrier program
+        pauses with a woken thread's result still to be written."""
+        factory = {
+            "call_chain": call_chain_module,
+            "barrier_loop_t2": lambda: _barrier_loop_module(2),
+        }[program]
+        reference, _, _, _ = _run(factory(), "exact", batch=4)
+        paused = []
+        for kind in ("exact", "fast"):
+            system = PopcornSystem(
+                [make_xeon_e5_1650v2("x86-a"), make_xeon_e5_1650v2("x86-b")]
+            )
+            binary = Toolchain().build(factory())
+            process = system.exec_process(binary, "x86-a")
+            engine = make_engine(system, process, engine=kind, batch=4)
+            hits = [0]
+
+            def pause_later(thread, fn, point_id, instrs):
+                hits[0] += 1
+                if hits[0] == pause_at:
+                    engine.request_pause()
+
+            engine.hooks.on_migration_point = pause_later
+            engine.run()
+            assert engine.paused, kind
+            paused.append(
+                (
+                    engine.steps,
+                    repr(system.clock.now),
+                    sorted(
+                        (t.tid, t.pc, t.state.value, repr(t.vtime))
+                        for t in process.threads.values()
+                    ),
+                )
+            )
+            ckpt = checkpoint_process(process, system)
+            system.reap_process(process)
+            restored = restore_process(system, binary, ckpt, "x86-b")
+            make_engine(system, restored, engine=kind, batch=4).run()
+            assert [repr(v) for v in restored.output] == list(reference[0])
+        assert paused[0] == paused[1]
+
+    @pytest.mark.parametrize("program", ["stress", "cg_t2_migrated"])
+    def test_power_sampler_series_match(self, program):
+        """A power sampler attached as ``repro run`` attaches it records
+        the same series, bit for bit: the fast engine advances the clock
+        and samples between slices it runs in place."""
+        series = []
+        for kind in ("exact", "fast"):
+            if program == "stress":
+                rate = 1e6
+                binary = Toolchain().build(interp_stress_module(20_000))
+            else:
+                scale = 0.01
+                rate = min(100 / scale, 1e6)
+                binary = Toolchain(target_gap=scaled_target_gap(scale)).build(
+                    build_workload("cg", "A", 2, scale)
+                )
+            system = boot_testbed()
+            recorder = PowerRecorder(system, rate_hz=rate)
+            process = system.exec_process(binary, X86)
+            hooks = EngineHooks()
+            hits = [0]
+
+            def migrate_second(thread, fn, point_id, instrs):
+                hits[0] += 1
+                if hits[0] == 2:
+                    system.request_migration(process, ARM)
+
+            hooks.on_migration_point = migrate_second
+            engine = make_engine(
+                system, process, hooks, sampler=recorder.sampler, engine=kind
+            )
+            engine.run()
+            recorder.finish()
+            series.append(
+                [
+                    (s.name, repr(s.times), repr(s.values))
+                    for s in recorder.sampler.series
+                ]
+            )
+            assert len(recorder.sampler.series[0]) > 50
+        assert series[0] == series[1]
+
+
+def _crash_wakes_joiner_module() -> Module:
+    """``parked`` moves to ARM, reads the global ``g_cell`` and waits at
+    a barrier; ``main`` joins it.  ``runner`` gets far ahead on x86 with
+    one huge burst, loops, writes ``g_cell``, loops again and meets
+    ``parked`` at the barrier.  A kernel crash armed at that
+    write's page fault kills ``parked`` in the middle of ``runner``'s
+    slices and wakes ``main``, far behind ``runner``; ``main`` then
+    reads the clock."""
+    m = Module("crash-wakes-joiner")
+    m.add_global(GlobalVar("g_cell", VT.I64))
+    parked = m.function("parked", [("idx", VT.I64)], VT.I64)
+    fb = FunctionBuilder(parked)
+    fb.migration_point()
+    fb.migration_point()
+    fb.load(fb.addr_of("g_cell"), 0, VT.I64)
+    fb.syscall("barrier_wait", [_BARRIER], VT.I64)
+    fb.ret(0)
+
+    runner = m.function("runner", [("idx", VT.I64)], VT.I64)
+    fb = FunctionBuilder(runner)
+    acc = fb.local("acc", VT.I64, init=0)
+    fb.work(20_000_000, "int_alu")
+    with fb.for_range("i", 0, 400) as i:
+        fb.binop_into(acc, "add", acc, fb.binop("mul", i, 3, VT.I64), VT.I64)
+    fb.store(fb.addr_of("g_cell"), 0, 7, VT.I64)
+    with fb.for_range("k", 0, 400) as k:
+        fb.binop_into(acc, "xor", acc, k, VT.I64)
+    fb.syscall("barrier_wait", [_BARRIER], VT.I64)
+    fb.ret(acc)
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("barrier_init", [_BARRIER, 2])
+    first = fb.syscall("spawn", [fb.addr_of("parked"), 0], VT.I64)
+    second = fb.syscall("spawn", [fb.addr_of("runner"), 1], VT.I64)
+    fb.syscall("join", [first], VT.I64)
+    fb.syscall("print", [fb.syscall("time_ns", [], VT.F64)])
+    fb.syscall("print", [fb.syscall("join", [second], VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+def _run_crash(kind, armed=None):
+    """``_crash_wakes_joiner_module`` with ``parked`` moved to ARM and
+    a crash injector armed at ``armed``, ``(seq, victim)``."""
+    binary = Toolchain().build(_crash_wakes_joiner_module())
+    system = boot_testbed()
+    injector = CrashInjector(system.crash_kernel, armed)
+    system.messaging.chaos = injector
+    process = system.exec_process(binary, X86)
+    hooks = EngineHooks()
+
+    def to_arm(thread, fn, point_id, instrs):
+        if fn == "parked":
+            system.request_thread_migration(thread, ARM)
+
+    hooks.on_migration_point = to_arm
+    engine = make_engine(system, process, hooks, engine=kind)
+    engine.run()
+    return _facts(system, process, engine), injector.sites, process
+
+
+class TestCrashDuringSlicesInPlace:
+    def test_woken_joiner_ends_the_slices_in_place(self):
+        """The crash wakes ``main``, a thread the rival key handed in at
+        the pick does not know, with a key below ``runner``'s.  The exact
+        engine's scheduler picks ``main`` at the next boundary, so the
+        fast engine must return to it there too."""
+        _, sites, _ = _run_crash("exact")
+        seq = next(
+            site.seq
+            for site in sites
+            if site.step == "dsm.page" and ("faulter", X86) in site.roles
+        )
+        exact, _, process = _run_crash("exact", (seq, ARM))
+        fast, _, _ = _run_crash("fast", (seq, ARM))
+        assert fast == exact
+        assert list(process.failed_threads) == [2]  # parked
+
+
+# ---------------------------------------- a woken thread's result write
+
+
+def _woken_slot_module() -> Module:
+    """Two workers meet at a barrier.  A hook's request at the first
+    migration point moves a worker at the second, before the barrier.
+    The wait's F64 result stays live across the ``print`` syscall, so on
+    x86, which has no callee-saved FP registers, it lives in a frame
+    slot.  The worker that arrives first is woken by the other, and its
+    result is written when it next runs."""
+    m = Module("woken-slot")
+    w = m.function("worker", [("idx", VT.I64)], VT.I64)
+    fb = FunctionBuilder(w)
+    fb.migration_point()
+    fb.migration_point()
+    got = fb.syscall("barrier_wait", [_BARRIER], VT.F64)
+    fb.syscall("print", ["idx"])
+    fb.ret(fb.unop("f2i", got, VT.I64))
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("barrier_init", [_BARRIER, 2])
+    waddr = fb.addr_of("worker")
+    first = fb.syscall("spawn", [waddr, 0], VT.I64)
+    second = fb.syscall("spawn", [waddr, 1], VT.I64)
+    a = fb.syscall("join", [first], VT.I64)
+    b = fb.syscall("join", [second], VT.I64)
+    fb.syscall("print", [fb.binop("add", a, b, VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+class TestWokenResultWrite:
+    """A thread woken from a blocking syscall has the result written to
+    its frame when it next runs, through the hDSM write check
+    ``_syscall`` makes for a result, in both engines."""
+
+    def test_result_lives_in_an_x86_frame_slot(self):
+        binary = Toolchain().build(_woken_slot_module())
+        mf = binary.machine_function("x86_64", "worker")
+        wait = next(
+            instr
+            for block in mf.fn.blocks.values()
+            for instr in block.instrs
+            if isinstance(instr, Syscall) and instr.name == "barrier_wait"
+        )
+        assert wait.dst in mf.frame.slot_depths
+
+    def test_woken_write_is_checked(self, monkeypatch):
+        """Both workers move from ARM to x86 before the barrier, which
+        empties their page caches, so the woken worker's write misses
+        the cache: it must make a write check, in both engines."""
+        checks = []
+        completing = []
+        charge = ExecutionEngine._dsm_charge
+        complete = ExecutionEngine._complete_blocking_syscall
+
+        def counted_charge(self, thread, addr, write):
+            if completing and write:
+                checks.append(completing[-1])
+            return charge(self, thread, addr, write)
+
+        def counted_complete(self, thread, value):
+            block, idx = thread.pc
+            instr = thread.frames[-1].mf.fn.blocks[block].instrs[idx]
+            completing.append((instr.name, thread.machine_name))
+            try:
+                return complete(self, thread, value)
+            finally:
+                completing.pop()
+
+        monkeypatch.setattr(ExecutionEngine, "_dsm_charge", counted_charge)
+        monkeypatch.setattr(
+            ExecutionEngine, "_complete_blocking_syscall", counted_complete
+        )
+        facts = []
+        for kind in ("exact", "fast"):
+            del checks[:]
+            run, _, _, _ = _run(
+                _woken_slot_module(), kind, start=ARM, migrate_every=1
+            )
+            facts.append(run)
+            assert checks == [("barrier_wait", X86)], kind
+        assert facts[0] == facts[1]
 
 
 # ------------------------------------------- values int() cannot convert
