@@ -18,7 +18,16 @@ advances the shared clock to the thread about to run and samples
 picks another thread, pauses or runs out of slices.  The exact engine
 returns to ``run()`` after every slice; the fast engine keeps running
 a thread in place, one slice after another, while ``run()`` would pick
-it again (``_picks_again``).
+it again (``_picks_again``), even from inside compiled code when the
+boundary lands in a register-only chunk.  What a slice adds to its
+thread's vtime is ``_slice_seconds``, for a commit and for the fast
+engine's prediction of one.
+
+Both engines add the same per-instruction terms: the cycles of the
+``_cycles`` tables and the retired instructions of ``INSTRET_TERMS``.
+Both test a thread's page cache before every memory access and
+re-validate it against the hDSM epoch only on a miss
+(``_dsm_charge``) and at a slice start.
 """
 
 from dataclasses import dataclass
@@ -71,6 +80,26 @@ class EngineHooks:
 from repro.ir.semantics import FLOAT_BIN as _FLOAT_BIN
 from repro.ir.semantics import INT_BIN as _INT_BIN
 from repro.ir.semantics import apply_unop as _apply_unop
+
+# Retired instructions an IR instruction adds to its slice's ``instret``,
+# by class, where the count is fixed.  The others vary: a ``Work`` burst
+# adds its expanded amount, ``InlineAsm`` its estimate and ``Ret`` its
+# epilogue, while a ``Call`` or ``Syscall`` adds nothing itself (the
+# callee's prologue and the syscall step count theirs).  The interpreter,
+# the fast engine's generated code, its split and its replay all read
+# this one table.
+INSTRET_TERMS = {
+    BinOp: 1,
+    UnOp: 1,
+    Const: 1,
+    Load: 1,
+    Store: 1,
+    AddrOf: 1,
+    StackAlloc: 1,
+    Br: 1,
+    CBr: 2,
+    MigPoint: 5,
+}
 
 
 class ExecutionEngine:
@@ -211,20 +240,21 @@ class ExecutionEngine:
             default=None,
         )
 
-    def _picks_again(self, thread: Thread, rival) -> bool:
+    def _picks_again(self, thread: Thread, rival, vtime: float) -> bool:
         """Whether ``run()``, after a slice of ``thread`` that ended on
-        its budget, would do nothing but pick ``thread`` again: slices
-        are left, no pause is requested, ``thread`` is still runnable
-        and its key is below ``rival``.  No thread of the process may
-        have failed either: a crash during the slice can wake a joiner
-        that ``rival`` predates.  The exit code needs no test, since the
-        slice that sets it ends there."""
+        its budget with ``thread``'s vtime at ``vtime``, would do nothing
+        but pick ``thread`` again: slices are left, no pause is
+        requested, ``thread`` is still runnable and its key is below
+        ``rival``.  No thread of the process may have failed either: a
+        crash during the slice can wake a joiner that ``rival``
+        predates.  The exit code needs no test, since the slice that
+        sets it ends there."""
         return (
             self._slices_left > 0
             and not self._pause_requested
             and not self.process.failed_threads
             and thread.state == ThreadState.RUNNABLE
-            and (rival is None or (thread.vtime, thread.tid) < rival)
+            and (rival is None or (vtime, thread.tid) < rival)
         )
 
     def _advance_clock(self, thread: Thread) -> None:
@@ -379,37 +409,37 @@ class ExecutionEngine:
                     extra += self._dsm_charge(thread, slot_addr, True)
                 mem[slot_addr] = value
 
+        terms = INSTRET_TERMS
         while budget > 0:
             budget -= 1
             instr = instrs[idx]
             cycles += cycles_tab[idx]
             cls = instr.__class__
+            if cls in terms:
+                instret += terms[cls]
 
             if cls is BinOp:
                 ops = _FLOAT_BIN if instr.vt.is_float else _INT_BIN
                 write_var(instr.dst, ops[instr.op](read(instr.a), read(instr.b)))
-                instret += 1
                 idx += 1
             elif cls is Load:
                 addr = int(read(instr.addr)) + instr.offset
-                extra += self._dsm_charge(thread, addr, False)
+                if (addr >> 12) not in cache[1]:
+                    extra += self._dsm_charge(thread, addr, False)
                 write_var(instr.dst, mem.get(addr, 0))
-                instret += 1
                 idx += 1
             elif cls is Store:
                 addr = int(read(instr.addr)) + instr.offset
-                extra += self._dsm_charge(thread, addr, True)
+                if (addr >> 12) not in cache[2]:
+                    extra += self._dsm_charge(thread, addr, True)
                 mem[addr] = read(instr.src)
-                instret += 1
                 idx += 1
             elif cls is Const:
                 write_var(instr.dst, instr.value)
-                instret += 1
                 idx += 1
             elif cls is UnOp:
                 value = self._unop(instr, read(instr.a))
                 write_var(instr.dst, value)
-                instret += 1
                 idx += 1
             elif cls is Work:
                 amount = read(instr.amount)
@@ -426,15 +456,12 @@ class ExecutionEngine:
                 idx = 0
                 instrs = mf.fn.blocks[block].instrs
                 cycles_tab = self._cycles(mf, cpu)[block]
-                instret += 2
             elif cls is Br:
                 block = instr.target
                 idx = 0
                 instrs = mf.fn.blocks[block].instrs
                 cycles_tab = self._cycles(mf, cpu)[block]
-                instret += 1
             elif cls is MigPoint:
-                instret += 5
                 target = process.vdso.read_target(thread.slot)
                 if self.hooks.on_migration_point is not None:
                     self.hooks.on_migration_point(
@@ -481,12 +508,10 @@ class ExecutionEngine:
                 cycles_tab = self._cycles(mf, cpu)[block]
             elif cls is AddrOf:
                 write_var(instr.dst, self._resolve_symbol(thread, mf, frame, instr.symbol))
-                instret += 1
                 idx += 1
             elif cls is StackAlloc:
                 depth, _size = mf.frame.buffer_depths[instr.name]
                 write_var(instr.dst, frame.cfa - depth)
-                instret += 1
                 idx += 1
             elif cls is InlineAsm:
                 # Opaque native burst; costs already in the cycle table.
@@ -526,15 +551,21 @@ class ExecutionEngine:
         extra: float,
         count_step: bool = True,
     ) -> None:
-        contention = max(
-            1.0, machine.running_threads / machine.cpu.cores
-        )
-        seconds = (cycles / machine.cpu.freq_hz) * contention + extra
+        seconds = self._slice_seconds(machine, cycles, extra)
         thread.vtime += seconds
         thread.instructions += instret
         machine.charge_execution(instret, seconds)
         if count_step:
             self.steps += 1
+
+    @staticmethod
+    def _slice_seconds(machine, cycles: float, extra: float) -> float:
+        """The seconds a slice of ``cycles`` and ``extra`` seconds of DSM
+        cost adds to its thread's vtime on ``machine``: compute time,
+        stretched when the machine has more running threads than cores,
+        plus the DSM cost."""
+        contention = max(1.0, machine.running_threads / machine.cpu.cores)
+        return (cycles / machine.cpu.freq_hz) * contention + extra
 
     def _syscall(
         self,

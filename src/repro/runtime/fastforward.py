@@ -43,12 +43,14 @@ instruction.  The region:
   one ``//`` or ``%``;
 * folds a chain of int literals onto ``instret`` (``instret + 16``
   instead of sixteen ``+ 1``) while a guard, tested at region entry and
-  after every ``Work`` burst, proves the accumulator an integral float
-  of magnitude below 2**52.  A fractional accumulator keeps the
-  term-by-term chain, whose rounding differs;
+  after every ``Work`` burst and re-armed by a split, proves the
+  accumulator an integral float of magnitude below 2**52.  A
+  fractional accumulator keeps the term-by-term chain, whose rounding
+  differs;
 * checks the remaining slice budget before every chunk and hands
   control back to the engine shell at calls, returns, migrations,
-  syscalls, and when the budget cannot cover the next chunk;
+  syscalls, and when the budget cannot cover the next chunk and the
+  chunk does not split (below);
 * leaves through one epilogue: an exit sets the index of its entry in
   the object's exit table and breaks out of the loop, and the epilogue
   writes the registers back and returns that entry with the exit's
@@ -69,6 +71,26 @@ however many resume positions a run visits.  Its type facts last one
 instruction, since it can be entered at any of them; it never folds
 ``instret`` and never drops a page check.
 
+A slice boundary that lands in a *split-capable* chunk — ``BinOp``,
+``UnOp`` and ``Const`` on registers and literals up to a ``Br``, or a
+``CBr`` on a register — is split in the region instead.  Such a chunk
+has no page check, ``Work``, migration point or hook, so only the
+slice's accounting can tell where in it the boundary falls.  Its
+budget gate is ``budget >= need`` or
+:meth:`FastExecutionEngine._split`, which folds the chunk's
+per-instruction terms from the interpreter's tables (``_cycles`` and
+``INSTRET_TERMS``), left to right: the ``budget`` instructions the
+slice still covers onto the live accumulators, which it commits, and
+the rest onto zero for the next slice, which it starts in place.  The
+chunk then runs its state updates and takes those accumulators instead
+of its chains.  The split declines, and the stepping variant runs,
+when the rest of the chunk would not fit a fresh budget or ``run()``
+would not pick the thread again after the commit.  Because the commit
+precedes the chunk's state updates, a program error raised in the
+first slice's part of a split chunk escapes ``run()`` with one slice
+more committed than in the exact engine; once a program error escapes,
+only the exception is defined.
+
 The scheduler's decisions, commit points, slice structure
 (256-instruction budget), syscall layer, migration path, and DSM are
 all inherited unchanged, which is why every ``RunResult`` fact and
@@ -83,10 +105,14 @@ every slice boundary.  A slice that ends on its budget commits, and
 while ``run()`` would pick the same thread again
 (``ExecutionEngine._picks_again``: runnable, no pause, slices left, no
 failed thread, and a ``(vtime, tid)`` below the rival key ``run()``
-hands in, re-read after each syscall step) the shell runs the step
-between slices (``_advance_clock``) and starts the next slice in place,
-keeping the frame, the page cache and the compiled code.  A
-single-threaded program enters ``_run_slice`` once.
+hands in, re-read after each syscall step) the shell starts the next
+slice in place (``_next_slice``: the step between slices,
+``_advance_clock``, the slice count and the page cache's epoch check),
+keeping the frame, the page cache and the compiled code.  The split
+starts its slices with the same helper, and the shell publishes the
+slice's machine and rival key for it.  A single-threaded program
+enters ``_run_slice`` once, and a loop of split-capable chunks its
+region once.
 
 Cross-validation (``REPRO_VALIDATE=1``): the region returns to the
 engine after every chunk, and after each closed-form chunk or stepping
@@ -96,7 +122,9 @@ interpreter's independently derived cycle tables, failing the
 ``segment-accounting``) on the first cycles/instret mismatch —
 this is what catches a stale or corrupted block summary, and an
 ``instret`` fold the guard should have refused (the replay adds the
-terms one by one).  Validating builds fold exactly as plain ones do.
+terms one by one).  Validating builds fold and split exactly as plain
+ones do; a call that split is replayed from the split index with zero
+accumulators.
 """
 
 import re
@@ -122,7 +150,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.summary import block_summaries
 from repro.isa.isa import InstrClass
-from repro.runtime.execution import ExecutionEngine, ExecutionError
+from repro.runtime.execution import INSTRET_TERMS, ExecutionEngine, ExecutionError
 from repro.sim.numeric import ordered_sum
 from repro.telemetry.validation import default_log
 from repro.validate import enabled as _validate_enabled
@@ -268,6 +296,7 @@ _PROLOGUE = (
     ("_mn", "thread.machine_name"),
     ("_c1", "cache[1]"),
     ("_c2", "cache[2]"),
+    ("_sp", "self._split"),
     ("_fold", _FOLD_GUARD),
 )
 
@@ -281,7 +310,8 @@ class _FunctionCode:
     ``region`` runs chunks in closed form and is entered at
     ``labels[(block, start)]`` for every chunk start.  ``steps`` maps a
     chunk start to the chunk's stepping variant, compiled the first
-    time a slice boundary lands in the chunk.
+    time a slice boundary lands in the chunk and the region does not
+    split it.
     """
 
     __slots__ = ("mf", "cpu", "validating", "starts", "labels", "region", "steps")
@@ -334,6 +364,7 @@ class _RegionBuilder:
         self.validating = validating
         self.loc = engine._locations(mf)
         self.summaries = block_summaries(mf)
+        self.cycles = engine._cycles(mf, cpu)
         # Physical register -> region-local variable.  Register traffic
         # is the hottest state access; inside a region registers live
         # in Python locals, loaded at entry if the code can read their
@@ -367,6 +398,9 @@ class _RegionBuilder:
         self.depth = 0  # indentation of emitted statements
         self.pend_c: List[str] = []  # pending cycle-constant chain terms
         self.pend_i: list = []  # pending instret chain terms (numbers)
+        # A split-capable chunk's chains and budget charge, which
+        # ``region`` places in front of its state updates; else ``None``.
+        self.accounting = None
         self._tmp = 0
 
     # --------------------------------------------------- emit helpers
@@ -594,6 +628,17 @@ class _RegionBuilder:
             return 0
         return used
 
+    def settle(self, k: int, used: int) -> None:
+        """Emit a branch's pending chains and budget charge; in a
+        split-capable chunk, into ``accounting`` instead of the body."""
+        mark = len(self.lines)
+        self.flush()
+        if self.spend(k, used):
+            self.emit(f"budget = budget - {used}")
+        if self.accounting is not None:
+            self.accounting += self.lines[mark:]
+            del self.lines[mark:]
+
     def jump(self, block: str, depth: int) -> None:
         """Transfer to ``(block, 0)``: in the region's loop, or back to
         the trampoline from a stepping variant or a validating build.
@@ -614,8 +659,9 @@ class _RegionBuilder:
         between state updates, and its type pass drops ``int()`` on
         values it proved ints and converts any other value once (see
         ``as_int``).  The region's budget gate has already checked that
-        the budget covers the whole chunk.  The stepping variant
-        guards each instruction but the exit with ``_at <= k`` and
+        the budget covers the whole chunk, or split the chunk and
+        started a slice whose budget covers the rest.  The stepping
+        variant guards each instruction but the exit with ``_at <= k`` and
         ``_end > k`` (``_end`` is the entry index plus the budget, one
         past the last instruction it covers) and charges it in
         its own statements, exactly like ``_interp_slice``, so one
@@ -657,6 +703,9 @@ class _RegionBuilder:
                     self.leave(_DONE, value="_end", depth=1)
 
             pend_c.append(repr(cyc[k]))
+            term = INSTRET_TERMS.get(cls)
+            if term is not None:
+                pend_i.append(term)
 
             if cls is BinOp:
                 op, a, b = instr.op, instr.a, instr.b
@@ -676,13 +725,11 @@ class _RegionBuilder:
                 else:
                     fields = {"a": ta, "b": tb}
                 write(instr.dst, template.format(**fields), result_int)
-                pend_i.append(1)
             elif cls is Load:
                 a = as_int(instr.addr, read(instr.addr))
                 off = instr.offset
                 addr = self.address((a, off), f"{a} + {off}" if off else None, False)
                 write(instr.dst, f"_mg({addr}, 0)")
-                pend_i.append(1)
             elif cls is Store:
                 a = as_int(instr.addr, read(instr.addr))
                 off = instr.offset
@@ -690,10 +737,8 @@ class _RegionBuilder:
                 s = read(instr.src)
                 emit(f"mem[{addr}] = {s}")
                 self.moved(None)  # the store may alias a checked slot
-                pend_i.append(1)
             elif cls is Const:
                 write(instr.dst, repr(instr.value), type(instr.value) is int)
-                pend_i.append(1)
             elif cls is UnOp:
                 op = instr.op
                 a = read(instr.a)
@@ -705,7 +750,6 @@ class _RegionBuilder:
                 # ``apply_unop`` cannot convert.
                 ai = as_int(instr.a, a, "_f2i") if "{ai}" in template else ""
                 write(instr.dst, template.format(a=a, ai=ai), result_int)
-                pend_i.append(1)
             elif cls is Work:
                 am = read(instr.amount)
                 wcls = InstrClass(instr.kind)
@@ -729,21 +773,14 @@ class _RegionBuilder:
                     )
             elif cls is CBr:
                 c = read(instr.cond)
-                pend_i.append(2)
-                self.flush()
-                if self.spend(k, used):
-                    emit(f"budget = budget - {used}")
+                self.settle(k, used)
                 emit(f"if {c}:")
                 self.jump(instr.if_true, 1)
                 self.jump(instr.if_false, 0)
             elif cls is Br:
-                pend_i.append(1)
-                self.flush()
-                if self.spend(k, used):
-                    emit(f"budget = budget - {used}")
+                self.settle(k, used)
                 self.jump(instr.target, 0)
             elif cls is MigPoint:
-                pend_i.append(5)
                 self.flush()
                 emit("_v = _rt(_slot)")
                 emit("if _hk is not None:")
@@ -780,11 +817,9 @@ class _RegionBuilder:
                     instr.dst,
                     f"self._resolve_symbol(thread, _mf, frame, {instr.symbol!r})",
                 )
-                pend_i.append(1)
             elif cls is StackAlloc:
                 depth = mf.frame.buffer_depths[instr.name][0]
                 write(instr.dst, f"cfa - {depth}")
-                pend_i.append(1)
             elif cls is InlineAsm:
                 pend_i.append(instr.instr_estimate)
             else:  # pragma: no cover
@@ -797,13 +832,67 @@ class _RegionBuilder:
 
     # ----------------------------------------------------------- build
 
+    def split_terms(self, block: str, start: int):
+        """What ``_split`` folds for the chunk at ``(block, start)``, if
+        the chunk is split-capable: ``BinOp``, ``UnOp`` and ``Const`` on
+        registers and literals up to a ``Br``, or a ``CBr`` on a
+        register.  Such a chunk has no page check, ``Work``, migration
+        point or hook, so only its accounting can tell where in it a
+        slice boundary falls.  ``None`` for any other chunk.
+
+        The pair holds each instruction's ``(cycles, instret)`` term,
+        from the interpreter's tables, and per offset the terms from
+        there on folded left to right onto zero: a new slice's
+        accumulators once it has run the rest of the chunk."""
+        instrs = self.mf.fn.blocks[block].instrs
+        ops = []
+        end = start
+        while True:
+            instr = instrs[end]
+            cls = instr.__class__
+            if cls is BinOp:
+                ops += (instr.dst, instr.a, instr.b)
+            elif cls is UnOp:
+                ops += (instr.dst, instr.a)
+            elif cls is Const:
+                ops.append(instr.dst)
+            elif cls is Br:
+                break
+            elif cls is CBr:
+                ops.append(instr.cond)
+                break
+            else:
+                return None
+            end += 1
+        loc = self.loc
+        if any(isinstance(op, str) and loc[op][0] != "r" for op in ops):
+            return None
+        terms = tuple(
+            zip(
+                self.cycles[block][start:end + 1],
+                [INSTRET_TERMS[i.__class__] for i in instrs[start:end + 1]],
+            )
+        )
+        tails = []
+        for offset in range(len(terms)):
+            cycles = instret = 0.0
+            for c, i in terms[offset:]:
+                cycles += c
+                instret += i
+            tails.append((cycles, instret))
+        return terms, tuple(tails)
+
     def region(self, labels: Dict[Tuple[str, int], int]):
         """Compile every chunk in closed form behind its entry label.
 
         A chunk's dispatch test is also its budget gate: a label whose
         chunk the budget cannot cover matches no branch and falls to
         the last, which leaves through exit ``_L``.  The first exits are
-        the chunk starts, for the stepping variants.
+        the chunk starts, for the stepping variants.  A split-capable
+        chunk's gate is ``budget >= need or`` the engine's ``_split``:
+        its chains come first, and a split that starts the next slice
+        in place gives the chunk the new slice's accumulators and
+        budget instead; one that declines leaves through exit ``_L``.
         """
         self.labels = labels
         blocks = self.mf.fn.blocks
@@ -811,13 +900,25 @@ class _RegionBuilder:
         body = []
         for (block, start), label in labels.items():
             self.lines = []
+            terms = self.split_terms(block, start)
+            self.accounting = None if terms is None else []
             self.gen(block, start)
             assert not self.pend_c and not self.pend_i
             need = _chunk_end(blocks[block].instrs, start) - start + 1
-            body.append(
-                f"{'if' if label == 0 else 'elif'} _L == {label} "
-                f"and budget >= {need}:"
-            )
+            head = f"{'if' if label == 0 else 'elif'} _L == {label}"
+            if terms is None:
+                body.append(f"{head} and budget >= {need}:")
+            else:
+                body += [f"{head}:", f"    if budget >= {need}:"]
+                body.extend("        " + line for line in self.accounting)
+                body += [
+                    f"    elif _p := _sp(thread, {self.intern(terms)}, "
+                    "budget, cycles, instret, extra):",
+                    "        cycles, instret, extra, budget, _fold = _p",
+                    "    else:",
+                    f"        _e = {label}",
+                    "        break",
+                ]
             body.extend("    " + line for line in self.lines)
         body += ["else:", "    _e = _L", "    break"]
         return self.assemble(
@@ -907,11 +1008,13 @@ class FastExecutionEngine(ExecutionEngine):
         and its migration flow are those it set up, and a running
         thread has no wake value pending.  ``rival`` is re-read after
         each syscall step, the shell event that can wake or spawn a
-        thread.
+        thread.  The machine and ``rival`` are published for
+        ``_split``, which ends slices inside a region.
         """
         machine, extra = self._slice_preamble(thread)
+        self._slice_machine = machine
+        self._slice_rival = rival
         process = self.process
-        dsm = process.dsm
         mem = process.space._mem
         cpu = machine.cpu
         regs = thread.regs
@@ -920,12 +1023,12 @@ class FastExecutionEngine(ExecutionEngine):
         block, idx = thread.pc
         validating = self._validating
         code = self._function_code(mf, cpu)
+        cache = self._cache_for(thread.tid, process.dsm.epoch)
 
         while True:
             budget = self.batch
             cycles = 0.0
             instret = 0.0
-            cache = self._cache_for(thread.tid, dsm.epoch)
             step = False
             while budget > 0:
                 label = None if step else code.labels.get((block, idx))
@@ -937,16 +1040,26 @@ class FastExecutionEngine(ExecutionEngine):
                 step = False
                 if validating:
                     dyn: List[float] = []
+                    steps = self.steps
                     out, value, nbudget, ncycles, ninstret, extra = fn(
                         self, thread, frame, regs, mem, cache,
                         budget, cycles, instret, extra, at, dyn,
                     )
                     kind, pc, payload, used = out
                     nbudget -= used
-                    self._validate_segment(
-                        mf, cpu, block, idx, budget - nbudget, dyn,
-                        cycles, instret, ncycles, ninstret,
-                    )
+                    if self.steps == steps:
+                        self._validate_segment(
+                            mf, cpu, block, idx, budget - nbudget, dyn,
+                            cycles, instret, ncycles, ninstret,
+                        )
+                    else:
+                        # Only ``_split`` commits inside a call: a new
+                        # slice ran the chunk from ``idx + budget``.
+                        self._validate_segment(
+                            mf, cpu, block, idx + budget,
+                            self.batch - nbudget, dyn, 0.0, 0.0,
+                            ncycles, ninstret,
+                        )
                     budget, cycles, instret = nbudget, ncycles, ninstret
                 else:
                     out, value, budget, cycles, instret, extra = fn(
@@ -971,7 +1084,7 @@ class FastExecutionEngine(ExecutionEngine):
                         return
                     cycles, instret, extra = accs
                     block, idx = pc[0], pc[1] + 1
-                    rival = self._rival(thread)
+                    rival = self._slice_rival = self._rival(thread)
                 elif kind == _CALL:
                     frame.resume = thread.pc = pc
                     frame.call_site_id = payload.site_id
@@ -1000,11 +1113,54 @@ class FastExecutionEngine(ExecutionEngine):
 
             thread.pc = (block, idx)
             self._commit(thread, machine, cycles, instret, extra)
-            if not self._picks_again(thread, rival):
+            if not self._picks_again(thread, rival, thread.vtime):
                 return
-            self._advance_clock(thread)
-            self._slices_left -= 1
+            cache = self._next_slice(thread)
             extra = 0.0
+
+    def _next_slice(self, thread) -> list:
+        """Start the next slice of ``thread`` in place, as ``run()``
+        would start it: the step between slices (``_advance_clock``),
+        the slice count, then the page cache's epoch check.  Returns the
+        page cache, the list the running region already holds."""
+        self._advance_clock(thread)
+        self._slices_left -= 1
+        return self._cache_for(thread.tid, self.process.dsm.epoch)
+
+    def _split(self, thread, chunk, budget, cycles, instret, extra):
+        """End the slice ``budget`` instructions into a split-capable
+        chunk and start the next one in place, or decline (``None``).
+
+        ``chunk`` is ``_RegionBuilder.split_terms``.  The split declines
+        when the rest of the chunk would not fit a fresh budget, or when
+        ``run()`` would not pick ``thread`` again after the slice:
+        ``_picks_again`` on the vtime the commit would produce, and a
+        rival already due declines before any folding.  Otherwise it
+        folds the first ``budget`` terms onto the live accumulators,
+        left to right as the interpreter adds them, commits, and starts
+        the next slice (``_next_slice``).  It returns that slice's
+        accumulators once the chunk has run (the rest of its terms
+        folded onto zero, and no ``extra``), its budget then, and
+        ``True`` for the region's ``_fold``: the new ``instret`` is an
+        integral float."""
+        terms, tails = chunk
+        rest = len(terms) - budget
+        rival = self._slice_rival
+        if rest > self.batch or (
+            rival is not None and (thread.vtime, thread.tid) >= rival
+        ):
+            return None
+        for c, i in terms[:budget]:
+            cycles += c
+            instret += i
+        machine = self._slice_machine
+        vtime = thread.vtime + self._slice_seconds(machine, cycles, extra)
+        if not self._picks_again(thread, rival, vtime):
+            return None
+        self._commit(thread, machine, cycles, instret, extra)
+        self._next_slice(thread)
+        cycles, instret = tails[budget]
+        return cycles, instret, 0.0, self.batch - rest, True
 
     # ---------------------------------------------------------- tables
 
@@ -1049,6 +1205,7 @@ class FastExecutionEngine(ExecutionEngine):
         """
         instrs = mf.fn.blocks[block].instrs
         tab = self._cycles(mf, cpu)[block]
+        terms = INSTRET_TERMS
         cyc = cycles0
         ins = instret0
         di = 0
@@ -1056,28 +1213,22 @@ class FastExecutionEngine(ExecutionEngine):
             instr = instrs[k]
             cls = instr.__class__
             cyc += tab[k]
-            if cls is Work:
+            if cls in terms:
+                ins += terms[cls]
+            elif cls is Work:
                 wcls = InstrClass(instr.kind)
                 expanded = dyn[di] * mf.isa.expansion(wcls)
                 di += 1
                 cyc += expanded * cpu.cpi.get(wcls, 1.0)
                 ins += expanded
-            elif cls is CBr:
-                ins += 2
-            elif cls is Br:
-                ins += 1
-            elif cls is MigPoint:
-                ins += 5
             elif cls is InlineAsm:
                 ins += instr.instr_estimate
-            elif cls is Call or cls is Syscall:
-                pass  # the shell charges the callee prologue or syscall
             elif cls is Ret:
                 epilogue = len(mf.frame.saved_reg_depths) + 2
                 cyc += epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0)
                 ins += 3 + epilogue
-            else:
-                ins += 1
+            # A Call or Syscall adds nothing here: the shell charges the
+            # callee's prologue or the syscall step.
         default_log().note_check("fastforward")
         if cyc != cycles1 or ins != instret1:
             fail(

@@ -8,10 +8,12 @@ on compiled code per function, the ceiling on generated source, the
 check that the fast engine never interprets, the ``REPRO_VALIDATE=1``
 cross-validator, the prologue's left-to-right ``instret`` total, the
 slices the fast engine runs in place (the runaway guard, a pause, the
-power sampler, a crash that wakes a joiner), the hDSM check on a woken
-thread's result write, and the three hot-path accounting fixes that
-landed with the fast path (barrier wake vtime, per-thread cache
-eviction, IO scoping to the DSM transfer path).
+power sampler, a crash that wakes a joiner), slice boundaries split
+inside register-only chunks (accepted and declined splits, a program
+error in a split chunk), the hDSM check on a woken thread's result
+write, one page-residency rule in both engines, and the three hot-path
+accounting fixes that landed with the fast path (barrier wake vtime,
+per-thread cache eviction, IO scoping to the DSM transfer path).
 """
 
 import pytest
@@ -28,6 +30,7 @@ from repro.ir.summary import block_summaries, invalidate_summaries
 from repro.isa.types import ValueType as VT
 from repro.kernel import PopcornSystem, boot_testbed
 from repro.kernel.checkpoint import checkpoint_process, restore_process
+from repro.kernel.dsm import DsmService
 from repro.machine.interconnect import make_dolphin_pxh810
 from repro.machine.machine import make_xeon_e5_1650v2, make_xgene1
 from repro.runtime import fastforward
@@ -464,22 +467,44 @@ class TestSlicesInPlace:
     slice as in the exact engine."""
 
     def test_one_thread_enters_the_slice_runner_once(self, monkeypatch):
+        """The stress kernel enters ``_run_slice`` once, and ``kernel``'s
+        region once: every slice boundary lands in one of its two
+        register-only loop chunks, which split in the region, so no
+        stepping variant of ``kernel`` is compiled.  Validation is off,
+        since validating builds return after every chunk."""
         entries = []
+        regions = []
         inner = fastforward.FastExecutionEngine._run_slice
+        build = fastforward._FunctionCode.__init__
 
         def counted(self, thread, rival):
             entries.append(thread.tid)
             return inner(self, thread, rival)
 
+        def counted_build(self, engine, mf, cpu, validating):
+            build(self, engine, mf, cpu, validating)
+            region = self.region
+
+            def entered(*args):
+                regions.append(mf.name)
+                return region(*args)
+
+            self.region = entered
+
         monkeypatch.setattr(
             fastforward.FastExecutionEngine, "_run_slice", counted
         )
+        monkeypatch.setattr(fastforward._FunctionCode, "__init__", counted_build)
+        monkeypatch.setenv("REPRO_VALIDATE", "0")
         module = interp_stress_module(2_000)
         exact, _, _, _ = _run(module, "exact")
-        fast, _, _, _ = _run(module, "fast")
+        fast, _, process, _ = _run(module, "fast")
         assert fast == exact
         assert len(entries) == 1
         assert exact[-1] > 50  # slices
+        assert regions.count("kernel") == 1
+        kernel = process.binary.machine_function("x86_64", "kernel")
+        assert [code.steps for code in kernel._fast_segments.values()] == [{}]
 
     def test_runaway_guard_fires_at_the_same_slice(self):
         """``max_slices`` counts slices, not picks.  The kernel needs
@@ -607,6 +632,83 @@ class TestSlicesInPlace:
             )
             assert len(recorder.sampler.series[0]) > 50
         assert series[0] == series[1]
+
+
+# ------------------------------------ slice boundaries split in a region
+
+
+def _zero_divisor_module(zero_at: int = 71) -> Module:
+    """A register-only loop dividing by ``zero_at - i``, so iteration
+    ``zero_at`` raises ``ZeroDivisionError``.  Its body is one
+    split-capable chunk of five instructions, the division second; the
+    three adds ahead of the loop put a slice boundary inside the raising
+    chunk, after its division, at budgets 3, 5, 7 and 256."""
+    m = Module("zero-divisor")
+    kernel = m.function("kernel", [], VT.I64)
+    fb = FunctionBuilder(kernel)
+    acc = fb.local("acc", VT.I64, init=1)
+    for k in range(3):
+        fb.binop_into(acc, "add", acc, k, VT.I64)
+    with fb.for_range("i", 0, 100) as i:
+        d = fb.binop("sub", zero_at, i, VT.I64)
+        fb.binop_into(acc, "add", acc, fb.binop("div", 1000, d, VT.I64), VT.I64)
+    fb.ret(acc)
+
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    fb.syscall("print", [fb.call("kernel", [], VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+class TestSplit:
+    """A slice boundary inside a split-capable chunk (``BinOp``, ``UnOp``
+    and ``Const`` on registers up to a ``Br`` or a ``CBr`` on a register)
+    is split in the region by ``FastExecutionEngine._split``: it commits
+    the slice and starts the next one in place, or declines, and the
+    chunk's stepping variant runs as before."""
+
+    @pytest.mark.parametrize("program", ["locked_counter", "barrier_loop_t4"])
+    def test_split_accepts_and_declines(self, monkeypatch, program):
+        """With several threads, a budget of 7 and migrations at every
+        third point, some splits start the next slice in place and some
+        decline, because a rival is due or the rest of the chunk would
+        not fit a fresh budget; fast == exact either way."""
+        outcomes = []
+        inner = fastforward.FastExecutionEngine._split
+
+        def counted(self, *args):
+            accs = inner(self, *args)
+            outcomes.append(accs is not None)
+            return accs
+
+        monkeypatch.setattr(fastforward.FastExecutionEngine, "_split", counted)
+        module = _SLICE_PROGRAMS[program]()
+        exact, _, _, _ = _run(module, "exact", batch=7, migrate_every=3)
+        fast, _, _, _ = _run(module, "fast", batch=7, migrate_every=3)
+        assert fast == exact
+        assert outcomes.count(True) > 0, "no split accepted"
+        assert outcomes.count(False) > 0, "no split declined"
+
+    @pytest.mark.parametrize("batch", [3, 5, 7, 256])
+    def test_error_in_a_split_chunk(self, batch):
+        """Both engines raise the division's ``ZeroDivisionError``.  The
+        split commits the first slice before the chunk's state runs, so
+        the fast engine raises with one slice more committed than the
+        exact engine, which stops at the division: that is how the test
+        knows the raising chunk split.  Once a program error escapes
+        ``run()``, only the exception is defined."""
+        binary = Toolchain().build(_zero_divisor_module())
+        steps = []
+        for kind in ("exact", "fast"):
+            system = boot_testbed()
+            process = system.exec_process(binary, X86)
+            engine = make_engine(system, process, engine=kind, batch=batch)
+            with pytest.raises(ZeroDivisionError):
+                engine.run()
+            steps.append(engine.steps)
+        assert steps[1] == steps[0] + 1
 
 
 def _crash_wakes_joiner_module() -> Module:
@@ -775,6 +877,68 @@ class TestWokenResultWrite:
             facts.append(run)
             assert checks == [("barrier_wait", X86)], kind
         assert facts[0] == facts[1]
+
+
+# ------------------------------------ one residency rule in both engines
+
+
+def _residency_probe_module(iterations: int = 10) -> Module:
+    """Touch a stack page, hit a migration point (the hook moves the
+    process), load from the page on the new machine, then run a ``Work``
+    burst over two pages the old machine owns, whose ``ensure_range``
+    bumps the hDSM epoch, a register-only loop, and a second load from
+    the stack page."""
+    m = Module("residency-probe")
+    main = m.function("main", [], VT.I64)
+    fb = FunctionBuilder(main)
+    cell = fb.stack_alloc(64, "cell")
+    big = fb.stack_alloc(3 * 4096, "big")
+    fb.store(cell, 0, 5, VT.I64)
+    for offset in (0, 4096, 8192):
+        fb.store(big, offset, offset, VT.I64)
+    fb.migration_point()
+    got = fb.load(cell, 0, VT.I64)
+    fb.work(200, "int_alu", fb.binop("add", big, 4096, VT.I64), 8192)
+    acc = fb.local("acc", VT.I64, init=0)
+    with fb.for_range("i", 0, iterations) as i:
+        fb.binop_into(acc, "add", acc, fb.binop("mul", i, 3, VT.I64), VT.I64)
+        fb.binop_into(acc, "xor", acc, i, VT.I64)
+    back = fb.load(cell, 0, VT.I64)
+    fb.syscall("print", [fb.binop("add", fb.binop("add", got, back, VT.I64), acc, VT.I64)])
+    fb.ret(0)
+    m.entry = "main"
+    return m
+
+
+class TestResidencyRule:
+    """Both engines re-validate a thread's page cache against the hDSM
+    epoch only on a miss and at a slice start, a split's included; a
+    ``Load`` or ``Store`` tests the cache first, as a stack slot does."""
+
+    @pytest.mark.parametrize("batch", [29, 64, 100, 256])
+    def test_same_access_calls(self, monkeypatch, batch):
+        """At 100 and 256 the epoch bump and the second load share a
+        slice; an interpreter that re-validated at every load made one
+        more ``access`` call there.  At 29 and 64 slices split inside
+        the loop, and a split that skipped the epoch check would make
+        one fewer.  The facts agree either way: a resident page costs
+        nothing."""
+        pages = []
+        access = DsmService.access
+
+        def counted(self, kernel, addr, write):
+            pages.append(addr >> 12)
+            return access(self, kernel, addr, write)
+
+        monkeypatch.setattr(DsmService, "access", counted)
+        runs = []
+        for kind in ("exact", "fast"):
+            del pages[:]
+            facts, _, _, _ = _run(
+                _residency_probe_module(), kind, batch=batch, migrate_at=1
+            )
+            runs.append((facts, list(pages)))
+        assert runs[0] == runs[1]
 
 
 # ------------------------------------------- values int() cannot convert
