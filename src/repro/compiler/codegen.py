@@ -12,13 +12,13 @@ the linker lays out: the shared IR body annotated, per ISA, with
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.frame import FrameLayout, Location, build_frame_layout
 from repro.compiler.regalloc import AllocationResult, allocate_registers
 from repro.compiler.stackmaps import StackMap, StackMapEntry
 from repro.compiler.unwind import UnwindInfo
-from repro.ir.analysis import liveness
+from repro.ir.analysis import LivenessResult, liveness
 from repro.ir.function import Function
 from repro.ir.instructions import (
     AddrOf,
@@ -207,9 +207,18 @@ def _static_size(
     return max(int(static_instrs * isa.bytes_per_instr), 16)
 
 
-def lower_function(fn: Function, isa: Isa) -> MachineFunction:
-    """Compile one function for one ISA."""
-    alloc = allocate_registers(fn, isa)
+def lower_function(
+    fn: Function, isa: Isa, live: Optional[LivenessResult] = None
+) -> MachineFunction:
+    """Compile one function for one ISA.
+
+    ``live`` is ``fn``'s liveness, if the caller already has it: it
+    does not depend on the ISA, so a build computes it once per
+    function for all of them.
+    """
+    if live is None:
+        live = liveness(fn)
+    alloc = allocate_registers(fn, isa, live)
     frame = build_frame_layout(
         isa,
         saved_regs=alloc.clobbered_callee_saved,
@@ -217,7 +226,6 @@ def lower_function(fn: Function, isa: Isa) -> MachineFunction:
         buffers=fn.stack_buffers,
     )
     unwind = UnwindInfo.from_layout(fn.name, frame)
-    live = liveness(fn)
 
     blocks: Dict[str, List[MachineInstr]] = {}
     stackmaps: Dict[int, StackMap] = {}

@@ -16,9 +16,9 @@ runtime honest.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
-from repro.ir.analysis import liveness
+from repro.ir.analysis import LivenessResult, liveness
 from repro.ir.function import Function
 from repro.isa.isa import Isa
 from repro.isa.registers import RegKind
@@ -40,9 +40,15 @@ def _is_float(fn: Function, var: str) -> bool:
     return fn.var_types[var].is_float
 
 
-def allocate_registers(fn: Function, isa: Isa) -> AllocationResult:
-    """Assign every local of ``fn`` a register or a frame slot on ``isa``."""
-    live = liveness(fn)
+def allocate_registers(
+    fn: Function, isa: Isa, live: Optional[LivenessResult] = None
+) -> AllocationResult:
+    """Assign every local of ``fn`` a register or a frame slot on ``isa``.
+
+    ``live`` is ``fn``'s liveness, if the caller already has it.
+    """
+    if live is None:
+        live = liveness(fn)
     across_calls = live.live_across_calls(fn)
     pinned: Set[str] = set(fn.address_taken)
 

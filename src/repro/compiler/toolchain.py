@@ -16,6 +16,7 @@ from repro.compiler.migration_points import (
     insert_boundary_points,
     insert_profiled_points,
 )
+from repro.ir.analysis import liveness
 from repro.ir.function import Module
 from repro.ir.instructions import Call, InlineAsm, MigPoint, Syscall
 from repro.ir.validate import validate_module
@@ -158,9 +159,10 @@ class Toolchain:
 
         binaries: Dict[str, CompiledBinary] = {}
         objects: List[IsaObject] = []
+        live = {name: liveness(fn) for name, fn in module.functions.items()}
         for isa in self.isas:
             mfs = {
-                name: lower_function(fn, isa)
+                name: lower_function(fn, isa, live[name])
                 for name, fn in module.functions.items()
             }
             obj = _build_object(module, isa, mfs)

@@ -57,7 +57,8 @@ failed-loudly*, each request in exactly one bucket.
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import validate
 from repro.datacenter.job import (
@@ -88,6 +89,9 @@ from repro.sim.rng import DeterministicRng
 
 #: The ``(time, rank)`` of "no event": it orders after every real one.
 _NEVER = (math.inf, 10)
+#: What :meth:`ServingEngine._drain` returns after it left early: it
+#: orders before every event, so no sparse event found again equals it.
+_LEFT_EARLY = (-math.inf, -1)
 
 
 def _fault_order(entry) -> Tuple[float, int, str]:
@@ -169,8 +173,8 @@ class ServingView:
 
     now: float
     machine: str  # where the service currently lives
-    machines: Dict[str, str]  # machine name -> ISA name
-    service_s: Dict[str, float]  # per-request service time by machine
+    machines: Mapping[str, str]  # machine name -> ISA name
+    service_s: Mapping[str, float]  # per-request service time by machine
     queue_depth: int
     in_service: bool
     migrating: bool
@@ -252,6 +256,9 @@ class ServingEngine:
             / self.spec.profile().params(cls).elements
             for m in machines
         }
+        #: Read-only views of both maps, handed to every epoch's policy.
+        self._isa_view = MappingProxyType(self._isa_by_machine)
+        self._service_view = MappingProxyType(self.service_s)
         footprint = self.spec.profile().params(cls).footprint_bytes
         self._footprint = footprint
         bandwidth = DEFAULT_INTERCONNECT_BW
@@ -1044,8 +1051,8 @@ class ServingEngine:
         view = ServingView(
             now=self.now,
             machine=self.location,
-            machines=dict(self._isa_by_machine),
-            service_s=dict(self.service_s),
+            machines=self._isa_view,
+            service_s=self._service_view,
             queue_depth=self._queue_depth(),
             in_service=self.current is not None,
             migrating=self._handoff is not None,
@@ -1106,8 +1113,10 @@ class ServingEngine:
         Each pass finds the next *sparse* event (anything but an
         arrival or a departure), drains the arrivals and departures
         that order before it, and fires it.  A drain that served
-        anything may have moved the next sparse event, so the pass
-        starts over before firing one.
+        anything finds the next sparse event again before one fires:
+        its last departure may have ended the run, and then no epoch
+        follows.  It drains again only after it left early or when
+        that event changed; otherwise nothing orders before the event.
 
         Events order by ``(time, rank)``.  The ranks: hand-off phase 0,
         departure 1, hedge departure 2, fault 3, arrival 4, retry
@@ -1117,14 +1126,18 @@ class ServingEngine:
         """
         n = len(self.trace.times)
         next_epoch = DECISION_PERIOD_S
+        ran_to = None  # the stop the last drain ran up to
         while True:
             static = self._static_event(n, next_epoch)
             stop = (
                 min(static, self._moving_event())
                 if self._moving_events else static
             )
-            if self._drain(stop, static):
-                continue
+            if stop != ran_to:
+                ran_to = self._drain(stop, static)
+                if ran_to is not None:
+                    continue
+            ran_to = None
             if stop == _NEVER:
                 break
             t, rank = stop
@@ -1235,24 +1248,38 @@ class ServingEngine:
 
     def _drain(
         self, stop: Tuple[float, int], static: Tuple[float, int]
-    ) -> bool:
+    ) -> Optional[Tuple[float, int]]:
         """Serve, in ``(time, rank)`` order, the arrivals (rank 4) and
         departures (rank 1) that order before the sparse event ``stop``.
 
-        It returns early whenever the event it served can move the next
+        It leaves early whenever the event it served can move the next
         sparse event: a departure while a hand-off is pending (it may
         start the blackout), and any event under a chaos hook (a
         protocol site may crash a node).  With deadlines or hedges on,
         ``stop`` is re-read from ``static`` and :meth:`_moving_event`
-        before every event.  Energy accrues in locals, event by event
-        in the same order, and is written back at the end.  Returns
-        whether it served anything.
+        before every event.
+
+        The server lives in locals for the whole drain: the clock, the
+        request in service, its end, the busy time and the next
+        arrival time, and each machine's energy, which accrues event
+        by event in the same order.  They are written back before any
+        call that can read them, read again after one that can change
+        them, and written back when the drain returns.  A request
+        starts here unless a hand-off, a down home, a hedge on it or a
+        chaos hook holds it; all four change only at sparse events, so
+        they are tested once.  Otherwise (and during the warm-up) it
+        starts through :meth:`_start_next`.
+
+        Returns ``None`` if it served nothing, ``_LEFT_EARLY`` if it
+        left early, and otherwise the stop it ran up to: the next
+        arrival or departure orders after it.
         """
         times = self.trace.times
         n = len(times)
         idx = self._next_arrival
-        if idx >= n and self.current is None:
-            return False
+        current = self.current
+        if idx >= n and current is None:
+            return None
         stop_t, stop_rank = stop
         moving = self._moving_events
         chaos = self.chaos
@@ -1261,115 +1288,201 @@ class ServingEngine:
         completed = self.completed
         admission = self._admission
         retry_budget = self._retry_budget
+        dead_end = self._dead_end
+        # Does an arrival need more than a place in the queue?
+        gated = (
+            tracer is not None or retry_budget is not None or dead_end
+            or chaos is not None or admission is not None
+        )
         location = self.location
         breaker = self._breakers[location]
+        handoff = self._handoff
+        home_up = self._up[location]
+        hedge_here = self._hedge_here()
+        inline = (
+            handoff is None and home_up and not hedge_here and chaos is None
+        )
+        service = self.service_s[location]
+        # No earlier blackout can overlap a wait that began after the
+        # last one ended, and blackouts end only at sparse events.
+        ends = self._blackout_ends
+        last_end = ends[-1] if ends else -math.inf
         # Only the home machine's draw depends on whether it is serving.
         # The others draw a constant until an event this drain stops
         # at, and a parked one (0 W) adds nothing.
         energy = self.energy_joules
-        idle = self._watts(self._hedge_here())
+        idle = self._watts(hedge_here)
         home_idle = idle[location]
-        home_busy = self._watts(True)[location]
+        home_busy = self._powers[location].cpu_power(1.0) if home_up else 0.0
         home_joules = energy[location]
         others = [
             [name, watts, energy[name]]
             for name, watts in idle.items()
             if name != location and watts
         ]
+        never = math.inf
         now = self.now
-        served = False
+        service_end = self._service_end
+        busy = self.busy_seconds
+        arrival = times[idx] if idx < n else never
+        served = early = False
         while True:
-            current = self.current
-            if current is not None:
-                t, rank = self._service_end, 1
-                if idx < n and times[idx] < t:
-                    t, rank = times[idx], 4
-            elif idx < n:
-                t, rank = times[idx], 4
-            else:
-                break
-            if t > stop_t or (t == stop_t and rank > stop_rank):
-                break
-            dt = t - now
-            if dt > 0:
-                if current is not None:
+            # On equal times the departure goes first.
+            if current is not None and service_end <= arrival:
+                t = service_end
+                if t > stop_t or (t == stop_t and stop_rank < 1):
+                    break
+                dt = t - now
+                if dt > 0:
                     home_joules += home_busy * dt
-                else:
-                    home_joules += home_idle * dt
-                for other in others:
-                    other[2] += other[1] * dt
-            self.now = now = t
-            served = True
-            if rank == 4:
-                request = Request(idx, t)
-                idx += 1
-                if tracer is not None:
-                    tracer.metrics.counter("serve.requests").inc()
-                # Admission control at the door: classify, gate, then
-                # enqueue or shed.
-                if retry_budget is not None:
-                    retry_budget.offer()
-                if self._dead_end:
-                    self._fail_request(request, "no-capacity")
-                else:
-                    if chaos is not None:
-                        self._site("serve.admit")
-                    admitted = True
-                    if admission is not None:
-                        if len(admission.cumulative) > 1:
-                            priority = admission.classify(self._priority_u())
-                        else:
-                            priority = admission.cumulative[0][1]
-                        request.priority = priority.name
-                        admitted = admission.admit(
-                            now, len(queue) - self._queue_head, priority
-                        )
-                        if not admitted:
-                            self.shed.append(request)
-                            self._shed_recent += 1
-                            if tracer is not None:
-                                tracer.instant(
-                                    "serve.shed", "serve", track=location,
-                                    req=request.index,
-                                    reason=admission.last_reason,
-                                    priority=priority.name,
-                                )
-                                tracer.metrics.counter("serve.shed").inc()
-                    if admitted:
-                        if chaos is not None:
-                            self._site("serve.enqueue")
-                        queue.append(request)
-                        if self.current is None:
-                            self._start_next()
-            else:
+                    for other in others:
+                        other[2] += other[1] * dt
+                now = t
+                served = True
                 if chaos is not None:
+                    self.now, self.current = now, current
+                    self._service_end, self.busy_seconds = service_end, busy
                     self._site("serve.complete")
-                    if self.current is None or not self._up[location]:
+                    current, service_end = self.current, self._service_end
+                    busy, handoff = self.busy_seconds, self._handoff
+                    if current is None or not self._up[location]:
+                        early = True
                         break  # the crash beat the completion: replay
-                current.finish_s = now
-                self.busy_seconds += now - current.start_s
-                self.current = None
-                completed.append(current)
+                request, current = current, None
+                request.finish_s = now
+                busy += now - request.start_s
+                completed.append(request)
                 if breaker.state != "closed":
                     breaker.record_success(now)
                 if tracer is not None:
-                    self._emit_request_span(current)
-                handoff = self._handoff
+                    self.now, self.current = now, None
+                    self._service_end, self.busy_seconds = service_end, busy
+                    self._emit_request_span(request)
                 if handoff is not None:
                     if handoff.phase == "drain" and handoff.frozen_by is None:
+                        self.now, self.current = now, None
+                        self._service_end = service_end
+                        self.busy_seconds = busy
                         self._begin_blackout(handoff)
+                        current, service_end = self.current, self._service_end
+                        busy = self.busy_seconds
+                    early = True
                     break
-                if len(queue) > self._queue_head:
+                start = len(queue) > self._queue_head
+            elif idx < n:
+                t = arrival
+                if t > stop_t or (t == stop_t and stop_rank < 4):
+                    break
+                dt = t - now
+                if dt > 0:
+                    if current is not None:
+                        home_joules += home_busy * dt
+                    else:
+                        home_joules += home_idle * dt
+                    for other in others:
+                        other[2] += other[1] * dt
+                now = t
+                served = True
+                request = Request(idx, t)
+                idx += 1
+                arrival = times[idx] if idx < n else never
+                admitted = True
+                if gated:
+                    if tracer is not None:
+                        tracer.metrics.counter("serve.requests").inc()
+                    # Admission control at the door: classify, gate,
+                    # then enqueue or shed.
+                    if retry_budget is not None:
+                        retry_budget.offer()
+                    if dead_end:
+                        self.now, self.current = now, current
+                        self._service_end = service_end
+                        self.busy_seconds = busy
+                        self._fail_request(request, "no-capacity")
+                        admitted = False
+                    else:
+                        if chaos is not None:
+                            self.now, self.current = now, current
+                            self._service_end = service_end
+                            self.busy_seconds = busy
+                            self._site("serve.admit")
+                            current = self.current
+                            service_end = self._service_end
+                            busy = self.busy_seconds
+                        if admission is not None:
+                            if len(admission.cumulative) > 1:
+                                priority = admission.classify(
+                                    self._priority_u()
+                                )
+                            else:
+                                priority = admission.cumulative[0][1]
+                            request.priority = priority.name
+                            admitted = admission.admit(
+                                now, len(queue) - self._queue_head, priority
+                            )
+                            if not admitted:
+                                self.shed.append(request)
+                                self._shed_recent += 1
+                                if tracer is not None:
+                                    self.now = now
+                                    tracer.instant(
+                                        "serve.shed", "serve",
+                                        track=location, req=request.index,
+                                        reason=admission.last_reason,
+                                        priority=priority.name,
+                                    )
+                                    tracer.metrics.counter("serve.shed").inc()
+                        if admitted and chaos is not None:
+                            self.now, self.current = now, current
+                            self._service_end = service_end
+                            self.busy_seconds = busy
+                            self._site("serve.enqueue")
+                            current = self.current
+                            service_end = self._service_end
+                            busy = self.busy_seconds
+                if admitted:
+                    queue.append(request)
+                start = admitted and current is None
+            else:
+                break
+            if start:
+                if inline and not self._warmup_left:
+                    # _start_next, with its preconditions tested above.
+                    head = self._queue_head
+                    request = queue[head]
+                    head += 1
+                    if head > 4096 and head * 2 > len(queue):
+                        del queue[:head]
+                        head = 0
+                    self._queue_head = head
+                    request.start_s = now
+                    request.machine = location
+                    request.attempts += 1
+                    if request.arrival_s < last_end:
+                        self._attribute_stall(request)
+                    current = request
+                    service_end = now + service
+                else:
+                    self.now, self.current = now, current
+                    self._service_end, self.busy_seconds = service_end, busy
                     self._start_next()
+                    current, service_end = self.current, self._service_end
+                    busy = self.busy_seconds
             if chaos is not None:
+                early = True
                 break
             if moving:
+                self.now = now
                 stop_t, stop_rank = min(static, self._moving_event())
+        self.now, self.current = now, current
+        self._service_end, self.busy_seconds = service_end, busy
         self._next_arrival = idx
         energy[location] = home_joules
         for name, _, joules in others:
             energy[name] = joules
-        return served
+        if not served:
+            return None
+        return _LEFT_EARLY if early else (stop_t, stop_rank)
 
     def _apply_fault(self, action: str, payload) -> None:
         if action == "crash":

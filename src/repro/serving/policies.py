@@ -110,6 +110,10 @@ class QueueReactiveServing(ServingPolicy):
     calm_queue = 0  # snap back the moment the queue fully drains
 
     def decide(self, view: "ServingView") -> Optional[Decision]:
+        """Burst to the fastest machine once the queue passes
+        ``surge_queue``; move back to the slowest once it is down to
+        ``calm_queue``.  Never mid-migration, never to a machine that
+        is down or whose breaker is open."""
         if view.migrating:
             return None
         fast = min(view.service_s, key=lambda m: (view.service_s[m], m))
@@ -144,6 +148,10 @@ class LatencyAwareServing(ServingPolicy):
     cooldown_s = 1.0
 
     def decide(self, view: "ServingView") -> Optional[Decision]:
+        """Move to the fastest machine on shed load or a predicted tail
+        breach it would fix; drain to the slowest only in a stable
+        trough with tail headroom, past the cooldown, and defer that
+        drain while the arrival rate is rising."""
         if view.migrating:
             return None
         fast = min(view.service_s, key=lambda m: (view.service_s[m], m))

@@ -210,6 +210,7 @@ class RetryBudget:
         return self.spent < self.min_tokens + self.fraction * self.offered
 
     def spend(self) -> None:
+        """Record one retry taken against the budget."""
         self.spent += 1
 
 
@@ -258,6 +259,8 @@ class CircuitBreaker:
 
     @property
     def is_open(self) -> bool:
+        """Is placement barred from the node?  A half-open breaker is
+        not open: it admits one probe."""
         return self.state == OPEN
 
 
@@ -294,6 +297,10 @@ class AdmissionController:
         return self.cumulative[-1][1]
 
     def admit(self, now: float, queue_depth: int, priority: PriorityClass) -> bool:
+        """May a request of class ``priority`` join a queue of
+        ``queue_depth`` at ``now``?  The class's queue gate is tested
+        first; only a request it lets through draws on the token
+        bucket.  A refusal names its gate in :attr:`last_reason`."""
         if (
             priority.max_queue_depth is not None
             and queue_depth >= priority.max_queue_depth

@@ -164,6 +164,28 @@ class TestCodegen:
         assert differing
 
 
+class TestLivenessOncePerFunction:
+    def test_build_analyses_each_function_once(self, monkeypatch):
+        """Liveness does not depend on the ISA: a build computes it once
+        per function and hands it to every ISA's register allocation
+        and stackmaps (it used to run four times per function)."""
+        from repro.compiler import codegen, regalloc, toolchain
+        from repro.ir.analysis import liveness
+
+        analysed = []
+
+        def counted(fn):
+            analysed.append(fn.name)
+            return liveness(fn)
+
+        for module in (codegen, regalloc, toolchain):
+            monkeypatch.setattr(module, "liveness", counted)
+        m = call_chain_module(depth=3)
+        binary = Toolchain().build(m)
+        assert sorted(analysed) == sorted(m.functions)
+        assert len(binary.binaries) == 2
+
+
 class TestStackmaps:
     def test_stackmaps_at_every_site(self):
         m = call_chain_module(3)

@@ -586,7 +586,12 @@ def _golden_tie_order():
 #: the rest put resilience, partitions and exact ties through the
 #: engine.  The deadline and hedge delay of "deadline-hedge/static-arm"
 #: are shorter than a decision period, so an arrival into an empty
-#: queue can bring the next sparse event forward.
+#: queue can bring the next sparse event forward.  In
+#: "frozen-handoff/queue-reactive" the 8.05 s epoch has just chosen x86
+#: while a request is in service on ARM when x86 crashes: the hand-off
+#: freezes in its drain phase, its departure ends a drain while the
+#: next sparse event stays put, and the arrivals behind it must still
+#: be served before that event fires.
 _GOLDEN = {
     "flash-crowd/queue-reactive": lambda: ServingEngine(
         make_serving_policy("queue-reactive"), _bench_trace("flash-crowd"),
@@ -637,6 +642,14 @@ _GOLDEN = {
         rng=DeterministicRng(42),
     ),
     "tie-order": _golden_tie_order,
+    "frozen-handoff/queue-reactive": lambda: ServingEngine(
+        make_serving_policy("queue-reactive"), _bench_trace("flash-crowd"),
+        faults=FaultSchedule([
+            NodeCrash(time=8.0505, node=X86, repair_seconds=0.3)
+        ]),
+        detector=FailureDetector(DetectorConfig()),
+        rng=DeterministicRng(7),
+    ),
 }
 
 
@@ -670,7 +683,11 @@ def _golden_fingerprint(engine, result):
 #: 3.11 before the drain loop replaced the per-event one.  When the
 #: result became ``ServingResult`` the digests were re-derived by
 #: feeding the previous engine's runs through this fingerprint in the
-#: new field order; every value string stayed the same.
+#: new field order; every value string stayed the same.  The
+#: frozen-hand-off pin was recorded on the engine whose drain kept the
+#: server on the instance and drained twice per sparse event; a drain
+#: that re-ran only when the next sparse event moved gave ARM
+#: 44.86497597241091 J there.
 _PINS = {
     "crash/failover-only": (
         {
@@ -853,14 +870,91 @@ _PINS = {
         },
         "979d4a91602098ebe3e0deed60aa3e10e591ae39d52317b5c21fd5f99c28f995",
     ),
+    "frozen-handoff/queue-reactive": (
+        {
+            "busy_seconds": "6.368485515656825",
+            "energy:arm-server": "44.75909214637273",
+            "energy:x86-server": "63.22709376929058",
+            "goodput_rps": "235.59092010121662",
+            "handoff_seconds": "0.44681634071383236",
+            "makespan": "20.000770819077363",
+            "max_latency_s": "0.32919581839259315",
+            "mean_response": "0.024994631613394252",
+            "migration_stall_seconds": "4.2124212990805585",
+            "migrations": "50",
+            "overhead_seconds": "0.11791456000000977",
+            "p50_latency_s": "0.0027525395244740736",
+            "p999_latency_s": "0.3274951186905112",
+            "p99_latency_s": "0.30892948860415087",
+            "requests": "8000",
+            "requests_completed": "8000",
+            "slo_attainment": "0.589",
+            "slo_target_s": "0.01",
+            "slo_violation_seconds": "157.9377674899529",
+            "slo_violations": "3288",
+        },
+        "4bb0c0260c5cd18871c947bc871e765d816626c94c1a90cd02a3721491b398b5",
+    ),
 }
 
 
+class TestOneDrainPerSparseEvent:
+    """A drain that ran up to the next sparse event is not repeated
+    before the event fires; ``run()`` finds the event again and fires
+    it.  Each static-x86 sweep cell drained 800 times, 400 of them
+    serving nothing, when every served drain was followed by a second
+    one."""
+
+    @pytest.mark.parametrize("shape, kwargs", [
+        ("flash-crowd", {}),
+        ("diurnal", {"peak_to_trough": 6.0, "periods": 2.0}),
+    ])
+    def test_static_x86_serves_in_every_drain_but_one(
+        self, shape, kwargs, monkeypatch
+    ):
+        drain = ServingEngine._drain
+        idle = []
+
+        def counted(engine, stop, static):
+            before = (engine._next_arrival, len(engine.completed))
+            ran_to = drain(engine, stop, static)
+            after = (engine._next_arrival, len(engine.completed))
+            idle.append(before == after)
+            return ran_to
+
+        monkeypatch.setattr(ServingEngine, "_drain", counted)
+        engine = ServingEngine(
+            make_serving_policy("static-x86"), _bench_trace(shape, **kwargs)
+        )
+        assert engine.run().requests_completed == 8000
+        assert sum(idle) <= 1, f"{sum(idle)} of {len(idle)} drains idle"
+
+
+def _span_digest(tracer, result):
+    """A digest over every span's name, start, duration, track, parent
+    and attributes, in emission order, and the metrics snapshot."""
+    digest = hashlib.sha256()
+    for s in tracer.spans:
+        digest.update(repr((
+            s.name, s.start_s, s.end_s - s.start_s, s.track, s.parent_id,
+            sorted(s.attrs.items()),
+        )).encode())
+    digest.update(repr(sorted(result.metrics.items())).encode())
+    return digest.hexdigest()
+
+
+#: ``_span_digest`` of a traced "flash-crowd/queue-reactive" run (58
+#: hand-offs, 9,989 spans), recorded on the same engine as the
+#: frozen-hand-off pin.
+_TRACED_PIN = "abb00d3db5f5f294e177124e1fa1ede72beaf35ac06bf15b6fd481687d396de4"
+
+
 class TestServingGolden:
-    """Full-precision pins of seven runs.  The committed bench facts
-    round to 3-6 decimals and cover only the sweep, so they cannot see a
-    reassociated float sum or two same-time events swapped; these can.
-    A zero-valued field is pinned by its absence and by the digest."""
+    """Full-precision pins of eight runs and one trace.  The committed
+    bench facts round to 3-6 decimals and cover only the sweep, so they
+    cannot see a reassociated float sum or two same-time events
+    swapped; these can.  A zero-valued field is pinned by its absence
+    and by the digest."""
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     def test_bit_identical(self, name):
@@ -869,3 +963,15 @@ class TestServingGolden:
         pinned_scalars, pinned_digest = _PINS[name]
         assert scalars == pinned_scalars
         assert digest == pinned_digest
+
+    def test_traced_run_bit_identical(self):
+        """The request, stall, warm-up, decision and hand-off spans and
+        the metrics of a traced run: ``test_tracing_does_not_perturb_results``
+        compares only results."""
+        tracer = Tracer()
+        result = ServingEngine(
+            make_serving_policy("queue-reactive"),
+            _bench_trace("flash-crowd"), tracer=tracer,
+        ).run()
+        assert result.migrations == 58
+        assert _span_digest(tracer, result) == _TRACED_PIN

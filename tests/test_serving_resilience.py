@@ -257,6 +257,22 @@ class TestCrashFailover:
             + result.requests_failed
         )
 
+    def test_replay_started_at_a_departure_counts_its_attempt(self):
+        # ARM is back before the detector confirms it dead, so no
+        # failover and no warm-up follow.  The replay is released while
+        # the backlog runs, waits at the head of the queue, and starts
+        # when a request departs: its second start counts.
+        engine = _engine(
+            policy="static-arm",
+            faults=_crash(at=2.0, permanent=False, repair=0.05),
+            detector=FailureDetector(DetectorConfig()),
+            resilience=ResilienceConfig(),
+        )
+        result = engine.run()
+        assert (result.failovers, result.requests_retried) == (0, 1)
+        replayed = [r for r in engine.completed if r.attempts > 1]
+        assert [(r.index, r.attempts) for r in replayed] == [(591, 2)]
+
     def test_transient_crash_repairs_and_serves_again(self):
         # Repair lands before the trace ends; service resumes, and the
         # standby carried the load meanwhile via failover.
