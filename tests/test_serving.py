@@ -5,6 +5,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import validate
 from repro.datacenter.job import (
@@ -43,8 +45,13 @@ from repro.serving import (
     steady,
     to_job_arrivals,
 )
-from repro.serving.engine import DECISION_PERIOD_S, DSM_WARMUP_REQUESTS
-from repro.serving.traffic import CHECKSUM_CHUNK
+import repro.serving.traffic as traffic
+from repro.serving.engine import (
+    DECISION_PERIOD_S, DSM_WARMUP_REQUESTS, RATE_WINDOW_S,
+)
+from repro.serving.traffic import (
+    CHECKSUM_CHUNK, _invert_monotone, _sorted_uniforms,
+)
 from repro.sim.rng import DeterministicRng
 from repro.telemetry.metrics import SampleHistogram, percentiles, quantile
 from repro.telemetry.spans import Tracer, check_causality
@@ -157,6 +164,36 @@ class TestTrafficShapes:
         with pytest.raises(ValueError):
             make_trace(shape, DeterministicRng(1), **kwargs)
 
+    @pytest.mark.parametrize("shape, kwargs", [
+        ("diurnal", {"periods": math.nan}),
+        ("diurnal", {"periods": 0.0}),
+        ("diurnal", {"periods": math.inf}),
+        ("diurnal", {"periods": 5e-324}),
+        ("diurnal", {"peak_to_trough": math.nan}),
+        ("diurnal", {"peak_to_trough": math.inf}),
+        ("flash-crowd", {"surge_multiplier": math.nan}),
+        ("flash-crowd", {"surge_multiplier": math.inf}),
+        ("flash-crowd", {"surge_start_frac": math.nan}),
+        ("flash-crowd", {"surge_start_frac": -0.5}),
+        ("flash-crowd", {"surge_duration_frac": math.nan}),
+        ("flash-crowd", {"surge_duration_frac": -0.1}),
+    ])
+    def test_bad_shape_parameter_named_before_any_draw(self, shape, kwargs):
+        """NaN and infinity passed the ``< 1`` guards: a NaN or infinite
+        ``peak_to_trough`` or a NaN ``periods`` put every arrival at
+        8.67e-18 s, and a NaN or infinite surge made NaN times.  A zero
+        or infinite ``periods`` raised ZeroDivisionError or a math
+        domain error, one that underflows the cycle rate made NaN times,
+        and a negative fraction made negative or packed times."""
+        (name,) = kwargs
+
+        class NoDraws:
+            def stream(self, stream):
+                raise AssertionError("drew uniforms for a bad shape")
+
+        with pytest.raises(ValueError, match=name):
+            make_trace(shape, NoDraws(), **kwargs)
+
     @pytest.mark.parametrize("horizon_s", [math.nan, math.inf, 0.0])
     def test_hand_built_trace_needs_finite_horizon(self, horizon_s):
         """Nothing downstream (a fleet's wave schedule) can loop on it."""
@@ -167,6 +204,106 @@ class TestTrafficShapes:
     def test_empty_trace_allowed(self, shape):
         trace = make_trace(shape, DeterministicRng(1), requests=0)
         assert len(trace.times) == 0
+
+
+def _bisected_diurnal(seed, requests, horizon_s, peak_to_trough, periods):
+    """The diurnal arrival times as the bisection computes them:
+    :func:`_invert_monotone` on every arrival's target."""
+    amp = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
+    omega = 2.0 * math.pi * periods / horizon_s
+    phase = -math.pi / 2.0
+
+    def cumulative(t):
+        return t + (amp / omega) * (
+            math.cos(phase) - math.cos(omega * t + phase)
+        )
+
+    total = cumulative(horizon_s)
+    uniforms = _sorted_uniforms(DeterministicRng(seed), requests, "traffic")
+    return [_invert_monotone(cumulative, u * total, horizon_s) for u in uniforms]
+
+
+def _count_fallbacks(monkeypatch):
+    """Targets the diurnal inverse hands back to the bisection."""
+    targets = []
+
+    def counted(cumulative, target, horizon_s):
+        targets.append(target)
+        return _invert_monotone(cumulative, target, horizon_s)
+
+    monkeypatch.setattr(traffic, "_invert_monotone", counted)
+    return targets
+
+
+class TestDiurnalInverse:
+    """The diurnal inverse returns the bisection's result bit for bit
+    while it evaluates the cumulative only inside the band around
+    Newton's root.  ``_invert_monotone`` is the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        requests=st.integers(0, 2000),
+        horizon_s=st.one_of(
+            st.sampled_from([20.0, 86400.0, 0.5, 0.1, 7.3, 86399.99]),
+            st.floats(1e-3, 1e6),
+        ),
+        peak_to_trough=st.one_of(
+            st.just(1.0), st.floats(1.0, 1000.0), st.floats(100.0, 1000.0),
+        ),
+        periods=st.one_of(
+            st.floats(0.0, 8.0, exclude_min=True), st.floats(0.01, 8.0),
+        ),
+    )
+    def test_matches_the_bisection(
+        self, seed, requests, horizon_s, peak_to_trough, periods
+    ):
+        """Dyadic horizons (20, 86400, 0.5) take the jump; full-mantissa
+        ones (0.1, 7.3, 86399.99, most random floats) cannot."""
+        amp = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
+        omega = 2.0 * math.pi * periods / horizon_s
+        if not (omega > 0 and math.isfinite(amp / omega)):
+            # No finite cycle rate: the shape guard rejects it.
+            with pytest.raises(ValueError, match="periods"):
+                diurnal(DeterministicRng(seed), requests=requests,
+                        horizon_s=horizon_s, peak_to_trough=peak_to_trough,
+                        periods=periods)
+            return
+        trace = diurnal(
+            DeterministicRng(seed), requests=requests, horizon_s=horizon_s,
+            peak_to_trough=peak_to_trough, periods=periods,
+        )
+        assert list(trace.times) == _bisected_diurnal(
+            seed, requests, horizon_s, peak_to_trough, periods
+        )
+
+    def test_committed_shape_never_falls_back(self, monkeypatch):
+        """The serving sweep's trace, so the fast path cannot decay into
+        the oracle unseen."""
+        fallbacks = _count_fallbacks(monkeypatch)
+        trace = _bench_trace("diurnal", peak_to_trough=6.0, periods=2.0)
+        assert fallbacks == []
+        assert list(trace.times) == _bisected_diurnal(7, 8000, 20.0, 6.0, 2.0)
+
+    def test_newton_that_does_not_stop_falls_back(self, monkeypatch):
+        """Two Newton steps rarely stop (455 of 500 arrivals fall back),
+        so both paths run, and each fallback's root seeds the next
+        arrival's Newton."""
+        monkeypatch.setattr(traffic, "NEWTON_STEPS", 2)
+        fallbacks = _count_fallbacks(monkeypatch)
+        trace = diurnal(DeterministicRng(7), requests=500,
+                        peak_to_trough=6.0, periods=2.0)
+        assert 0 < len(fallbacks) < 500
+        assert list(trace.times) == _bisected_diurnal(7, 500, 20.0, 6.0, 2.0)
+
+    def test_no_floor_falls_back_everywhere(self, monkeypatch):
+        """At this ratio the amplitude rounds to 1: the intensity has no
+        floor, so no band, and every arrival takes the bisection."""
+        fallbacks = _count_fallbacks(monkeypatch)
+        trace = diurnal(DeterministicRng(7), requests=300,
+                        peak_to_trough=1e17)
+        assert len(fallbacks) == 300
+        assert list(trace.times) == _bisected_diurnal(7, 300, 20.0, 1e17, 1.0)
 
 
 def _one_shot_checksum(trace):
@@ -213,6 +350,18 @@ class TestTraceMemory:
             lambda: make_trace("steady", DeterministicRng(1), requests=self.N)
         )
         assert peak / self.N <= 48.0
+
+    def test_diurnal_inverse_streams(self):
+        """The diurnal inverse yields into the packed buffer: 44.1
+        B/arrival at 2,000 arrivals (the bisection peaked at 43.8),
+        where a second list of floats would add 32.  tracemalloc slows
+        the inverse several hundredfold, hence the small size."""
+        n = 2000
+        _, _, peak = traced_memory(
+            lambda: make_trace("diurnal", DeterministicRng(1), requests=n,
+                               peak_to_trough=6.0, periods=2.0)
+        )
+        assert peak / n <= 48.0
 
     def test_checksum_streams(self):
         """One payload string took 15.5 MiB transiently; a chunk at a
@@ -928,6 +1077,39 @@ class TestOneDrainPerSparseEvent:
         )
         assert engine.run().requests_completed == 8000
         assert sum(idle) <= 1, f"{sum(idle)} of {len(idle)} drains idle"
+
+
+class TestEpochRates:
+    def test_rates_count_arrivals_before_the_epoch(self):
+        """An epoch's rates count the arrivals in ``[t0, now)``: those at
+        the epoch's instant are drained before it (rank 4 before 9), but
+        its window leaves them out.  Arrivals sit on 21 of the 40
+        epochs, where a count read off the drain's cursor must step back
+        over them; no golden pin sees the rates."""
+        epochs = [DECISION_PERIOD_S]
+        while len(epochs) < 40:
+            epochs.append(epochs[-1] + DECISION_PERIOD_S)
+        times = sorted(
+            epochs[::3] * 3 + [t - 0.01 for t in epochs] + epochs[1::4]
+        )
+        trace = ArrivalTrace("ties", 2.0, tuple(times))
+        views = []
+
+        class Recording(StaticX86Serving):
+            def decide(self, view):
+                views.append(view)
+
+        ServingEngine(Recording(), trace).run()
+
+        def rate(t0, t1):
+            return trace.arrivals_between(max(t0, 0.0), t1) / (t1 - t0)
+
+        w = RATE_WINDOW_S
+        assert len(views) == 40
+        assert sum(view.now in times for view in views) == 21
+        for view in views:
+            assert view.rate == rate(view.now - w, view.now)
+            assert view.prev_rate == rate(view.now - 2 * w, view.now - w)
 
 
 def _span_digest(tracer, result):

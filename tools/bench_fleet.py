@@ -56,9 +56,10 @@ BASELINE = ROOT / "BENCH_fleet.json"
 
 SEED = 11
 
-#: The 1k-node / 1M-job headline cell.  Steady arrivals: the diurnal
-#: sampler inverts its rate integral numerically per arrival, which is
-#: fine at serving scale but not at 10^6 jobs.
+#: The 1k-node / 1M-job headline cell.  Steady arrivals: at 10^6 jobs
+#: over this horizon a diurnal trace (4:1, one period) takes 3.4-4.1 s
+#: to draw on a 2-vCPU VM (15.1 s by the bisection it replaced), a
+#: steady one 0.40 s, and a switch would move the committed facts.
 BIG = {
     "nodes": {"x86-64": 512, "arm64": 512},
     "slots": 4,
