@@ -219,12 +219,6 @@ class FleetSimulator:
         self._isa_of = [0] * count  # index into self.isas
         self._duration = [0.0] * count  # seconds per job on that ISA
         self._busy_per_job = [0.0] * count  # duration x granted cores
-        for sid in range(count):
-            idx = self._take_slot(config.source_isa)
-            if idx is None:  # config.validate() makes this unreachable
-                raise RuntimeError("source ISA out of slots during placement")
-            self.nodes[idx].instances.append(sid)
-            self._route(sid, idx, config.source_isa)
 
         # Per-job state, indexed by sid (per node for busy time): every
         # arrival updates these, so they are flat lists, not struct
@@ -232,8 +226,19 @@ class FleetSimulator:
         self._free_at = [0.0] * count  # when the service's backlog drains
         self._jobs_done = [0] * count
         self._jobs_in_slo = [0] * count
-        self._service_busy = [0.0] * count  # busy core-seconds
         self._node_busy = [0.0] * len(self.nodes)
+        # Per-route totals, which depend only on the routing tables:
+        # _settle credits them from _jobs_done when a route changes and
+        # before they are read, not once per job.
+        self._settled = [0] * count  # jobs_done already credited
+        self._service_busy = [0.0] * count  # busy core-seconds
+        self._jobs_by_isa = [0] * len(self.isas)
+        for sid in range(count):
+            idx = self._take_slot(config.source_isa)
+            if idx is None:  # config.validate() makes this unreachable
+                raise RuntimeError("source ISA out of slots during placement")
+            self.nodes[idx].instances.append(sid)
+            self._route(sid, idx, config.source_isa)
 
         # ---- run state ----
         self._sim = Simulator()
@@ -260,7 +265,6 @@ class FleetSimulator:
             "failovers": 0,
             "deferred": 0,
         }
-        self._jobs_by_isa = [0] * len(self.isas)
         self._stall_seconds = 0.0
         self.waves: List[WaveReport] = []
         from repro import validate
@@ -303,13 +307,36 @@ class FleetSimulator:
         return None
 
     def _route(self, sid: int, idx: int, isa: str) -> None:
-        """Point service ``sid``'s routing-table entries at node ``idx``."""
+        """Point service ``sid``'s routing-table entries at node ``idx``,
+        settling the jobs its old route priced first."""
+        self._settle(sid)
         duration = self._durations_by_sid[isa][sid]
         cores = min(self.services[sid].spec.threads, self.templates[isa].cores)
         self._node_of[sid] = idx
         self._isa_of[sid] = self.isas.index(isa)
         self._duration[sid] = duration
         self._busy_per_job[sid] = duration * cores
+
+    def _settle(self, sid: int) -> None:
+        """Credit service ``sid``'s jobs completed since its last settle
+        to its current route: its ISA's job count and, at its busy
+        core-seconds per job, its busy time.  Sound only while the
+        route that priced those jobs is still in the tables."""
+        done = self._jobs_done[sid]
+        jobs = done - self._settled[sid]
+        self._settled[sid] = done
+        self._jobs_by_isa[self._isa_of[sid]] += jobs
+        self._service_busy[sid] += jobs * self._busy_per_job[sid]
+
+    def _check(self, where: str) -> None:
+        """Audit the run at event ``where`` if the conservation checker
+        is armed, settling every service first so it reads whole
+        totals."""
+        if self._checker is None:
+            return
+        for sid in range(len(self.services)):
+            self._settle(sid)
+        self._checker.check(self, where)
 
     def _isa(self, sid: int) -> str:
         """The ISA service ``sid`` runs on."""
@@ -327,24 +354,25 @@ class FleetSimulator:
         only at sparse events, so the counters live in locals and are
         folded into the simulator's fields once, before the next event
         fires: the wave gate and the conservation checker read them
-        only there.  Every float sum accumulates in arrival order, so
-        results stay bit-identical to pricing one job at a time.
+        only there.  The per-ISA job counts and per-service busy time
+        depend only on the route, so they are not touched here:
+        :meth:`_settle` credits them when the route changes or is read.
+        Node busy core-seconds, which feed energy and the checksum,
+        still accumulate in arrival order, so results stay
+        bit-identical to pricing one job at a time.
         """
         draw = self.rng.stream("fleet.assign").getrandbits
         services = self.config.services
         bits = services.bit_length()
         up = self._up
         node_of = self._node_of
-        isa_of = self._isa_of
         duration = self._duration
         busy_per_job = self._busy_per_job
         slo = self._slo_by_sid
         free_at = self._free_at
         jobs_done = self._jobs_done
         jobs_in_slo = self._jobs_in_slo
-        service_busy = self._service_busy
         node_busy = self._node_busy
-        jobs_by_isa = self._jobs_by_isa
         record = self._latencies.append
         makespan = self._makespan
         shed = in_slo = violations = 0
@@ -361,10 +389,7 @@ class FleetSimulator:
             done = (start if start > t else t) + duration[sid]
             free_at[sid] = done
             jobs_done[sid] += 1
-            busy = busy_per_job[sid]
-            service_busy[sid] += busy
-            node_busy[idx] += busy
-            jobs_by_isa[isa_of[sid]] += 1
+            node_busy[idx] += busy_per_job[sid]
             latency = done - t
             record(latency)
             if latency <= slo[sid]:
@@ -475,8 +500,7 @@ class FleetSimulator:
         )
         self._window_offered = 0
         self._window_in_slo = 0
-        if self._checker is not None:
-            self._checker.check(self, f"wave@{t:.0f}")
+        self._check(f"wave@{t:.0f}")
 
     # ----------------------------------------------------------- faults
 
@@ -520,8 +544,7 @@ class FleetSimulator:
                 lambda i=idx: self._handle_repair(i),
                 name="repair",
             )
-        if self._checker is not None:
-            self._checker.check(self, f"crash@{t:.0f}")
+        self._check(f"crash@{t:.0f}")
 
     def _handle_repair(self, idx: int) -> None:
         t = self._sim.now
@@ -546,8 +569,7 @@ class FleetSimulator:
             else:
                 still.append(sid)
         self._stranded = still
-        if self._checker is not None:
-            self._checker.check(self, f"repair@{t:.0f}")
+        self._check(f"repair@{t:.0f}")
 
     def _handle_degrade_start(self, event) -> None:
         self.membership.degradations.append(event)
@@ -629,6 +651,8 @@ class FleetSimulator:
         return result
 
     def _finish(self, trace: ArrivalTrace, end: float) -> FleetRunResult:
+        for sid in range(len(self.services)):
+            self._settle(sid)
         c = self._counters
         energy_by_isa = {isa: 0.0 for isa in self.config.nodes}
         busy_by_isa = {isa: 0.0 for isa in self.config.nodes}

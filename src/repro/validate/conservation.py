@@ -82,6 +82,7 @@ class ClusterConservationChecker:
         self._last_energy: Dict[str, float] = {}
 
     def begin(self, submitted: int) -> None:
+        """Arm job conservation: ``submitted`` jobs enter this run."""
         self.submitted = submitted
 
     # ---------------------------------------------------------- checks
@@ -222,10 +223,11 @@ class FleetConservationChecker:
     at result time.  Per-job state lives in the simulator's flat lists,
     indexed by service id (per node for busy time): the routing tables
     ``_node_of``/``_isa_of``/``_duration``/``_busy_per_job`` and
-    ``_free_at``, ``_jobs_done``, ``_jobs_in_slo``, ``_service_busy``
-    and ``_node_busy``.  The simulator folds its per-job counters into
-    ``_counters`` before each event fires, so every check sees a
-    consistent cut.  It re-derives what must hold:
+    ``_free_at``, ``_jobs_done``, ``_jobs_in_slo`` and ``_node_busy``.
+    The simulator folds its per-job counters into ``_counters`` before
+    each event fires, and settles every service's per-route totals
+    (``_service_busy`` and ``_jobs_by_isa``) before each check, so
+    every check sees a consistent cut.  It re-derives what must hold:
 
     * slot conservation — per ISA, live free-pool entries plus occupied
       slots on live nodes equal the live nodes' total capacity;
@@ -234,7 +236,8 @@ class FleetConservationChecker:
       jobs are priced at that ISA's duration and core grant, and
       services on dead nodes are exactly the stranded set;
     * counter conservation — completed/in-SLO/stall totals equal the
-      sums over services, and per-node busy core-seconds equal the
+      sums over services, the settled per-ISA job counts add up to the
+      completed total, and per-node busy core-seconds equal the
       per-service busy seconds weighted by granted cores;
     * monotonicity — per-service ``free_at`` and the global counters
       never decrease between checks.
@@ -334,6 +337,13 @@ class FleetConservationChecker:
             self._fail(
                 sim, "counter-conservation",
                 f"[{where}] sum(jobs_done) {done} != completed "
+                f"{c['completed']}",
+            )
+        by_isa = ordered_sum(sim._jobs_by_isa)
+        if by_isa != c["completed"]:
+            self._fail(
+                sim, "counter-conservation",
+                f"[{where}] sum(jobs_by_isa) {by_isa} != completed "
                 f"{c['completed']}",
             )
         in_slo = ordered_sum(sim._jobs_in_slo)

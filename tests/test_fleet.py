@@ -27,6 +27,7 @@ from repro.fleet.model import parse_node_name
 from repro.fleet.waves import plan_counts
 from repro.serving import make_trace
 from repro.sim.rng import DeterministicRng
+from repro.validate import InvariantViolation
 
 from tests.helpers import traced_memory
 
@@ -118,6 +119,20 @@ def failover_run():
         NodeCrash(time=50.0, node=node_name(0), repair_seconds=100.0),
     ])
     return run_fleet(config=config, policy=policy, faults=faults)
+
+
+# Fixed values, so a change to the per-job path that moves any result
+# fails here, not only in the bench's fact gate.  Together the runs
+# take every per-job branch: shed, out of SLO (only the regression run
+# has violations), and jobs priced after a wave, a same-ISA
+# evacuation, a degraded one and a cross-ISA failover.  Name ->
+# (scenario, checksum, jobs shed).
+GOLDEN = {
+    "crash-and-degrade": (crash_and_degrade_run, "868aba06ddc15cba", 0),
+    "stranded": (stranded_run, "4af792a9e0ab94ed", 47),
+    "failover": (failover_run, "4dea699c6b82ff71", 0),
+    "regression": (regression_run, "78a9ca201bcb9a01", 0),
+}
 
 
 class TestWavePolicy:
@@ -235,20 +250,59 @@ class TestDeterminism:
         b = run_fleet(seed=43)
         assert a.checksum() != b.checksum()
 
-    # Fixed values, so a change to the per-job path that moves any
-    # result fails here, not only in the bench's fact gate.  Together
-    # the runs take every per-job branch: shed, out of SLO (only the
-    # regression run has violations), and jobs priced after a wave, a
-    # same-ISA evacuation, a degraded one and a cross-ISA failover.
-    @pytest.mark.parametrize("scenario, checksum, shed", [
-        (crash_and_degrade_run, "868aba06ddc15cba", 0),
-        (stranded_run, "4af792a9e0ab94ed", 47),
-        (failover_run, "4dea699c6b82ff71", 0),
-        (regression_run, "78a9ca201bcb9a01", 0),
-    ], ids=["crash-and-degrade", "stranded", "failover", "regression"])
-    def test_golden_results(self, scenario, checksum, shed):
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_results(self, name):
+        scenario, checksum, shed = GOLDEN[name]
         result = scenario()
         assert (result.checksum(), result.requests_shed) == (checksum, shed)
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_validation_does_not_move_results(self, name):
+        """An armed checker settles every service before each check;
+        an unarmed run settles only when a route changes and at the
+        end.  The results must not tell the two apart."""
+        scenario = GOLDEN[name][0]
+        with validate.forced(False):
+            plain = scenario()
+        with validate.forced(True):
+            checked = scenario()
+        assert (checked.checksum(), checked.jobs_by_isa) == (
+            plain.checksum(), plain.jobs_by_isa
+        )
+
+
+class TestSettle:
+    """Per-ISA job counts and per-service busy time depend only on a
+    service's route, so ``_settle`` credits them when the route changes
+    and before they are read, not once per job."""
+
+    def test_a_move_that_skips_the_settle_is_caught(self, monkeypatch):
+        # The failover moves x86 services to ARM, whose jobs cost more
+        # core-seconds: settled after the move, their x86 jobs are
+        # priced and counted on ARM.
+        route = FleetSimulator._route
+
+        def route_unsettled(sim, sid, idx, isa):
+            sim._settle = lambda sid: None
+            try:
+                route(sim, sid, idx, isa)
+            finally:
+                del sim._settle
+
+        monkeypatch.setattr(FleetSimulator, "_route", route_unsettled)
+        with validate.forced(True):
+            with pytest.raises(InvariantViolation) as caught:
+                failover_run()
+        assert caught.value.invariant == "busy-conservation"
+        with validate.forced(False):
+            moved = failover_run()
+        assert moved.checksum() != GOLDEN["failover"][1]
+
+    def test_a_check_of_unsettled_counts_fails(self, monkeypatch):
+        monkeypatch.setattr(FleetSimulator, "_settle", lambda sim, sid: None)
+        with validate.forced(True):
+            with pytest.raises(InvariantViolation, match="jobs_by_isa"):
+                crash_and_degrade_run()
 
 
 class TestInlineDraw:
