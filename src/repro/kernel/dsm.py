@@ -13,9 +13,11 @@ Page-granularity MSI-style coherence across kernels:
   everywhere and never transferred — that is the memory-region aliasing
   the paper added for heterogeneity.
 
-Bulk first-touch after a migration is served by :meth:`ensure_range`
-with pipelined bandwidth-limited timing — the multithreaded page-pull
-burst visible in Figure 11.
+One transition serves both entry points.  A demand fault
+(:meth:`DsmService.access`) is its one-page case; the bulk pull after a
+migration (:meth:`DsmService.ensure_range`) applies it to a range with
+pipelined bandwidth-limited timing — the multithreaded page-pull burst
+visible in Figure 11.
 
 The protocol and its accounting are per page; the directory is not.
 It is an :class:`ExtentMap` of maximal page runs sharing one coherence
@@ -71,6 +73,7 @@ class DsmStats:
     backup_bytes: int = 0
 
     def snapshot(self) -> "DsmStats":
+        """A copy of the counters as they stand."""
         return DsmStats(
             self.faults,
             self.page_transfers,
@@ -125,6 +128,7 @@ class ExtentMap:
         return i, bisect_left(self.lo, hi, i)
 
     def runs(self) -> Iterator[Run]:
+        """The extents ``(lo, hi, state)``, in page order."""
         return zip(self.lo, self.hi, self.state)
 
     def splice(self, lo: int, hi: int, runs: List[Run]) -> None:
@@ -228,14 +232,9 @@ class DsmService:
         # Lost page runs (lo, hi, dead kernel whose crash lost them), in
         # the order the scrubs found them.
         self._lost: List[Tuple[int, int, str]] = []
-        self._dead: Set[str] = set()
         self.scrubs: List[ScrubReport] = []
 
     # ------------------------------------------------------- directory
-
-    def _is_aliased(self, page: int) -> bool:
-        i = bisect_right(self._alias_lo, page) - 1
-        return i >= 0 and page < self._alias_hi[i]
 
     def _unaliased(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """The sub-ranges of [lo, hi) outside every aliased range."""
@@ -252,9 +251,6 @@ class DsmService:
             out.append((pos, hi))
         return out
 
-    def _set_page(self, page: int, state: State) -> None:
-        self._dir.splice(page, page + 1, [(page, page + 1, state)])
-
     def _lost_at(self, first: int, end: int) -> Optional[Tuple[int, str]]:
         """First lost page of [first, end) in scrub order, with its killer."""
         for lo, hi, dead in self._lost:
@@ -270,164 +266,46 @@ class DsmService:
             lost.update(dict.fromkeys(range(lo, hi), dead))
         return lost
 
-    # ----------------------------------------------------------- faults
+    # ------------------------------------------------------- transition
 
-    def access(self, kernel: str, addr: int, write: bool) -> float:
-        """Account one access; returns fault service time in seconds."""
-        page = page_of(addr)
-        if self._lost:
-            lost = self._lost_at(page, page + 1)
-            if lost is not None:
-                raise LostPageError(page, kernel, lost[1])
-        self.last_parties = (kernel,)
-        if self._is_aliased(page):
-            return 0.0
-        state = self._dir.get(page)
-        solo = frozenset((kernel,))
-        if state is None:
-            # First touch: the toucher owns the page.
-            target = self._backup_target(kernel) if write else None
-            self._set_page(page, (kernel, solo, write, target))
-            return self._push_backup(kernel, target)
-        if write:
-            if state[0] != kernel or state[1] != solo:
-                return self._fault(kernel, page, write)
-            # First *write* to a page the kernel already owns from a
-            # read first-touch: the engine's residency cache guarantees
-            # the first write of a page reaches access(), so dirtiness
-            # tracking at coherence granularity is complete.
-            target = self._backup_target(kernel) if state[3] is None else None
-            if not state[2] or target is not None:
-                self._set_page(page, (kernel, solo, True, target or state[3]))
-            return self._push_backup(kernel, target)
-        if kernel not in state[1]:
-            return self._fault(kernel, page, write)
-        return 0.0
+    def _transition(self, kernel: str, first: int, end: int, write: bool):
+        """The MSI transition of pages [first, end) accessed by ``kernel``.
 
-    def _backup_target(self, owner: str) -> Optional[str]:
-        """Live ring successor that takes ``owner``'s backup pushes."""
-        machines = self.machines
-        if not self.backup or owner not in machines:
-            return None
-        target = machines[(machines.index(owner) + 1) % len(machines)]
-        return None if target in self._dead else target
+        One walk over the extents and gaps of the range (aliased pages
+        are skipped: they are local everywhere) computes every page's
+        next state run by run, and the per-page accounting as arithmetic
+        over run lengths:
 
-    def _push_backup(self, owner: str, target: Optional[str]) -> float:
-        """Replicate one dirty page to ``target`` (no-op when None)."""
-        if target is None:
-            return 0.0
-        self.stats.backup_pushes += 1
-        self.stats.backup_bytes += PAGE_SIZE
-        self.last_parties = tuple(
-            sorted(set(self.last_parties) | {owner, target})
-        )
-        return self.messaging.send("dsm.backup", owner, target, PAGE_SIZE)
+        * an untracked page is touched first: ``kernel`` owns it;
+        * a read from a kernel without a valid copy faults: the page
+          moves from its owner and the reader joins the sharers;
+        * a write from anyone but the sole holder faults: the page moves
+          only if the writer holds no copy (an S->M upgrade moves none),
+          every other copy is invalidated and the writer owns it alone;
+        * a write from the sole holder only marks the page dirty;
+        * in backup mode every dirtying event (write first touch, first
+          write to an owned page, write fault) pushes one copy to the
+          writer's backup target.
 
-    def _fault(self, kernel: str, page: int, write: bool) -> float:
-        owner, sharers, dirtied, backup = self._dir.get(page)
-        if self.messaging.chaos is not None:
-            if self.messaging.chaos_step(
-                "dsm.page", faulter=kernel, owner=owner
-            ):
-                # The step crashed a kernel; the directory has been
-                # scrubbed under our feet.  Re-dispatch from scratch.
-                from repro.kernel.kernel import KernelCrashed
-
-                if kernel in self.messaging.fenced:
-                    raise KernelCrashed(kernel)
-                return self.access(kernel, page * PAGE_SIZE, write)
-        self.stats.faults += 1
-        cost = 0.0
-        invalidated = 0
-        # The page payload crosses the wire only when the faulting
-        # kernel holds no valid copy.  A write to a page it already
-        # shares (S->M upgrade, or the owner with stale sharers) costs
-        # invalidation traffic only — no page transfer, no self-RPC.
-        transferred = kernel not in sharers
-        parties = {kernel}
-        if transferred:
-            parties.add(owner)
-        if write:
-            parties.update(k for k in sharers if k != kernel)
-        self.last_parties = tuple(sorted(parties))
-        if transferred:
-            cost += self.messaging.rpc(
-                "dsm.page", kernel, owner, request_bytes=32,
-                reply_bytes=PAGE_SIZE,
-            )
-            self.stats.page_transfers += 1
-            self.stats.bytes_transferred += PAGE_SIZE
-        if write:
-            # Invalidate all other copies and take ownership.
-            others = [k for k in sharers if k != kernel]
-            if others:
-                cost += self.messaging.broadcast(
-                    "dsm.inval", kernel, others, payload_bytes=32
-                )
-                self.stats.invalidations += len(others)
-                invalidated = len(others)
-            target = self._backup_target(kernel)
-            self._set_page(
-                page, (kernel, frozenset((kernel,)), True, target or backup)
-            )
-            cost += self._push_backup(kernel, target)
-        else:
-            self._set_page(
-                page, (owner, sharers | frozenset((kernel,)), dirtied, backup)
-            )
-        self.epoch += 1
-        tracer = getattr(self.messaging, "tracer", None)
-        if tracer is not None:
-            tracer.complete(
-                "dsm.page", "dsm", tracer.now(), cost, track=kernel,
-                page=page, owner=owner, write=write,
-                bytes=PAGE_SIZE if transferred else 0,
-                invalidations=invalidated,
-            )
-            metrics = tracer.metrics
-            metrics.counter("dsm.page_faults").inc()
-            if transferred:
-                metrics.counter("dsm.bytes").inc(PAGE_SIZE)
-            if invalidated:
-                metrics.counter("dsm.invalidations").inc(invalidated)
-            metrics.histogram("dsm.fault_s").observe(cost)
-        return cost
-
-    # ------------------------------------------------------------- bulk
-
-    def ensure_range(self, kernel: str, base: int, span: int, write: bool) -> Tuple[float, int]:
-        """Make [base, base+span) locally accessible from ``kernel``.
-
-        Returns (seconds, pages_transferred).  Transfers are pipelined:
-        one round-trip of latency plus bandwidth-limited payload time,
-        modelling the multithreaded hDSM pulling pages in bulk.
-        Accounting is exactly that of the same pages faulted one by one;
-        only the time is amortised.
+        Nothing is mutated, so a chaos step can still crash a kernel and
+        scrub the directory before the caller applies the result.
+        Returns ``(runs, faults, transfers, invalidations, backups,
+        owners, groups, target)``: the range's new runs for
+        :meth:`ExtentMap.splice` (None when no page changes state), the
+        counts, the faulted pages' owners, the distinct groups of stale
+        copies to invalidate, and the backup target.
         """
-        if span <= 0:
-            return (0.0, 0)
-        first = page_of(base)
-        end = page_of(base + span - 1) + 1
-        if self._lost:
-            lost = self._lost_at(first, end)
-            if lost is not None:
-                raise LostPageError(lost[0], kernel, lost[1])
-        # One walk over the extents and gaps of the range computes every
-        # page's new state run by run, plus the per-page accounting as
-        # arithmetic over run lengths.  Nothing is mutated before the
-        # chaos step below.
         directory = self._dir
         los, his, states = directory.lo, directory.hi, directory.state
         i, j = directory.overlapping(first, end)
         solo = frozenset((kernel,))
-        # Dirtying events push one backup each to the puller's successor.
         target = self._backup_target(kernel) if write else None
         fresh = (kernel, solo, write, target)
         runs: List[Run] = []
         changed = False
-        missing = transfers = invalidations = backups = 0
-        owners = set()
-        inval_groups = set()
+        faults = transfers = invalidations = backups = 0
+        owners: Set[str] = set()
+        groups: Set[FrozenSet[str]] = set()
         pos = first
         for k in range(i, j):
             lo = los[k]
@@ -444,8 +322,8 @@ class DsmService:
             owner, sharers, dirtied, backup = state
             if write:
                 if owner == kernel and sharers == solo:
-                    # Exclusively owned already: only dirtiness (and a
-                    # first backup push) can change.
+                    # The engine's residency cache lets every first write
+                    # of a page through, so dirtiness is complete.
                     if backup is None and target is not None:
                         backups += n
                         state = (kernel, solo, True, target)
@@ -454,17 +332,13 @@ class DsmService:
                         state = (kernel, solo, True, backup)
                         changed = True
                 else:
-                    missing += n
+                    faults += n
                     owners.add(owner)
                     if kernel not in sharers:
                         transfers += n
                     others = sharers - solo
                     if others:
-                        # Invalidation *counts* match the single-fault
-                        # path (one per stale copy), but the messages
-                        # are batched: one range-invalidate broadcast
-                        # per distinct sharer group, not one per page.
-                        inval_groups.add(others)
+                        groups.add(others)
                         invalidations += n * len(others)
                     if target is not None:
                         backups += n
@@ -472,7 +346,7 @@ class DsmService:
                     state = (kernel, solo, True, backup)
                     changed = True
             elif kernel not in sharers:
-                missing += n
+                faults += n
                 owners.add(owner)
                 transfers += n
                 state = (owner, sharers | solo, dirtied, backup)
@@ -485,72 +359,160 @@ class DsmService:
                 if target is not None:
                     backups += b - a
                 changed = True
-        if self.messaging.chaos is not None:
-            if self.messaging.chaos_step(
-                "dsm.bulk", puller=kernel, **{
-                    f"owner{i}": o for i, o in enumerate(sorted(owners))
-                }
-            ):
-                from repro.kernel.kernel import KernelCrashed
+        return (runs if changed else None, faults, transfers, invalidations,
+                backups, owners, groups, target)
 
-                if kernel in self.messaging.fenced:
-                    raise KernelCrashed(kernel)
-                return self.ensure_range(kernel, base, span, write)
-        if changed:
-            directory.splice(first, end, runs)
-        self.last_parties = (kernel,)
-        if not missing and not backups:
-            return (0.0, 0)
-        cost = 0.0
-        parties = {kernel} | owners
-        for group in inval_groups:
-            parties.update(group)
-        if backups:
-            parties.add(target)
+    def _backup_target(self, owner: str) -> Optional[str]:
+        """Live ring successor that takes ``owner``'s backup pushes.
+
+        A fenced kernel never takes one, whether it died before or after
+        this process started.
+        """
+        machines = self.machines
+        if not self.backup or owner not in machines:
+            return None
+        target = machines[(machines.index(owner) + 1) % len(machines)]
+        return None if target in self.messaging.fenced else target
+
+    def _crashed(self, step: str, kernel: str, **roles: str) -> bool:
+        """Announce a crashable step; True if a crash fired at it.
+
+        The crash has scrubbed the directory under the caller's feet, so
+        the caller dispatches its operation again, unless the crash
+        killed ``kernel`` itself.
+        """
+        messaging = self.messaging
+        if not messaging.chaos_step(step, **roles):
+            return False
+        if kernel in messaging.fenced:
+            from repro.kernel.kernel import KernelCrashed
+
+            raise KernelCrashed(kernel)
+        return True
+
+    def _book(self, kernel: str, step) -> None:
+        """Count an applied transition and name the kernels party to it."""
+        _, faults, transfers, invalidations, backups, owners, groups, target = step
         stats = self.stats
-        stats.invalidations += invalidations
-        for group in sorted(inval_groups, key=sorted):
-            cost += self.messaging.broadcast(
-                "dsm.inval", kernel, sorted(group), payload_bytes=32
-            )
-        self.last_parties = tuple(sorted(parties))
-        # One logical fault per missing page — the bulk path is cheaper
-        # than N single faults only in *time* (one round trip of latency
-        # amortised over a pipelined burst), never in *accounting*.
-        stats.faults += missing
+        stats.faults += faults
         stats.page_transfers += transfers
         stats.bytes_transferred += transfers * PAGE_SIZE
-        interconnect = self.messaging.interconnect
-        if transfers:
-            cost += (
-                interconnect.latency_s * 2
-                + (transfers * (PAGE_SIZE + 64)) / interconnect.bandwidth_bytes_per_s
-                + interconnect.per_message_cpu_s
-            )
-            self.messaging.record_bulk("dsm.bulk", transfers, PAGE_SIZE + 64)
+        stats.invalidations += invalidations
+        stats.backup_pushes += backups
+        stats.backup_bytes += backups * PAGE_SIZE
+        parties = {kernel} | owners
+        for group in groups:
+            parties |= group
         if backups:
-            # Backup pushes ride the same pipelined burst: one extra
-            # page payload per dirtied page to the ring successor.
-            cost += (
-                (backups * (PAGE_SIZE + 64)) / interconnect.bandwidth_bytes_per_s
-                + interconnect.per_message_cpu_s
-            )
-            self.messaging.record_bulk("dsm.backup", backups, PAGE_SIZE + 64)
-            stats.backup_pushes += backups
-            stats.backup_bytes += backups * PAGE_SIZE
-        if missing:
+            parties.add(target)
+        self.last_parties = tuple(sorted(parties))
+        if faults:
             self.epoch += 1
-        tracer = getattr(self.messaging, "tracer", None)
+
+    def access(self, kernel: str, addr: int, write: bool) -> float:
+        """Account one access; returns fault service time in seconds.
+
+        The one-page case of the transition.  A fault is one page RPC to
+        the owner (only when ``kernel`` holds no copy), one invalidation
+        broadcast and one backup send.
+        """
+        page = page_of(addr)
+        if self._lost:
+            lost = self._lost_at(page, page + 1)
+            if lost is not None:
+                raise LostPageError(page, kernel, lost[1])
+        step = self._transition(kernel, page, page + 1, write)
+        runs, faults, transfers, invalidations, backups, owners, groups, target = step
+        owner = min(owners) if owners else None
+        if faults and self._crashed(
+            "dsm.page", kernel, faulter=kernel, owner=owner
+        ):
+            return self.access(kernel, addr, write)
+        self._book(kernel, step)
+        messaging = self.messaging
+        cost = 0.0
+        if transfers:
+            cost += messaging.rpc(
+                "dsm.page", kernel, owner, request_bytes=32,
+                reply_bytes=PAGE_SIZE,
+            )
+        for group in groups:
+            cost += messaging.broadcast(
+                "dsm.inval", kernel, sorted(group), payload_bytes=32
+            )
+        if runs is not None:
+            self._dir.splice(page, page + 1, runs)
+        if backups:
+            cost += messaging.send("dsm.backup", kernel, target, PAGE_SIZE)
+        tracer = messaging.tracer
+        if faults and tracer is not None:
+            tracer.complete(
+                "dsm.page", "dsm", tracer.now(), cost, track=kernel,
+                page=page, owner=owner, write=write,
+                bytes=transfers * PAGE_SIZE, invalidations=invalidations,
+            )
+            metrics = tracer.metrics
+            metrics.counter("dsm.page_faults").inc()
+            if transfers:
+                metrics.counter("dsm.bytes").inc(PAGE_SIZE)
+            if invalidations:
+                metrics.counter("dsm.invalidations").inc(invalidations)
+            metrics.histogram("dsm.fault_s").observe(cost)
+        return cost
+
+    def ensure_range(self, kernel: str, base: int, span: int, write: bool) -> Tuple[float, int]:
+        """Make [base, base+span) locally accessible from ``kernel``.
+
+        Returns (seconds, pages_transferred).  Every page takes the same
+        transition as when faulted alone; only the wire time differs.
+        The payloads move in one pipelined burst, modelling the
+        multithreaded hDSM pulling pages in bulk, and each distinct group
+        of stale copies gets one range-invalidate broadcast.
+        """
+        if span <= 0:
+            return (0.0, 0)
+        first = page_of(base)
+        end = page_of(base + span - 1) + 1
+        if self._lost:
+            lost = self._lost_at(first, end)
+            if lost is not None:
+                raise LostPageError(lost[0], kernel, lost[1])
+        step = self._transition(kernel, first, end, write)
+        runs, faults, transfers, invalidations, backups, owners, groups, _ = step
+        messaging = self.messaging
+        if messaging.chaos is not None and self._crashed(
+            "dsm.bulk", kernel, puller=kernel,
+            **{f"owner{i}": o for i, o in enumerate(sorted(owners))},
+        ):
+            return self.ensure_range(kernel, base, span, write)
+        if runs is not None:
+            self._dir.splice(first, end, runs)
+        self._book(kernel, step)
+        if not faults and not backups:
+            return (0.0, 0)
+        cost = 0.0
+        for group in sorted(groups, key=sorted):
+            cost += messaging.broadcast(
+                "dsm.inval", kernel, sorted(group), payload_bytes=32
+            )
+        if transfers:
+            cost += messaging.record_bulk("dsm.bulk", transfers, PAGE_SIZE + 64)
+        if backups:
+            # The backup pushes ride the pull's burst to the target.
+            cost += messaging.record_bulk(
+                "dsm.backup", backups, PAGE_SIZE + 64, rides=True
+            )
+        tracer = messaging.tracer
         if tracer is not None:
             tracer.complete(
                 "dsm.bulk", "dsm", tracer.now(), cost, track=kernel,
-                pages=missing, transfers=transfers,
+                pages=faults, transfers=transfers,
                 bytes=transfers * PAGE_SIZE, write=write,
                 invalidations=invalidations,
             )
             metrics = tracer.metrics
             metrics.counter("dsm.bulk_pulls").inc()
-            metrics.counter("dsm.page_faults").inc(missing)
+            metrics.counter("dsm.page_faults").inc(faults)
             metrics.counter("dsm.bytes").inc(transfers * PAGE_SIZE)
             if invalidations:
                 metrics.counter("dsm.invalidations").inc(invalidations)
@@ -560,10 +522,12 @@ class DsmService:
     # ------------------------------------------------------- inspection
 
     def resident_pages(self, kernel: str) -> int:
+        """Tracked pages of which ``kernel`` holds a valid copy."""
         return ordered_sum(hi - lo for lo, hi, state in self._dir.runs()
                            if kernel in state[1])
 
     def owner_of(self, addr: int) -> Optional[str]:
+        """Owner kernel of the page holding ``addr`` (None: untracked)."""
         state = self._dir.get(page_of(addr))
         return None if state is None else state[0]
 
@@ -630,7 +594,6 @@ class DsmService:
         The scrub works per extent; the report counts pages.
         """
         report = ScrubReport(dead)
-        self._dead.add(dead)
         gone = frozenset((dead,))
         runs: List[Run] = []
         for lo, hi, (owner, sharers, dirtied, backup) in self._dir.runs():

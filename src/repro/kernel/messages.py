@@ -46,6 +46,7 @@ class Message:
 
     @property
     def wire_bytes(self) -> int:
+        """Bytes on the wire: the payload plus one header."""
         return HEADER_BYTES + self.payload_bytes
 
 
@@ -151,25 +152,33 @@ class MessagingLayer:
             worst += (fanout - 1) * self.interconnect.per_message_cpu_s
         return worst
 
-    def record_bulk(self, kind: str, count: int, bytes_each: int) -> float:
-        """Account a pipelined bulk transfer of ``count`` messages.
+    def record_bulk(
+        self, kind: str, count: int, bytes_each: int, rides: bool = False
+    ) -> float:
+        """A pipelined burst of ``count`` messages; returns its seconds.
 
-        The hDSM bulk page-pull path computes its own (bandwidth-limited,
-        pipelined) timing, so this only keeps the byte/message counters
-        coherent: everything the interconnect records is attributable to
-        a message kind.  Returns 0.0 — no latency is charged here.
+        The burst pays one round trip of latency, its payload at link
+        bandwidth and one message's sender CPU; a burst that ``rides``
+        another (the backup pushes of an hDSM bulk pull) pays no
+        latency of its own.  The messages are booked under ``kind``, so
+        everything the interconnect records stays attributable.
         """
         if count <= 0:
             return 0.0
+        interconnect = self.interconnect
         self.counts[kind] += count
         self.bytes_by_kind[kind] += count * bytes_each
-        self.interconnect.record(count * bytes_each)
+        interconnect.record(count * bytes_each)
         if self.tracer is not None:
             self.tracer.metrics.counter("msg.sends").inc(count)
             self.tracer.metrics.counter("msg.wire_bytes").inc(
                 count * bytes_each
             )
-        return 0.0
+        seconds = (count * bytes_each) / interconnect.bandwidth_bytes_per_s
+        if not rides:
+            seconds = interconnect.latency_s * 2 + seconds
+        return seconds + interconnect.per_message_cpu_s
 
     def stats(self) -> Dict[str, int]:
+        """Messages sent so far, by kind."""
         return dict(self.counts)

@@ -39,7 +39,8 @@ class ShadowDsm:
     service shows up as a lock-step divergence.
     """
 
-    def __init__(self, aliased_pages: Set[int], machines=None, backup=False):
+    def __init__(self, aliased_pages: Set[int], machines=None, backup=False,
+                 dead=()):
         self.aliased = set(aliased_pages)
         self.owner: Dict[int, str] = {}
         self.valid: Dict[int, Set[str]] = {}
@@ -49,7 +50,8 @@ class ShadowDsm:
         self.backup = bool(backup) and len(self.machines) > 1
         self.dirtied: Set[int] = set()
         self.backup_of: Dict[int, str] = {}
-        self.dead: Set[str] = set()
+        # Kernels dead before the process started, then every scrub's.
+        self.dead: Set[str] = set(dead)
         self.lost: Dict[int, str] = {}
         # page -> coherence faults served on it; the race-soundness
         # harness rank-correlates this observed traffic against the
@@ -110,12 +112,14 @@ class ShadowDsm:
         return transferred
 
     def access(self, kernel: str, page: int, write: bool) -> None:
+        """Apply one access to ``page``: a first touch or a fault."""
         if self._is_local(kernel, page, write):
             self._first_touch(kernel, page, write)
             return
         self._serve_fault(kernel, page, write)
 
     def ensure_range(self, kernel: str, base: int, span: int, write: bool) -> None:
+        """Apply a bulk pull of [base, base+span), page by page."""
         if span <= 0:
             return
         pages = range(page_of(base), page_of(base + span - 1) + 1)
@@ -130,6 +134,7 @@ class ShadowDsm:
             self._serve_fault(kernel, p, write)
 
     def cleanup(self, kernel: str) -> None:
+        """Drop ``kernel``'s copies of the pages it does not own."""
         for page, sharers in self.valid.items():
             if kernel in sharers and self.owner.get(page) != kernel:
                 sharers.discard(kernel)
@@ -175,7 +180,8 @@ class ValidatedDsmService(DsmService):
             space, messaging, home_kernel, machines=machines, backup=backup
         )
         self.shadow = ShadowDsm(
-            space.aliased_pages(), machines=machines, backup=backup
+            space.aliased_pages(), machines=machines, backup=backup,
+            dead=messaging.fenced,
         )
         self._aliased_ranges = [vma.pages for vma in space.vmas()
                                 if vma.aliased]
@@ -183,6 +189,7 @@ class ValidatedDsmService(DsmService):
     # ------------------------------------------------------ operations
 
     def access(self, kernel: str, addr: int, write: bool) -> float:
+        """:meth:`DsmService.access`, then the lock-step check."""
         cost = super().access(kernel, addr, write)
         self.shadow.access(kernel, page_of(addr), write)
         self._check(f"access({kernel}, {addr:#x}, write={write})")
@@ -194,6 +201,7 @@ class ValidatedDsmService(DsmService):
         return cost
 
     def ensure_range(self, kernel, base, span, write):
+        """:meth:`DsmService.ensure_range`, then the lock-step check."""
         cost, pages = super().ensure_range(kernel, base, span, write)
         self.shadow.ensure_range(kernel, base, span, write)
         self._check(
@@ -202,12 +210,14 @@ class ValidatedDsmService(DsmService):
         return cost, pages
 
     def all_threads_migrated_cleanup(self, kernel: str) -> int:
+        """The residual-copy cleanup, then the lock-step check."""
         dropped = super().all_threads_migrated_cleanup(kernel)
         self.shadow.cleanup(kernel)
         self._check(f"all_threads_migrated_cleanup({kernel})")
         return dropped
 
     def scrub_dead_kernel(self, dead: str):
+        """The directory scrub, then the lock-step check."""
         report = super().scrub_dead_kernel(dead)
         self.shadow.scrub_dead(dead)
         self._check(f"scrub_dead_kernel({dead})")
@@ -239,6 +249,7 @@ class ValidatedDsmService(DsmService):
         self._check_byte_conservation(op)
 
     def _check_structure(self, op: str) -> None:
+        dead = self.messaging.fenced
         prev = None
         for lo, hi, state in self.extents():
             owner, sharers = state[0], state[1]
@@ -287,12 +298,12 @@ class ValidatedDsmService(DsmService):
                         f"[{lo:#x}, {hi:#x})",
                         where,
                     )
-            if self._dead and (owner in self._dead or sharers & self._dead):
+            if dead and (owner in dead or sharers & dead):
                 self._fail(
                     "no-dead-routes",
                     f"after {op}: pages [{lo:#x}, {hi:#x}) still route at a "
                     "dead kernel (directory scrub incomplete)",
-                    dict(where, dead=sorted(self._dead)),
+                    dict(where, dead=sorted(dead)),
                 )
         for page in self.lost_pages:
             if self.owner_of(page * PAGE_SIZE) is not None:

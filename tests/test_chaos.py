@@ -276,6 +276,48 @@ class TestCrashKernel:
         validate.check_crash_consistency(system, [process])
 
 
+class TestBackupAfterCrash:
+    """In backup mode no dirty page is pushed to a fenced kernel, also
+    when it died before the process started (on the testbed the ARM
+    kernel is the x86 kernel's only ring successor)."""
+
+    def _run_is(self, crash):
+        binary = registry_scenario("is", threads=1, scale=0.002).prepare()
+        system = boot_testbed()
+        system.dsm_backup = True
+        if crash:
+            system.crash_kernel(ARM)
+        with validate.forced(True):
+            process = system.exec_process(binary, X86)
+            ExecutionEngine(system, process, EngineHooks()).run()
+        return process
+
+    def test_process_started_after_a_crash_runs_as_without_it(self):
+        healthy = self._run_is(crash=False)
+        process = self._run_is(crash=True)
+        assert process.failure is None
+        assert process.output == healthy.output
+        assert process.exit_code == healthy.exit_code == 0
+        assert healthy.dsm.stats.backup_pushes > 0
+        assert process.dsm.stats.backup_pushes == 0
+        assert process.dsm.backup_map() == {}
+
+    def test_bulk_pull_after_a_crash_records_no_backup_holder(self):
+        system = boot_testbed()
+        system.dsm_backup = True
+        system.crash_kernel(ARM)
+        space = AddressSpace()
+        space.map_region(0, PAGE_SIZE * 16, "data")
+        dsm = DsmService(
+            space, system.messaging, X86, machines=system.machine_order,
+            backup=True,
+        )
+        assert dsm.ensure_range(X86, 0, 3 * PAGE_SIZE, write=True) == (0.0, 0)
+        assert dsm.backup_map() == {}
+        assert dsm.stats.backup_pushes == 0
+        assert system.messaging.counts["dsm.backup"] == 0
+
+
 # ------------------------------------------- two-phase hand-off (chaos)
 
 

@@ -1,6 +1,11 @@
 """Unit tests for kernel services: messaging, DSM, namespaces, VFS,
 vDSO, loader."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compiler import Toolchain
@@ -195,6 +200,51 @@ class TestDsm:
         assert moved == 10 * n
         assert dsm.stats.page_transfers == 10 * n
         assert dsm.resident_pages(A) == n
+
+
+# x86-b writes a page that all three kernels of a 3-kernel system share;
+# prints the destinations of the invalidations, in the order sent.
+_INVALIDATION_ORDER = """
+from repro.kernel.dsm import DsmService
+from repro.kernel.kernel import PopcornSystem
+from repro.linker.layout import PAGE_SIZE
+from repro.machine import make_xeon_e5_1650v2, make_xgene1
+from repro.machine.interconnect import make_dolphin_pxh810
+from repro.runtime.address_space import AddressSpace
+from repro.telemetry.spans import Tracer
+
+system = PopcornSystem(
+    [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server"),
+     make_xeon_e5_1650v2("x86-b")],
+    make_dolphin_pxh810(), tracer=Tracer(),
+)
+space = AddressSpace()
+space.map_region(0, PAGE_SIZE, "data")
+dsm = DsmService(space, system.messaging, "arm-server", system.machine_order)
+dsm.access("arm-server", 0, write=True)
+dsm.access("x86-server", 0, write=False)
+dsm.access("x86-b", 0, write=False)
+dsm.access("x86-b", 0, write=True)
+print(*(s.attrs["dst"] for s in system.tracer.spans
+        if s.name == "msg.dsm.inval"))
+"""
+
+
+class TestInvalidationOrder:
+    def test_fault_invalidates_in_sorted_order_under_any_hash_seed(self):
+        # Sharer sets are frozensets, whose order follows the string
+        # hash seed; the invalidations must not.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        orders = []
+        for seed in ("0", "1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _INVALIDATION_ORDER],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            )
+            orders.append(out.stdout.split())
+        assert orders == [["arm-server", "x86-server"]] * 3
 
 
 class TestNamespaces:

@@ -148,13 +148,9 @@ dsm_ops = st.one_of(
 )
 
 
-@given(st.booleans(), st.lists(dsm_ops, min_size=1, max_size=40))
-@settings(max_examples=150, deadline=None)
-def test_dsm_single_writer_invariant(backup, ops):
-    """Random accesses, bulk pulls across extent and aliased boundaries,
-    cleanups and scrubs: the extent directory stays in lock-step with
-    the per-page shadow model after every step (ValidatedDsmService
-    raises on the first divergence), and single-writer holds."""
+def _validated_dsm(backup, fenced=()):
+    """A checked service on KERNELS over DSM_PAGES pages with an aliased
+    hole; the ``fenced`` kernels died before the process started."""
     space = AddressSpace()
     space.map_region(0, PAGE_SIZE * ALIASED.start, "data")
     space.map_region(
@@ -165,10 +161,22 @@ def test_dsm_single_writer_invariant(backup, ops):
         PAGE_SIZE * ALIASED.stop, PAGE_SIZE * (DSM_PAGES - ALIASED.stop),
         "heap",
     )
-    dsm = ValidatedDsmService(
-        space, MessagingLayer(make_dolphin_pxh810()), "a",
-        machines=KERNELS, backup=backup,
+    messaging = MessagingLayer(make_dolphin_pxh810())
+    messaging.fenced.update(fenced)
+    home = min(set(KERNELS) - set(fenced))
+    return ValidatedDsmService(
+        space, messaging, home, machines=KERNELS, backup=backup
     )
+
+
+@given(st.booleans(), st.lists(dsm_ops, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_dsm_single_writer_invariant(backup, ops):
+    """Random accesses, bulk pulls across extent and aliased boundaries,
+    cleanups and scrubs: the extent directory stays in lock-step with
+    the per-page shadow model after every step (ValidatedDsmService
+    raises on the first divergence), and single-writer holds."""
+    dsm = _validated_dsm(backup)
     dead = set()
     for op in ops:
         kind, kernel = op[0], op[1]
@@ -189,6 +197,8 @@ def test_dsm_single_writer_invariant(backup, ops):
                 continue
             else:
                 if len(dead) < len(KERNELS) - 1:
+                    # A crash fences the kernel before the scrub.
+                    dsm.messaging.fenced.add(kernel)
                     dsm.scrub_dead_kernel(kernel)
                     dead.add(kernel)
                 continue
@@ -207,6 +217,59 @@ def test_dsm_single_writer_invariant(backup, ops):
                 assert kernel in sharers
                 # The owner always holds a valid copy.
                 assert dsm.owner_of(page * PAGE_SIZE) in sharers
+
+
+@given(
+    st.booleans(),
+    st.sampled_from([None] + KERNELS),
+    st.lists(dsm_ops, min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_dsm_fault_is_the_one_page_pull(backup, dead_at_start, ops):
+    """A page fault is the one-page case of a bulk pull.
+
+    Two checked services take the same random operations from live
+    kernels: accesses, bulk pulls, cleanups, and crashes (fence, then
+    scrub).  One serves each access through ``access``, the other as a
+    one-page ``ensure_range``.  A kernel may be dead before the process
+    starts.  Both stay in lock-step with their shadow models, route no
+    message at a fenced kernel (that raises), and keep the same
+    directory, lost pages, counters, parties and epoch after every
+    step: only the wire time of the two entry points differs."""
+    fenced = () if dead_at_start is None else (dead_at_start,)
+    paged, pulled = _validated_dsm(backup, fenced), _validated_dsm(backup, fenced)
+    dead = set(fenced)
+    for op in ops:
+        kind, kernel = op[0], op[1]
+        if kernel in dead:
+            continue
+        if kind == "scrub":
+            if len(dead) < len(KERNELS) - 1:
+                for dsm in (paged, pulled):
+                    dsm.messaging.fenced.add(kernel)
+                    dsm.scrub_dead_kernel(kernel)
+                dead.add(kernel)
+            continue
+        lost = []
+        for dsm in (paged, pulled):
+            try:
+                if kind == "access" and dsm is paged:
+                    dsm.access(kernel, op[2] * PAGE_SIZE, op[3])
+                elif kind == "access":
+                    dsm.ensure_range(kernel, op[2] * PAGE_SIZE, 1, op[3])
+                elif kind == "range":
+                    dsm.ensure_range(kernel, *op[2:])
+                else:
+                    dsm.all_threads_migrated_cleanup(kernel)
+                lost.append(None)
+            except LostPageError as exc:
+                lost.append((exc.page, exc.dead_kernel))
+        assert lost[0] == lost[1]
+        assert paged.extents() == pulled.extents()
+        assert paged.lost_pages == pulled.lost_pages
+        assert paged.stats == pulled.stats
+        assert paged.last_parties == pulled.last_parties
+        assert paged.epoch == pulled.epoch
 
 
 # ------------------------------------------------------------------ heap

@@ -366,34 +366,20 @@ class TestZeroViolationsProperty:
 # caught by the matching checker.
 # --------------------------------------------------------------------
 
-def _buggy_fault(self, kernel, page, write):
-    """The pre-fix _fault: charges a full-page RPC on every fault —
-    including S->M upgrades and owner self-RPCs."""
-    self.stats.faults += 1
-    owner, sharers, dirtied, backup = self._dir.get(page)
-    cost = self.messaging.rpc(
-        "dsm.page", kernel, owner, request_bytes=32, reply_bytes=PAGE_SIZE
-    )
-    self.stats.page_transfers += 1
-    self.stats.bytes_transferred += PAGE_SIZE
-    if write:
-        others = [k for k in sharers if k != kernel]
-        if others:
-            cost += self.messaging.broadcast(
-                "dsm.inval", kernel, others, payload_bytes=32
-            )
-            self.stats.invalidations += len(others)
-        self._set_page(page, (kernel, frozenset({kernel}), True, backup))
-    else:
-        self._set_page(page, (owner, sharers | {kernel}, dirtied, backup))
-    self.epoch += 1
-    return cost
+_transition = DsmService._transition
+
+
+def _overcharging_transition(self, kernel, first, end, write):
+    """An old accounting bug: every faulted page counted as a transfer,
+    S->M upgrades included, so an upgrade pays a full-page RPC."""
+    runs, faults, _, *rest = _transition(self, kernel, first, end, write)
+    return (runs, faults, faults, *rest)
 
 
 class TestDsmCheckerFires:
     def test_upgrade_overcharge_diverges_from_shadow(self, monkeypatch,
                                                      validation_on):
-        monkeypatch.setattr(DsmService, "_fault", _buggy_fault)
+        monkeypatch.setattr(DsmService, "_transition", _overcharging_transition)
         dsm = _dsm(ValidatedDsmService)
         dsm.access(A, 0x10, write=True)
         dsm.access(B, 0x10, write=False)
